@@ -66,6 +66,13 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
+def _parse_positive_int(key: str, value: str) -> int:
+    number = _parse_int(key, value)
+    if number < 1:
+        raise ConfigError(f"{key}: must be >= 1, got {number}")
+    return number
+
+
 def _parse_float(key: str, value: str) -> float:
     try:
         return float(value)
@@ -167,6 +174,9 @@ def parse_config(text: str) -> RunConfig:
         )
     except (EnsembleError, AgentGaugeError) as exc:
         raise ConfigError(str(exc)) from None
+    if valuation.mode != "summable":
+        raise ConfigError(f"valuation.mode: intelligence is estimated with summable "
+                          f"valuation, got {valuation.mode!r}")
 
     agent_names = tuple(
         name.strip() for name in pairs.get("agents", "random,basic,2back").split(",")
@@ -195,10 +205,10 @@ def parse_config(text: str) -> RunConfig:
         ensemble_spec=ensemble_spec,
         valuation=valuation,
         external_commands=external,
-        external_timeout_ms=_parse_int(
+        external_timeout_ms=_parse_positive_int(
             "external_timeout_ms", pairs.get("external_timeout_ms", "1000")),
         compare=_parse_bool("compare", pairs.get("compare", "true")),
-        bootstrap_samples=_parse_int(
+        bootstrap_samples=_parse_positive_int(
             "bootstrap_samples", pairs.get("bootstrap_samples", "2000")),
         programs_file=pairs.get("ensemble.programs_file"),
         raw=dict(pairs),

@@ -235,7 +235,7 @@ class EnvProcess:
     __slots__ = (
         "program", "machine", "space", "tape", "ptr", "budget", "last_action",
         "cycles", "rng", "shortcuts", "frozen", "frozen_obs", "frozen_raw",
-        "steps_last_cycle", "total_steps", "emitted_total",
+        "steps_last_cycle", "total_steps", "emitted_total", "draws",
     )
 
     def __init__(self, program: EnvProgram, machine: MachineConfig,
@@ -260,6 +260,7 @@ class EnvProcess:
         self.steps_last_cycle = 0
         self.total_steps = 0
         self.emitted_total = 0
+        self.draws = 0  # random bits drawn so far
         if enable_shortcuts and not program.has_emit:
             # A program with no EMIT can only ever produce default percepts.
             self.frozen = True
@@ -301,8 +302,13 @@ class EnvProcess:
         other.budget = self.budget
         other.last_action = self.last_action
         other.cycles = self.cycles
-        other.rng = random.Random()
-        other.rng.setstate(self.rng.getstate())
+        if _OP_RAND in self.program.ops:
+            # setstate overwrites the whole generator, so skip the OS seeding
+            # that random.Random() would do first.
+            other.rng = random.Random.__new__(random.Random)
+            other.rng.setstate(self.rng.getstate())
+        else:
+            other.rng = self.rng  # never drawn from, so sharing is exact
         other.shortcuts = self.shortcuts
         other.frozen = self.frozen
         other.frozen_obs = self.frozen_obs
@@ -310,6 +316,7 @@ class EnvProcess:
         other.steps_last_cycle = self.steps_last_cycle
         other.total_steps = self.total_steps
         other.emitted_total = self.emitted_total
+        other.draws = self.draws
         return other
 
     def _emit(self, raw_obs: int, raw_numerator: int) -> Percept:
@@ -419,6 +426,7 @@ class EnvProcess:
                 if ptr not in first_old:
                     first_old[ptr] = tape[ptr]
                 tape[ptr] = self.rng.getrandbits(1)
+                self.draws += 1
                 write_ops += 1
                 io_ops += 1
                 ip += 1
@@ -443,8 +451,23 @@ class EnvProcess:
         return self._emit(raw_obs, raw_numerator)
 
 
-def _signature_probe(program: EnvProgram, horizon: int, machine: MachineConfig,
-                     space: SpaceConfig, seed: int) -> tuple[bytes, int]:
+def signature_and_steps(program: EnvProgram, horizon: int,
+                        machine: MachineConfig = MachineConfig(),
+                        space: SpaceConfig = SpaceConfig(),
+                        seed: int = 0) -> tuple[bytes, int]:
+    """Behavior signature plus the VM steps a full action-tree walk consumes.
+
+    The signature and the step count are those of the complete action tree
+    described in `behavior_signature`, but each distinct machine state is
+    expanded only once.  A node's subtree depends only on its depth and on
+    the state its step left behind: tape, pointer, reward budget, frozen
+    percept and random stream position.  The last-action register is not
+    part of it, because every step overwrites it before the program runs.
+    Every node descends from the same seeded stream, so the number of random
+    bits drawn identifies the stream position exactly.  Repeated subtrees
+    reuse their bytes and add their steps again, so the step count stays the
+    full-tree figure.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     nodes = sum(space.action_count ** d for d in range(horizon + 1))
@@ -452,31 +475,45 @@ def _signature_probe(program: EnvProgram, horizon: int, machine: MachineConfig,
         raise ValueError(
             f"horizon {horizon} needs {nodes} nodes, above the cap {SIGNATURE_NODE_CAP}"
         )
-    out = bytearray()
-    steps_total = 0
+    last = space.action_count - 1
+    memo: dict[tuple, tuple[bytes, int]] = {}
 
-    def visit(proc: EnvProcess, percept: Percept, depth: int) -> None:
-        nonlocal steps_total
-        out.extend(percept.observation.to_bytes(2, "little"))
-        out.extend(percept.reward_numerator.to_bytes(2, "little"))
+    def below(proc: EnvProcess, depth: int) -> tuple[bytes, int]:
+        # Signature bytes and VM steps of everything under this node.
         if depth == horizon:
-            return
+            return b"", 0
         if proc.halted:
             # The whole subtree is (0, 0); record that fact canonically
             # instead of expanding it.
-            out.append(0xFF)
-            return
+            return b"\xff", 0
+        key = (depth, tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
+               proc.frozen_obs, proc.frozen_raw, proc.draws)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        parts = []
+        steps = 0
         for action in range(space.action_count):
-            child = proc.clone() if action < space.action_count - 1 else proc
-            child_percept = child.step(action)
-            steps_total += child.steps_last_cycle
-            visit(child, child_percept, depth + 1)
+            child = proc.clone() if action < last else proc
+            percept = child.step(action)
+            steps += child.steps_last_cycle
+            tail, tail_steps = below(child, depth + 1)  # steps `child` on
+            parts.append(_percept_bytes(percept))
+            parts.append(tail)
+            steps += tail_steps
+        memo[key] = result = (b"".join(parts), steps)
+        return result
 
     proc = EnvProcess(program, machine, space, rng=seed)
     first = proc.step(None)
-    steps_total += proc.steps_last_cycle
-    visit(proc, first, 0)
-    return bytes(out), max(1, steps_total)
+    first_steps = proc.steps_last_cycle
+    tail, tail_steps = below(proc, 0)
+    return _percept_bytes(first) + tail, max(1, first_steps + tail_steps)
+
+
+def _percept_bytes(percept: Percept) -> bytes:
+    return (percept.observation.to_bytes(2, "little")
+            + percept.reward_numerator.to_bytes(2, "little"))
 
 
 def behavior_signature(program: EnvProgram, horizon: int,
@@ -488,18 +525,10 @@ def behavior_signature(program: EnvProgram, horizon: int,
     The signature concatenates the emitted percepts along every action
     sequence of length <= horizon (a complete action tree), with the random
     bit source seeded identically for every program.  Equal signatures mean
-    the programs are behaviorally indistinguishable up to the horizon.
+    the programs are behaviorally indistinguishable up to the horizon.  It
+    is computed by `signature_and_steps`, once per distinct machine state.
     """
-    signature, _ = _signature_probe(program, horizon, machine, space, seed)
-    return signature
-
-
-def signature_and_steps(program: EnvProgram, horizon: int,
-                        machine: MachineConfig = MachineConfig(),
-                        space: SpaceConfig = SpaceConfig(),
-                        seed: int = 0) -> tuple[bytes, int]:
-    """Behavior signature plus the VM steps consumed computing it."""
-    return _signature_probe(program, horizon, machine, space, seed)
+    return signature_and_steps(program, horizon, machine, space, seed)[0]
 
 
 def save_program_file(path, programs: list[EnvProgram]) -> None:

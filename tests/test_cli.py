@@ -25,7 +25,8 @@ def write_programs(tmp_path):
     return path
 
 
-def write_config(tmp_path, out_name="out", extra="", agents="random,basic"):
+def write_config(tmp_path, out_name="out", extra="", agents="random,basic",
+                 bootstrap_samples=300):
     programs = write_programs(tmp_path)
     text = textwrap.dedent(f"""
         seed = 99
@@ -35,7 +36,7 @@ def write_config(tmp_path, out_name="out", extra="", agents="random,basic"):
         ensemble.dedup_horizon = 4
         valuation.episodes = 15
         valuation.horizon = 40
-        bootstrap_samples = 300
+        bootstrap_samples = {bootstrap_samples}
         {extra}
     """)
     path = tmp_path / "config.txt"
@@ -112,6 +113,25 @@ def test_duplicate_agents_and_bad_epsilon_exit_2(tmp_path, capsys):
     config.write_text("seed = 1\nagents = basic\nagent_epsilon = 1.5\n", encoding="utf-8")
     assert main(["run", str(config)]) == 2
     assert "agent_epsilon" in capsys.readouterr().err
+
+
+def test_zero_bootstrap_samples_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, bootstrap_samples=0)
+    assert main(["run", str(config)]) == 2
+    assert "bootstrap_samples" in capsys.readouterr().err
+
+
+def test_discounted_mode_exits_2_at_config_time(tmp_path, capsys):
+    config = write_config(tmp_path, extra="valuation.mode = discounted")
+    assert main(["run", str(config)]) == 2
+    assert "valuation.mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_external_timeout_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, extra="external_timeout_ms = -5")
+    assert main(["run", str(config)]) == 2
+    assert "external_timeout_ms" in capsys.readouterr().err
 
 
 def test_run_with_external_agent(tmp_path):

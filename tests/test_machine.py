@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -328,6 +329,72 @@ def test_signature_horizon_cap():
 def test_signature_steps_are_deterministic():
     program = make("random_bit", "move_left", "emit")
     assert signature_and_steps(program, 6) == signature_and_steps(program, 6)
+
+
+def _full_tree_walk(program, horizon, machine, space, seed):
+    """Reference signature: replay every action sequence from a fresh process."""
+    out = bytearray()
+    steps = 0
+
+    def visit(path):
+        nonlocal steps
+        proc = EnvProcess(program, machine, space, rng=seed)
+        percept = proc.step(None)
+        for action in path:
+            percept = proc.step(action)
+        steps += proc.steps_last_cycle
+        out.extend(percept.observation.to_bytes(2, "little"))
+        out.extend(percept.reward_numerator.to_bytes(2, "little"))
+        if len(path) == horizon:
+            return
+        if proc.halted:
+            out.append(0xFF)
+            return
+        for action in range(space.action_count):
+            visit(path + (action,))
+
+    visit(())
+    return bytes(out), max(1, steps)
+
+
+_SIGNATURE_EXTRAS = (
+    ("read_action", "random_bit", "move_left", "emit"),
+    ("random_bit", "move_right", "read_action", "emit"),
+    ("read_action", "loop_open", "loop_close", "emit"),
+    ("inc", "loop_open", "loop_close", "emit"),
+    ("read_action", "loop_open", "random_bit", "loop_close", "emit"),
+    ("read_action", "move_right", "inc", "emit"),
+    ("move_right", "read_action", "move_right", "random_bit", "emit"),
+    ("move_right", "read_action", "move_left", "emit"),
+)
+
+
+@pytest.mark.parametrize("machine, space, seed, horizon", [
+    (MACHINE, SPACE, 0, 5),
+    (MACHINE, SPACE, 7, 5),
+    (MachineConfig(tape_length=4, cell_modulus=3), SPACE, 0, 5),
+    (MACHINE, SpaceConfig(action_count=3, observation_count=3, reward_denominator=2), 7, 4),
+], ids=["default", "seed7", "tape4-mod3", "three-actions-budget2"])
+def test_signature_equals_full_tree_walk(machine, space, seed, horizon):
+    programs = enumerate_programs(16, machine) + [
+        encode_program(list(extra), machine) for extra in _SIGNATURE_EXTRAS]
+    for program in programs:
+        expected = _full_tree_walk(program, horizon, machine, space, seed)
+        assert signature_and_steps(program, horizon, machine, space, seed) == expected, \
+            program.instructions
+
+
+@pytest.mark.parametrize("bits, digest", [
+    (17, "86e9a17a83ceab49cd5204fb0ca5b4b0159bd9e5c5576b9298a71ab6512b7d05"),
+    (24, "70582620f96b6c89d1344c1e9b95e42f492ff45b65cb2e84e3a6a43e54e24121"),
+])
+def test_signature_golden_hash(bits, digest):
+    # Recorded from a walk that expanded every node of the action tree.
+    h = hashlib.sha256()
+    for program in enumerate_programs(bits, MACHINE):
+        sig, steps = signature_and_steps(program, 8, MACHINE, SPACE, seed=0)
+        h.update(len(sig).to_bytes(4, "little") + sig + steps.to_bytes(8, "little"))
+    assert h.hexdigest() == digest
 
 
 # ------------------------------------------------------------ fixture files
