@@ -8,20 +8,11 @@ environment by seeded Monte Carlo rollout, and aggregates the values under a
 
 __version__ = "0.1.0"
 
-from .interaction import (  # noqa: F401
-    Action,
-    History,
-    Percept,
-    SpaceConfig,
-    append_action,
-    append_percept,
-    history_key,
-)
+from .interaction import Action, Percept, SpaceConfig  # noqa: F401
 from .machine import (  # noqa: F401
     EnvProcess,
     EnvProgram,
     MachineConfig,
-    behavior_signature,
     decode_program,
     encode_program,
     enumerate_programs,

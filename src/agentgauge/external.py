@@ -5,7 +5,7 @@ standard streams:
 
     tool -> {"type": "hello", "spaces": {"actions": A, "observations": O,
              "reward_denominator": D}, "protocol": 1}
-    agent -> {"type": "ready", "concurrency": c}
+    agent -> {"type": "ready"}
 
     tool -> {"type": "percept", "o": int, "r_num": int, "cycle": k, "episode": e}
     agent -> {"type": "action", "a": int}        (within the timeout)
@@ -45,7 +45,6 @@ class ExternalAgentHost:
         self.lines: queue.Queue[str | None] = queue.Queue()
         self.timeout_warnings = 0
         self.episodes_started = 0
-        self.concurrency = 1
 
     def start(self) -> None:
         self.process = subprocess.Popen(
@@ -70,7 +69,6 @@ class ExternalAgentHost:
             raise ExternalAgentError(f"handshake failed: {exc}") from exc
         if reply is None or reply.get("type") != "ready":
             raise ExternalAgentError(f"handshake failed: expected ready, got {reply!r}")
-        self.concurrency = int(reply.get("concurrency", 1))
 
     def _send(self, message: dict) -> None:
         assert self.process is not None and self.process.stdin is not None

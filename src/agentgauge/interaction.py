@@ -3,14 +3,14 @@
 One interaction cycle is: the environment emits a percept (observation plus
 reward), then the agent replies with an action.  The environment always moves
 first.  Rewards are exact rationals k/D for a fixed denominator D, so budget
-accounting elsewhere in the package can be integer-exact.
+accounting elsewhere in the package can be integer-exact.  No history object
+is kept: the rollout kernel in `valuation` drives the alternation, and
+learning agents key their statistics by `window_key` over the recent cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .errors import ProtocolError
 
 Action = int
 
@@ -42,67 +42,6 @@ class Percept:
     observation: int
     reward_numerator: int
 
-    def reward_value(self, space: SpaceConfig) -> float:
-        return self.reward_numerator / space.reward_denominator
-
-
-@dataclass(frozen=True)
-class History:
-    """Immutable record of one interaction, strictly alternating.
-
-    The sequence is percept, action, percept, action, ... starting with a
-    percept.  Appends return new histories; existing values never change, so
-    histories can be shared freely across workers.
-    """
-
-    space: SpaceConfig
-    percepts: tuple[Percept, ...] = ()
-    actions: tuple[Action, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not len(self.actions) <= len(self.percepts) <= len(self.actions) + 1:
-            raise ProtocolError("history must alternate percept, action, percept, ...")
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.percepts)
-
-    @property
-    def expects_percept(self) -> bool:
-        return len(self.percepts) == len(self.actions)
-
-    @property
-    def current_observation(self) -> int:
-        if not self.percepts:
-            raise ProtocolError("empty history has no current observation")
-        return self.percepts[-1].observation
-
-
-def append_percept(history: History, percept: Percept) -> History:
-    """Append an environment move; errors if an action was expected."""
-    if not history.expects_percept:
-        raise ProtocolError("out of turn: an action is expected next")
-    space = history.space
-    if not 0 <= percept.observation < space.observation_count:
-        raise ValueError(
-            f"observation {percept.observation} outside [0, {space.observation_count})"
-        )
-    if not 0 <= percept.reward_numerator <= space.reward_denominator:
-        raise ValueError(
-            f"reward numerator {percept.reward_numerator} outside "
-            f"[0, {space.reward_denominator}]"
-        )
-    return History(space, history.percepts + (percept,), history.actions)
-
-
-def append_action(history: History, action: Action) -> History:
-    """Append an agent move; errors if a percept was expected."""
-    if history.expects_percept:
-        raise ProtocolError("out of turn: the environment moves first")
-    if not 0 <= action < history.space.action_count:
-        raise ValueError(f"action {action} outside [0, {history.space.action_count})")
-    return History(history.space, history.percepts, history.actions + (action,))
-
 
 def window_key(observation: int, pairs: tuple[tuple[int, int, int], ...]) -> bytes:
     """Canonical key for (current observation, recent (action, percept) pairs).
@@ -119,25 +58,3 @@ def window_key(observation: int, pairs: tuple[tuple[int, int, int], ...]) -> byt
         out += obs.to_bytes(2, "little")
         out += reward.to_bytes(2, "little")
     return bytes(out)
-
-
-def history_key(history: History, depth: int) -> bytes:
-    """Canonical byte key of the last `depth` cycles plus the current percept.
-
-    Two histories get equal keys exactly when they agree on the current
-    observation and on the last `depth` (action, percept) pairs.  depth=0
-    keys on the current observation alone.
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if not history.percepts:
-        raise ProtocolError("cannot key an empty history")
-    pairs = []
-    k = len(history.percepts) - 1  # index of the current percept
-    for back in range(1, depth + 1):
-        j = k - back
-        if j < 0 or j >= len(history.actions):
-            break
-        percept = history.percepts[j]
-        pairs.append((history.actions[j], percept.observation, percept.reward_numerator))
-    return window_key(history.current_observation, tuple(pairs))

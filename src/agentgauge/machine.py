@@ -457,16 +457,20 @@ def signature_and_steps(program: EnvProgram, horizon: int,
                         seed: int = 0) -> tuple[bytes, int]:
     """Behavior signature plus the VM steps a full action-tree walk consumes.
 
-    The signature and the step count are those of the complete action tree
-    described in `behavior_signature`, but each distinct machine state is
-    expanded only once.  A node's subtree depends only on its depth and on
-    the state its step left behind: tape, pointer, reward budget, frozen
-    percept and random stream position.  The last-action register is not
-    part of it, because every step overwrites it before the program runs.
-    Every node descends from the same seeded stream, so the number of random
-    bits drawn identifies the stream position exactly.  Repeated subtrees
-    reuse their bytes and add their steps again, so the step count stays the
-    full-tree figure.
+    The signature concatenates the emitted percepts along every action
+    sequence of length <= horizon (a complete action tree), with the random
+    bit source seeded identically for every program.  Equal signatures mean
+    the programs are behaviorally indistinguishable up to the horizon.
+
+    Signature and step count are those of the complete tree, but each
+    distinct machine state is expanded only once.  A node's subtree depends
+    only on its depth and on the state its step left behind: tape, pointer,
+    reward budget, frozen percept and random stream position.  The
+    last-action register is not part of it, because every step overwrites it
+    before the program runs.  Every node descends from the same seeded
+    stream, so the number of random bits drawn identifies the stream
+    position exactly.  Repeated subtrees reuse their bytes and add their
+    steps again, so the step count stays the full-tree figure.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -514,21 +518,6 @@ def signature_and_steps(program: EnvProgram, horizon: int,
 def _percept_bytes(percept: Percept) -> bytes:
     return (percept.observation.to_bytes(2, "little")
             + percept.reward_numerator.to_bytes(2, "little"))
-
-
-def behavior_signature(program: EnvProgram, horizon: int,
-                       machine: MachineConfig = MachineConfig(),
-                       space: SpaceConfig = SpaceConfig(),
-                       seed: int = 0) -> bytes:
-    """Canonical fingerprint of a program's behavior up to a horizon.
-
-    The signature concatenates the emitted percepts along every action
-    sequence of length <= horizon (a complete action tree), with the random
-    bit source seeded identically for every program.  Equal signatures mean
-    the programs are behaviorally indistinguishable up to the horizon.  It
-    is computed by `signature_and_steps`, once per distinct machine state.
-    """
-    return signature_and_steps(program, horizon, machine, space, seed)[0]
 
 
 def save_program_file(path, programs: list[EnvProgram]) -> None:

@@ -28,7 +28,14 @@ from .machine import (
     signature_and_steps,
 )
 from .seeding import derive_seed
-from .valuation import ValuationParams, ValueEstimate, _estimate, summable_episode_values
+from .valuation import (
+    ValuationParams,
+    ValueEstimate,
+    _estimate,
+    _rollout,
+    _summable_estimate,
+    summable_episode_values,
+)
 
 WEIGHT_SCHEMES = ("length", "kt")
 
@@ -196,9 +203,7 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
     variance = 0.0
     failures = 0
     for entry, (values, mean_remaining, failed) in zip(entries, results):
-        estimate = _estimate(values, params.confidence,
-                             truncation_bound=params.trunc_epsilon + mean_remaining,
-                             failed=failed)
+        estimate = _summable_estimate(params, values, mean_remaining, failed)
         estimates[entry.identifier] = estimate
         episode_values[entry.identifier] = values
         score += entry.weight * estimate.mean
@@ -227,14 +232,11 @@ def estimate_intelligence_mixture(agent_factory, ensemble: Ensemble,
     picks = rng.choice(len(ensemble.entries), size=draws, p=probabilities)
     values = []
     for draw_index, entry_index in enumerate(picks):
-        entry = ensemble.entries[entry_index]
-        episode_params = ValuationParams(
-            mode="summable", horizon=params.horizon, episodes=1,
-            trunc_epsilon=params.trunc_epsilon, confidence=params.confidence,
-            seed=derive_seed(params.seed, "mixture-episode", draw_index))
-        draw_values, _, _ = summable_episode_values(agent_factory, entry.environment,
-                                                    episode_params)
-        values.append(draw_values[0])
+        environment = ensemble.entries[entry_index].environment
+        numerators, _ = _rollout(agent_factory, environment,
+                                 derive_seed(params.seed, "mixture-episode", draw_index),
+                                 0, params.horizon, params.trunc_epsilon)
+        values.append(sum(numerators) / environment.space.reward_denominator)
     return _estimate(np.asarray(values), params.confidence,
                      truncation_bound=params.trunc_epsilon)
 

@@ -8,11 +8,14 @@ Three value notions are supported:
 * summable: plain expected total reward, which is bounded by 1 for
   budget-constrained environments.
 
+The notions differ only in a per-cycle weight vector and a stop rule.  One
+kernel, `_rollout`, plays every scalar episode of every notion and every
+draw of the mixture estimator in `measure`.  Discounted and harmonic values
+and reward profiles of cycle-indexed agents in batch-capable environments
+run vectorized in lockstep instead; `_reward_values` makes that choice.
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  All randomness derives from the
-params seed, so estimates are bit-reproducible.  Episodes of cycle-indexed
-agents in batch-capable environments run vectorized in lockstep; everything
-else takes the scalar path.
+params seed, so estimates are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -91,9 +94,32 @@ def _estimate(values: np.ndarray, confidence: float, truncation_bound: float,
                          truncation_bound=truncation_bound, failed_episodes=failed)
 
 
-def _use_batch(agent_factory, env_model) -> bool:
-    return bool(getattr(agent_factory, "supports_batch", False)
-                and getattr(env_model, "supports_batch", False))
+def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
+             epsilon: float) -> tuple[list[int], object]:
+    """Episode `index` of one seeded interaction: reward numerators per cycle.
+
+    Returns the numerators and the finished episode.  The episode stops once
+    no further reward is possible, once its remaining reward bound drops
+    below epsilon, or after `horizon` cycles.  Policy and episode streams are
+    derived from (seed, agent name, environment, index), so any caller that
+    passes the same arguments replays the same episode.
+    """
+    policy = agent_factory.make(
+        random.Random(derive_seed(seed, "agent", agent_factory.name,
+                                  env_model.identifier, index)))
+    episode = env_model.spawn(
+        random.Random(derive_seed(seed, "env", agent_factory.name,
+                                  env_model.identifier, index)))
+    percept = episode.step(None)
+    policy.observe(percept)
+    numerators = [percept.reward_numerator]
+    for _ in range(1, horizon):
+        if episode.no_future_reward or episode.remaining_reward_bound < epsilon:
+            break
+        percept = episode.step(policy.act())
+        policy.observe(percept)
+        numerators.append(percept.reward_numerator)
+    return numerators, episode
 
 
 def _batch_reward_values(agent_factory, env_model, n_episodes: int, cycles: int,
@@ -118,42 +144,25 @@ def _batch_reward_values(agent_factory, env_model, n_episodes: int, cycles: int,
     return out
 
 
-def _scalar_reward_values(agent_factory, env_model, n_episodes: int, cycles: int,
-                          seed: int) -> np.ndarray:
-    """Scalar-path counterpart of _batch_reward_values."""
-    denominator = env_model.space.reward_denominator
-    out = np.zeros((n_episodes, cycles), dtype=np.float64)
-    for index in range(n_episodes):
-        policy = agent_factory.make(
-            random.Random(derive_seed(seed, "agent", agent_factory.name,
-                                      env_model.identifier, index)))
-        episode = env_model.spawn(
-            random.Random(derive_seed(seed, "env", agent_factory.name,
-                                      env_model.identifier, index)))
-        percept = episode.step(None)
-        policy.observe(percept)
-        out[index, 0] = percept.reward_numerator / denominator
-        for k in range(1, cycles):
-            if episode.no_future_reward:
-                break  # the remaining row stays exactly zero
-            action = policy.act()
-            percept = episode.step(action)
-            policy.observe(percept)
-            out[index, k] = percept.reward_numerator / denominator
-    return out
+def _reward_values(agent_factory, env_model, episodes: int, cycles: int,
+                   seed: int) -> np.ndarray:
+    """Reward values, shape (episodes, cycles), by batch or by scalar rollout.
 
-
-def _weighted_values(agent_factory, env_model, params: ValuationParams,
-                     weights: np.ndarray) -> np.ndarray:
-    cycles = len(weights)
-    if _use_batch(agent_factory, env_model):
-        rewards = _batch_reward_values(
-            agent_factory, env_model, params.episodes, cycles,
-            derive_seed(params.seed, "batch", agent_factory.name, env_model.identifier))
-    else:
-        rewards = _scalar_reward_values(
-            agent_factory, env_model, params.episodes, cycles, params.seed)
-    return rewards @ weights
+    A cycle-indexed agent in a batch-capable environment runs in lockstep.
+    Otherwise each episode is one `_rollout` with epsilon 0, which stops
+    early only where no further reward is possible, so the rest of its row
+    is exactly zero.
+    """
+    if (getattr(agent_factory, "supports_batch", False)
+            and getattr(env_model, "supports_batch", False)):
+        return _batch_reward_values(
+            agent_factory, env_model, episodes, cycles,
+            derive_seed(seed, "batch", agent_factory.name, env_model.identifier))
+    out = np.zeros((episodes, cycles), dtype=np.float64)
+    for index in range(episodes):
+        numerators, _ = _rollout(agent_factory, env_model, seed, index, cycles, 0.0)
+        out[index, : len(numerators)] = numerators
+    return out / env_model.space.reward_denominator
 
 
 def discounted_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -170,8 +179,8 @@ def discounted_value(agent_factory, env_model, params: ValuationParams) -> Value
                  max(1, math.ceil(math.log(params.trunc_epsilon) / math.log(gamma))))
     # w_i = gamma^i / Gamma for i = 1..cycles
     weights = np.power(gamma, np.arange(1, cycles + 1)) * (1.0 - gamma) / gamma
-    values = _weighted_values(agent_factory, env_model, params, weights)
-    return _estimate(values, params.confidence, truncation_bound=gamma ** cycles)
+    rewards = _reward_values(agent_factory, env_model, params.episodes, cycles, params.seed)
+    return _estimate(rewards @ weights, params.confidence, truncation_bound=gamma ** cycles)
 
 
 def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -187,9 +196,9 @@ def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
                  max(1, math.ceil(1.0 / (params.trunc_epsilon * normalizer))))
     t = np.arange(1, cycles + 1, dtype=np.float64)
     weights = 1.0 / (t * t) / normalizer
-    values = _weighted_values(agent_factory, env_model, params, weights)
-    bound = (1.0 / cycles) / normalizer
-    return _estimate(values, params.confidence, truncation_bound=bound)
+    rewards = _reward_values(agent_factory, env_model, params.episodes, cycles, params.seed)
+    return _estimate(rewards @ weights, params.confidence,
+                     truncation_bound=(1.0 / cycles) / normalizer)
 
 
 def summable_episode_values(agent_factory, env_model,
@@ -197,49 +206,40 @@ def summable_episode_values(agent_factory, env_model,
     """Per-episode total rewards for a summable environment.
 
     Returns (episode values, mean remaining reward bound at stop, failures).
-    An episode stops once no further reward is possible, once the remaining
-    reward bound drops below trunc_epsilon, or at the horizon.  Failed
+    Each episode is one `_rollout` with epsilon = trunc_epsilon.  Failed
     rollouts (external agents only) are excluded, not scored as zero.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
-    denominator = env_model.space.reward_denominator
-    horizon = params.horizon
-    epsilon = params.trunc_epsilon
     values: list[float] = []
     remainders: list[float] = []
     failed = 0
     for index in range(params.episodes):
-        policy = agent_factory.make(
-            random.Random(derive_seed(params.seed, "agent", agent_factory.name,
-                                      env_model.identifier, index)))
-        episode = env_model.spawn(
-            random.Random(derive_seed(params.seed, "env", agent_factory.name,
-                                      env_model.identifier, index)))
-        total = 0
         try:
-            percept = episode.step(None)
-            policy.observe(percept)
-            total += percept.reward_numerator
-            for _ in range(1, horizon):
-                if episode.no_future_reward or episode.remaining_reward_bound < epsilon:
-                    break
-                action = policy.act()
-                percept = episode.step(action)
-                policy.observe(percept)
-                total += percept.reward_numerator
+            numerators, episode = _rollout(agent_factory, env_model, params.seed, index,
+                                           params.horizon, params.trunc_epsilon)
         except RolloutFailed:
             failed += 1
             continue
-        values.append(total / denominator)
+        values.append(sum(numerators) / env_model.space.reward_denominator)
         remainders.append(min(1.0, episode.remaining_reward_bound))
     if not values:
         raise RolloutFailed(
             f"all {params.episodes} rollouts failed for agent {agent_factory.name} "
             f"on {env_model.identifier}")
-    mean_remaining = float(np.mean(remainders))
-    return np.asarray(values), mean_remaining, failed
+    return np.asarray(values), float(np.mean(remainders)), failed
+
+
+def _summable_estimate(params: ValuationParams, values: np.ndarray,
+                       mean_remaining: float, failed: int) -> ValueEstimate:
+    """Estimate from `summable_episode_values` output.
+
+    The truncation bound is trunc_epsilon plus the mean reward the episodes
+    could still have earned when they stopped.
+    """
+    return _estimate(values, params.confidence,
+                     truncation_bound=params.trunc_epsilon + mean_remaining, failed=failed)
 
 
 def summable_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -247,17 +247,7 @@ def summable_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
     if params.mode != "summable":
         raise AgentGaugeError("params.mode must be 'summable'")
     values, mean_remaining, failed = summable_episode_values(agent_factory, env_model, params)
-    bound = params.trunc_epsilon + mean_remaining
-    return _estimate(values, params.confidence, truncation_bound=bound, failed=failed)
-
-
-def value_estimate(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
-    """Dispatch on params.mode."""
-    if params.mode == "discounted":
-        return discounted_value(agent_factory, env_model, params)
-    if params.mode == "harmonic":
-        return harmonic_value(agent_factory, env_model, params)
-    return summable_value(agent_factory, env_model, params)
+    return _summable_estimate(params, values, mean_remaining, failed)
 
 
 def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int,
@@ -265,10 +255,4 @@ def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: in
     """Monte Carlo estimate of the mean reward value at each cycle 1..cycles."""
     if cycles < 1:
         raise AgentGaugeError("cycles must be >= 1")
-    if _use_batch(agent_factory, env_model):
-        rewards = _batch_reward_values(
-            agent_factory, env_model, episodes, cycles,
-            derive_seed(seed, "batch", agent_factory.name, env_model.identifier))
-    else:
-        rewards = _scalar_reward_values(agent_factory, env_model, episodes, cycles, seed)
-    return rewards.mean(axis=0)
+    return _reward_values(agent_factory, env_model, episodes, cycles, seed).mean(axis=0)

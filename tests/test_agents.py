@@ -16,14 +16,7 @@ from agentgauge.agents import (
 )
 from agentgauge.environments import make_copy_env, make_pattern_env
 from agentgauge.errors import AgentGaugeError
-from agentgauge.interaction import (
-    History,
-    Percept,
-    SpaceConfig,
-    append_action,
-    append_percept,
-    history_key,
-)
+from agentgauge.interaction import Percept, SpaceConfig, window_key
 from agentgauge.valuation import ValuationParams, per_cycle_reward_profile, summable_value
 
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
@@ -77,36 +70,34 @@ def test_basic_agent_tie_breaks_to_lowest_index():
     assert policy.action_distribution() == (0.95, 0.05)
 
 
-def _drive_and_log(policy, depth, cycles, seed):
-    """Run a random-percept interaction, returning the logged history."""
+def _drive_and_log(policy, cycles, seed):
+    """Run a random-percept interaction, returning the logged percepts and actions."""
     rng = random.Random(seed)
-    history = History(BINARY)
+    percepts: list[Percept] = []
+    actions: list[int] = []
     for _ in range(cycles):
         percept = Percept(rng.randrange(2), rng.choice((0, 128, 255)))
-        history = append_percept(history, percept)
+        percepts.append(percept)
         policy.observe(percept)
-        action = policy.act()
-        history = append_action(history, action)
-    return history
+        actions.append(policy.act())
+    return percepts, actions
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 def test_learner_table_matches_replay_oracle(depth):
     # Independent recomputation: group logged rewards by the key of the
-    # history prefix and the action taken; the agent's running means must
-    # agree exactly.
+    # window before each action and the action taken; the agent's running
+    # means must agree exactly.
     policy = kback_agent(BINARY, depth).make(random.Random(11))
-    history = _drive_and_log(policy, depth, cycles=300, seed=42)
+    percepts, actions = _drive_and_log(policy, cycles=300, seed=42)
 
     expected: dict[tuple[bytes, int], list[float]] = {}
-    prefix = History(BINARY)
-    for k in range(len(history.percepts) - 1):
-        prefix = append_percept(prefix, history.percepts[k])
-        key = history_key(prefix, depth)
-        action = history.actions[k]
-        reward = history.percepts[k + 1].reward_numerator / BINARY.reward_denominator
-        expected.setdefault((key, action), []).append(reward)
-        prefix = append_action(prefix, action)
+    for k in range(len(percepts) - 1):
+        pairs = tuple((actions[j], percepts[j].observation, percepts[j].reward_numerator)
+                      for j in range(k - 1, max(k - depth, 0) - 1, -1))
+        key = window_key(percepts[k].observation, pairs)
+        reward = percepts[k + 1].reward_numerator / BINARY.reward_denominator
+        expected.setdefault((key, actions[k]), []).append(reward)
 
     for (key, action), rewards in expected.items():
         recomputed = sum(rewards) / len(rewards)

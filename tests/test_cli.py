@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import pathlib
+import re
 import sys
 import textwrap
 
 import pytest
 
 from agentgauge.cli import main
+from agentgauge.config import parse_config
 from agentgauge.machine import MachineConfig, encode_program, save_program_file
 from agentgauge.reports import validate_report
 
@@ -98,6 +101,16 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "ensembel" in capsys.readouterr().err
 
 
+def test_readme_sample_config_parses():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    config = parse_config(blocks[0])
+    assert config.seed == 7
+    assert config.ensemble_spec.dedup_horizon == 8
+    assert config.ensemble_spec.weight_scheme == "length"
+
+
 def test_missing_seed_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.txt"
     config.write_text("agents = random\n", encoding="utf-8")
@@ -142,7 +155,7 @@ def test_run_with_external_agent(tmp_path):
         for line in sys.stdin:
             msg = json.loads(line)
             if msg["type"] == "hello":
-                print(json.dumps({"type": "ready", "concurrency": 1}), flush=True)
+                print(json.dumps({"type": "ready"}), flush=True)
             elif msg["type"] == "percept":
                 print(json.dumps({"type": "action", "a": rng.randrange(2)}), flush=True)
             elif msg["type"] == "bye":

@@ -1,34 +1,25 @@
-"""Protocol types: alternation discipline and canonical history keys."""
+"""Protocol types: space validation and the canonical window keys agents use."""
 
 from __future__ import annotations
 
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
 
-from agentgauge.errors import ProtocolError
-from agentgauge.interaction import (
-    History,
-    Percept,
-    SpaceConfig,
-    append_action,
-    append_percept,
-    history_key,
-)
-
-BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=1)
+from agentgauge.interaction import SpaceConfig, window_key
 
 
-def h(*moves):
-    """Build a history from alternating percept tuples and action ints."""
-    out = History(BINARY)
-    for move in moves:
-        if isinstance(move, tuple):
-            out = append_percept(out, Percept(*move))
-        else:
-            out = append_action(out, move)
-    return out
+def _pairs(percepts, actions, depth):
+    """The last `depth` completed cycles before the current percept, newest first."""
+    k = len(percepts) - 1  # index of the current percept
+    return tuple((actions[j], *percepts[j]) for j in range(k - 1, max(k - depth, 0) - 1, -1))
+
+
+def key(*moves, depth):
+    """window_key of alternating (observation, reward) percepts and int actions."""
+    percepts = [move for move in moves if isinstance(move, tuple)]
+    actions = [move for move in moves if not isinstance(move, tuple)]
+    return window_key(percepts[-1][0], _pairs(percepts, actions, depth))
 
 
 def test_space_config_validation():
@@ -40,126 +31,43 @@ def test_space_config_validation():
         SpaceConfig(reward_denominator=0)
 
 
-def test_append_percept_base_case():
-    out = append_percept(History(BINARY), Percept(0, 0))
-    assert out.cycle_count == 1
-    assert not out.expects_percept
-
-
-def test_append_percept_after_full_cycle():
-    out = h((0, 1), 1, (1, 0))
-    assert out.cycle_count == 2
-    assert out.percepts[-1] == Percept(1, 0)
-
-
-def test_append_percept_out_of_turn():
-    with pytest.raises(ProtocolError):
-        append_percept(h((0, 0)), Percept(0, 0))
-
-
-def test_append_action_happy_path():
-    out = h((0, 1), 1)
-    assert out.actions == (1,)
-    assert out.cycle_count == 1
-
-
-def test_environment_moves_first():
-    with pytest.raises(ProtocolError):
-        append_action(History(BINARY), 0)
-
-
-def test_action_bounds():
-    with pytest.raises(ValueError):
-        append_action(h((0, 0)), 2)
-
-
-def test_percept_bounds():
-    with pytest.raises(ValueError):
-        append_percept(History(BINARY), Percept(2, 0))
-    with pytest.raises(ValueError):
-        append_percept(History(BINARY), Percept(0, 5))
-
-
 def test_history_key_depth_zero_is_current_observation_only():
-    a = h((1, 0), 0, (1, 1))
-    b = h((0, 1), 1, (1, 0), 1, (1, 0))
-    assert history_key(a, 0) == history_key(b, 0)
-    c = h((0, 0))
-    assert history_key(a, 0) != history_key(c, 0)
+    a = ((1, 0), 0, (1, 1))
+    b = ((0, 1), 1, (1, 0), 1, (1, 0))
+    assert key(*a, depth=0) == key(*b, depth=0)
+    c = ((0, 0),)
+    assert key(*a, depth=0) != key(*c, depth=0)
 
 
 def test_history_key_equal_suffix_window():
-    a = h((0, 0), 0, (1, 1), 1, (0, 0))
-    b = h((1, 1), 0, (1, 1), 1, (0, 0))  # differs only in the first percept
-    assert history_key(a, 1) == history_key(b, 1)
-    assert history_key(a, 2) != history_key(b, 2)
-    c = h((0, 0), 1, (0, 1), 0, (1, 1), 1, (0, 0))
-    d = h((1, 0), 1, (0, 1), 0, (1, 1), 1, (0, 0))
-    assert history_key(c, 2) == history_key(d, 2)
-    assert history_key(c, 3) != history_key(d, 3)
+    a = ((0, 0), 0, (1, 1), 1, (0, 0))
+    b = ((1, 1), 0, (1, 1), 1, (0, 0))  # differs only in the first percept
+    assert key(*a, depth=1) == key(*b, depth=1)
+    assert key(*a, depth=2) != key(*b, depth=2)
+    c = ((0, 0), 1, (0, 1), 0, (1, 1), 1, (0, 0))
+    d = ((1, 0), 1, (0, 1), 0, (1, 1), 1, (0, 0))
+    assert key(*c, depth=2) == key(*d, depth=2)
+    assert key(*c, depth=3) != key(*d, depth=3)
 
 
 def test_history_key_sensitive_to_previous_reward():
-    a = h((0, 0), 1, (1, 0))
-    b = h((0, 1), 1, (1, 0))  # r_{k-1} differs
-    assert history_key(a, 1) != history_key(b, 1)
-    assert history_key(a, 0) == history_key(b, 0)
-
-
-def _all_histories(max_cycles: int):
-    """Every alternating history of 1..max_cycles cycles over binary spaces."""
-    percepts = [Percept(o, r) for o in (0, 1) for r in (0, 1)]
-    for cycles in range(1, max_cycles + 1):
-        for percept_seq in itertools.product(percepts, repeat=cycles):
-            for action_seq in itertools.product((0, 1), repeat=cycles - 1):
-                out = History(BINARY)
-                for i, percept in enumerate(percept_seq):
-                    out = append_percept(out, percept)
-                    if i < len(action_seq):
-                        out = append_action(out, action_seq[i])
-                yield out
-
-
-def _window(history: History, depth: int):
-    """Independent description of what the key must capture."""
-    pairs = []
-    k = len(history.percepts) - 1
-    for back in range(1, depth + 1):
-        j = k - back
-        if j < 0 or j >= len(history.actions):
-            break
-        pairs.append((history.actions[j], history.percepts[j]))
-    return (history.percepts[-1].observation, tuple(pairs))
+    a = ((0, 0), 1, (1, 0))
+    b = ((0, 1), 1, (1, 0))  # r_{k-1} differs
+    assert key(*a, depth=1) != key(*b, depth=1)
+    assert key(*a, depth=0) == key(*b, depth=0)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
 def test_history_key_injective_on_window_exhaustive(depth):
-    # Brute force over all histories of <= 3 cycles: keys collide exactly
-    # when the suffix windows agree.
+    # Brute force over all interactions of <= 3 cycles over binary spaces:
+    # keys collide exactly when the suffix windows agree.
+    percept_values = [(o, r) for o in (0, 1) for r in (0, 1)]
     seen: dict[bytes, object] = {}
-    for history in _all_histories(3):
-        key = history_key(history, depth)
-        window = _window(history, depth)
-        if key in seen:
-            assert seen[key] == window
-        else:
-            seen[key] = window
+    for cycles in range(1, 4):
+        for percepts in itertools.product(percept_values, repeat=cycles):
+            for actions in itertools.product((0, 1), repeat=cycles - 1):
+                window = (percepts[-1][0], _pairs(percepts, actions, depth))
+                assert seen.setdefault(window_key(*window), window) == window
     # and distinct windows never share a key
     windows = set(seen.values())
     assert len(windows) == len(seen)
-
-
-@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
-                max_size=30))
-def test_alternation_invariants_hold_under_random_construction(moves):
-    out = History(BINARY)
-    for observation, reward, action in moves:
-        if out.expects_percept:
-            out = append_percept(out, Percept(observation, reward))
-            with pytest.raises(ProtocolError):
-                append_percept(out, Percept(observation, reward))
-        else:
-            out = append_action(out, action)
-            with pytest.raises(ProtocolError):
-                append_action(out, action)
-        assert len(out.actions) <= len(out.percepts) <= len(out.actions) + 1

@@ -16,7 +16,6 @@ from agentgauge.machine import (
     INSTRUCTION_NAMES,
     EnvProcess,
     MachineConfig,
-    behavior_signature,
     decode_program,
     encode_program,
     enumerate_programs,
@@ -295,35 +294,35 @@ def test_kt_cost_values_and_doubling_law():
 # -------------------------------------------------------------- signatures
 
 def test_signature_of_empty_program_is_all_zero():
-    signature = behavior_signature(decode_program("1", MACHINE), 3)
+    signature = signature_and_steps(decode_program("1", MACHINE), 3)[0]
     assert signature == b"\x00\x00\x00\x00\xff"  # one (0, 0) percept, then dead
 
 
 def test_equal_behavior_programs_share_signatures():
     # The tail after the first emit never runs, so these are all the same
     # constant environment.
-    base = behavior_signature(make("emit"), 5)
-    assert behavior_signature(make("emit", "emit"), 5) == base
-    assert behavior_signature(make("emit", "inc"), 5) == base
-    assert behavior_signature(decode_program("1", MACHINE), 5) == base
+    base = signature_and_steps(make("emit"), 5)[0]
+    assert signature_and_steps(make("emit", "emit"), 5)[0] == base
+    assert signature_and_steps(make("emit", "inc"), 5)[0] == base
+    assert signature_and_steps(decode_program("1", MACHINE), 5)[0] == base
 
 
 def test_signatures_separate_distinct_behaviors():
     copy_program = make("read_action", "move_left", "emit")
-    assert behavior_signature(copy_program, 5) != behavior_signature(make("emit"), 5)
+    assert signature_and_steps(copy_program, 5)[0] != signature_and_steps(make("emit"), 5)[0]
 
 
 def test_signature_counts_show_duplicates():
     programs = enumerate_programs(16, MACHINE)
-    signatures = {behavior_signature(p, 4) for p in programs}
+    signatures = {signature_and_steps(p, 4)[0] for p in programs}
     assert len(signatures) < len(programs)
 
 
 def test_signature_horizon_cap():
     with pytest.raises(ValueError):
-        behavior_signature(make("emit"), 13)
+        signature_and_steps(make("emit"), 13)
     with pytest.raises(ValueError):
-        behavior_signature(make("emit"), 0)
+        signature_and_steps(make("emit"), 0)
 
 
 def test_signature_steps_are_deterministic():

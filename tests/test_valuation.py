@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from agentgauge.agents import basic_agent, random_agent, scripted_agents
@@ -18,18 +20,21 @@ from agentgauge.environments import (
 )
 from agentgauge.errors import AgentGaugeError, SummabilityError
 from agentgauge.interaction import SpaceConfig
-from agentgauge.machine import MachineConfig, decode_program
+from agentgauge.machine import MachineConfig, decode_program, encode_program
+from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence_mixture
 from agentgauge.valuation import (
     ValuationParams,
     discounted_value,
     gamma_norm,
     harmonic_value,
     per_cycle_reward_profile,
+    summable_episode_values,
     summable_value,
 )
 
 UNIT = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
+GOLDEN_VALUATION_DIGEST = "5860a9264e59f23138a385ea479de4b322b4966feb3cbd6816c464d07a206fa6"
 
 
 class _NoBatch:
@@ -263,3 +268,49 @@ def test_ci_calibration_on_copy_with_uniform_agent():
 def test_profile_validation():
     with pytest.raises(AgentGaugeError):
         per_cycle_reward_profile(random_agent(UNIT), make_copy_env(UNIT), 0, 5, seed=0)
+
+
+def test_valuation_golden_hash():
+    # Exact output of the summable, scalar-weighted, batch and mixture
+    # estimators, recorded before the episode loops were merged into one
+    # kernel; the statistical tests above cannot see a reordered draw.
+    h = hashlib.sha256()
+
+    def add(*numbers):
+        h.update(np.asarray(numbers, dtype=np.float64).tobytes())
+
+    def add_estimate(estimate):
+        add(estimate.mean, estimate.ci_half_width, estimate.truncation_bound,
+            estimate.episodes_used, estimate.failed_episodes)
+
+    spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
+    ensemble = build_ensemble(spec, MachineConfig(), BINARY)
+    # Mixture draws land on the zero-behaviour class almost always in the
+    # full ensemble, so they run on a few agent- and seed-sensitive programs.
+    mixed = build_ensemble(spec, MachineConfig(), BINARY, programs=[
+        encode_program(ops, MachineConfig()) for ops in (
+            ["read_action", "move_left", "emit"], ["random_bit", "move_left", "emit"],
+            ["inc", "emit"])])
+    params = ValuationParams(mode="summable", horizon=120, episodes=20, seed=17)
+    for factory in (random_agent(BINARY), basic_agent(BINARY)):
+        for entry in ensemble.entries:
+            values, mean_remaining, failed = summable_episode_values(
+                factory, entry.environment, params)
+            add(len(values), *values, mean_remaining, failed)
+        add_estimate(estimate_intelligence_mixture(factory, mixed, params, draws=300))
+
+    basic = basic_agent(BINARY)
+    pattern = make_pattern_env(2, BINARY)
+    add(*per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
+    add_estimate(discounted_value(basic, pattern, ValuationParams(
+        mode="discounted", gamma=0.9, horizon=300, episodes=20, seed=5)))
+    add_estimate(harmonic_value(basic, pattern, ValuationParams(
+        mode="harmonic", horizon=300, episodes=20, trunc_epsilon=1e-3, seed=5)))
+
+    _, pi_1, _ = scripted_agents(UNIT)
+    copy = make_copy_env(UNIT)
+    for env in (copy, _NoBatch(copy)):
+        add(*per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
+        add_estimate(discounted_value(pi_1, env, ValuationParams(
+            mode="discounted", gamma=0.9, horizon=200, episodes=50, seed=8)))
+    assert h.hexdigest() == GOLDEN_VALUATION_DIGEST
