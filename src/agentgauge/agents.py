@@ -17,6 +17,7 @@ which lets the valuation layer run them in vectorized episode batches.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import AgentGaugeError
@@ -212,6 +213,12 @@ class AgentFactory:
         """Batch episodes need a policy that is a function of the cycle index."""
         return self.space.action_count == 2 and self.kind in ("random",) + _SCRIPTED_KINDS
 
+    @property
+    def private_policies(self) -> bool:
+        """Each episode's policy is fresh, seeded per episode and seen by
+        nothing else, so an episode that never reads an action may skip it."""
+        return True
+
     def prob_action_one(self, cycle: int) -> float:
         if self.kind == "random":
             return 0.5
@@ -267,7 +274,7 @@ def make_agent(name: str, space: SpaceConfig, epsilon: float = 0.10,
         return random_agent(space)
     if name == "basic":
         return basic_agent(space, epsilon, tie_break)
-    if name.endswith("back") and name[:-4].isdigit():
+    if _KBACK_NAME.fullmatch(name):
         return kback_agent(space, int(name[:-4]), epsilon, tie_break)
     if name in _SCRIPTED_KINDS:
         if space.action_count != 2:
@@ -277,3 +284,12 @@ def make_agent(name: str, space: SpaceConfig, epsilon: float = 0.10,
 
 
 BUILTIN_AGENT_NAMES = ("random", "basic", "2back", "pi_opt", "pi_1", "pi_2")
+
+# `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
+# and "01back" of 1back, and two roster entries would then share one name.
+_KBACK_NAME = re.compile(r"[1-9][0-9]*back")
+
+
+def is_builtin_agent(name: str) -> bool:
+    """True when `make_agent` resolves `name` to an agent of that same name."""
+    return name in BUILTIN_AGENT_NAMES or _KBACK_NAME.fullmatch(name) is not None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from .agents import BUILTIN_AGENT_NAMES
+from .agents import is_builtin_agent
 from .errors import AgentGaugeError, ConfigError, EnsembleError
 from .interaction import SpaceConfig
 from .machine import INSTRUCTION_NAMES, MachineConfig
@@ -189,9 +189,7 @@ def parse_config(text: str) -> RunConfig:
     if not 0.0 <= epsilon <= 1.0:
         raise ConfigError("agent_epsilon must lie in [0, 1]")
     for name in agent_names:
-        builtin = name in BUILTIN_AGENT_NAMES or (
-            name.endswith("back") and name[:-4].isdigit())
-        if not builtin and name not in external:
+        if not is_builtin_agent(name) and name not in external:
             raise ConfigError(f"unknown agent {name!r}: not a built-in and no "
                               f"external.{name} command is configured")
 

@@ -10,7 +10,12 @@ Episodes additionally expose `no_future_reward` (True once all future rewards
 are provably zero, used for early stopping) and `remaining_reward_bound` (an
 upper bound on the reward fraction still to come, used for truncation
 reporting).  Models whose `supports_batch` is true can run many episodes in
-lockstep through `begin_batch`/`batch_step` with numpy arrays.
+lockstep through `begin_batch`/`batch_step` with numpy arrays.  A model may
+also declare `reads_actions = False` (its percepts never depend on the
+actions) and `deterministic = True` (they never depend on the rng); the
+valuation layer then plays such episodes without the agent and, when they
+are deterministic too, only once per estimate.
+A model that declares neither is assumed to read actions and draw randomness.
 """
 
 from __future__ import annotations
@@ -43,6 +48,14 @@ class ProgramEnvironment:
     @property
     def summable(self) -> bool:
         return self.machine.enforce_reward_budget
+
+    @property
+    def reads_actions(self) -> bool:
+        return "read_action" in self.program.instructions
+
+    @property
+    def deterministic(self) -> bool:
+        return "random_bit" not in self.program.instructions
 
     def spawn(self, rng: random.Random) -> EnvProcess:
         return EnvProcess(self.program, self.machine, self.space, rng=rng)
@@ -138,6 +151,8 @@ class ConstantEnvironment:
     summable: bool = True
 
     supports_batch = True
+    reads_actions = False
+    deterministic = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedule", tuple(int(x) for x in self.schedule))

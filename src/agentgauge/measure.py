@@ -31,7 +31,6 @@ from .seeding import derive_seed
 from .valuation import (
     ValuationParams,
     ValueEstimate,
-    _estimate,
     _rollout,
     _summable_estimate,
     summable_episode_values,
@@ -224,21 +223,26 @@ def estimate_intelligence_mixture(agent_factory, ensemble: Ensemble,
     """Mixture-form estimator: sample an environment per episode, then roll out.
 
     By linearity this estimates the same quantity as the per-environment
-    weighted average; the two are compared in tests.
+    weighted average; the two are compared in tests.  The truncation bound
+    counts the reward the drawn episodes could still have earned, as the
+    per-environment estimates do.
     """
+    if draws < 1:
+        raise EnsembleError("draws must be >= 1")
     rng = np.random.default_rng(derive_seed(params.seed, "mixture", agent_factory.name))
     weights = np.array([entry.weight for entry in ensemble.entries])
     probabilities = weights / weights.sum()
     picks = rng.choice(len(ensemble.entries), size=draws, p=probabilities)
     values = []
+    remainders = []
     for draw_index, entry_index in enumerate(picks):
         environment = ensemble.entries[entry_index].environment
-        numerators, _ = _rollout(agent_factory, environment,
-                                 derive_seed(params.seed, "mixture-episode", draw_index),
-                                 0, params.horizon, params.trunc_epsilon)
+        numerators, episode = _rollout(agent_factory, environment,
+                                       derive_seed(params.seed, "mixture-episode", draw_index),
+                                       0, params.horizon, params.trunc_epsilon)
         values.append(sum(numerators) / environment.space.reward_denominator)
-    return _estimate(np.asarray(values), params.confidence,
-                     truncation_bound=params.trunc_epsilon)
+        remainders.append(min(1.0, episode.remaining_reward_bound))
+    return _summable_estimate(params, np.asarray(values), float(np.mean(remainders)), 0)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,17 @@ kernel, `_rollout`, plays every scalar episode of every notion and every
 draw of the mixture estimator in `measure`.  Discounted and harmonic values
 and reward profiles of cycle-indexed agents in batch-capable environments
 run vectorized in lockstep instead; `_reward_values` makes that choice.
+
+An environment that never reads an action (a program without `read_action`,
+or a constant schedule) yields the same percepts for every agent.  When the
+agent is an in-process factory, whose policy is built fresh for each episode
+and observed by nothing else, `_rollout` then builds no policy and steps with
+action 0; if the environment is also deterministic (no `random_bit`),
+`summable_episode_values` plays one episode and repeats it.  Environment
+streams keep their seeds and the policy's stream was never read by the
+environment, so every value is what the full loop gives.  External agents
+always see every percept: their replies and warnings are part of the report.
+
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  All randomness derives from the
 params seed, so estimates are bit-reproducible.
@@ -94,6 +105,29 @@ def _estimate(values: np.ndarray, confidence: float, truncation_bound: float,
                          truncation_bound=truncation_bound, failed_episodes=failed)
 
 
+class _UnreadPolicy:
+    """Stands in for the agent where no action is ever read: always acts 0."""
+
+    __slots__ = ()
+
+    def observe(self, percept) -> None:
+        pass
+
+    def act(self) -> int:
+        return 0
+
+
+_UNREAD = _UnreadPolicy()
+
+
+def _agent_free(agent_factory, env_model) -> bool:
+    """True when the environment never reads an action and the factory's
+    per-episode policy is seen by nothing else, so skipping it changes no
+    output.  Undeclared models and factories keep the agent in the loop."""
+    return (getattr(agent_factory, "private_policies", False)
+            and not getattr(env_model, "reads_actions", True))
+
+
 def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
              epsilon: float) -> tuple[list[int], object]:
     """Episode `index` of one seeded interaction: reward numerators per cycle.
@@ -102,11 +136,16 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     no further reward is possible, once its remaining reward bound drops
     below epsilon, or after `horizon` cycles.  Policy and episode streams are
     derived from (seed, agent name, environment, index), so any caller that
-    passes the same arguments replays the same episode.
+    passes the same arguments replays the same episode.  An agent-free
+    episode builds no policy and steps with action 0, which the environment
+    never reads.
     """
-    policy = agent_factory.make(
-        random.Random(derive_seed(seed, "agent", agent_factory.name,
-                                  env_model.identifier, index)))
+    if _agent_free(agent_factory, env_model):
+        policy = _UNREAD
+    else:
+        policy = agent_factory.make(
+            random.Random(derive_seed(seed, "agent", agent_factory.name,
+                                      env_model.identifier, index)))
     episode = env_model.spawn(
         random.Random(derive_seed(seed, "env", agent_factory.name,
                                   env_model.identifier, index)))
@@ -207,15 +246,19 @@ def summable_episode_values(agent_factory, env_model,
 
     Returns (episode values, mean remaining reward bound at stop, failures).
     Each episode is one `_rollout` with epsilon = trunc_epsilon.  Failed
-    rollouts (external agents only) are excluded, not scored as zero.
+    rollouts (external agents only) are excluded, not scored as zero.  An
+    agent-free episode in a deterministic environment is the same whatever
+    its index, so it is played once and its result repeated.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
+    replay = (_agent_free(agent_factory, env_model)
+              and getattr(env_model, "deterministic", False))
     values: list[float] = []
     remainders: list[float] = []
     failed = 0
-    for index in range(params.episodes):
+    for index in range(1 if replay else params.episodes):
         try:
             numerators, episode = _rollout(agent_factory, env_model, params.seed, index,
                                            params.horizon, params.trunc_epsilon)
@@ -224,6 +267,9 @@ def summable_episode_values(agent_factory, env_model,
             continue
         values.append(sum(numerators) / env_model.space.reward_denominator)
         remainders.append(min(1.0, episode.remaining_reward_bound))
+    if replay:
+        values *= params.episodes
+        remainders *= params.episodes
     if not values:
         raise RolloutFailed(
             f"all {params.episodes} rollouts failed for agent {agent_factory.name} "

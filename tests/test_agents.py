@@ -201,3 +201,7 @@ def test_agent_registry():
         make_agent("chess", BINARY)
     with pytest.raises(AgentGaugeError):
         kback_agent(BINARY, -1)
+    assert make_agent("12back", BINARY).name == "12back"
+    for alias in ("0back", "01back", "٣back"):
+        with pytest.raises(AgentGaugeError):
+            make_agent(alias, BINARY)

@@ -94,6 +94,17 @@ def test_unknown_agent_exits_2_and_names_it(tmp_path, capsys):
     assert "sharpshooter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alias", ["0back", "01back", "002back"])
+def test_agent_name_aliasing_a_builtin_exits_2(tmp_path, capsys, alias):
+    # make_agent would name these basic, 1back and 2back: the roster and the
+    # report would then hold two agents of one name
+    config = tmp_path / "alias.txt"
+    config.write_text(f"seed = 1\nagents = basic,{alias}\n", encoding="utf-8")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and alias in err
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     config = tmp_path / "bad.txt"
     config.write_text("seed = 1\nensembel.max_length_bits = 11\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from agentgauge.external import ExternalAgentFactory
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program
 from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence
-from agentgauge.valuation import ValuationParams, summable_value
+from agentgauge.valuation import ValuationParams, summable_episode_values, summable_value
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
@@ -74,6 +74,25 @@ for line in sys.stdin:
         print(json.dumps({"type": "action", "a": 7}), flush=True)
     elif msg["type"] == "bye":
         break
+"""
+
+COUNTING_CHILD = """
+import json, sys
+percepts = resets = 0
+for line in sys.stdin:
+    msg = json.loads(line)
+    kind = msg["type"]
+    if kind == "hello":
+        print(json.dumps({"type": "ready"}), flush=True)
+    elif kind == "percept":
+        percepts += 1
+        print(json.dumps({"type": "action", "a": 1}), flush=True)
+    elif kind == "reset":
+        resets += 1
+    elif kind == "bye":
+        break
+with open(sys.argv[1], "w") as out:
+    out.write(f"{percepts} {resets}")
 """
 
 
@@ -154,3 +173,24 @@ def test_handshake_failure_is_loud(tmp_path):
     with pytest.raises(ExternalAgentError):
         factory.make(None)
     factory.close()
+
+
+def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
+    # The environment never reads an action and draws no randomness, so a
+    # built-in agent's episodes are all one; an external agent is a process
+    # whose replies and warnings are observable, so it is still consulted.
+    env = ProgramEnvironment(encode_program(["inc", "move_left", "emit"], MACHINE),
+                             MACHINE, SPACE)
+    counts = tmp_path / "counts.txt"
+    factory = ExternalAgentFactory(
+        "ext-count", child(tmp_path, COUNTING_CHILD, "count") + [str(counts)],
+        SPACE, timeout_ms=4000)
+    params = ValuationParams(mode="summable", horizon=6, episodes=3, seed=2)
+    try:
+        external = summable_episode_values(factory, env, params)
+    finally:
+        factory.close()
+    assert counts.read_text(encoding="utf-8") == "18 3"
+    builtin = summable_episode_values(random_agent(SPACE), env, params)
+    assert external[0].tolist() == builtin[0].tolist()
+    assert external[1:] == builtin[1:]

@@ -110,6 +110,20 @@ def test_mixture_estimator_agrees_with_weighted_sum():
     assert gap <= weighted.ci_half_width + 1.5 * mixture.ci_half_width
 
 
+def test_mixture_truncation_bound_counts_unearned_reward():
+    # At horizon 5 most budget is still unspent when the episodes stop; the
+    # per-environment estimates bound it at about 6e-3 of weighted reward,
+    # and the mixture estimate must count it too, not just trunc_epsilon.
+    spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
+    ensemble = build_ensemble(spec, MACHINE, SPACE)
+    params = ValuationParams(mode="summable", horizon=5, episodes=20, seed=0)
+    mixture = estimate_intelligence_mixture(random_agent(SPACE), ensemble, params,
+                                            draws=2000)
+    assert mixture.truncation_bound >= 1e-3
+    with pytest.raises(EnsembleError):
+        estimate_intelligence_mixture(random_agent(SPACE), ensemble, params, draws=0)
+
+
 def test_compare_agent_with_itself_is_exact_zero():
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
     a = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from agentgauge.agents import basic_agent, random_agent, scripted_agents
+from agentgauge.agents import basic_agent, kback_agent, random_agent, scripted_agents
 from agentgauge.environments import (
     ProgramEnvironment,
     make_constant_env,
@@ -18,10 +18,16 @@ from agentgauge.environments import (
     pattern_reward_cap,
     pattern_target_bit,
 )
-from agentgauge.errors import AgentGaugeError, SummabilityError
+from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
 from agentgauge.interaction import SpaceConfig
-from agentgauge.machine import MachineConfig, decode_program, encode_program
+from agentgauge.machine import (
+    MachineConfig,
+    decode_program,
+    encode_program,
+    enumerate_programs,
+)
 from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence_mixture
+from agentgauge.seeding import derive_seed
 from agentgauge.valuation import (
     ValuationParams,
     discounted_value,
@@ -34,7 +40,7 @@ from agentgauge.valuation import (
 
 UNIT = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
-GOLDEN_VALUATION_DIGEST = "5860a9264e59f23138a385ea479de4b322b4966feb3cbd6816c464d07a206fa6"
+GOLDEN_VALUATION_DIGEST = "e6e893ac057812ba038f30922de2862210a0326794d8ee0be8320f520f4d13ed"
 
 
 class _NoBatch:
@@ -273,7 +279,9 @@ def test_profile_validation():
 def test_valuation_golden_hash():
     # Exact output of the summable, scalar-weighted, batch and mixture
     # estimators, recorded before the episode loops were merged into one
-    # kernel; the statistical tests above cannot see a reordered draw.
+    # kernel; the statistical tests above cannot see a reordered draw.  It
+    # held across agent-free rollouts and changed only when the mixture
+    # truncation bound began to count unearned reward.
     h = hashlib.sha256()
 
     def add(*numbers):
@@ -314,3 +322,121 @@ def test_valuation_golden_hash():
         add_estimate(discounted_value(pi_1, env, ValuationParams(
             mode="discounted", gamma=0.9, horizon=200, episodes=50, seed=8)))
     assert h.hexdigest() == GOLDEN_VALUATION_DIGEST
+
+
+# ------------------------------------------------- agent-free rollouts
+
+def _reference_episode_values(agent_factory, env_model, params):
+    """Every episode played in full with its policy, whatever the environment."""
+    values, remainders, failed = [], [], 0
+    for index in range(params.episodes):
+        policy = agent_factory.make(random.Random(derive_seed(
+            params.seed, "agent", agent_factory.name, env_model.identifier, index)))
+        episode = env_model.spawn(random.Random(derive_seed(
+            params.seed, "env", agent_factory.name, env_model.identifier, index)))
+        try:
+            percept = episode.step(None)
+            policy.observe(percept)
+            total = percept.reward_numerator
+            for _ in range(1, params.horizon):
+                if (episode.no_future_reward
+                        or episode.remaining_reward_bound < params.trunc_epsilon):
+                    break
+                percept = episode.step(policy.act())
+                policy.observe(percept)
+                total += percept.reward_numerator
+        except RolloutFailed:
+            failed += 1
+            continue
+        values.append(total / env_model.space.reward_denominator)
+        remainders.append(min(1.0, episode.remaining_reward_bound))
+    return np.asarray(values), float(np.mean(remainders)), failed
+
+
+class _Counting:
+    """Agent-factory wrapper that counts the policies it builds."""
+
+    def __init__(self, inner, private_policies=True):
+        self.inner = inner
+        self.name = inner.name
+        self.private_policies = private_policies
+        self.made = 0
+
+    def make(self, rng):
+        self.made += 1
+        return self.inner.make(rng)
+
+
+class _Spawns:
+    """Environment wrapper that counts episodes and forwards declared facts."""
+
+    supports_batch = False
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.space = inner.space
+        self.summable = inner.summable
+        self.identifier = inner.identifier
+        self.reads_actions = inner.reads_actions
+        self.deterministic = inner.deterministic
+        self.spawned = 0
+
+    def spawn(self, rng):
+        self.spawned += 1
+        return self.inner.spawn(rng)
+
+
+HAND_PICKED = (
+    ["read_action", "move_left", "emit"],
+    ["random_bit", "move_left", "emit"],
+    ["random_bit", "move_left", "read_action", "emit"],
+    ["inc", "move_left", "emit"],
+    ["loop_open", "random_bit", "move_right", "loop_close", "inc", "emit"],
+    ["read_action", "loop_open", "dec", "emit", "loop_close", "inc", "emit"],
+    ["random_bit", "inc", "read_action", "move_left", "emit"],
+)
+
+
+def test_agent_free_rollouts_match_the_full_reference():
+    # Skipping the policy of an environment that never reads an action, and
+    # replaying a deterministic one, must leave every number unchanged.
+    programs = enumerate_programs(17) + [encode_program(ops) for ops in HAND_PICKED]
+    params = ValuationParams(mode="summable", horizon=40, episodes=4, seed=29)
+    factories = (random_agent(BINARY), basic_agent(BINARY), kback_agent(BINARY, 2))
+    for program in programs:
+        env = ProgramEnvironment(program, MachineConfig(), BINARY)
+        for factory in factories:
+            got_values, got_remaining, got_failed = summable_episode_values(
+                factory, env, params)
+            want_values, want_remaining, want_failed = _reference_episode_values(
+                factory, env, params)
+            assert np.array_equal(got_values, want_values), program.instructions
+            assert got_remaining == want_remaining, program.instructions
+            assert got_failed == want_failed
+
+
+def test_agent_free_paths_follow_the_declared_facts():
+    params = ValuationParams(mode="summable", horizon=30, episodes=5, seed=3)
+    cases = (
+        # (environment, policies built, episodes spawned)
+        (ProgramEnvironment(encode_program(["inc", "move_left", "emit"]),
+                            MachineConfig(), BINARY), 0, 1),
+        (ProgramEnvironment(encode_program(["random_bit", "move_left", "emit"]),
+                            MachineConfig(), BINARY), 0, 5),
+        (ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
+                            MachineConfig(), BINARY), 5, 5),
+        (make_constant_env([1] * 40, BINARY), 0, 1),
+    )
+    for env, made, spawned in cases:
+        factory, counted = _Counting(random_agent(BINARY)), _Spawns(env)
+        summable_episode_values(factory, counted, params)
+        assert (factory.made, counted.spawned) == (made, spawned), env.identifier
+        # a factory that does not declare private policies keeps its policy
+        public = _Counting(random_agent(BINARY), private_policies=False)
+        summable_episode_values(public, counted, params)
+        assert public.made == params.episodes
+    # models that declare neither fact take the policy path
+    for env in (make_pattern_env(2, BINARY), _NoBatch(make_constant_env([1] * 40, BINARY))):
+        factory = _Counting(random_agent(BINARY))
+        summable_episode_values(factory, env, params)
+        assert factory.made == params.episodes, env.identifier
