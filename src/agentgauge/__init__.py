@@ -8,7 +8,7 @@ environment by seeded Monte Carlo rollout, and aggregates the values under a
 
 __version__ = "0.1.0"
 
-from .interaction import Action, Percept, SpaceConfig  # noqa: F401
+from .interaction import Percept, SpaceConfig  # noqa: F401
 from .machine import (  # noqa: F401
     EnvProcess,
     EnvProgram,
@@ -16,7 +16,6 @@ from .machine import (  # noqa: F401
     decode_program,
     encode_program,
     enumerate_programs,
-    kt_cost,
     prior_weight,
 )
 from .environments import (  # noqa: F401
@@ -38,7 +37,6 @@ from .valuation import (  # noqa: F401
     ValuationParams,
     ValueEstimate,
     discounted_value,
-    gamma_norm,
     harmonic_value,
     per_cycle_reward_profile,
     summable_value,

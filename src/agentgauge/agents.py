@@ -7,11 +7,11 @@ tables are never shared across rollouts.  Policy instances follow a small
 protocol:
 
     policy.observe(percept)     # update hook, called after every percept
-    policy.action_distribution()  # probabilities over actions, sums to 1
-    policy.act()                # samples an action from that distribution
+    policy.act()                # the action for the current cycle
 
-Scripted agents and the uniform random agent only depend on the cycle index,
-which lets the valuation layer run them in vectorized episode batches.
+Scripted agents and the uniform random agent only depend on the cycle index
+(`AgentFactory.prob_action_one`), which lets the valuation layer run them in
+vectorized episode batches.
 """
 
 from __future__ import annotations
@@ -31,18 +31,14 @@ _SCRIPTED_KINDS = ("pi_opt", "pi_1", "pi_2")
 
 
 class _UniformPolicy:
-    __slots__ = ("n", "rng", "_dist")
+    __slots__ = ("n", "rng")
 
     def __init__(self, n_actions: int, rng: random.Random) -> None:
         self.n = n_actions
         self.rng = rng
-        self._dist = tuple(1.0 / n_actions for _ in range(n_actions))
 
     def observe(self, percept: Percept) -> None:
         pass
-
-    def action_distribution(self) -> tuple[float, ...]:
-        return self._dist
 
     def act(self) -> int:
         return self.rng.randrange(self.n)
@@ -60,10 +56,6 @@ class _ScriptedPolicy:
 
     def observe(self, percept: Percept) -> None:
         self.cycles += 1
-
-    def action_distribution(self) -> tuple[float, ...]:
-        p_one = scripted_prob_action_one(self.kind, self.cycles)
-        return (1.0 - p_one, p_one)
 
     def act(self) -> int:
         p_one = scripted_prob_action_one(self.kind, self.cycles)
@@ -183,12 +175,6 @@ class _TablePolicy:
         self.pending = (self.current_key, action)
         self.last_action = action
         return action
-
-    def estimated_mean(self, key: bytes, action: int) -> float | None:
-        entry = self.table.get(key)
-        if entry is None or entry[2 * action] == 0.0:
-            return None
-        return entry[2 * action + 1] / entry[2 * action]
 
 
 @dataclass(frozen=True)

