@@ -92,7 +92,8 @@ def _cmd_run(args) -> int:
             factory.close()
     for measurement in measurements:
         print(f"{measurement.agent_name}: intelligence="
-              f"{measurement.score:.6g} +- {measurement.ci_half_width:.2g}")
+              f"{measurement.score:.6g} +- {measurement.ci_half_width:.2g} "
+              f"truncated<={measurement.truncation_bound:.2g}")
     print(f"report written to {config.output_dir}")
     return 0
 
@@ -117,8 +118,9 @@ def _cmd_example_study(args) -> int:
         for k in range(cycles):
             writer.writerow([k + 1] + [repr(float(profiles[f.name][k])) for f in trio])
 
-    def phase_mean(profile: np.ndarray, first: int, last: int) -> float:
-        return float(profile[first - 1 : last].mean())
+    def phase_mean(profile: np.ndarray, first: int, last: int) -> float | None:
+        """Mean reward of cycles first..last, or None when the run ends before first."""
+        return float(profile[first - 1 : last].mean()) if last >= first else None
 
     phases = {}
     for factory in trio:
@@ -126,7 +128,7 @@ def _cmd_example_study(args) -> int:
         phases[factory.name] = {
             "short_2_101": phase_mean(profile, 2, min(101, cycles)),
             "medium_102_5001": phase_mean(profile, 102, min(5001, cycles)),
-            "long_after_5001": (phase_mean(profile, 5002, cycles) if cycles > 5001 else None),
+            "long_after_5001": phase_mean(profile, 5002, cycles),
         }
 
     gammas = [0.5, 0.7, 0.9, 0.95, 0.99]
@@ -142,8 +144,10 @@ def _cmd_example_study(args) -> int:
                 "mean": estimate.mean, "ci_half_width": estimate.ci_half_width,
             }
 
-    def ordering(key: str) -> list[str]:
-        means = {name: phases[name][key] for name in phases if phases[name][key] is not None}
+    def ordering(key: str) -> list[str] | None:
+        means = {name: phases[name][key] for name in phases}
+        if None in means.values():
+            return None
         return sorted(means, key=lambda n: -means[n])
 
     study = {
@@ -151,11 +155,8 @@ def _cmd_example_study(args) -> int:
         "episodes": episodes,
         "cycles": cycles,
         "phase_means": phases,
-        "phase_ordering": {
-            "short_2_101": ordering("short_2_101"),
-            "medium_102_5001": ordering("medium_102_5001"),
-            "long_after_5001": ordering("long_after_5001") if cycles > 5001 else None,
-        },
+        "phase_ordering": {key: ordering(key) for key in
+                           ("short_2_101", "medium_102_5001", "long_after_5001")},
         "summary": [
             "short term (reward cycles 2-101): the uniform agent out-earns the "
             "phase-switching agent",

@@ -9,9 +9,11 @@ Every environment model exposes the same episode interface:
 Episodes additionally expose `no_future_reward` (True once all future rewards
 are provably zero, used for early stopping) and `remaining_reward_bound` (an
 upper bound on the reward fraction still to come, used for truncation
-reporting).  Models whose `supports_batch` is true (only the copy
-environment, whose long reward profiles need it) can also run many episodes
-in lockstep through `begin_batch`/`batch_step` with numpy arrays.  A model may
+reporting).  A program environment whose program provably never emits a
+positive reward makes them True and 0 from the first cycle on.  Models whose
+`supports_batch` is true (only the copy environment, whose long reward
+profiles need it) can also run many episodes in lockstep through
+`begin_batch`/`batch_step` with numpy arrays.  A model may
 also declare `reads_actions = False` (its percepts never depend on the
 actions) and `deterministic = True` (they never depend on the rng); the
 valuation layer then plays such episodes without the agent and, when they
@@ -21,6 +23,7 @@ A model that declares neither is assumed to read actions and draw randomness.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -29,12 +32,25 @@ import numpy as np
 
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
-from .machine import EnvProcess, EnvProgram, MachineConfig, encode_program
+from .machine import (
+    REWARD_FREE,
+    EnvProcess,
+    EnvProgram,
+    MachineConfig,
+    encode_program,
+    reward_reachability,
+)
 
 
 @dataclass(frozen=True)
 class ProgramEnvironment:
-    """An enumerated machine program exposed as an environment model."""
+    """An enumerated machine program exposed as an environment model.
+
+    Its episodes are marked reward-free when `reward_reachability` proves
+    that no positive reward is reachable, so a rollout stops after cycle 1.
+    The proof runs on first use and once per environment object, so building
+    an ensemble costs nothing extra and unvalued programs are never proved.
+    """
 
     program: EnvProgram
     machine: MachineConfig
@@ -56,8 +72,14 @@ class ProgramEnvironment:
     def deterministic(self) -> bool:
         return "random_bit" not in self.program.instructions
 
+    @functools.cached_property
+    def reward_free(self) -> bool:
+        return reward_reachability(self.program, self.machine, self.space).verdict == REWARD_FREE
+
     def spawn(self, rng: random.Random) -> EnvProcess:
-        return EnvProcess(self.program, self.machine, self.space, rng=rng)
+        process = EnvProcess(self.program, self.machine, self.space, rng=rng)
+        process.reward_free = self.reward_free
+        return process
 
 
 class _CopyEpisode:

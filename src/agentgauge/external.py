@@ -23,6 +23,7 @@ aborts the rollout, which is then reported as failed rather than scored.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
 import random
@@ -46,6 +47,7 @@ class ExternalAgentHost:
         self.space = space
         self.timeout_s = timeout_ms / 1000.0
         self.process: subprocess.Popen | None = None
+        self.pump: threading.Thread | None = None
         self.lines: queue.Queue[str | None] = queue.Queue()
         self.timeout_warnings = 0
         self.late_replies_owed = 0
@@ -62,18 +64,23 @@ class ExternalAgentHost:
                 self.lines.put(line)
             self.lines.put(None)
 
-        threading.Thread(target=pump, daemon=True).start()
-        self._send({"type": "hello",
-                    "spaces": {"actions": self.space.action_count,
-                               "observations": self.space.observation_count,
-                               "reward_denominator": self.space.reward_denominator},
-                    "protocol": PROTOCOL_VERSION})
+        self.pump = threading.Thread(target=pump, daemon=True)
+        self.pump.start()
         try:
-            reply = self._read(HANDSHAKE_TIMEOUT_S)
-        except RolloutFailed as exc:
-            raise ExternalAgentError(f"handshake failed: {exc}") from exc
-        if reply is None or reply.get("type") != "ready":
-            raise ExternalAgentError(f"handshake failed: expected ready, got {reply!r}")
+            self._send({"type": "hello",
+                        "spaces": {"actions": self.space.action_count,
+                                   "observations": self.space.observation_count,
+                                   "reward_denominator": self.space.reward_denominator},
+                        "protocol": PROTOCOL_VERSION})
+            try:
+                reply = self._read(HANDSHAKE_TIMEOUT_S)
+            except RolloutFailed as exc:
+                raise ExternalAgentError(f"handshake failed: {exc}") from exc
+            if reply is None or reply.get("type") != "ready":
+                raise ExternalAgentError(f"handshake failed: expected ready, got {reply!r}")
+        except ExternalAgentError:
+            self.close()
+            raise
 
     def _send(self, message: dict) -> None:
         assert self.process is not None and self.process.stdin is not None
@@ -141,6 +148,14 @@ class ExternalAgentHost:
                 self.process.wait(timeout=2.0)
             except subprocess.TimeoutExpired:
                 self.process.kill()
+                self.process.wait()
+        # The pump reads stdout to its end once the child has exited; close
+        # the pipes only after it stops, so no read meets a closed file.
+        self.pump.join(timeout=2.0)
+        with contextlib.suppress(BrokenPipeError):
+            self.process.stdin.close()
+        if not self.pump.is_alive():
+            self.process.stdout.close()
         self.process = None
 
 

@@ -18,6 +18,13 @@ Reward emission is budget-limited: a process can emit at most D/D = 1 of
 total reward over its lifetime (numerators are clamped to the remaining
 budget), which makes every program a reward-summable environment by
 construction.
+
+`reward_reachability` decides, once per program, whether any positive reward
+can ever be emitted.  It explores the closure of machine states reachable
+under every action and every outcome of every random bit, stepping the
+interpreter itself, and answers reward-free, reward-capable (with a witness
+path) or undecided when a cap is hit.  A process marked reward-free reports
+no future reward from its first cycle on.
 """
 
 from __future__ import annotations
@@ -48,6 +55,12 @@ _OP_RIGHT, _OP_LEFT, _OP_INC, _OP_DEC, _OP_OPEN, _OP_CLOSE, _OP_READ, _OP_RAND, 
 
 OPCODE_BITS = 4
 SIGNATURE_NODE_CAP = 8192
+REACH_STATE_CAP = 256     # distinct post-cycle states a proof may visit
+REACH_SCRIPT_CAP = 256    # random-bit scripts one cycle may branch into
+
+REWARD_FREE = "reward-free"
+REWARD_CAPABLE = "reward-capable"
+UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -222,13 +235,15 @@ class EnvProcess:
 
     Single-owner mutable; distinct processes may run in parallel freely.
     `enable_shortcuts=False` turns off all execution shortcuts (used by tests
-    that check the shortcuts are behavior-preserving).
+    that check the shortcuts are behavior-preserving).  `reward_free` is set
+    by the owner of a `reward_reachability` proof that found no reachable
+    positive reward; it changes no percept, only the stop facts.
     """
 
     __slots__ = (
         "program", "machine", "space", "tape", "ptr", "budget", "last_action",
         "cycles", "rng", "shortcuts", "frozen", "frozen_obs", "frozen_raw",
-        "steps_last_cycle", "total_steps", "emitted_total", "draws",
+        "steps_last_cycle", "total_steps", "emitted_total", "draws", "reward_free",
     )
 
     def __init__(self, program: EnvProgram, machine: MachineConfig,
@@ -254,6 +269,7 @@ class EnvProcess:
         self.total_steps = 0
         self.emitted_total = 0
         self.draws = 0  # random bits drawn so far
+        self.reward_free = False
         if enable_shortcuts and not program.has_emit:
             # A program with no EMIT can only ever produce default percepts.
             self.frozen = True
@@ -272,6 +288,8 @@ class EnvProcess:
     @property
     def no_future_reward(self) -> bool:
         """True once every future emitted reward is provably zero."""
+        if self.reward_free:
+            return True
         if self.machine.enforce_reward_budget and self.budget == 0:
             return True
         return self.frozen and self.frozen_raw == 0
@@ -279,7 +297,7 @@ class EnvProcess:
     @property
     def remaining_reward_bound(self) -> float:
         """Upper bound on the reward fraction this process can still emit."""
-        if self.frozen and self.frozen_raw == 0:
+        if self.reward_free or (self.frozen and self.frozen_raw == 0):
             return 0.0
         if not self.machine.enforce_reward_budget:
             return math.inf
@@ -310,6 +328,7 @@ class EnvProcess:
         other.total_steps = self.total_steps
         other.emitted_total = self.emitted_total
         other.draws = self.draws
+        other.reward_free = self.reward_free
         return other
 
     def _emit(self, raw_obs: int, raw_numerator: int) -> Percept:
@@ -442,6 +461,104 @@ class EnvProcess:
                 self.frozen_obs = raw_obs
                 self.frozen_raw = raw_numerator
         return self._emit(raw_obs, raw_numerator)
+
+
+class _ScriptedBits:
+    """Random-bit source of a proof: the bits of a script, then zeros."""
+
+    __slots__ = ("script", "drawn")
+
+    def __init__(self) -> None:
+        self.script: tuple[int, ...] = ()
+        self.drawn = 0
+
+    def getrandbits(self, k: int) -> int:  # the machine draws one bit at a time
+        index = self.drawn
+        self.drawn += 1
+        return self.script[index] if index < len(self.script) else 0
+
+
+@dataclass(frozen=True)
+class RewardReachability:
+    """Verdict of `reward_reachability`.
+
+    `witness` accompanies a reward-capable verdict: one (action, bits) pair
+    per cycle, the first action None, whose replay on a fresh process makes
+    the last cycle emit a positive reward when `bits` feed its random draws.
+    """
+
+    verdict: str
+    witness: tuple[tuple[int | None, tuple[int, ...]], ...] | None = None
+
+
+def reward_reachability(program: EnvProgram, machine: MachineConfig = MachineConfig(),
+                        space: SpaceConfig = SpaceConfig()) -> RewardReachability:
+    """Whether any positive reward is reachable, by closure over machine states.
+
+    After every cycle the machine's future depends only on its tape, pointer,
+    reward budget and frozen percept: the last-action register is rewritten
+    before the program runs and the random stream only supplies bits.  The
+    proof steps `EnvProcess.step` from each reachable state once per action
+    (only action 0 when the program never reads one) and once per script of
+    random bits: a draw past the end of a script yields 0, and every such
+    draw also queues the script whose bit there is 1.  So the closure holds
+    every state any run can reach, with the interpreter's own shortcuts.
+
+    Returns reward-capable as soon as a step emits a positive reward,
+    reward-free once the closure is complete without one, and undecided when
+    it would need more than REACH_STATE_CAP states or some cycle more than
+    REACH_SCRIPT_CAP scripts.
+    """
+    actions = range(space.action_count) if _OP_READ in program.ops else (0,)
+    bits = _ScriptedBits()
+    proc = EnvProcess(program, machine, space)
+    proc.rng = bits
+    initial = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
+               proc.frozen_obs, proc.frozen_raw)
+    # post-cycle state -> (state before that cycle, action, bits); None: cycle 1
+    parents: dict[tuple, tuple | None] = {}
+    stack: list[tuple] = []
+
+    def expand(state: tuple | None, action: int | None) -> RewardReachability | None:
+        scripts = [()]
+        tried = 0
+        while scripts:
+            tried += 1
+            if tried > REACH_SCRIPT_CAP:
+                return RewardReachability(UNDECIDED)
+            bits.script = scripts.pop()
+            bits.drawn = 0
+            tape, proc.ptr, proc.budget, proc.frozen, proc.frozen_obs, proc.frozen_raw = \
+                initial if state is None else state
+            proc.tape = list(tape)
+            proc.cycles = 0 if state is None else 1
+            percept = proc.step(action)
+            drawn = bits.script + (0,) * (bits.drawn - len(bits.script))
+            for index in range(len(bits.script), bits.drawn):
+                scripts.append(drawn[:index] + (1,))
+            if percept.reward_numerator > 0:
+                path = [(action, drawn)]
+                while state is not None:
+                    state, action, drawn = parents[state]
+                    path.append((action, drawn))
+                return RewardReachability(REWARD_CAPABLE, tuple(reversed(path)))
+            after = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
+                     proc.frozen_obs, proc.frozen_raw)
+            if after not in parents:
+                if len(parents) == REACH_STATE_CAP:
+                    return RewardReachability(UNDECIDED)
+                parents[after] = (state, action, drawn)
+                stack.append(after)
+        return None
+
+    found = expand(None, None)
+    while found is None and stack:
+        state = stack.pop()
+        for action in actions:
+            found = expand(state, action)
+            if found is not None:
+                break
+    return found or RewardReachability(REWARD_FREE)
 
 
 def signature_and_steps(program: EnvProgram, horizon: int,

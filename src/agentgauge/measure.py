@@ -150,7 +150,11 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
 
 @dataclass
 class AgentMeasurement:
-    """Aggregate score for one agent plus everything needed for comparisons."""
+    """Aggregate score for one agent plus everything needed for comparisons.
+
+    `truncation_bound` is the weighted sum of the environments' truncation
+    bounds: the most reward the score can have missed by stopping episodes.
+    """
 
     agent_name: str
     score: float
@@ -158,6 +162,7 @@ class AgentMeasurement:
     estimates: dict[str, ValueEstimate] = field(repr=False)
     episode_values: dict[str, np.ndarray] = field(repr=False)
     failed_rollouts: int = 0
+    truncation_bound: float = 0.0
 
 
 def _value_entry_block(agent_factory, entries, params):
@@ -192,6 +197,7 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
     episode_values: dict[str, np.ndarray] = {}
     score = 0.0
     variance = 0.0
+    truncation = 0.0
     failures = 0
     for entry, (values, mean_remaining, failed) in zip(entries, results):
         estimate = _summable_estimate(params, values, mean_remaining, failed)
@@ -199,6 +205,7 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
         episode_values[entry.identifier] = values
         score += entry.weight * estimate.mean
         variance += (entry.weight * estimate.ci_half_width) ** 2
+        truncation += entry.weight * estimate.truncation_bound
         failures += failed
     return AgentMeasurement(
         agent_name=agent_factory.name,
@@ -207,6 +214,7 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
         estimates=estimates,
         episode_values=episode_values,
         failed_rollouts=failures,
+        truncation_bound=truncation,
     )
 
 

@@ -25,7 +25,10 @@ environment, so every value is what the full loop gives.  External agents
 always see every percept: their replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
-the estimate, never silently dropped.  All randomness derives from the
+the estimate, never silently dropped.  An episode stops as soon as the
+environment proves that no reward can follow, with a remaining bound of 0:
+an episode of a machine program that can never emit a positive reward
+stops after cycle 1.  All randomness derives from the
 params seed, so estimates are bit-reproducible.
 """
 

@@ -215,6 +215,36 @@ def test_example_study_outputs(tmp_path):
     assert float(rows[1]["pi_opt"]) == 1.0
 
 
+def test_example_study_shorter_than_a_phase_writes_valid_json(tmp_path):
+    out = tmp_path / "study"
+    assert main(["example-study", "--out", str(out), "--seed", "3",
+                 "--episodes", "50", "--cycles", "50",
+                 "--discount-episodes", "20"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} in study.json")
+
+    study = json.loads((out / "study.json").read_text(), parse_constant=reject)
+    for phase in ("medium_102_5001", "long_after_5001"):
+        assert study["phase_ordering"][phase] is None
+        assert all(means[phase] is None for means in study["phase_means"].values())
+    assert study["phase_ordering"]["short_2_101"][0] == "pi_opt"
+
+
+def test_run_prints_the_truncated_reward_mass(tmp_path, capsys):
+    assert main(["run", str(write_config(tmp_path))]) == 0
+    printed = capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for agent in ("random", "basic"):
+        match = re.search(rf"^{agent}: intelligence=\S+ \+- \S+ truncated<=(\S+)$",
+                          printed, re.MULTILINE)
+        assert match, printed
+        mass = sum(row["weight"] * row["values"][agent]["truncation_bound"]
+                   for row in report["environments"])
+        assert mass > 0.1  # the copy program still has most of its budget at cycle 40
+        assert float(match.group(1)) == pytest.approx(mass, rel=0.05)
+
+
 def test_enumerate_command(tmp_path, capsys):
     out = tmp_path / "programs.txt"
     assert main(["enumerate", "--max-len", "11", "--out", str(out)]) == 0

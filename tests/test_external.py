@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import textwrap
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -145,7 +149,9 @@ def test_external_uniform_agent_scores_like_builtin_random(tmp_path):
 
 
 def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
-    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
+    # A reward-capable program: the rollouts run all five cycles.
+    env = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"], MACHINE),
+                             MACHINE, SPACE)
     factory = ExternalAgentFactory("ext-silent", child(tmp_path, SILENT_CHILD, "mute"),
                                    SPACE, timeout_ms=100)
     params = ValuationParams(mode="summable", horizon=5, episodes=2, seed=1)
@@ -229,3 +235,28 @@ def test_late_reply_is_discarded_not_taken_for_the_next_percept(tmp_path):
         host.close()
     assert host.timeout_warnings == 1
     assert actions[1:] == [cycle % 2 for cycle in range(2, 7)]
+
+
+@pytest.mark.parametrize("handshake", ["completed", "failed"])
+def test_close_leaves_no_pipe_open(tmp_path, monkeypatch, handshake):
+    # An unclosed pipe or an unreaped child warns when it is collected,
+    # inside a finalizer, where the warning can only reach the unraisable hook.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        if handshake == "completed":
+            host = ExternalAgentHost(child(tmp_path, UNIFORM_CHILD, "uni"), SPACE)
+            host.start()
+            host.close()
+        else:
+            host = ExternalAgentHost([sys.executable, "-c", "pass"], SPACE)
+            with pytest.raises(ExternalAgentError):
+                host.start()
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > threads and time.monotonic() < deadline:
+            time.sleep(0.01)
+        del host
+        gc.collect()
+    assert [hook.exc_value for hook in unraisable] == []

@@ -14,6 +14,9 @@ from agentgauge.errors import InvalidProgramError, ProtocolError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
     INSTRUCTION_NAMES,
+    REWARD_CAPABLE,
+    REWARD_FREE,
+    UNDECIDED,
     EnvProcess,
     MachineConfig,
     decode_program,
@@ -22,6 +25,7 @@ from agentgauge.machine import (
     load_program_file,
     prior_weight,
     program_length_bits,
+    reward_reachability,
     save_program_file,
     signature_and_steps,
 )
@@ -401,6 +405,114 @@ def test_signature_golden_hash(bits, digest):
         sig, steps = signature_and_steps(program, 8, MACHINE, SPACE, seed=0)
         h.update(len(sig).to_bytes(4, "little") + sig + steps.to_bytes(8, "little"))
     assert h.hexdigest() == digest
+
+
+# ----------------------------------------------------- reward reachability
+
+class _Script:
+    """Random-bit source that plays fixed bits, then zeros, counting draws."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.drawn = 0
+
+    def getrandbits(self, k):
+        bit = self.bits[self.drawn] if self.drawn < len(self.bits) else 0
+        self.drawn += 1
+        return bit
+
+
+def _replay(program, path, machine, space):
+    """A fresh process stepped along `path`: one (action, bits) pair per cycle.
+
+    Returns the process, the last percept, and whether every cycle drew
+    exactly its bits.
+    """
+    proc = EnvProcess(program, machine, space)
+    percept, exact = None, True
+    for action, bits in path:
+        proc.rng = _Script(bits)
+        percept = proc.step(action)
+        exact = exact and proc.rng.drawn == len(bits)
+    return proc, percept, exact
+
+
+def _reward_on_some_path(program, depth, machine, space):
+    """Reference walk: a path of at most `depth` cycles that ends in positive
+    reward, or None.  Every action and every bit string is tried, and every
+    node is replayed from a fresh process.  Only read_action reads the
+    last-action register, so a program without it is walked with action 0."""
+    reads = "read_action" in program.instructions
+
+    def visit(path):
+        if len(path) == depth:
+            return None
+        for action in ((None,) if not path else range(space.action_count if reads else 1)):
+            pending = [()]
+            while pending:
+                bits = pending.pop()
+                proc, percept, exact = _replay(program, path + [(action, bits)],
+                                               machine, space)
+                if not exact:
+                    # the cycle draws more bits than `bits` holds: try both
+                    pending += [bits + (0,), bits + (1,)]
+                    continue
+                if percept.reward_numerator > 0:
+                    return path + [(action, bits)]
+                if not proc.halted:
+                    found = visit(path + [(action, bits)])
+                    if found is not None:
+                        return found
+        return None
+
+    return visit([])
+
+
+_REACHABILITY_EXTRAS = (
+    ("read_action", "move_left", "emit"),
+    ("random_bit", "move_left", "emit"),
+    ("read_action", "inc", "emit"),
+    ("random_bit", "inc", "emit"),
+    ("move_right", "read_action", "move_left", "emit"),
+    ("random_bit", "move_left", "read_action", "emit"),
+    ("inc", "loop_open", "loop_close", "emit"),
+    ("read_action", "loop_open", "loop_close", "emit"),
+    ("random_bit", "loop_open", "loop_close", "emit"),
+    ("inc", "loop_open", "random_bit", "loop_close", "emit"),
+    ("loop_open", "random_bit", "move_right", "loop_close", "inc", "emit"),
+    ("read_action", "loop_open", "dec", "emit", "loop_close", "inc", "emit"),
+)
+
+
+@pytest.mark.parametrize("machine, space", [
+    (MACHINE, SPACE),
+    (MachineConfig(tape_length=4, cell_modulus=3),
+     SpaceConfig(action_count=3, observation_count=3, reward_denominator=2)),
+], ids=["default", "tape4-mod3-three-actions"])
+def test_reward_reachability_is_sound(machine, space):
+    programs = enumerate_programs(16, machine) + [
+        encode_program(list(extra), machine) for extra in _REACHABILITY_EXTRAS]
+    verdicts = set()
+    for program in programs:
+        proof = reward_reachability(program, machine, space)
+        verdicts.add(proof.verdict)
+        if proof.verdict == REWARD_CAPABLE:
+            _, percept, exact = _replay(program, list(proof.witness), machine, space)
+            assert exact and percept.reward_numerator > 0, program.instructions
+            assert proof.witness[0][0] is None
+        elif proof.verdict == REWARD_FREE:
+            assert _reward_on_some_path(program, 8, machine, space) is None, \
+                program.instructions
+            for seed in range(3):
+                rng = random.Random(seed)
+                proc = EnvProcess(program, machine, space, rng=random.Random(seed))
+                emitted = [proc.step(None)]
+                emitted += [proc.step(rng.randrange(space.action_count))
+                            for _ in range(999)]
+                assert all(p.reward_numerator == 0 for p in emitted), program.instructions
+        else:
+            assert proof.verdict == UNDECIDED and proof.witness is None
+    assert verdicts == {REWARD_FREE, REWARD_CAPABLE, UNDECIDED}
 
 
 # ------------------------------------------------------------ fixture files

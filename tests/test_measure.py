@@ -109,11 +109,11 @@ def test_mixture_estimator_agrees_with_weighted_sum(mixture_estimate):
 
 
 def test_mixture_truncation_bound_counts_unearned_reward(mixture_estimate):
-    # At horizon 5 most budget is still unspent when the episodes stop; the
-    # per-environment estimates bound it at about 6e-3 of weighted reward,
-    # and the mixture estimate must count it too, not just trunc_epsilon.
-    spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
-    ensemble = build_ensemble(spec, MACHINE, SPACE)
+    # At horizon 5 a reward-capable program has most of its budget unspent
+    # when the episodes stop, and the mixture estimate must count it, not
+    # just trunc_epsilon.
+    program = encode_program(["read_action", "move_left", "emit"], MACHINE)
+    ensemble = build_ensemble(small_spec(), MACHINE, SPACE, programs=[program])
     params = ValuationParams(mode="summable", horizon=5, episodes=20, seed=0)
     mixture = mixture_estimate(random_agent(SPACE), ensemble, params, draws=2000)
     assert mixture.truncation_bound >= 1e-3

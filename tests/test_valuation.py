@@ -39,7 +39,8 @@ from agentgauge.valuation import (
 
 UNIT = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
-GOLDEN_VALUATION_DIGEST = "e6e893ac057812ba038f30922de2862210a0326794d8ee0be8320f520f4d13ed"
+GOLDEN_VALUES_DIGEST = "18fad326aee0333606374ab04fac09e97fd6f3beadd3446b2341f844274ad533"
+GOLDEN_BOUNDS_DIGEST = "9d9d5885d3d2887b15426ecb1d9dc94974911df531d729f8e750f72b65d245d7"
 
 
 class _NoBatch:
@@ -274,20 +275,22 @@ def test_profile_validation():
         per_cycle_reward_profile(random_agent(UNIT), make_copy_env(UNIT), 0, 5, seed=0)
 
 
-def test_valuation_golden_hash(mixture_estimate):
-    # Exact output of the summable, scalar-weighted, batch and mixture
-    # estimators, recorded before the episode loops were merged into one
-    # kernel; the statistical tests above cannot see a reordered draw.  It
-    # held across agent-free rollouts and changed only when the mixture
-    # truncation bound began to count unearned reward.
-    h = hashlib.sha256()
+def _valuation_digests(mixture_estimate):
+    """Digests of the values and of the truncation bounds of the estimators.
 
-    def add(*numbers):
+    Values are the episode values, means, intervals, episode and failure
+    counts of the summable, scalar-weighted, batch and mixture estimators;
+    bounds are their mean remaining rewards and truncation bounds.
+    """
+    values, bounds = hashlib.sha256(), hashlib.sha256()
+
+    def add(h, *numbers):
         h.update(np.asarray(numbers, dtype=np.float64).tobytes())
 
     def add_estimate(estimate):
-        add(estimate.mean, estimate.ci_half_width, estimate.truncation_bound,
-            estimate.episodes_used, estimate.failed_episodes)
+        add(values, estimate.mean, estimate.ci_half_width, estimate.episodes_used,
+            estimate.failed_episodes)
+        add(bounds, estimate.truncation_bound)
 
     spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
     ensemble = build_ensemble(spec, MachineConfig(), BINARY)
@@ -300,14 +303,15 @@ def test_valuation_golden_hash(mixture_estimate):
     params = ValuationParams(mode="summable", horizon=120, episodes=20, seed=17)
     for factory in (random_agent(BINARY), basic_agent(BINARY)):
         for entry in ensemble.entries:
-            values, mean_remaining, failed = summable_episode_values(
+            episode_values, mean_remaining, failed = summable_episode_values(
                 factory, entry.environment, params)
-            add(len(values), *values, mean_remaining, failed)
+            add(values, len(episode_values), *episode_values, failed)
+            add(bounds, mean_remaining)
         add_estimate(mixture_estimate(factory, mixed, params, draws=300))
 
     basic = basic_agent(BINARY)
     pattern = make_pattern_env(2, BINARY)
-    add(*per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
+    add(values, *per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
     add_estimate(discounted_value(basic, pattern, ValuationParams(
         mode="discounted", gamma=0.9, horizon=300, episodes=20, seed=5)))
     add_estimate(harmonic_value(basic, pattern, ValuationParams(
@@ -316,10 +320,22 @@ def test_valuation_golden_hash(mixture_estimate):
     _, pi_1, _ = scripted_agents(UNIT)
     copy = make_copy_env(UNIT)
     for env in (copy, _NoBatch(copy)):
-        add(*per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
+        add(values, *per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
         add_estimate(discounted_value(pi_1, env, ValuationParams(
             mode="discounted", gamma=0.9, horizon=200, episodes=50, seed=8)))
-    assert h.hexdigest() == GOLDEN_VALUATION_DIGEST
+    return values.hexdigest(), bounds.hexdigest()
+
+
+def test_valuation_golden_hash(mixture_estimate):
+    # Exact output of the estimators; the statistical tests above cannot see
+    # a reordered draw.  The values digest was recorded before the episode
+    # loops were merged into one kernel and has held since.  The bounds
+    # digest moved when the mixture bound began to count unearned reward,
+    # and when reward-free programs began to stop after cycle 1 with a
+    # remaining bound of 0.
+    values, bounds = _valuation_digests(mixture_estimate)
+    assert values == GOLDEN_VALUES_DIGEST
+    assert bounds == GOLDEN_BOUNDS_DIGEST
 
 
 # ------------------------------------------------- agent-free rollouts
