@@ -23,10 +23,6 @@ from dataclasses import dataclass
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig, window_key
 
-# The tie rule for greedy maximization.  "lowest" picks the smallest action
-# index; "random" splits the greedy mass uniformly over the tied maximizers.
-DEFAULT_TIE_BREAK = "lowest"
-
 _SCRIPTED_KINDS = ("pi_opt", "pi_1", "pi_2")
 
 
@@ -87,18 +83,18 @@ class _TablePolicy:
     Statistics are keyed by the canonical window key: the current observation
     plus the last `back` (action, percept) pairs.  Greedy action selection
     requires every action to have been sampled at least once under the key;
-    before that the policy is uniform.
+    before that the policy is uniform.  Ties between greedy actions go to the
+    lowest action index.
     """
 
-    __slots__ = ("space", "back", "epsilon", "tie_break", "rng", "table",
+    __slots__ = ("space", "back", "epsilon", "rng", "table",
                  "window", "pending", "current_key", "prev_percept", "last_action")
 
     def __init__(self, space: SpaceConfig, back: int, epsilon: float,
-                 tie_break: str, rng: random.Random) -> None:
+                 rng: random.Random) -> None:
         self.space = space
         self.back = back
         self.epsilon = epsilon
-        self.tie_break = tie_break
         self.rng = rng
         # key -> flat [count_0, total_0, count_1, total_1, ...] per action
         self.table: dict[bytes, list[float]] = {}
@@ -127,21 +123,18 @@ class _TablePolicy:
         pairs = tuple(reversed(self.window)) if self.back else ()
         self.current_key = window_key(percept.observation, pairs)
 
-    def _greedy_set(self, entry: list[float]) -> list[int] | None:
-        """Indices of maximal running means, or None if some action is unsampled."""
-        n = self.space.action_count
-        best: list[int] = []
+    def _greedy_action(self, entry: list[float]) -> int | None:
+        """Lowest index of a maximal running mean, or None if some action is unsampled."""
+        best = 0
         best_mean = -1.0
-        for action in range(n):
+        for action in range(self.space.action_count):
             count = entry[2 * action]
             if count == 0.0:
                 return None
             mean = entry[2 * action + 1] / count
             if mean > best_mean:
                 best_mean = mean
-                best = [action]
-            elif mean == best_mean:
-                best.append(action)
+                best = action
         return best
 
     def action_distribution(self) -> tuple[float, ...]:
@@ -149,17 +142,12 @@ class _TablePolicy:
         entry = self.table.get(self.current_key) if self.current_key is not None else None
         if entry is None:
             return tuple(1.0 / n for _ in range(n))
-        greedy = self._greedy_set(entry)
+        greedy = self._greedy_action(entry)
         if greedy is None:
             return tuple(1.0 / n for _ in range(n))
         base = self.epsilon / n
         dist = [base] * n
-        if self.tie_break == "lowest":
-            dist[greedy[0]] = 1.0 - base * (n - 1)
-        else:
-            share = (1.0 - self.epsilon) / len(greedy)
-            for action in greedy:
-                dist[action] += share
+        dist[greedy] = 1.0 - base * (n - 1)
         return tuple(dist)
 
     def act(self) -> int:
@@ -186,13 +174,10 @@ class AgentFactory:
     space: SpaceConfig
     epsilon: float = 0.0
     back: int = 0
-    tie_break: str = DEFAULT_TIE_BREAK
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise AgentGaugeError("epsilon must lie in [0, 1]")
-        if self.tie_break not in ("lowest", "random"):
-            raise AgentGaugeError(f"unknown tie_break {self.tie_break!r}")
 
     @property
     def supports_batch(self) -> bool:
@@ -216,7 +201,7 @@ class AgentFactory:
         if self.kind in _SCRIPTED_KINDS:
             return _ScriptedPolicy(self.kind, rng)
         if self.kind == "table":
-            return _TablePolicy(self.space, self.back, self.epsilon, self.tie_break, rng)
+            return _TablePolicy(self.space, self.back, self.epsilon, rng)
         raise AgentGaugeError(f"unknown agent kind {self.kind!r}")
 
 
@@ -225,21 +210,17 @@ def random_agent(space: SpaceConfig) -> AgentFactory:
     return AgentFactory(name="random", kind="random", space=space)
 
 
-def basic_agent(space: SpaceConfig, epsilon: float = 0.10,
-                tie_break: str = DEFAULT_TIE_BREAK) -> AgentFactory:
+def basic_agent(space: SpaceConfig, epsilon: float = 0.10) -> AgentFactory:
     """Greedy on per-observation next-reward means with epsilon exploration."""
-    return AgentFactory(name="basic", kind="table", space=space,
-                        epsilon=epsilon, back=0, tie_break=tie_break)
+    return AgentFactory(name="basic", kind="table", space=space, epsilon=epsilon, back=0)
 
 
-def kback_agent(space: SpaceConfig, back: int, epsilon: float = 0.10,
-                tie_break: str = DEFAULT_TIE_BREAK) -> AgentFactory:
+def kback_agent(space: SpaceConfig, back: int, epsilon: float = 0.10) -> AgentFactory:
     """Like basic_agent but conditioned on the last `back` cycles as well."""
     if back < 0:
         raise AgentGaugeError("back must be >= 0")
     name = "basic" if back == 0 else f"{back}back"
-    return AgentFactory(name=name, kind="table", space=space,
-                        epsilon=epsilon, back=back, tie_break=tie_break)
+    return AgentFactory(name=name, kind="table", space=space, epsilon=epsilon, back=back)
 
 
 def scripted_agents(space: SpaceConfig) -> tuple[AgentFactory, AgentFactory, AgentFactory]:
@@ -253,15 +234,14 @@ def scripted_agents(space: SpaceConfig) -> tuple[AgentFactory, AgentFactory, Age
     )
 
 
-def make_agent(name: str, space: SpaceConfig, epsilon: float = 0.10,
-               tie_break: str = DEFAULT_TIE_BREAK) -> AgentFactory:
+def make_agent(name: str, space: SpaceConfig, epsilon: float = 0.10) -> AgentFactory:
     """Resolve a built-in agent by roster name (e.g. "random", "basic", "2back")."""
     if name == "random":
         return random_agent(space)
     if name == "basic":
-        return basic_agent(space, epsilon, tie_break)
+        return basic_agent(space, epsilon)
     if _KBACK_NAME.fullmatch(name):
-        return kback_agent(space, int(name[:-4]), epsilon, tie_break)
+        return kback_agent(space, int(name[:-4]), epsilon)
     if name in _SCRIPTED_KINDS:
         if space.action_count != 2:
             raise AgentGaugeError(f"{name} requires a binary action space")

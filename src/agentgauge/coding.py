@@ -44,7 +44,10 @@ def hex_to_bits(hex_digits: str, length: int) -> str:
     """Inverse of bits_to_hex for a known bit length."""
     if length == 0:
         return ""
-    expanded = "".join(f"{int(ch, 16):04b}" for ch in hex_digits)
+    try:
+        expanded = "".join(f"{int(ch, 16):04b}" for ch in hex_digits)
+    except ValueError:
+        raise ValueError(f"not a hex string: {hex_digits!r}") from None
     if len(expanded) < length:
         raise ValueError("hex string shorter than declared bit length")
     if any(b == "1" for b in expanded[length:]):
@@ -58,11 +61,12 @@ def format_program_line(bits: str) -> str:
 
 
 def parse_program_line(line: str) -> str:
-    """Parse `len=<n> hex=<digits>` back into a bit string."""
-    fields = dict(part.split("=", 1) for part in line.split())
+    """Parse `len=<n> hex=<digits>` back into a bit string; ValueError if malformed."""
     try:
+        fields = dict(part.split("=", 1) for part in line.split())
         length = int(fields["len"])
         hex_digits = fields["hex"] if length else fields.get("hex", "")
-    except KeyError as exc:
-        raise ValueError(f"malformed program line: {line!r}") from exc
+    except (KeyError, ValueError):
+        raise ValueError(f"malformed program line {line!r}: "
+                         f"expected len=<n> hex=<digits>") from None
     return hex_to_bits(hex_digits, length)

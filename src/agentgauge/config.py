@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .agents import is_builtin_agent
 from .errors import AgentGaugeError, ConfigError, EnsembleError
 from .interaction import SpaceConfig
-from .machine import INSTRUCTION_NAMES, MachineConfig
+from .machine import INSTRUCTION_NAMES, MachineConfig, check_signature_horizon
 from .measure import EnsembleSpec
 from .valuation import ValuationParams
 
@@ -170,6 +170,11 @@ def parse_config(text: str) -> RunConfig:
         )
     except (EnsembleError, AgentGaugeError) as exc:
         raise ConfigError(str(exc)) from None
+    if ensemble_spec.signature_horizon is not None:
+        try:
+            check_signature_horizon(ensemble_spec.signature_horizon, space.action_count)
+        except ValueError as exc:
+            raise ConfigError(f"ensemble.dedup_horizon and spaces.actions: {exc}") from None
     if valuation.mode != "summable":
         raise ConfigError(f"valuation.mode: intelligence is estimated with summable "
                           f"valuation, got {valuation.mode!r}")

@@ -6,19 +6,18 @@ Every environment model exposes the same episode interface:
     percept = episode.step(None)        # first cycle: environment moves first
     percept = episode.step(action)      # later cycles
 
-Episodes additionally expose `no_future_reward` (True once all future rewards
-are provably zero, used for early stopping) and `remaining_reward_bound` (an
-upper bound on the reward fraction still to come, used for truncation
-reporting).  A program environment whose program provably never emits a
-positive reward makes them True and 0 from the first cycle on.  Models whose
-`supports_batch` is true (only the copy environment, whose long reward
-profiles need it) can also run many episodes in lockstep through
-`begin_batch`/`batch_step` with numpy arrays.  A model may
-also declare `reads_actions = False` (its percepts never depend on the
-actions) and `deterministic = True` (they never depend on the rng); the
-valuation layer then plays such episodes without the agent and, when they
-are deterministic too, only once per estimate.
-A model that declares neither is assumed to read actions and draw randomness.
+Episodes additionally expose `remaining_reward_bound`: an upper bound on the
+reward fraction still to come.  A rollout stops once it is 0, or below the
+truncation epsilon, and reports it as the truncated mass.  A program
+environment whose program provably never emits a positive reward makes it 0
+from the first cycle on.  Models whose `supports_batch` is true (only the
+copy environment, whose long reward profiles need it) can also run many
+episodes in lockstep through `begin_batch`/`batch_step` with numpy arrays.
+A model may also declare `reads_actions = False` (its percepts never depend
+on the actions) and `deterministic = True` (they never depend on the rng);
+the valuation layer then plays such episodes without the agent and, when
+they are deterministic too, only once per estimate.  A model that declares
+neither is assumed to read actions and draw randomness.
 """
 
 from __future__ import annotations
@@ -32,22 +31,15 @@ import numpy as np
 
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
-from .machine import (
-    REWARD_FREE,
-    EnvProcess,
-    EnvProgram,
-    MachineConfig,
-    encode_program,
-    reward_reachability,
-)
+from .machine import EnvProcess, EnvProgram, MachineConfig, encode_program, proves_reward_free
 
 
 @dataclass(frozen=True)
 class ProgramEnvironment:
     """An enumerated machine program exposed as an environment model.
 
-    Its episodes are marked reward-free when `reward_reachability` proves
-    that no positive reward is reachable, so a rollout stops after cycle 1.
+    Its episodes are marked reward-free when `proves_reward_free` holds for
+    its program, so a rollout stops after cycle 1.
     The proof runs on first use and once per environment object, so building
     an ensemble costs nothing extra and unvalued programs are never proved.
     """
@@ -74,7 +66,7 @@ class ProgramEnvironment:
 
     @functools.cached_property
     def reward_free(self) -> bool:
-        return reward_reachability(self.program, self.machine, self.space).verdict == REWARD_FREE
+        return proves_reward_free(self.program, self.machine, self.space)
 
     def spawn(self, rng: random.Random) -> EnvProcess:
         process = EnvProcess(self.program, self.machine, self.space, rng=rng)
@@ -90,7 +82,6 @@ class _CopyEpisode:
         self.cycles = 0
         self.last_action = 0
 
-    no_future_reward = False
     remaining_reward_bound = math.inf
 
     def step(self, action: int | None) -> Percept:
@@ -147,10 +138,6 @@ class _ConstantEpisode:
         self.schedule = schedule
         self.cycles = 0
         self.denominator = denominator
-
-    @property
-    def no_future_reward(self) -> bool:
-        return self.cycles >= len(self.schedule)
 
     @property
     def remaining_reward_bound(self) -> float:
@@ -230,10 +217,6 @@ class _PatternEpisode:
         self.matches = 0
 
     @property
-    def no_future_reward(self) -> bool:
-        return self.matches >= self.env.reward_cap
-
-    @property
     def remaining_reward_bound(self) -> float:
         return (self.env.reward_cap - self.matches) / self.env.space.reward_denominator
 
@@ -297,12 +280,10 @@ def make_pattern_env(period: int, space: SpaceConfig = SpaceConfig()) -> Pattern
 class Fixture:
     """A hand-assembled machine program paired with the native environment it mirrors."""
 
-    name: str
     program: EnvProgram
     machine: MachineConfig
     space: SpaceConfig
     native: object
-    horizon: int  # cycles up to which the two are documented percept-identical
 
 
 def compile_fixture(name: str) -> Fixture:
@@ -311,17 +292,15 @@ def compile_fixture(name: str) -> Fixture:
         # Each cycle writes the last action on the tape, steps left and emits;
         # the reward cell is exactly the cell just written.  With a singleton
         # observation space and unit denominator this reproduces the native
-        # copy environment percept for percept, at any horizon up to the
-        # documented one.  The reward budget is lifted because the native
-        # copy environment is not reward-summable.
+        # copy environment percept for percept.  The reward budget is lifted
+        # because the native copy environment is not reward-summable.
         space = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
         machine = MachineConfig(enforce_reward_budget=False)
         program = encode_program(["read_action", "move_left", "emit"], machine)
-        return Fixture("copy", program, machine, space, CopyEnvironment(space), horizon=64)
+        return Fixture(program, machine, space, CopyEnvironment(space))
     if name == "zero":
         space = SpaceConfig()
         machine = MachineConfig()
         program = encode_program([], machine)
-        return Fixture("zero", program, machine, space,
-                       ConstantEnvironment((), space), horizon=1024)
+        return Fixture(program, machine, space, ConstantEnvironment((), space))
     raise AgentGaugeError(f"unknown fixture {name!r}")

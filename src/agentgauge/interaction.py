@@ -18,6 +18,8 @@ class SpaceConfig:
     """Finite action/observation/reward spaces of one benchmark run.
 
     Rewards take values k/reward_denominator for k in 0..reward_denominator.
+    Actions, observations and reward numerators must each fit in the two
+    bytes that signatures and window keys give them.
     """
 
     action_count: int = 2
@@ -25,12 +27,12 @@ class SpaceConfig:
     reward_denominator: int = 255
 
     def __post_init__(self) -> None:
-        if self.action_count < 1:
-            raise ValueError("action_count must be >= 1")
-        if self.observation_count < 1:
-            raise ValueError("observation_count must be >= 1")
-        if self.reward_denominator < 1:
-            raise ValueError("reward_denominator must be >= 1")
+        if not 1 <= self.action_count <= 65536:
+            raise ValueError("action_count must lie in [1, 65536]")
+        if not 1 <= self.observation_count <= 65536:
+            raise ValueError("observation_count must lie in [1, 65536]")
+        if not 1 <= self.reward_denominator <= 65535:
+            raise ValueError("reward_denominator must lie in [1, 65535]")
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ def window_key(observation: int, pairs: tuple[tuple[int, int, int], ...]) -> byt
 
     `pairs` lists the most recent completed cycles, newest first, each as
     (action, observation, reward_numerator).  The encoding is injective for
-    values below 2**16, which covers any practical space configuration.
+    values below 2**16, which SpaceConfig guarantees.
     """
     out = bytearray()
     out.append(len(pairs))

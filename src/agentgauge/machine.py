@@ -19,12 +19,11 @@ total reward over its lifetime (numerators are clamped to the remaining
 budget), which makes every program a reward-summable environment by
 construction.
 
-`reward_reachability` decides, once per program, whether any positive reward
-can ever be emitted.  It explores the closure of machine states reachable
-under every action and every outcome of every random bit, stepping the
-interpreter itself, and answers reward-free, reward-capable (with a witness
-path) or undecided when a cap is hit.  A process marked reward-free reports
-no future reward from its first cycle on.
+`proves_reward_free` decides, once per program, that no positive reward can
+ever be emitted.  It explores the closure of machine states reachable under
+every action and every outcome of every random bit, stepping the interpreter
+itself, and answers no when a step emits reward or a cap is hit.  A process
+marked reward-free has a remaining reward bound of 0 from its first cycle on.
 """
 
 from __future__ import annotations
@@ -57,10 +56,6 @@ OPCODE_BITS = 4
 SIGNATURE_NODE_CAP = 8192
 REACH_STATE_CAP = 256     # distinct post-cycle states a proof may visit
 REACH_SCRIPT_CAP = 256    # random-bit scripts one cycle may branch into
-
-REWARD_FREE = "reward-free"
-REWARD_CAPABLE = "reward-capable"
-UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -236,8 +231,8 @@ class EnvProcess:
     Single-owner mutable; distinct processes may run in parallel freely.
     `enable_shortcuts=False` turns off all execution shortcuts (used by tests
     that check the shortcuts are behavior-preserving).  `reward_free` is set
-    by the owner of a `reward_reachability` proof that found no reachable
-    positive reward; it changes no percept, only the stop facts.
+    by the owner of a `proves_reward_free` proof; it changes no percept, only
+    the remaining reward bound.
     """
 
     __slots__ = (
@@ -277,22 +272,7 @@ class EnvProcess:
     @property
     def halted(self) -> bool:
         """True once every future percept is provably (observation 0, reward 0)."""
-        if not self.frozen:
-            return False
-        if self.frozen_obs != 0:
-            return False
-        if self.frozen_raw == 0:
-            return True
-        return self.machine.enforce_reward_budget and self.budget == 0
-
-    @property
-    def no_future_reward(self) -> bool:
-        """True once every future emitted reward is provably zero."""
-        if self.reward_free:
-            return True
-        if self.machine.enforce_reward_budget and self.budget == 0:
-            return True
-        return self.frozen and self.frozen_raw == 0
+        return self.frozen and self.frozen_obs == 0 and self.remaining_reward_bound == 0
 
     @property
     def remaining_reward_bound(self) -> float:
@@ -478,22 +458,9 @@ class _ScriptedBits:
         return self.script[index] if index < len(self.script) else 0
 
 
-@dataclass(frozen=True)
-class RewardReachability:
-    """Verdict of `reward_reachability`.
-
-    `witness` accompanies a reward-capable verdict: one (action, bits) pair
-    per cycle, the first action None, whose replay on a fresh process makes
-    the last cycle emit a positive reward when `bits` feed its random draws.
-    """
-
-    verdict: str
-    witness: tuple[tuple[int | None, tuple[int, ...]], ...] | None = None
-
-
-def reward_reachability(program: EnvProgram, machine: MachineConfig = MachineConfig(),
-                        space: SpaceConfig = SpaceConfig()) -> RewardReachability:
-    """Whether any positive reward is reachable, by closure over machine states.
+def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConfig(),
+                       space: SpaceConfig = SpaceConfig()) -> bool:
+    """Whether no positive reward is reachable, by closure over machine states.
 
     After every cycle the machine's future depends only on its tape, pointer,
     reward budget and frozen percept: the last-action register is rewritten
@@ -504,10 +471,9 @@ def reward_reachability(program: EnvProgram, machine: MachineConfig = MachineCon
     draw also queues the script whose bit there is 1.  So the closure holds
     every state any run can reach, with the interpreter's own shortcuts.
 
-    Returns reward-capable as soon as a step emits a positive reward,
-    reward-free once the closure is complete without one, and undecided when
-    it would need more than REACH_STATE_CAP states or some cycle more than
-    REACH_SCRIPT_CAP scripts.
+    True once the closure is complete without a positive reward.  False as
+    soon as a step emits one, and when the closure would need more than
+    REACH_STATE_CAP states or some cycle more than REACH_SCRIPT_CAP scripts.
     """
     actions = range(space.action_count) if _OP_READ in program.ops else (0,)
     bits = _ScriptedBits()
@@ -515,50 +481,62 @@ def reward_reachability(program: EnvProgram, machine: MachineConfig = MachineCon
     proc.rng = bits
     initial = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
                proc.frozen_obs, proc.frozen_raw)
-    # post-cycle state -> (state before that cycle, action, bits); None: cycle 1
-    parents: dict[tuple, tuple | None] = {}
+    seen: set[tuple] = set()  # post-cycle states
     stack: list[tuple] = []
 
-    def expand(state: tuple | None, action: int | None) -> RewardReachability | None:
+    def expand(state: tuple | None, action: int | None) -> bool:
+        # One cycle from `state` (None: cycle 1) under every bit script;
+        # False on a positive reward or a cap.
         scripts = [()]
         tried = 0
         while scripts:
             tried += 1
             if tried > REACH_SCRIPT_CAP:
-                return RewardReachability(UNDECIDED)
+                return False
             bits.script = scripts.pop()
             bits.drawn = 0
             tape, proc.ptr, proc.budget, proc.frozen, proc.frozen_obs, proc.frozen_raw = \
                 initial if state is None else state
             proc.tape = list(tape)
             proc.cycles = 0 if state is None else 1
-            percept = proc.step(action)
+            if proc.step(action).reward_numerator > 0:
+                return False
             drawn = bits.script + (0,) * (bits.drawn - len(bits.script))
             for index in range(len(bits.script), bits.drawn):
                 scripts.append(drawn[:index] + (1,))
-            if percept.reward_numerator > 0:
-                path = [(action, drawn)]
-                while state is not None:
-                    state, action, drawn = parents[state]
-                    path.append((action, drawn))
-                return RewardReachability(REWARD_CAPABLE, tuple(reversed(path)))
             after = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
                      proc.frozen_obs, proc.frozen_raw)
-            if after not in parents:
-                if len(parents) == REACH_STATE_CAP:
-                    return RewardReachability(UNDECIDED)
-                parents[after] = (state, action, drawn)
+            if after not in seen:
+                if len(seen) == REACH_STATE_CAP:
+                    return False
+                seen.add(after)
                 stack.append(after)
-        return None
+        return True
 
-    found = expand(None, None)
-    while found is None and stack:
+    if not expand(None, None):
+        return False
+    while stack:
         state = stack.pop()
-        for action in actions:
-            found = expand(state, action)
-            if found is not None:
-                break
-    return found or RewardReachability(REWARD_FREE)
+        if not all(expand(state, action) for action in actions):
+            return False
+    return True
+
+
+def check_signature_horizon(horizon: int, action_count: int) -> None:
+    """Raise ValueError unless a signature walk to `horizon` fits the node cap.
+
+    The walk's action tree has action_count^d nodes at each depth d <= horizon,
+    and at most SIGNATURE_NODE_CAP of them in all.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    nodes, level = 0, 1
+    for _ in range(horizon + 1):  # stops within SIGNATURE_NODE_CAP + 1 levels
+        nodes += level
+        if nodes > SIGNATURE_NODE_CAP:
+            raise ValueError(f"a signature to horizon {horizon} over {action_count} "
+                             f"actions needs more than {SIGNATURE_NODE_CAP} nodes")
+        level *= action_count
 
 
 def signature_and_steps(program: EnvProgram, horizon: int,
@@ -582,13 +560,7 @@ def signature_and_steps(program: EnvProgram, horizon: int,
     position exactly.  Repeated subtrees reuse their bytes and add their
     steps again, so the step count stays the full-tree figure.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    nodes = sum(space.action_count ** d for d in range(horizon + 1))
-    if nodes > SIGNATURE_NODE_CAP:
-        raise ValueError(
-            f"horizon {horizon} needs {nodes} nodes, above the cap {SIGNATURE_NODE_CAP}"
-        )
+    check_signature_horizon(horizon, space.action_count)
     last = space.action_count - 1
     memo: dict[tuple, tuple[bytes, int]] = {}
 
@@ -640,14 +612,21 @@ def save_program_file(path, programs: list[EnvProgram]) -> None:
 
 
 def load_program_file(path, machine: MachineConfig = MachineConfig()) -> list[EnvProgram]:
-    """Read a program fixture file written by save_program_file."""
+    """Read a program fixture file written by save_program_file.
+
+    A line that is not a valid program raises InvalidProgramError naming the
+    file and the line number.
+    """
     from .coding import parse_program_line
 
     programs = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            programs.append(decode_program(parse_program_line(line), machine))
+            try:
+                programs.append(decode_program(parse_program_line(line), machine))
+            except (ValueError, InvalidProgramError) as exc:
+                raise InvalidProgramError(f"{path}, line {lineno}: {exc}") from None
     return programs

@@ -58,6 +58,17 @@ class EnsembleSpec:
         if self.sample_size is not None and self.sample_size < 1:
             raise EnsembleError("sample_size must be >= 1 or None")
 
+    @property
+    def signature_horizon(self) -> int | None:
+        """Horizon of the signature walk `build_ensemble` makes, None for none.
+
+        Dedup walks to its own horizon; without dedup, `kt` weighting still
+        walks to horizon 8 for the step counts it charges.
+        """
+        if self.dedup_horizon is not None:
+            return self.dedup_horizon
+        return 8 if self.weight_scheme == "kt" else None
+
 
 @dataclass(frozen=True)
 class EnsembleEntry:
@@ -83,9 +94,6 @@ class Ensemble:
     kraft_sum: Fraction
     program_count: int
     spec: EnsembleSpec
-    machine: MachineConfig
-    space: SpaceConfig
-    seed: int
 
 
 def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
@@ -103,11 +111,11 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
             f"no valid program fits in {spec.max_program_length_bits} bits")
     kraft = sum((prior_weight(p) for p in programs), Fraction(0))
 
-    probe_horizon = spec.dedup_horizon if spec.dedup_horizon is not None else 8
+    horizon = spec.signature_horizon
     groups: dict[object, list] = {}
     for program in programs:
-        if spec.dedup_horizon is not None or spec.weight_scheme == "kt":
-            signature, steps = signature_and_steps(program, probe_horizon, machine, space)
+        if horizon is not None:
+            signature, steps = signature_and_steps(program, horizon, machine, space)
         else:
             signature, steps = program.program_id, 1
         key = signature if spec.dedup_horizon is not None else program.program_id
@@ -145,7 +153,7 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
         final = sampled
 
     return Ensemble(entries=tuple(final), kraft_sum=kraft, program_count=len(programs),
-                    spec=spec, machine=machine, space=space, seed=seed)
+                    spec=spec)
 
 
 @dataclass

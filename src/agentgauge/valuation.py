@@ -25,11 +25,11 @@ environment, so every value is what the full loop gives.  External agents
 always see every percept: their replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
-the estimate, never silently dropped.  An episode stops as soon as the
-environment proves that no reward can follow, with a remaining bound of 0:
-an episode of a machine program that can never emit a positive reward
-stops after cycle 1.  All randomness derives from the
-params seed, so estimates are bit-reproducible.
+the estimate, never silently dropped.  The one fact an episode reports about
+its future is `remaining_reward_bound`; it stops as soon as that is 0, so an
+episode of a machine program that can never emit a positive reward stops
+after cycle 1.  All randomness derives from the params seed, so estimates are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -129,10 +129,10 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     """Episode `index` of one seeded interaction: reward numerators per cycle.
 
     Returns the numerators and the finished episode.  The episode stops once
-    no further reward is possible, once its remaining reward bound drops
-    below epsilon, or after `horizon` cycles.  Policy and episode streams are
-    derived from (seed, agent name, environment, index), so any caller that
-    passes the same arguments replays the same episode.  An agent-free
+    its remaining reward bound is 0 or below epsilon, or after `horizon`
+    cycles.  Policy and episode streams are derived from (seed, agent name,
+    environment, index), so any caller that passes the same arguments
+    replays the same episode.  An agent-free
     episode builds no policy and steps with action 0, which the environment
     never reads.
     """
@@ -149,7 +149,8 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     policy.observe(percept)
     numerators = [percept.reward_numerator]
     for _ in range(1, horizon):
-        if episode.no_future_reward or episode.remaining_reward_bound < epsilon:
+        bound = episode.remaining_reward_bound
+        if bound == 0.0 or bound < epsilon:
             break
         percept = episode.step(policy.act())
         policy.observe(percept)
@@ -185,7 +186,7 @@ def _reward_values(agent_factory, env_model, episodes: int, cycles: int,
 
     A cycle-indexed agent in a batch-capable environment runs in lockstep.
     Otherwise each episode is one `_rollout` with epsilon 0, which stops
-    early only where no further reward is possible, so the rest of its row
+    early only where the remaining reward bound is 0, so the rest of its row
     is exactly zero.
     """
     if (getattr(agent_factory, "supports_batch", False)

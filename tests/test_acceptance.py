@@ -121,7 +121,7 @@ def _budget_rollout(program, env_seed, policy, horizon):
         policy.observe(percept)
     total = percept.reward_numerator
     for _ in range(1, horizon):
-        if proc.no_future_reward:
+        if proc.remaining_reward_bound == 0:
             break  # every later emission is zero, the sum is final
         action = policy.act() if policy is not None else 0
         percept = proc.step(action)

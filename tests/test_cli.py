@@ -175,6 +175,50 @@ def test_negative_external_timeout_exits_2(tmp_path, capsys):
     assert "external_timeout_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "spaces.actions = 65537",
+    "spaces.observations = 70000\nmachine.cell_modulus = 70000",
+    "spaces.reward_denominator = 65536",
+], ids=["actions", "observations", "reward-denominator"])
+def test_space_beyond_two_bytes_exits_2(tmp_path, capsys, line):
+    # signatures and window keys store each action, observation and reward
+    # numerator in two bytes
+    config = write_config(tmp_path, extra=line.replace("\n", "\n        "))
+    assert main(["run", str(config)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+@pytest.mark.parametrize("lines", [
+    "spaces.actions = 3\nensemble.dedup_horizon = 8",
+    "ensemble.dedup_horizon = 20",
+    "spaces.actions = 4\nensemble.dedup_horizon = none\nensemble.weight_scheme = kt",
+], ids=["three-actions", "horizon-20", "kt-four-actions"])
+def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines):
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{lines}\n",
+                      encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "ensemble.dedup_horizon" in err and "spaces.actions" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", ["len=7 hex=ZZ", "hello"])
+def test_malformed_program_line_exits_1_naming_file_and_line(tmp_path, capsys, bad):
+    config = write_config(tmp_path)
+    programs = tmp_path / "envs.progs"
+    programs.write_text(programs.read_text() + bad + "\n", encoding="utf-8")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {programs}, line 3:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_with_external_agent(tmp_path):
     child = tmp_path / "uniform.py"
     child.write_text(textwrap.dedent("""

@@ -75,7 +75,7 @@ def test_constant_budget_edge():
     episode = env.spawn(random.Random(0))
     percepts = rollout(episode, [0, 0])
     assert [p.reward_numerator for p in percepts] == [127, 128, 0]
-    assert episode.no_future_reward
+    assert episode.remaining_reward_bound == 0
 
 
 def test_constant_rejects_over_budget_schedule():
@@ -97,7 +97,7 @@ def test_pattern_follower_collects_exact_cap():
     episode = env.spawn(random.Random(0))
     total = sum(p.reward_numerator for p in rollout(episode, follower_actions(400, 2)))
     assert total == pattern_reward_cap(255) == 247
-    assert episode.no_future_reward
+    assert episode.remaining_reward_bound == 0
 
 
 def test_pattern_zero_agent_earns_nothing():
@@ -144,7 +144,7 @@ def test_summable_natives_hold_integer_budget_for_all_agents():
             policy.observe(percept)
             total = percept.reward_numerator
             for _ in range(9_999):
-                if episode.no_future_reward:
+                if episode.remaining_reward_bound == 0:
                     break
                 percept = episode.step(policy.act())
                 policy.observe(percept)

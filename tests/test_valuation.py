@@ -353,8 +353,8 @@ def _reference_episode_values(agent_factory, env_model, params):
             policy.observe(percept)
             total = percept.reward_numerator
             for _ in range(1, params.horizon):
-                if (episode.no_future_reward
-                        or episode.remaining_reward_bound < params.trunc_epsilon):
+                bound = episode.remaining_reward_bound
+                if bound == 0.0 or bound < params.trunc_epsilon:
                     break
                 percept = episode.step(policy.act())
                 policy.observe(percept)
