@@ -136,7 +136,7 @@ def _cmd_example_study(args) -> int:
     for factory in trio:
         discounted[factory.name] = {}
         for gamma in gammas:
-            params = ValuationParams(mode="discounted", gamma=gamma, horizon=10 ** 6,
+            params = ValuationParams(gamma=gamma, horizon=10 ** 6,
                                      episodes=args.discount_episodes,
                                      trunc_epsilon=1e-12, seed=args.seed)
             estimate = discounted_value(factory, env, params)

@@ -42,8 +42,6 @@ def bits_to_hex(bits: str) -> str:
 
 def hex_to_bits(hex_digits: str, length: int) -> str:
     """Inverse of bits_to_hex for a known bit length."""
-    if length == 0:
-        return ""
     try:
         expanded = "".join(f"{int(ch, 16):04b}" for ch in hex_digits)
     except ValueError:
@@ -51,7 +49,7 @@ def hex_to_bits(hex_digits: str, length: int) -> str:
     if len(expanded) < length:
         raise ValueError("hex string shorter than declared bit length")
     if any(b == "1" for b in expanded[length:]):
-        raise ValueError("nonzero padding bits after declared length")
+        raise ValueError(f"nonzero padding bits after declared length {length}")
     return expanded[:length]
 
 
@@ -61,12 +59,27 @@ def format_program_line(bits: str) -> str:
 
 
 def parse_program_line(line: str) -> str:
-    """Parse `len=<n> hex=<digits>` back into a bit string; ValueError if malformed."""
-    try:
-        fields = dict(part.split("=", 1) for part in line.split())
-        length = int(fields["len"])
-        hex_digits = fields["hex"] if length else fields.get("hex", "")
-    except (KeyError, ValueError):
-        raise ValueError(f"malformed program line {line!r}: "
-                         f"expected len=<n> hex=<digits>") from None
-    return hex_to_bits(hex_digits, length)
+    """Parse `len=<n> hex=<digits>` back into a bit string; ValueError if malformed.
+
+    Each field appears once and no other field is allowed; `hex` may be left
+    out only when `len` is 0.
+    """
+    expected = f"malformed program line {line!r}: expected len=<n> hex=<digits>"
+    fields: dict[str, str] = {}
+    for part in line.split():
+        name, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(expected)
+        if name not in ("len", "hex"):
+            raise ValueError(f"unknown field {name!r} in program line {line!r}")
+        if name in fields:
+            raise ValueError(f"duplicate field {name!r} in program line {line!r}")
+        fields[name] = value
+    if "len" not in fields:
+        raise ValueError(expected)
+    if not (fields["len"].isascii() and fields["len"].isdigit()):
+        raise ValueError(f"len must be a non-negative integer, got {fields['len']!r}")
+    length = int(fields["len"])
+    if length and "hex" not in fields:
+        raise ValueError(expected)
+    return hex_to_bits(fields.get("hex", ""), length)

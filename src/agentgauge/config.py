@@ -4,6 +4,8 @@ The format is one `key = value` pair per line, `#` comment lines, nothing
 else.  Unknown keys are errors: a misconfigured benchmark must fail loudly,
 not run with silently ignored settings.  The seed is mandatory; wall-clock
 time never influences results.
+Each key fills one dataclass field (`_TABLE`), which checks the value; a key
+left out keeps the field's default, so every default has one home.
 """
 
 from __future__ import annotations
@@ -12,36 +14,25 @@ import shlex
 from dataclasses import dataclass, field
 
 from .agents import is_builtin_agent
-from .errors import AgentGaugeError, ConfigError, EnsembleError
+from .errors import AgentGaugeError, ConfigError
 from .interaction import SpaceConfig
-from .machine import INSTRUCTION_NAMES, MachineConfig, check_signature_horizon
+from .machine import MachineConfig, check_signature_horizon
 from .measure import EnsembleSpec
 from .valuation import ValuationParams
-
-_KNOWN_KEYS = {
-    "seed", "output_dir", "agents", "agent_epsilon",
-    "spaces.actions", "spaces.observations", "spaces.reward_denominator",
-    "machine.step_budget", "machine.tape_length", "machine.cell_modulus",
-    "machine.opcode_table",
-    "ensemble.max_length_bits", "ensemble.dedup_horizon",
-    "ensemble.weight_scheme", "ensemble.renormalize", "ensemble.sample_size",
-    "ensemble.programs_file",
-    "valuation.mode", "valuation.horizon", "valuation.episodes",
-    "valuation.trunc_epsilon", "valuation.confidence",
-    "external_timeout_ms", "compare", "bootstrap_samples",
-}
 
 
 @dataclass
 class RunConfig:
+    """One run: the section dataclasses plus the settings of the run itself."""
+
     seed: int
-    output_dir: str
-    agent_names: tuple[str, ...]
-    agent_epsilon: float
     space: SpaceConfig
     machine: MachineConfig
     ensemble_spec: EnsembleSpec
     valuation: ValuationParams
+    output_dir: str = "out"
+    agent_names: tuple[str, ...] = ("random", "basic", "2back")
+    agent_epsilon: float = 0.10
     external_commands: dict[str, list[str]] = field(default_factory=dict)
     external_timeout_ms: int = 1000
     compare: bool = True
@@ -49,41 +40,107 @@ class RunConfig:
     programs_file: str | None = None
     raw: dict[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.ensemble_spec.signature_horizon is not None:
+            try:
+                check_signature_horizon(self.ensemble_spec.signature_horizon,
+                                        self.space.action_count)
+            except ValueError as exc:
+                raise ConfigError(f"ensemble.dedup_horizon and spaces.actions: {exc}") from None
+        if not self.agent_names:
+            raise ConfigError("agents: at least one agent is required")
+        if len(set(self.agent_names)) != len(self.agent_names):
+            raise ConfigError("agents: duplicate agent names")
+        if not 0.0 <= self.agent_epsilon <= 1.0:
+            raise ConfigError("agent_epsilon must lie in [0, 1]")
+        for name in self.agent_names:
+            if not is_builtin_agent(name) and name not in self.external_commands:
+                raise ConfigError(f"unknown agent {name!r}: not a built-in and no "
+                                  f"external.{name} command is configured")
 
-def _parse_bool(key: str, value: str) -> bool:
+
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_int(key: str, value: str) -> int:
+def _parse_int(value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
+        raise ValueError(f"expected an integer, got {value!r}") from None
 
 
-def _parse_positive_int(key: str, value: str) -> int:
-    number = _parse_int(key, value)
+def _parse_positive_int(value: str) -> int:
+    number = _parse_int(value)
     if number < 1:
-        raise ConfigError(f"{key}: must be >= 1, got {number}")
+        raise ValueError(f"must be >= 1, got {number}")
     return number
 
 
-def _parse_float(key: str, value: str) -> float:
+def _parse_float(value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        raise ValueError(f"expected a number, got {value!r}") from None
 
 
-def _parse_optional_int(key: str, value: str) -> int | None:
+def _parse_optional_int(value: str) -> int | None:
     if value.lower() in ("none", "off"):
         return None
-    return _parse_int(key, value)
+    return _parse_int(value)
+
+
+def _parse_list(value: str) -> tuple[str, ...]:
+    """Comma-separated items; empty items are kept, so `a,,b` is rejected later."""
+    return tuple(item.strip() for item in value.split(","))
+
+
+def _parse_names(value: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in value.split(",") if name.strip())
+
+
+# config key -> (section, dataclass field, parser); "run" is RunConfig itself.
+# A parser raises ValueError with a message that the key is prefixed to.
+_TABLE = {
+    "seed": ("run", "seed", _parse_int),
+    "output_dir": ("run", "output_dir", str),
+    "agents": ("run", "agent_names", _parse_names),
+    "agent_epsilon": ("run", "agent_epsilon", _parse_float),
+    "spaces.actions": ("space", "action_count", _parse_int),
+    "spaces.observations": ("space", "observation_count", _parse_int),
+    "spaces.reward_denominator": ("space", "reward_denominator", _parse_int),
+    "machine.step_budget": ("machine", "step_budget_per_cycle", _parse_int),
+    "machine.tape_length": ("machine", "tape_length", _parse_int),
+    "machine.cell_modulus": ("machine", "cell_modulus", _parse_int),
+    "machine.opcode_table": ("machine", "opcode_table", _parse_list),
+    "ensemble.max_length_bits": ("ensemble", "max_program_length_bits", _parse_int),
+    "ensemble.dedup_horizon": ("ensemble", "dedup_horizon", _parse_optional_int),
+    "ensemble.weight_scheme": ("ensemble", "weight_scheme", str),
+    "ensemble.renormalize": ("ensemble", "renormalize", _parse_bool),
+    "ensemble.sample_size": ("ensemble", "sample_size", _parse_optional_int),
+    "ensemble.programs_file": ("run", "programs_file", str),
+    "valuation.horizon": ("valuation", "horizon", _parse_int),
+    "valuation.episodes": ("valuation", "episodes", _parse_int),
+    "valuation.trunc_epsilon": ("valuation", "trunc_epsilon", _parse_float),
+    "valuation.confidence": ("valuation", "confidence", _parse_float),
+    "external_timeout_ms": ("run", "external_timeout_ms", _parse_positive_int),
+    "compare": ("run", "compare", _parse_bool),
+    "bootstrap_samples": ("run", "bootstrap_samples", _parse_positive_int),
+}
+_KNOWN_KEYS = set(_TABLE)
+
+
+def _build(cls, fields: dict):
+    """cls(**fields), with a rejected value reported as a ConfigError."""
+    try:
+        return cls(**fields)
+    except (ValueError, AgentGaugeError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -108,7 +165,12 @@ def parse_config(text: str) -> RunConfig:
             name = key[len("external."):]
             if not name:
                 raise ConfigError("external agent key needs a name: external.<name>")
-            external[name] = shlex.split(pairs.pop(key))
+            try:
+                external[name] = shlex.split(pairs.pop(key))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot split the command: {exc}") from None
+            if not external[name]:
+                raise ConfigError(f"{key}: the command is empty")
 
     unknown = sorted(set(pairs) - _KNOWN_KEYS)
     if unknown:
@@ -116,101 +178,22 @@ def parse_config(text: str) -> RunConfig:
     if "seed" not in pairs:
         raise ConfigError("seed is mandatory (results must not depend on wall-clock time)")
 
-    seed = _parse_int("seed", pairs["seed"])
-    output_dir = pairs.get("output_dir", "out")
-
-    try:
-        space = SpaceConfig(
-            action_count=_parse_int("spaces.actions", pairs.get("spaces.actions", "2")),
-            observation_count=_parse_int(
-                "spaces.observations", pairs.get("spaces.observations", "2")),
-            reward_denominator=_parse_int(
-                "spaces.reward_denominator", pairs.get("spaces.reward_denominator", "255")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    opcode_table = INSTRUCTION_NAMES
-    if "machine.opcode_table" in pairs:
-        opcode_table = tuple(x.strip() for x in pairs["machine.opcode_table"].split(","))
-    try:
-        machine = MachineConfig(
-            step_budget_per_cycle=_parse_int(
-                "machine.step_budget", pairs.get("machine.step_budget", "4096")),
-            tape_length=_parse_int(
-                "machine.tape_length", pairs.get("machine.tape_length", "64")),
-            cell_modulus=_parse_int(
-                "machine.cell_modulus", pairs.get("machine.cell_modulus", "256")),
-            opcode_table=opcode_table,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    try:
-        ensemble_spec = EnsembleSpec(
-            max_program_length_bits=_parse_int(
-                "ensemble.max_length_bits", pairs.get("ensemble.max_length_bits", "24")),
-            dedup_horizon=_parse_optional_int(
-                "ensemble.dedup_horizon", pairs.get("ensemble.dedup_horizon", "8")),
-            weight_scheme=pairs.get("ensemble.weight_scheme", "length"),
-            renormalize=_parse_bool(
-                "ensemble.renormalize", pairs.get("ensemble.renormalize", "true")),
-            sample_size=_parse_optional_int(
-                "ensemble.sample_size", pairs.get("ensemble.sample_size", "none")),
-        )
-        valuation = ValuationParams(
-            mode=pairs.get("valuation.mode", "summable"),
-            horizon=_parse_int("valuation.horizon", pairs.get("valuation.horizon", "250")),
-            episodes=_parse_int("valuation.episodes", pairs.get("valuation.episodes", "100")),
-            trunc_epsilon=_parse_float(
-                "valuation.trunc_epsilon", pairs.get("valuation.trunc_epsilon", "1e-9")),
-            confidence=_parse_float(
-                "valuation.confidence", pairs.get("valuation.confidence", "0.95")),
-            seed=seed,
-        )
-    except (EnsembleError, AgentGaugeError) as exc:
-        raise ConfigError(str(exc)) from None
-    if ensemble_spec.signature_horizon is not None:
+    sections: dict[str, dict] = {section: {} for section, _, _ in _TABLE.values()}
+    for key, value in pairs.items():
+        section, name, parse = _TABLE[key]
         try:
-            check_signature_horizon(ensemble_spec.signature_horizon, space.action_count)
+            sections[section][name] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"ensemble.dedup_horizon and spaces.actions: {exc}") from None
-    if valuation.mode != "summable":
-        raise ConfigError(f"valuation.mode: intelligence is estimated with summable "
-                          f"valuation, got {valuation.mode!r}")
-
-    agent_names = tuple(
-        name.strip() for name in pairs.get("agents", "random,basic,2back").split(",")
-        if name.strip())
-    if not agent_names:
-        raise ConfigError("agents: at least one agent is required")
-    if len(set(agent_names)) != len(agent_names):
-        raise ConfigError("agents: duplicate agent names")
-    epsilon = _parse_float("agent_epsilon", pairs.get("agent_epsilon", "0.10"))
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError("agent_epsilon must lie in [0, 1]")
-    for name in agent_names:
-        if not is_builtin_agent(name) and name not in external:
-            raise ConfigError(f"unknown agent {name!r}: not a built-in and no "
-                              f"external.{name} command is configured")
-
+            raise ConfigError(f"{key}: {exc}") from None
+    run = sections["run"]
     return RunConfig(
-        seed=seed,
-        output_dir=output_dir,
-        agent_names=agent_names,
-        agent_epsilon=epsilon,
-        space=space,
-        machine=machine,
-        ensemble_spec=ensemble_spec,
-        valuation=valuation,
+        space=_build(SpaceConfig, sections["space"]),
+        machine=_build(MachineConfig, sections["machine"]),
+        ensemble_spec=_build(EnsembleSpec, sections["ensemble"]),
+        valuation=_build(ValuationParams, {**sections["valuation"], "seed": run["seed"]}),
         external_commands=external,
-        external_timeout_ms=_parse_positive_int(
-            "external_timeout_ms", pairs.get("external_timeout_ms", "1000")),
-        compare=_parse_bool("compare", pairs.get("compare", "true")),
-        bootstrap_samples=_parse_positive_int(
-            "bootstrap_samples", pairs.get("bootstrap_samples", "2000")),
-        programs_file=pairs.get("ensemble.programs_file"),
         raw=dict(pairs),
+        **run,
     )
 
 
@@ -218,6 +201,6 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -33,7 +33,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coding import bits_to_hex, elias_gamma_decode, elias_gamma_encode
+from .coding import (
+    elias_gamma_decode,
+    elias_gamma_encode,
+    format_program_line,
+    parse_program_line,
+)
 from .errors import InvalidProgramError, ProtocolError
 from .interaction import Percept, SpaceConfig
 
@@ -106,7 +111,7 @@ class EnvProgram:
 
     @property
     def program_id(self) -> str:
-        return f"len={len(self.bits)} hex={bits_to_hex(self.bits)}"
+        return format_program_line(self.bits)
 
 
 def _match_brackets(ops: tuple[int, ...]) -> tuple[int, ...]:
@@ -604,8 +609,6 @@ def _percept_bytes(percept: Percept) -> bytes:
 
 def save_program_file(path, programs: list[EnvProgram]) -> None:
     """Write programs one per line in the `len=<n> hex=<digits>` fixture format."""
-    from .coding import format_program_line
-
     with open(path, "w", encoding="utf-8") as handle:
         for program in programs:
             handle.write(format_program_line(program.bits) + "\n")
@@ -614,19 +617,17 @@ def save_program_file(path, programs: list[EnvProgram]) -> None:
 def load_program_file(path, machine: MachineConfig = MachineConfig()) -> list[EnvProgram]:
     """Read a program fixture file written by save_program_file.
 
-    A line that is not a valid program raises InvalidProgramError naming the
-    file and the line number.
+    A line that is not valid UTF-8 or not a valid program raises
+    InvalidProgramError naming the file and the line number.
     """
-    from .coding import parse_program_line
-
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
     programs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if line and not line.startswith("#"):
                 programs.append(decode_program(parse_program_line(line), machine))
-            except (ValueError, InvalidProgramError) as exc:
-                raise InvalidProgramError(f"{path}, line {lineno}: {exc}") from None
+        except (ValueError, InvalidProgramError) as exc:
+            raise InvalidProgramError(f"{path}, line {lineno}: {exc}") from None
     return programs

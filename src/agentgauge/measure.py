@@ -186,8 +186,6 @@ def _value_entry_block(agent_factory, entries, params):
 def estimate_intelligence(agent_factory, ensemble: Ensemble,
                           params: ValuationParams, workers: int = 1) -> AgentMeasurement:
     """Weight-averaged expected total reward of one agent over the ensemble."""
-    if params.mode != "summable":
-        raise EnsembleError("intelligence estimation uses summable valuation")
     entries = ensemble.entries
     if workers > 1:
         chunk = max(1, math.ceil(len(entries) / workers))

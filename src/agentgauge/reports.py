@@ -53,7 +53,7 @@ def build_report(seed: int, ensemble: Ensemble,
             "kraft_sum_float": float(ensemble.kraft_sum),
         },
         "valuation": {
-            "mode": valuation_params.mode,
+            "mode": "summable",  # the only notion the measure uses; schema v1 keeps it
             "horizon": valuation_params.horizon,
             "episodes": valuation_params.episodes,
             "trunc_epsilon": valuation_params.trunc_epsilon,

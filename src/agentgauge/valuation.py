@@ -1,12 +1,12 @@
 """Monte Carlo valuation of an agent in one environment.
 
-Three value notions are supported:
+Three value notions are supported, and the function called is the notion:
 
-* discounted: geometrically weighted mean reward, normalized so the value of
-  an all-ones reward stream is 1;
-* harmonic: inverse-square cycle weights with the analytic normalizer;
-* summable: plain expected total reward, which is bounded by 1 for
-  budget-constrained environments.
+* `discounted_value`: mean reward weighted by powers of `gamma`, normalized
+  so the value of an all-ones reward stream is 1;
+* `harmonic_value`: inverse-square cycle weights with the analytic normalizer;
+* `summable_value`: plain expected total reward, which is bounded by 1 for
+  budget-constrained environments.  The intelligence measure uses this one.
 
 The notions differ only in a per-cycle weight vector and a stop rule.  One
 kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
@@ -44,14 +44,11 @@ import numpy as np
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
 from .seeding import derive_seed
 
-MODES = ("discounted", "harmonic", "summable")
-
 
 @dataclass(frozen=True)
 class ValuationParams:
-    """Estimation protocol: value mode, truncation, sample size, confidence."""
+    """Estimation protocol: discount, truncation, sample size, confidence."""
 
-    mode: str = "summable"
     gamma: float = 0.95
     horizon: int = 250
     episodes: int = 100
@@ -60,9 +57,7 @@ class ValuationParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise AgentGaugeError(f"unknown valuation mode {self.mode!r}")
-        if self.mode == "discounted" and not 0.0 < self.gamma < 1.0:
+        if not 0.0 < self.gamma < 1.0:
             raise AgentGaugeError("gamma must lie in (0, 1)")
         if self.horizon < 1:
             raise AgentGaugeError("horizon must be >= 1")
@@ -208,8 +203,6 @@ def discounted_value(agent_factory, env_model, params: ValuationParams) -> Value
     trunc_epsilon (capped by the horizon); the actual tail fraction is
     reported as the truncation bound.
     """
-    if params.mode != "discounted":
-        raise AgentGaugeError("params.mode must be 'discounted'")
     gamma = params.gamma
     cycles = min(params.horizon,
                  max(1, math.ceil(math.log(params.trunc_epsilon) / math.log(gamma))))
@@ -225,8 +218,6 @@ def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
     The tail beyond T is below 1/T, so T is chosen with (1/T)/(pi^2/6) below
     trunc_epsilon, capped by the horizon.
     """
-    if params.mode != "harmonic":
-        raise AgentGaugeError("params.mode must be 'harmonic'")
     normalizer = math.pi ** 2 / 6.0
     cycles = min(params.horizon,
                  max(1, math.ceil(1.0 / (params.trunc_epsilon * normalizer))))
@@ -287,8 +278,6 @@ def _summable_estimate(params: ValuationParams, values: np.ndarray,
 
 def summable_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
     """Expected total reward of a budget-constrained environment."""
-    if params.mode != "summable":
-        raise AgentGaugeError("params.mode must be 'summable'")
     values, mean_remaining, failed = summable_episode_values(agent_factory, env_model, params)
     return _summable_estimate(params, values, mean_remaining, failed)
 

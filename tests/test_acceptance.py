@@ -66,7 +66,7 @@ def default_ensemble():
 
 @pytest.fixture(scope="module")
 def ordering_measurements(default_ensemble):
-    params = ValuationParams(mode="summable", horizon=250, episodes=150,
+    params = ValuationParams(horizon=250, episodes=150,
                              seed=ORDERING_SEED)
     factories = [random_agent(SPACE), basic_agent(SPACE), kback_agent(SPACE, 2)]
     return {f.name: estimate_intelligence(f, default_ensemble, params)
@@ -98,18 +98,18 @@ def test_acceptance_2_closed_form_valuation():
         pi_opt, pi_1, _ = scripted_agents(UNIT)
 
         exact = discounted_value(pi_opt, env, ValuationParams(
-            mode="discounted", gamma=0.9, horizon=10 ** 6, episodes=1,
+            gamma=0.9, horizon=10 ** 6, episodes=1,
             trunc_epsilon=1e-18, seed=7))
         assert exact.mean == 0.9
         assert exact.ci_half_width == 0.0
 
         sampled = discounted_value(pi_1, env, ValuationParams(
-            mode="discounted", gamma=0.9, horizon=10 ** 6, episodes=10_000,
+            gamma=0.9, horizon=10 ** 6, episodes=10_000,
             trunc_epsilon=1e-12, seed=7))
         assert abs(sampled.mean - 0.45) <= 0.01
 
         harmonic = harmonic_value(pi_opt, env, ValuationParams(
-            mode="harmonic", horizon=2_000_000, episodes=1,
+            horizon=2_000_000, episodes=1,
             trunc_epsilon=5e-7, seed=7))
         assert abs(harmonic.mean - (1.0 - 6.0 / np.pi ** 2)) <= 1e-6
 

@@ -128,7 +128,7 @@ def test_two_back_beats_basic_on_pattern_environment():
     # The ordering mechanism: the pattern environment's phase is invisible
     # to a current-observation key but tracked by a two-cycle window.
     env = make_pattern_env(2, BINARY)
-    params = ValuationParams(mode="summable", horizon=400, episodes=60, seed=29)
+    params = ValuationParams(horizon=400, episodes=60, seed=29)
     v_basic = summable_value(basic_agent(BINARY), env, params)
     v_2back = summable_value(kback_agent(BINARY, 2), env, params)
     v_rand = summable_value(random_agent(BINARY), env, params)

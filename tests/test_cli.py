@@ -12,9 +12,12 @@ import textwrap
 import pytest
 
 from agentgauge.cli import main
-from agentgauge.config import _KNOWN_KEYS, parse_config
+from agentgauge.config import _KNOWN_KEYS, RunConfig, parse_config
+from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program, save_program_file
+from agentgauge.measure import EnsembleSpec
 from agentgauge.reports import validate_report
+from agentgauge.valuation import ValuationParams
 
 MACHINE = MachineConfig()
 
@@ -106,11 +109,12 @@ def test_agent_name_aliasing_a_builtin_exits_2(tmp_path, capsys, alias):
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
-    # a typo, and two keys that once parsed but could not change a run that
-    # succeeds (gamma is unused in summable mode; without the reward budget
-    # no program is reward-summable)
+    # a typo, and three keys that once parsed but could not change a run that
+    # succeeds (the measure is always summable, so gamma is unused and
+    # summable was the only legal mode; without the reward budget no program
+    # is reward-summable)
     for line in ("ensembel.max_length_bits = 11", "valuation.gamma = 0.5",
-                 "machine.enforce_reward_budget = false"):
+                 "machine.enforce_reward_budget = false", "valuation.mode = summable"):
         config = tmp_path / "bad.txt"
         config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{line}\n",
                           encoding="utf-8")
@@ -137,6 +141,20 @@ def test_readme_documents_every_config_key():
     documented = {line.lstrip("#").partition("=")[0].strip()
                   for line in _readme_config_block().splitlines() if "=" in line}
     assert sorted(_KNOWN_KEYS - documented) == []
+
+
+def test_omitted_keys_keep_the_dataclass_defaults():
+    assert parse_config("seed = 1\n") == RunConfig(
+        seed=1, space=SpaceConfig(), machine=MachineConfig(),
+        ensemble_spec=EnsembleSpec(), valuation=ValuationParams(seed=1),
+        raw={"seed": "1"})
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin1.txt"
+    config.write_bytes(b"seed = 1\n# caf\xe9\n")
+    assert main(["run", str(config)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_missing_seed_exits_2(tmp_path, capsys):
@@ -175,6 +193,15 @@ def test_negative_external_timeout_exits_2(tmp_path, capsys):
     assert "external_timeout_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["", 'python3 "foo'], ids=["empty", "open-quote"])
+def test_external_command_that_cannot_run_exits_2(tmp_path, capsys, command):
+    config = write_config(tmp_path, agents="random,ext", extra=f"external.ext = {command}")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "external.ext" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", [
     "spaces.actions = 65537",
     "spaces.observations = 70000\nmachine.cell_modulus = 70000",
@@ -208,7 +235,18 @@ def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bad", ["len=7 hex=ZZ", "hello"])
+MALFORMED_PROGRAM_LINES = {
+    # line: what the message must name
+    "len=7 hex=ZZ": "'ZZ'",
+    "hello": "'hello'",
+    "len=-1 hex=8": "len must be a non-negative integer, got '-1'",
+    "len=1 hex=8 extra=5": "unknown field 'extra'",
+    "len=3 len=1 hex=8": "duplicate field 'len'",
+    "len=0 hex=FF": "declared length 0",
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED_PROGRAM_LINES))
 def test_malformed_program_line_exits_1_naming_file_and_line(tmp_path, capsys, bad):
     config = write_config(tmp_path)
     programs = tmp_path / "envs.progs"
@@ -216,6 +254,17 @@ def test_malformed_program_line_exits_1_naming_file_and_line(tmp_path, capsys, b
     assert main(["run", str(config)]) == 1
     err = capsys.readouterr().err
     assert f"error: {programs}, line 3:" in err
+    assert MALFORMED_PROGRAM_LINES[bad] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_programs_file_not_utf8_exits_1_naming_file_and_line(tmp_path, capsys):
+    config = write_config(tmp_path)
+    programs = tmp_path / "envs.progs"
+    programs.write_bytes(programs.read_bytes() + b"# caf\xe9\n")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {programs}, line 3:" in err and "utf-8" in err
     assert not (tmp_path / "out").exists()
 
 

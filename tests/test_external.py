@@ -135,7 +135,7 @@ def reward_bearing_ensemble():
 
 def test_external_uniform_agent_scores_like_builtin_random(tmp_path):
     ensemble = reward_bearing_ensemble()
-    params = ValuationParams(mode="summable", horizon=80, episodes=40, seed=23)
+    params = ValuationParams(horizon=80, episodes=40, seed=23)
     builtin = estimate_intelligence(random_agent(SPACE), ensemble, params)
     factory = ExternalAgentFactory("ext-uniform", child(tmp_path, UNIFORM_CHILD, "uni"),
                                   SPACE, timeout_ms=4000)
@@ -154,7 +154,7 @@ def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
                              MACHINE, SPACE)
     factory = ExternalAgentFactory("ext-silent", child(tmp_path, SILENT_CHILD, "mute"),
                                    SPACE, timeout_ms=100)
-    params = ValuationParams(mode="summable", horizon=5, episodes=2, seed=1)
+    params = ValuationParams(horizon=5, episodes=2, seed=1)
     try:
         estimate = summable_value(factory, env, params)
     finally:
@@ -169,7 +169,7 @@ def test_malformed_reply_marks_rollout_failed_not_scored(tmp_path):
     env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
     factory = ExternalAgentFactory("ext-flaky", child(tmp_path, FLAKY_CHILD, "flaky"),
                                    SPACE, timeout_ms=4000)
-    params = ValuationParams(mode="summable", horizon=4, episodes=3, seed=1)
+    params = ValuationParams(horizon=4, episodes=3, seed=1)
     try:
         estimate = summable_value(factory, env, params)
     finally:
@@ -182,7 +182,7 @@ def test_out_of_range_action_fails_every_rollout(tmp_path):
     env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
     factory = ExternalAgentFactory("ext-wild", child(tmp_path, WILD_CHILD, "wild"),
                                    SPACE, timeout_ms=4000)
-    params = ValuationParams(mode="summable", horizon=4, episodes=2, seed=1)
+    params = ValuationParams(horizon=4, episodes=2, seed=1)
     try:
         with pytest.raises(RolloutFailed):
             summable_value(factory, env, params)
@@ -208,7 +208,7 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     factory = ExternalAgentFactory(
         "ext-count", child(tmp_path, COUNTING_CHILD, "count") + [str(counts)],
         SPACE, timeout_ms=4000)
-    params = ValuationParams(mode="summable", horizon=6, episodes=3, seed=2)
+    params = ValuationParams(horizon=6, episodes=3, seed=2)
     try:
         external = summable_episode_values(factory, env, params)
     finally:

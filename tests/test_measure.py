@@ -23,7 +23,7 @@ from agentgauge.valuation import ValuationParams, summable_value
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
-PARAMS = ValuationParams(mode="summable", horizon=120, episodes=40, seed=17)
+PARAMS = ValuationParams(horizon=120, episodes=40, seed=17)
 
 
 def small_spec(**overrides):
@@ -114,7 +114,7 @@ def test_mixture_truncation_bound_counts_unearned_reward(mixture_estimate):
     # just trunc_epsilon.
     program = encode_program(["read_action", "move_left", "emit"], MACHINE)
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE, programs=[program])
-    params = ValuationParams(mode="summable", horizon=5, episodes=20, seed=0)
+    params = ValuationParams(horizon=5, episodes=20, seed=0)
     mixture = mixture_estimate(random_agent(SPACE), ensemble, params, draws=2000)
     assert mixture.truncation_bound >= 1e-3
 
@@ -165,7 +165,7 @@ def test_estimation_is_deterministic_and_worker_independent():
 
 def test_sensitivity_identity_rows_match_bit_exactly():
     spec = EnsembleSpec(max_program_length_bits=11, dedup_horizon=4)
-    params = ValuationParams(mode="summable", horizon=60, episodes=20, seed=3)
+    params = ValuationParams(horizon=60, episodes=20, seed=3)
     factories = [random_agent(SPACE), basic_agent(SPACE)]
     machines = [MACHINE, MachineConfig()]  # the identity permutation twice
     rows = machine_sensitivity(factories, spec, params, machines, SPACE, seed=3)
@@ -182,7 +182,7 @@ def test_sensitivity_permuted_table_reports_per_machine_scores():
     table[0], table[8] = table[8], table[0]  # swap move_right and emit
     permuted = MachineConfig(opcode_table=tuple(table))
     spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
-    params = ValuationParams(mode="summable", horizon=120, episodes=40, seed=3)
+    params = ValuationParams(horizon=120, episodes=40, seed=3)
     rows = machine_sensitivity([random_agent(SPACE), basic_agent(SPACE)],
                                spec, params, [MACHINE, permuted], SPACE, seed=3)
     assert rows[0].ordering_preserved  # the baseline row trivially preserves itself

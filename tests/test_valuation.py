@@ -88,18 +88,18 @@ def test_gamma_norm_values():
     # less the tail gamma^T beyond the truncation point T.
     ones = make_constant_env([1] * 400, UNIT, summable=False)
     for gamma in (0.1, 0.35, 0.5, 0.77, 0.9):
-        params = ValuationParams(mode="discounted", gamma=gamma, horizon=400,
+        params = ValuationParams(gamma=gamma, horizon=400,
                                  episodes=1, trunc_epsilon=1e-12, seed=0)
         estimate = discounted_value(random_agent(UNIT), ones, params)
         assert estimate.mean + estimate.truncation_bound == pytest.approx(1.0, abs=1e-12)
     for gamma in (0.0, 1.0):
         with pytest.raises(AgentGaugeError):
-            ValuationParams(mode="discounted", gamma=gamma)
+            ValuationParams(gamma=gamma)
 
 
 def test_discounted_pi_opt_on_copy_is_exact():
     pi_opt, _, _ = scripted_agents(UNIT)
-    params = ValuationParams(mode="discounted", gamma=0.9, horizon=10 ** 6,
+    params = ValuationParams(gamma=0.9, horizon=10 ** 6,
                              episodes=1, trunc_epsilon=1e-18, seed=5)
     estimate = discounted_value(pi_opt, make_copy_env(UNIT), params)
     assert estimate.mean == 0.9
@@ -109,7 +109,7 @@ def test_discounted_pi_opt_on_copy_is_exact():
 
 def test_discounted_pi_1_on_copy_near_half_gamma():
     _, pi_1, _ = scripted_agents(UNIT)
-    params = ValuationParams(mode="discounted", gamma=0.9, horizon=10 ** 6,
+    params = ValuationParams(gamma=0.9, horizon=10 ** 6,
                              episodes=10_000, trunc_epsilon=1e-12, seed=5)
     estimate = discounted_value(pi_1, make_copy_env(UNIT), params)
     assert estimate.mean == pytest.approx(0.45, abs=0.01)
@@ -117,7 +117,7 @@ def test_discounted_pi_1_on_copy_near_half_gamma():
 
 
 def test_discounted_zero_environment_is_zero():
-    params = ValuationParams(mode="discounted", gamma=0.9, episodes=10, seed=1)
+    params = ValuationParams(gamma=0.9, episodes=10, seed=1)
     estimate = discounted_value(random_agent(BINARY), make_constant_env([], BINARY), params)
     assert estimate.mean == 0.0
     assert estimate.ci_half_width == 0.0
@@ -126,7 +126,7 @@ def test_discounted_zero_environment_is_zero():
 def test_discounted_scalar_and_batch_paths_agree_statistically():
     _, pi_1, _ = scripted_agents(UNIT)
     env = make_copy_env(UNIT)
-    params = ValuationParams(mode="discounted", gamma=0.9, episodes=4000,
+    params = ValuationParams(gamma=0.9, episodes=4000,
                              trunc_epsilon=1e-9, horizon=10 ** 5, seed=21)
     fast = discounted_value(pi_1, env, params)
     slow = discounted_value(pi_1, _NoBatch(env), params)
@@ -135,7 +135,7 @@ def test_discounted_scalar_and_batch_paths_agree_statistically():
 
 def test_harmonic_pi_opt_matches_analytic_series():
     pi_opt, _, _ = scripted_agents(UNIT)
-    params = ValuationParams(mode="harmonic", horizon=10 ** 5, episodes=1,
+    params = ValuationParams(horizon=10 ** 5, episodes=1,
                              trunc_epsilon=1e-4, seed=5)
     estimate = harmonic_value(pi_opt, make_copy_env(UNIT), params)
     assert estimate.mean == pytest.approx(1.0 - 6.0 / math.pi ** 2, abs=2e-4)
@@ -143,7 +143,7 @@ def test_harmonic_pi_opt_matches_analytic_series():
 
 
 def test_harmonic_zero_environment_is_zero():
-    params = ValuationParams(mode="harmonic", episodes=5, horizon=1000,
+    params = ValuationParams(episodes=5, horizon=1000,
                              trunc_epsilon=1e-3, seed=2)
     estimate = harmonic_value(random_agent(BINARY), make_constant_env([], BINARY), params)
     assert estimate.mean == 0.0
@@ -152,7 +152,7 @@ def test_harmonic_zero_environment_is_zero():
 def test_harmonic_weights_quarter_at_doubled_cycle():
     # An environment paying the full denominator exactly at cycle t isolates
     # the weight w_t, so w_2t / w_t must be 1/4.
-    params = ValuationParams(mode="harmonic", episodes=1, horizon=10 ** 5,
+    params = ValuationParams(episodes=1, horizon=10 ** 5,
                              trunc_epsilon=1e-5, seed=3)
     agent = random_agent(BINARY)
     for t in (3, 7, 20):
@@ -165,7 +165,7 @@ def test_harmonic_weights_quarter_at_doubled_cycle():
 
 def test_summable_full_budget_schedule_is_one_for_every_agent():
     env = make_constant_env([255], BINARY)
-    params = ValuationParams(mode="summable", horizon=50, episodes=20, seed=9)
+    params = ValuationParams(horizon=50, episodes=20, seed=9)
     for factory in (random_agent(BINARY), basic_agent(BINARY)):
         estimate = summable_value(factory, env, params)
         assert estimate.mean == 1.0
@@ -174,37 +174,27 @@ def test_summable_full_budget_schedule_is_one_for_every_agent():
 
 def test_summable_empty_program_is_zero():
     env = ProgramEnvironment(decode_program("1"), MachineConfig(), BINARY)
-    params = ValuationParams(mode="summable", horizon=100, episodes=10, seed=4)
+    params = ValuationParams(horizon=100, episodes=10, seed=4)
     estimate = summable_value(random_agent(BINARY), env, params)
     assert estimate.mean == 0.0
 
 
 def test_summable_pattern_follower_collects_designed_maximum():
     env = make_pattern_env(2, BINARY)
-    params = ValuationParams(mode="summable", horizon=400, episodes=3, seed=6)
+    params = ValuationParams(horizon=400, episodes=3, seed=6)
     estimate = summable_value(FollowerFactory(2), env, params)
     assert estimate.mean == pattern_reward_cap(255) / 255
     assert estimate.ci_half_width == 0.0
 
 
 def test_summable_rejects_non_summable_environment():
-    params = ValuationParams(mode="summable", episodes=5, seed=0)
+    params = ValuationParams(episodes=5, seed=0)
     with pytest.raises(SummabilityError):
         summable_value(random_agent(BINARY), make_copy_env(BINARY), params)
 
 
-def test_mode_mismatch_errors():
-    params = ValuationParams(mode="summable", episodes=5, seed=0)
-    with pytest.raises(AgentGaugeError):
-        discounted_value(random_agent(BINARY), make_constant_env([], BINARY), params)
-    with pytest.raises(AgentGaugeError):
-        harmonic_value(random_agent(BINARY), make_constant_env([], BINARY), params)
-    with pytest.raises(AgentGaugeError):
-        ValuationParams(mode="expected")
-
-
 def test_summable_estimates_respect_unit_bound():
-    params = ValuationParams(mode="summable", horizon=2000, episodes=30, seed=12)
+    params = ValuationParams(horizon=2000, episodes=30, seed=12)
     for schedule in ([255], [127, 128], [1] * 200):
         estimate = summable_value(random_agent(BINARY),
                                   make_constant_env(schedule, BINARY), params)
@@ -215,23 +205,23 @@ def test_summable_estimates_respect_unit_bound():
 
 def test_seed_determinism_bit_exact():
     env = make_pattern_env(2, BINARY)
-    params = ValuationParams(mode="summable", horizon=300, episodes=25, seed=33)
+    params = ValuationParams(horizon=300, episodes=25, seed=33)
     a = summable_value(basic_agent(BINARY), env, params)
     b = summable_value(basic_agent(BINARY), env, params)
     assert a == b
     c = summable_value(basic_agent(BINARY), env,
-                       ValuationParams(mode="summable", horizon=300, episodes=25, seed=34))
+                       ValuationParams(horizon=300, episodes=25, seed=34))
     assert a != c
 
 
 def test_truncation_bounds_are_reported():
-    params = ValuationParams(mode="discounted", gamma=0.9, episodes=2,
+    params = ValuationParams(gamma=0.9, episodes=2,
                              trunc_epsilon=1e-6, horizon=10 ** 5, seed=1)
     estimate = discounted_value(random_agent(UNIT), make_copy_env(UNIT), params)
     cycles = math.ceil(math.log(1e-6) / math.log(0.9))
     assert estimate.truncation_bound == pytest.approx(0.9 ** cycles)
 
-    sparams = ValuationParams(mode="summable", horizon=10, episodes=4,
+    sparams = ValuationParams(horizon=10, episodes=4,
                               trunc_epsilon=1e-9, seed=1)
     sestimate = summable_value(random_agent(BINARY),
                                make_constant_env([1] * 50, BINARY), sparams)
@@ -244,7 +234,7 @@ def test_single_episode_deterministic_pair_equals_closed_form():
     pi_opt, _, _ = scripted_agents(UNIT)
     env = make_copy_env(UNIT)
     gamma, epsilon = 0.8, 1e-10
-    params = ValuationParams(mode="discounted", gamma=gamma, horizon=10 ** 6,
+    params = ValuationParams(gamma=gamma, horizon=10 ** 6,
                              episodes=1, trunc_epsilon=epsilon, seed=2)
     estimate = discounted_value(pi_opt, env, params)
     cycles = math.ceil(math.log(epsilon) / math.log(gamma))
@@ -262,7 +252,7 @@ def test_ci_calibration_on_copy_with_uniform_agent():
     covered = 0
     repetitions = 200
     for rep in range(repetitions):
-        params = ValuationParams(mode="discounted", gamma=0.9, episodes=100,
+        params = ValuationParams(gamma=0.9, episodes=100,
                                  trunc_epsilon=1e-9, horizon=10 ** 5, seed=1000 + rep)
         estimate = discounted_value(pi_1, env, params)
         if abs(estimate.mean - 0.45) <= estimate.ci_half_width:
@@ -300,7 +290,7 @@ def _valuation_digests(mixture_estimate):
         encode_program(ops, MachineConfig()) for ops in (
             ["read_action", "move_left", "emit"], ["random_bit", "move_left", "emit"],
             ["inc", "emit"])])
-    params = ValuationParams(mode="summable", horizon=120, episodes=20, seed=17)
+    params = ValuationParams(horizon=120, episodes=20, seed=17)
     for factory in (random_agent(BINARY), basic_agent(BINARY)):
         for entry in ensemble.entries:
             episode_values, mean_remaining, failed = summable_episode_values(
@@ -313,16 +303,16 @@ def _valuation_digests(mixture_estimate):
     pattern = make_pattern_env(2, BINARY)
     add(values, *per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
     add_estimate(discounted_value(basic, pattern, ValuationParams(
-        mode="discounted", gamma=0.9, horizon=300, episodes=20, seed=5)))
+        gamma=0.9, horizon=300, episodes=20, seed=5)))
     add_estimate(harmonic_value(basic, pattern, ValuationParams(
-        mode="harmonic", horizon=300, episodes=20, trunc_epsilon=1e-3, seed=5)))
+        horizon=300, episodes=20, trunc_epsilon=1e-3, seed=5)))
 
     _, pi_1, _ = scripted_agents(UNIT)
     copy = make_copy_env(UNIT)
     for env in (copy, _NoBatch(copy)):
         add(values, *per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
         add_estimate(discounted_value(pi_1, env, ValuationParams(
-            mode="discounted", gamma=0.9, horizon=200, episodes=50, seed=8)))
+            gamma=0.9, horizon=200, episodes=50, seed=8)))
     return values.hexdigest(), bounds.hexdigest()
 
 
@@ -415,7 +405,7 @@ def test_agent_free_rollouts_match_the_full_reference():
     # Skipping the policy of an environment that never reads an action, and
     # replaying a deterministic one, must leave every number unchanged.
     programs = enumerate_programs(17) + [encode_program(ops) for ops in HAND_PICKED]
-    params = ValuationParams(mode="summable", horizon=40, episodes=4, seed=29)
+    params = ValuationParams(horizon=40, episodes=4, seed=29)
     factories = (random_agent(BINARY), basic_agent(BINARY), kback_agent(BINARY, 2))
     for program in programs:
         env = ProgramEnvironment(program, MachineConfig(), BINARY)
@@ -430,7 +420,7 @@ def test_agent_free_rollouts_match_the_full_reference():
 
 
 def test_agent_free_paths_follow_the_declared_facts():
-    params = ValuationParams(mode="summable", horizon=30, episodes=5, seed=3)
+    params = ValuationParams(horizon=30, episodes=5, seed=3)
     cases = (
         # (environment, policies built, episodes spawned)
         (ProgramEnvironment(encode_program(["inc", "move_left", "emit"]),
