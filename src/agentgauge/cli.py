@@ -38,7 +38,13 @@ from .machine import (
     prior_weight,
     save_program_file,
 )
-from .measure import build_ensemble, compare_agents, estimate_intelligence, machine_sensitivity
+from .measure import (
+    MAX_PROGRAM_LENGTH_BITS,
+    build_ensemble,
+    compare_agents,
+    estimate_intelligence,
+    machine_sensitivity,
+)
 from .reports import build_manifest, build_report, dump_json, write_run_outputs
 from .seeding import derive_seed
 from .valuation import ValuationParams, discounted_value, per_cycle_reward_profile
@@ -239,6 +245,15 @@ def _size(text: str) -> int:
     return value
 
 
+def _length_bits(text: str) -> int:
+    """argparse type of --max-len: a size of at most MAX_PROGRAM_LENGTH_BITS."""
+    value = _size(text)
+    if value > MAX_PROGRAM_LENGTH_BITS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_PROGRAM_LENGTH_BITS}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="agentgauge",
@@ -261,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.set_defaults(func=_cmd_example_study)
 
     p_enum = sub.add_parser("enumerate", help="enumerate valid environment programs")
-    p_enum.add_argument("--max-len", type=int, required=True)
+    p_enum.add_argument("--max-len", type=_length_bits, required=True)
     p_enum.add_argument("--out", default=None,
                         help="optional fixture file to write programs to")
     p_enum.set_defaults(func=_cmd_enumerate)

@@ -12,7 +12,10 @@ truncation epsilon, and reports it as the truncated mass.  A program
 environment whose program provably never emits a positive reward makes it 0
 from the first cycle on.  Models whose `supports_batch` is true (only the
 copy environment, whose long reward profiles need it) can also run many
-episodes in lockstep through `begin_batch`/`batch_step` with numpy arrays.
+episodes in lockstep: `state = model.begin_batch(n)` starts n episodes and
+`model.batch_step(state, actions)` advances them all one cycle, taking an
+int64 action array (None on the first cycle) and returning the int64 array
+of their reward numerators.
 A model may also declare `reads_actions = False` (its percepts never depend
 on the actions) and `deterministic = True` (they never depend on the rng);
 the valuation layer then plays such episodes without the agent and, when
@@ -116,15 +119,13 @@ class CopyEnvironment:
     def spawn(self, rng: random.Random) -> _CopyEpisode:
         return _CopyEpisode(self.space.reward_denominator)
 
-    def begin_batch(self, n_episodes: int, rng: np.random.Generator) -> dict:
-        return {"n": n_episodes}
+    def begin_batch(self, n_episodes: int) -> int:
+        return n_episodes
 
-    def batch_step(self, state: dict, actions: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        n = state["n"]
-        obs = np.zeros(n, dtype=np.int64)
+    def batch_step(self, n_episodes: int, actions: np.ndarray | None) -> np.ndarray:
         if actions is None:
-            return obs, np.zeros(n, dtype=np.int64)
-        return obs, actions.astype(np.int64) * self.space.reward_denominator
+            return np.zeros(n_episodes, dtype=np.int64)
+        return actions * self.space.reward_denominator
 
 
 def make_copy_env(space: SpaceConfig) -> CopyEnvironment:

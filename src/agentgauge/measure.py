@@ -36,6 +36,9 @@ from .valuation import (
 )
 
 WEIGHT_SCHEMES = ("length", "kt")
+# Enumeration and valuation grow about 2^n with the length cutoff n; at 29
+# bits 178,565 programs enumerate.  A larger cutoff is almost surely a typo.
+MAX_PROGRAM_LENGTH_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,10 @@ class EnsembleSpec:
     sample_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_program_length_bits < 1:
-            raise EnsembleError("max_program_length_bits must be >= 1")
+        if not 1 <= self.max_program_length_bits <= MAX_PROGRAM_LENGTH_BITS:
+            raise EnsembleError(
+                f"ensemble.max_length_bits (max_program_length_bits) must lie in "
+                f"[1, {MAX_PROGRAM_LENGTH_BITS}], got {self.max_program_length_bits}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
             raise EnsembleError(f"unknown weight scheme {self.weight_scheme!r}")
         if self.dedup_horizon is not None and self.dedup_horizon < 1:

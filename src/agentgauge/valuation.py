@@ -11,8 +11,13 @@ Three value notions are supported, and the function called is the notion:
 The notions differ only in a per-cycle weight vector and a stop rule.  One
 kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
 and harmonic values and reward profiles of cycle-indexed agents in
-batch-capable environments run vectorized in lockstep instead;
-`_reward_values` makes that choice.
+batch-capable environments run vectorized in lockstep instead
+(`_batch_numerators`).  A reward profile keeps only a per-cycle sum over
+episodes while they run.  Discounted and harmonic values hold an
+(episodes, cycles) float64 matrix, filled `_BLOCK_CYCLES` cycles at a time
+through a small contiguous block, and weight it with one `rewards @ weights`
+product: the product's last bits depend on each row's place in the matrix,
+so a streamed weighted sum would not reproduce them.
 
 An environment that never reads an action (a program without `read_action`,
 or a constant schedule) yields the same percepts for every agent.  When the
@@ -153,47 +158,60 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     return numerators, episode
 
 
-def _batch_reward_values(agent_factory, env_model, n_episodes: int, cycles: int,
-                         seed: int) -> np.ndarray:
-    """Reward values, shape (n_episodes, cycles), for lockstep batch episodes."""
-    rng = np.random.default_rng(seed)
-    denominator = env_model.space.reward_denominator
-    state = env_model.begin_batch(n_episodes, rng)
-    out = np.empty((n_episodes, cycles), dtype=np.float64)
-    _, numerators = env_model.batch_step(state, None)
-    out[:, 0] = numerators / denominator
+_BLOCK_CYCLES = 64
+
+
+def _batched(agent_factory, env_model) -> bool:
+    """True when a cycle-indexed agent meets a batch-capable environment."""
+    return (getattr(agent_factory, "supports_batch", False)
+            and getattr(env_model, "supports_batch", False))
+
+
+def _batch_numerators(agent_factory, env_model, n_episodes: int, cycles: int, seed: int):
+    """Reward numerators of `n_episodes` lockstep episodes, one array per cycle."""
+    rng = np.random.default_rng(
+        derive_seed(seed, "batch", agent_factory.name, env_model.identifier))
+    state = env_model.begin_batch(n_episodes)
+    yield env_model.batch_step(state, None)
+    zeros = np.zeros(n_episodes, dtype=np.int64)
+    ones = np.ones(n_episodes, dtype=np.int64)
     for k in range(1, cycles):
         p_one = agent_factory.prob_action_one(k)
         if p_one <= 0.0:
-            actions = np.zeros(n_episodes, dtype=np.int64)
+            actions = zeros
         elif p_one >= 1.0:
-            actions = np.ones(n_episodes, dtype=np.int64)
+            actions = ones
         else:
             actions = (rng.random(n_episodes) < p_one).astype(np.int64)
-        _, numerators = env_model.batch_step(state, actions)
-        out[:, k] = numerators / denominator
-    return out
+        yield env_model.batch_step(state, actions)
 
 
 def _reward_values(agent_factory, env_model, episodes: int, cycles: int,
                    seed: int) -> np.ndarray:
     """Reward values, shape (episodes, cycles), by batch or by scalar rollout.
 
-    A cycle-indexed agent in a batch-capable environment runs in lockstep.
-    Otherwise each episode is one `_rollout` with epsilon 0, which stops
-    early only where the remaining reward bound is 0, so the rest of its row
-    is exactly zero.
+    A cycle-indexed agent in a batch-capable environment runs in lockstep; its
+    cycles are gathered in a contiguous block of `_BLOCK_CYCLES` rows and
+    written into the matrix one transposed block at a time.  Otherwise each
+    episode is one `_rollout` with epsilon 0, which stops early only where
+    the remaining reward bound is 0, so the rest of its row is exactly zero.
     """
-    if (getattr(agent_factory, "supports_batch", False)
-            and getattr(env_model, "supports_batch", False)):
-        return _batch_reward_values(
-            agent_factory, env_model, episodes, cycles,
-            derive_seed(seed, "batch", agent_factory.name, env_model.identifier))
+    denominator = env_model.space.reward_denominator
+    if _batched(agent_factory, env_model):
+        out = np.empty((episodes, cycles), dtype=np.float64)
+        block = np.empty((min(_BLOCK_CYCLES, cycles), episodes), dtype=np.float64)
+        batch = _batch_numerators(agent_factory, env_model, episodes, cycles, seed)
+        for k, numerators in enumerate(batch):
+            row = k % len(block)
+            block[row] = numerators
+            if row == len(block) - 1 or k == cycles - 1:
+                np.divide(block[: row + 1].T, denominator, out=out[:, k - row : k + 1])
+        return out
     out = np.zeros((episodes, cycles), dtype=np.float64)
     for index in range(episodes):
         numerators, _ = _rollout(agent_factory, env_model, seed, index, cycles, 0.0)
         out[index, : len(numerators)] = numerators
-    return out / env_model.space.reward_denominator
+    return out / denominator
 
 
 def discounted_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -284,7 +302,24 @@ def summable_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
 
 def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int,
                              seed: int) -> np.ndarray:
-    """Monte Carlo estimate of the mean reward value at each cycle 1..cycles."""
+    """Monte Carlo estimate of the mean reward value at each cycle 1..cycles.
+
+    Episodes are summed per cycle as they run; no (episodes, cycles) matrix
+    is built.  A batch cycle sums its integer numerators exactly; scalar
+    episodes are added row by row in episode order, as a column mean would.
+    """
     if cycles < 1:
         raise AgentGaugeError("cycles must be >= 1")
-    return _reward_values(agent_factory, env_model, episodes, cycles, seed).mean(axis=0)
+    if episodes < 1:
+        raise AgentGaugeError("episodes must be >= 1")
+    denominator = env_model.space.reward_denominator
+    sums = np.zeros(cycles, dtype=np.float64)
+    if _batched(agent_factory, env_model):
+        batch = _batch_numerators(agent_factory, env_model, episodes, cycles, seed)
+        for k, numerators in enumerate(batch):
+            sums[k] = numerators.sum()
+        return sums / denominator / episodes
+    for index in range(episodes):
+        numerators, _ = _rollout(agent_factory, env_model, seed, index, cycles, 0.0)
+        sums[: len(numerators)] += np.asarray(numerators, dtype=np.float64) / denominator
+    return sums / episodes

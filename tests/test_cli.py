@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import pathlib
 import re
@@ -11,11 +12,11 @@ import textwrap
 
 import pytest
 
-from agentgauge.cli import main
+from agentgauge.cli import build_parser, main
 from agentgauge.config import _KNOWN_KEYS, RunConfig, parse_config
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program, save_program_file
-from agentgauge.measure import EnsembleSpec
+from agentgauge.measure import MAX_PROGRAM_LENGTH_BITS, EnsembleSpec
 from agentgauge.reports import validate_report
 from agentgauge.valuation import ValuationParams
 
@@ -235,6 +236,42 @@ def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+@pytest.mark.parametrize("bits", ["33", "60", "0"])
+def test_length_cutoff_outside_its_range_exits_2(tmp_path, capsys, command, bits):
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n"
+                      f"ensemble.max_length_bits = {bits}\n", encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "ensemble.max_length_bits" in err
+    assert f"[1, {MAX_PROGRAM_LENGTH_BITS}]" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_length_cutoff_cap_is_accepted():
+    config = parse_config(
+        f"seed = 1\nensemble.max_length_bits = {MAX_PROGRAM_LENGTH_BITS}\n")
+    assert config.ensemble_spec.max_program_length_bits == MAX_PROGRAM_LENGTH_BITS
+    args = build_parser().parse_args(
+        ["enumerate", "--max-len", str(MAX_PROGRAM_LENGTH_BITS)])
+    assert args.max_len == MAX_PROGRAM_LENGTH_BITS
+
+
+@pytest.mark.parametrize("bits, message", [
+    ("-3", "at least 1"), ("0", "at least 1"), ("33", "at most 32"), ("x", "integer"),
+])
+def test_enumerate_length_outside_its_range_exits_2(tmp_path, capsys, bits, message):
+    out = tmp_path / "programs.txt"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["enumerate", "--max-len", bits, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 MALFORMED_PROGRAM_LINES = {
     # line: what the message must name
     "len=7 hex=ZZ": "'ZZ'",
@@ -306,6 +343,22 @@ def test_example_study_outputs(tmp_path):
     assert len(rows) == 130
     assert float(rows[0]["pi_opt"]) == 0.0  # no action precedes the first reward
     assert float(rows[1]["pi_opt"]) == 1.0
+
+
+def test_example_study_bytes_are_golden(tmp_path):
+    # Exact bytes of the worked study; a faster kernel must not move a digit.
+    # Recorded before batch profiles were reduced as they run and before the
+    # discounted matrix was filled by cycle blocks.
+    out = tmp_path / "study"
+    assert main(["example-study", "--out", str(out), "--seed", "3",
+                 "--episodes", "300", "--cycles", "400",
+                 "--discount-episodes", "300"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("study.json", "profiles.csv")}
+    assert digests == {
+        "study.json": "d3a6d9cce273483c26ab3134979aaaae5c3d294a74637dcd70d517e8bbc14e3e",
+        "profiles.csv": "2c51144b4957f139a1602ace4c67fa61189177cf92e8756b368dfa159adf5baf",
+    }
 
 
 def test_example_study_shorter_than_a_phase_writes_valid_json(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,8 +262,31 @@ def test_ci_calibration_on_copy_with_uniform_agent():
 
 
 def test_profile_validation():
-    with pytest.raises(AgentGaugeError):
-        per_cycle_reward_profile(random_agent(UNIT), make_copy_env(UNIT), 0, 5, seed=0)
+    copy = make_copy_env(UNIT)
+    for env in (copy, _NoBatch(copy)):
+        with pytest.raises(AgentGaugeError, match="cycles"):
+            per_cycle_reward_profile(random_agent(UNIT), env, 0, 5, seed=0)
+        with pytest.raises(AgentGaugeError, match="episodes"):
+            per_cycle_reward_profile(random_agent(UNIT), env, 5, 0, seed=0)
+
+
+def test_batch_profile_is_reduced_as_it_runs():
+    # An (episodes, cycles) float64 matrix here would take 64 MB.
+    pi_opt, pi_1, _ = scripted_agents(UNIT)
+    copy = make_copy_env(UNIT)
+    tracemalloc.start()
+    try:
+        profile = per_cycle_reward_profile(pi_1, copy, cycles=4000, episodes=2000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert profile.shape == (4000,) and profile[0] == 0.0
+    assert abs(profile[1:].mean() - 0.5) < 0.01
+    batch = per_cycle_reward_profile(pi_opt, copy, cycles=300, episodes=40, seed=2)
+    scalar = per_cycle_reward_profile(pi_opt, _NoBatch(copy), cycles=300, episodes=40, seed=2)
+    assert batch.tobytes() == scalar.tobytes()
+    assert batch.tolist() == [0.0] + [1.0] * 299
 
 
 def _valuation_digests(mixture_estimate):
