@@ -249,13 +249,6 @@ def make_agent(name: str, space: SpaceConfig, epsilon: float = 0.10) -> AgentFac
     raise AgentGaugeError(f"unknown agent {name!r}")
 
 
-BUILTIN_AGENT_NAMES = ("random", "basic", "2back", "pi_opt", "pi_1", "pi_2")
-
 # `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
 # and "01back" of 1back, and two roster entries would then share one name.
 _KBACK_NAME = re.compile(r"[1-9][0-9]*back")
-
-
-def is_builtin_agent(name: str) -> bool:
-    """True when `make_agent` resolves `name` to an agent of that same name."""
-    return name in BUILTIN_AGENT_NAMES or _KBACK_NAME.fullmatch(name) is not None

@@ -77,13 +77,13 @@ def _cmd_run(args) -> int:
         if config.programs_file:
             programs = load_program_file(config.programs_file, config.machine)
         ensemble = build_ensemble(config.ensemble_spec, config.machine,
-                                  config.space, seed=config.seed, programs=programs)
+                                  config.space, programs=programs)
         measurements = [
             estimate_intelligence(factory, ensemble, config.valuation, workers=workers)
             for factory in factories
         ]
         comparisons = []
-        if config.compare and len(measurements) > 1:
+        if len(measurements) > 1:
             comparisons = compare_agents(
                 measurements, ensemble, seed=config.seed,
                 bootstrap_samples=config.bootstrap_samples,
@@ -194,6 +194,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_sensitivity(args) -> int:
     config = load_config(args.config)
+    if config.programs_file:
+        raise ConfigError("ensemble.programs_file: sensitivity enumerates the ensemble "
+                          "under each opcode table, where the same bits decode to "
+                          "other programs")
     external = [name for name in config.agent_names if name in config.external_commands]
     if external:
         print(f"sensitivity scores built-in agents only; skipping external agents: "
@@ -209,8 +213,7 @@ def _cmd_sensitivity(args) -> int:
         rng.shuffle(table)
         machines.append(dataclasses.replace(config.machine, opcode_table=tuple(table)))
     rows = machine_sensitivity(factories, config.ensemble_spec, config.valuation,
-                               machines, config.space, seed=config.seed,
-                               workers=args.workers)
+                               machines, config.space, workers=args.workers)
     out = pathlib.Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     document = {

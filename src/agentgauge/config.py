@@ -13,7 +13,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from .agents import is_builtin_agent
+from .agents import make_agent
 from .errors import AgentGaugeError, ConfigError
 from .interaction import SpaceConfig
 from .machine import MachineConfig, check_signature_horizon
@@ -35,7 +35,6 @@ class RunConfig:
     agent_epsilon: float = 0.10
     external_commands: dict[str, list[str]] = field(default_factory=dict)
     external_timeout_ms: int = 1000
-    compare: bool = True
     bootstrap_samples: int = 2000
     programs_file: str | None = None
     raw: dict[str, str] = field(default_factory=dict)
@@ -54,18 +53,15 @@ class RunConfig:
         if not 0.0 <= self.agent_epsilon <= 1.0:
             raise ConfigError("agent_epsilon must lie in [0, 1]")
         for name in self.agent_names:
-            if not is_builtin_agent(name) and name not in self.external_commands:
-                raise ConfigError(f"unknown agent {name!r}: not a built-in and no "
-                                  f"external.{name} command is configured")
-
-
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+            if name not in self.external_commands:
+                try:
+                    make_agent(name, self.space, epsilon=self.agent_epsilon)
+                except AgentGaugeError as exc:
+                    raise ConfigError(f"agents: {exc}, and no external.{name} command "
+                                      f"is configured") from None
+        for name in self.external_commands:
+            if name not in self.agent_names:
+                raise ConfigError(f"external.{name}: {name!r} is not in agents")
 
 
 def _parse_int(value: str) -> int:
@@ -121,15 +117,12 @@ _TABLE = {
     "ensemble.max_length_bits": ("ensemble", "max_program_length_bits", _parse_int),
     "ensemble.dedup_horizon": ("ensemble", "dedup_horizon", _parse_optional_int),
     "ensemble.weight_scheme": ("ensemble", "weight_scheme", str),
-    "ensemble.renormalize": ("ensemble", "renormalize", _parse_bool),
-    "ensemble.sample_size": ("ensemble", "sample_size", _parse_optional_int),
     "ensemble.programs_file": ("run", "programs_file", str),
     "valuation.horizon": ("valuation", "horizon", _parse_int),
     "valuation.episodes": ("valuation", "episodes", _parse_int),
     "valuation.trunc_epsilon": ("valuation", "trunc_epsilon", _parse_float),
     "valuation.confidence": ("valuation", "confidence", _parse_float),
     "external_timeout_ms": ("run", "external_timeout_ms", _parse_positive_int),
-    "compare": ("run", "compare", _parse_bool),
     "bootstrap_samples": ("run", "bootstrap_samples", _parse_positive_int),
 }
 _KNOWN_KEYS = set(_TABLE)

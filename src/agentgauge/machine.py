@@ -618,7 +618,8 @@ def load_program_file(path, machine: MachineConfig = MachineConfig()) -> list[En
     """Read a program fixture file written by save_program_file.
 
     A line that is not valid UTF-8 or not a valid program raises
-    InvalidProgramError naming the file and the line number.
+    InvalidProgramError naming the file and the line number; a file without
+    a program line raises it naming the file.
     """
     with open(path, "rb") as handle:
         lines = handle.read().splitlines()
@@ -630,4 +631,6 @@ def load_program_file(path, machine: MachineConfig = MachineConfig()) -> list[En
                 programs.append(decode_program(parse_program_line(line), machine))
         except (ValueError, InvalidProgramError) as exc:
             raise InvalidProgramError(f"{path}, line {lineno}: {exc}") from None
+    if not programs:
+        raise InvalidProgramError(f"{path}: the file holds no program")
     return programs

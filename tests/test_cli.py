@@ -110,18 +110,44 @@ def test_agent_name_aliasing_a_builtin_exits_2(tmp_path, capsys, alias):
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):
-    # a typo, and three keys that once parsed but could not change a run that
+    # a typo, three keys that once parsed but could not change a run that
     # succeeds (the measure is always summable, so gamma is unused and
     # summable was the only legal mode; without the reward budget no program
-    # is reward-summable)
+    # is reward-summable), and three that no run set: every pair of agents is
+    # compared, and the ensemble is always normalized and never subsampled
     for line in ("ensembel.max_length_bits = 11", "valuation.gamma = 0.5",
-                 "machine.enforce_reward_budget = false", "valuation.mode = summable"):
+                 "machine.enforce_reward_budget = false", "valuation.mode = summable",
+                 "compare = false", "ensemble.renormalize = true",
+                 "ensemble.sample_size = 64"):
         config = tmp_path / "bad.txt"
         config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{line}\n",
                           encoding="utf-8")
         assert main(["run", str(config)]) == 2
         assert line.partition(" =")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+@pytest.mark.parametrize("agent", ["pi_opt", "pi_1", "pi_2"])
+def test_scripted_agent_without_binary_actions_exits_2(tmp_path, capsys, command, agent):
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\nagents = {agent}\n"
+                      f"spaces.actions = 3\nensemble.dedup_horizon = 4\n", encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: agents:" in err and "binary action space" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_external_command_of_no_listed_agent_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, agents="random",
+                          extra="external.ext = python3 /nonexistent/agent.py")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: external.ext:" in err and "agents" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _readme_config_block() -> str:
@@ -305,6 +331,16 @@ def test_programs_file_not_utf8_exits_1_naming_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_programs_file_without_programs_exits_1_naming_it(tmp_path, capsys):
+    config = write_config(tmp_path)
+    programs = tmp_path / "envs.progs"
+    programs.write_text("# no program here\n#\n", encoding="utf-8")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {programs}:" in err and "no program" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_with_external_agent(tmp_path):
     child = tmp_path / "uniform.py"
     child.write_text(textwrap.dedent("""
@@ -419,6 +455,18 @@ def test_sensitivity_command(tmp_path):
         assert set(row["scores"]) == {"random", "basic"}
         assert isinstance(row["ordering_preserved"], bool)
     assert document["machines"][0]["ordering_preserved"] is True
+
+
+def test_sensitivity_rejects_a_programs_file(tmp_path, capsys):
+    # a permuted opcode table decodes the file's bits to other programs
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 7\noutput_dir = {tmp_path / 'sens'}\n"
+                      f"ensemble.programs_file = {tmp_path / 'missing.progs'}\n",
+                      encoding="utf-8")
+    assert main(["sensitivity", "--config", str(config), "--permutations", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: ensemble.programs_file" in err
+    assert not (tmp_path / "sens").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -286,7 +286,7 @@ def test_kt_cost_values_and_doubling_law():
     # build_ensemble's kt weighting charges |p| + log2(steps) bits, i.e. the
     # weight 2^-|p| / steps, so doubling the steps halves the weight.
     spec = EnsembleSpec(max_program_length_bits=17, weight_scheme="kt",
-                        dedup_horizon=None, renormalize=False)
+                        dedup_horizon=None)
     emit = make("emit")  # 7 bits, 1 step
     (entry,) = build_ensemble(spec, MACHINE, SPACE, programs=[emit]).entries
     assert entry.raw_weight == Fraction(1, 128)

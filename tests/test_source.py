@@ -41,3 +41,46 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_names(sources: dict[str, str]) -> list[str]:
+    """Top-level functions, classes and constants no source reads, as `module: name`.
+
+    A name counts as read when any source loads it or imports it by name, so
+    re-exports count; dunder names are exempt.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if not name.startswith("__") and name not in read]
+    return found
+
+
+def test_unread_names_are_found():
+    sources = {
+        "a": "__all__ = []\nLIMIT = 3\n_SPARE: int = 4\ndef used(): return LIMIT\n"
+             "def spare(): pass\nclass Kept: pass\n",
+        "b": "from .a import Kept, used\nprint(used())\n",
+    }
+    assert unread_names(sources) == ["a: _SPARE", "a: spare"]
+
+
+def test_every_top_level_name_is_read_by_the_package():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_names(sources) == []
