@@ -15,11 +15,13 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import pathlib
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +49,15 @@ from .measure import (
 )
 from .reports import build_manifest, build_report, dump_json, write_run_outputs
 from .seeding import derive_seed
-from .valuation import ValuationParams, discounted_value, per_cycle_reward_profile
+from .valuation import MAX_EPISODES, ValuationParams, discounted_value, per_cycle_reward_profile
+
+# A fork-started pool forks all --workers processes at its first submit.
+MAX_WORKERS = 64
+
+
+def _worker_pool(workers: int):
+    """The command's one process pool, or a context giving None at 1 worker."""
+    return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
 
 
 def _build_agent_roster(config: RunConfig) -> tuple[list, list[ExternalAgentFactory]]:
@@ -76,12 +86,13 @@ def _cmd_run(args) -> int:
         programs = None
         if config.programs_file:
             programs = load_program_file(config.programs_file, config.machine)
-        ensemble = build_ensemble(config.ensemble_spec, config.machine,
-                                  config.space, programs=programs)
-        measurements = [
-            estimate_intelligence(factory, ensemble, config.valuation, workers=workers)
-            for factory in factories
-        ]
+        with _worker_pool(workers) as pool:
+            ensemble = build_ensemble(config.ensemble_spec, config.machine,
+                                      config.space, programs=programs, pool=pool)
+            measurements = [
+                estimate_intelligence(factory, ensemble, config.valuation, pool=pool)
+                for factory in factories
+            ]
         comparisons = []
         if len(measurements) > 1:
             comparisons = compare_agents(
@@ -212,8 +223,9 @@ def _cmd_sensitivity(args) -> int:
         table = list(INSTRUCTION_NAMES)
         rng.shuffle(table)
         machines.append(dataclasses.replace(config.machine, opcode_table=tuple(table)))
-    rows = machine_sensitivity(factories, config.ensemble_spec, config.valuation,
-                               machines, config.space, workers=args.workers)
+    with _worker_pool(args.workers) as pool:
+        rows = machine_sensitivity(factories, config.ensemble_spec, config.valuation,
+                                   machines, config.space, pool=pool)
     out = pathlib.Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     document = {
@@ -248,13 +260,14 @@ def _size(text: str) -> int:
     return value
 
 
-def _length_bits(text: str) -> int:
-    """argparse type of --max-len: a size of at most MAX_PROGRAM_LENGTH_BITS."""
-    value = _size(text)
-    if value > MAX_PROGRAM_LENGTH_BITS:
-        raise argparse.ArgumentTypeError(
-            f"must be at most {MAX_PROGRAM_LENGTH_BITS}, got {value}")
-    return value
+def _size_up_to(maximum: int):
+    """argparse type of a size option with an upper bound."""
+    def parse(text: str) -> int:
+        value = _size(text)
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,21 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a benchmark from a config file")
     p_run.add_argument("config", help="path to the flat key=value config")
-    p_run.add_argument("--workers", type=_size, default=1,
-                       help="worker processes for valuation (default 1)")
+    p_run.add_argument("--workers", type=_size_up_to(MAX_WORKERS), default=1,
+                       help=f"worker processes (default 1, at most {MAX_WORKERS})")
     p_run.set_defaults(func=_cmd_run)
 
     p_study = sub.add_parser("example-study",
                              help="worked-example analysis on the copy environment")
     p_study.add_argument("--out", required=True)
     p_study.add_argument("--seed", type=int, required=True)
-    p_study.add_argument("--episodes", type=_size, default=10000)
+    p_study.add_argument("--episodes", type=_size_up_to(MAX_EPISODES), default=10000)
     p_study.add_argument("--cycles", type=_size, default=5200)
-    p_study.add_argument("--discount-episodes", type=_size, default=10000)
+    p_study.add_argument("--discount-episodes", type=_size_up_to(MAX_EPISODES),
+                         default=10000)
     p_study.set_defaults(func=_cmd_example_study)
 
     p_enum = sub.add_parser("enumerate", help="enumerate valid environment programs")
-    p_enum.add_argument("--max-len", type=_length_bits, required=True)
+    p_enum.add_argument("--max-len", type=_size_up_to(MAX_PROGRAM_LENGTH_BITS),
+                        required=True)
     p_enum.add_argument("--out", default=None,
                         help="optional fixture file to write programs to")
     p_enum.set_defaults(func=_cmd_enumerate)
@@ -288,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="re-score agents under permuted opcode tables")
     p_sens.add_argument("--config", required=True)
     p_sens.add_argument("--permutations", type=_size, required=True)
-    p_sens.add_argument("--workers", type=_size, default=1)
+    p_sens.add_argument("--workers", type=_size_up_to(MAX_WORKERS), default=1)
     p_sens.set_defaults(func=_cmd_sensitivity)
     return parser
 

@@ -20,6 +20,9 @@ from .machine import MachineConfig, check_signature_horizon
 from .measure import EnsembleSpec
 from .valuation import ValuationParams
 
+# More is almost surely a typo, which would fail only after every rollout.
+MAX_BOOTSTRAP_SAMPLES = 100_000
+
 
 @dataclass
 class RunConfig:
@@ -46,6 +49,9 @@ class RunConfig:
                                         self.space.action_count)
             except ValueError as exc:
                 raise ConfigError(f"ensemble.dedup_horizon and spaces.actions: {exc}") from None
+        if self.bootstrap_samples > MAX_BOOTSTRAP_SAMPLES:
+            raise ConfigError(f"bootstrap_samples must be at most {MAX_BOOTSTRAP_SAMPLES}, "
+                              f"got {self.bootstrap_samples}")
         if not self.agent_names:
             raise ConfigError("agents: at least one agent is required")
         if len(set(self.agent_names)) != len(self.agent_names):

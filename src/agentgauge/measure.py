@@ -9,12 +9,16 @@ weights sum to the Kraft sum).  An agent's score is the weight-averaged
 expected total reward across the ensemble, with a confidence interval
 propagated from the per-environment estimates (whose random streams are
 disjoint by construction).
+
+Signatures and entry values are independent, so `build_ensemble`,
+`estimate_intelligence` and `machine_sensitivity` spread them in small blocks
+over a process pool the caller owns, if given one.  Seeds derive from labels
+and results keep input order, so the pool changes no number.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +45,9 @@ WEIGHT_SCHEMES = ("length", "kt")
 # Enumeration and valuation grow about 2^n with the length cutoff n; at 29
 # bits 178,565 programs enumerate.  A larger cutoff is almost surely a typo.
 MAX_PROGRAM_LENGTH_BITS = 32
+# Blocks of work per pool worker: enough that no worker waits long on
+# another's last block, few enough that sending them costs little.
+_BLOCKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class Ensemble:
 
 
 def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
-                   space: SpaceConfig = SpaceConfig(), programs=None) -> Ensemble:
+                   space: SpaceConfig = SpaceConfig(), programs=None, pool=None) -> Ensemble:
     """Enumerate, weight and deduplicate environments.
 
     `programs` overrides enumeration with an explicit program list (e.g. a
@@ -114,12 +121,12 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
     kraft = sum((prior_weight(p) for p in programs), Fraction(0))
 
     horizon = spec.signature_horizon
+    if horizon is not None:
+        keyed = _map_blocks(pool, _signature_block, programs, horizon, machine, space)
+    else:
+        keyed = [(program.program_id, 1) for program in programs]
     groups: dict[object, list] = {}
-    for program in programs:
-        if horizon is not None:
-            signature, steps = signature_and_steps(program, horizon, machine, space)
-        else:
-            signature, steps = program.program_id, 1
+    for program, (signature, steps) in zip(programs, keyed):
         key = signature if spec.dedup_horizon is not None else program.program_id
         groups.setdefault(key, []).append((program, steps))
 
@@ -159,31 +166,37 @@ class AgentMeasurement:
     truncation_bound: float = 0.0
 
 
-def _value_entry_block(agent_factory, entries, params):
+def _map_blocks(pool, fn, items, *args) -> list:
+    """fn(*args, block) over blocks of `items`, the results joined in input order.
+
+    Without a pool the whole list is one block, run here.  A pool's workers
+    take small blocks as they free up, so costly items even out unmodelled.
+    """
+    if pool is None:
+        return fn(*args, items)
+    # ProcessPoolExecutor keeps its worker count in _max_workers
+    size = max(1, math.ceil(len(items) / (pool._max_workers * _BLOCKS_PER_WORKER)))
+    futures = [pool.submit(fn, *args, items[i : i + size])
+               for i in range(0, len(items), size)]
+    return [result for future in futures for result in future.result()]
+
+
+def _signature_block(horizon, machine, space, programs):
+    """Worker unit: (signature, VM steps) of each program in a block."""
+    return [signature_and_steps(p, horizon, machine, space) for p in programs]
+
+
+def _value_entry_block(agent_factory, params, entries):
     """Worker unit: per-episode values for a block of ensemble entries."""
-    out = []
-    for entry in entries:
-        values, mean_remaining, failed = summable_episode_values(
-            agent_factory, entry.environment, params)
-        out.append((values, mean_remaining, failed))
-    return out
+    return [summable_episode_values(agent_factory, entry.environment, params)
+            for entry in entries]
 
 
 def estimate_intelligence(agent_factory, ensemble: Ensemble,
-                          params: ValuationParams, workers: int = 1) -> AgentMeasurement:
+                          params: ValuationParams, pool=None) -> AgentMeasurement:
     """Weight-averaged expected total reward of one agent over the ensemble."""
     entries = ensemble.entries
-    if workers > 1:
-        chunk = max(1, math.ceil(len(entries) / workers))
-        blocks = [entries[i : i + chunk] for i in range(0, len(entries), chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_value_entry_block, agent_factory, block, params)
-                       for block in blocks]
-            results = []
-            for future in futures:
-                results.extend(future.result())
-    else:
-        results = _value_entry_block(agent_factory, entries, params)
+    results = _map_blocks(pool, _value_entry_block, entries, agent_factory, params)
 
     estimates: dict[str, ValueEstimate] = {}
     episode_values: dict[str, np.ndarray] = {}
@@ -270,7 +283,7 @@ class SensitivityRow:
 
 def machine_sensitivity(agent_factories, spec: EnsembleSpec, params: ValuationParams,
                         machines: list[MachineConfig], space: SpaceConfig = SpaceConfig(),
-                        workers: int = 1) -> list[SensitivityRow]:
+                        pool=None) -> list[SensitivityRow]:
     """Scores per agent under each reference machine; report-only.
 
     The first machine is the baseline; each row records whether the agent
@@ -279,10 +292,10 @@ def machine_sensitivity(agent_factories, spec: EnsembleSpec, params: ValuationPa
     rows: list[SensitivityRow] = []
     baseline_ordering: tuple[str, ...] | None = None
     for index, machine in enumerate(machines):
-        ensemble = build_ensemble(spec, machine, space)
+        ensemble = build_ensemble(spec, machine, space, pool=pool)
         scores = {}
         for factory in agent_factories:
-            measurement = estimate_intelligence(factory, ensemble, params, workers=workers)
+            measurement = estimate_intelligence(factory, ensemble, params, pool=pool)
             scores[factory.name] = measurement.score
         ordering = tuple(sorted(scores, key=lambda name: (-scores[name], name)))
         if baseline_ordering is None:

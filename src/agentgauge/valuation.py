@@ -49,6 +49,9 @@ import numpy as np
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
 from .seeding import derive_seed
 
+# More is almost surely a typo, which would fail deep inside a rollout.
+MAX_EPISODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class ValuationParams:
@@ -66,8 +69,9 @@ class ValuationParams:
             raise AgentGaugeError("gamma must lie in (0, 1)")
         if self.horizon < 1:
             raise AgentGaugeError("horizon must be >= 1")
-        if self.episodes < 1:
-            raise AgentGaugeError("episodes must be >= 1")
+        if not 1 <= self.episodes <= MAX_EPISODES:
+            raise AgentGaugeError(f"valuation.episodes (episodes) must lie in "
+                                  f"[1, {MAX_EPISODES}], got {self.episodes}")
         if not 0.0 < self.trunc_epsilon < 1.0:
             raise AgentGaugeError("trunc_epsilon must lie in (0, 1)")
         if not 0.0 < self.confidence < 1.0:

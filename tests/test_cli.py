@@ -9,16 +9,18 @@ import pathlib
 import re
 import sys
 import textwrap
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from agentgauge.cli import build_parser, main
-from agentgauge.config import _KNOWN_KEYS, RunConfig, parse_config
+from agentgauge import cli
+from agentgauge.cli import MAX_WORKERS, build_parser, main
+from agentgauge.config import _KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, RunConfig, parse_config
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program, save_program_file
 from agentgauge.measure import MAX_PROGRAM_LENGTH_BITS, EnsembleSpec
 from agentgauge.reports import validate_report
-from agentgauge.valuation import ValuationParams
+from agentgauge.valuation import MAX_EPISODES, ValuationParams
 
 MACHINE = MachineConfig()
 
@@ -205,6 +207,25 @@ def test_zero_bootstrap_samples_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, bootstrap_samples=0)
     assert main(["run", str(config)]) == 2
     assert "bootstrap_samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+@pytest.mark.parametrize("key", ["bootstrap_samples", "valuation.episodes"])
+def test_huge_sample_counts_exit_2_at_config_time(tmp_path, capsys, command, key):
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{key} = 10000000000\n",
+                      encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sample_count_caps_are_accepted():
+    config = parse_config(f"seed = 1\nbootstrap_samples = {MAX_BOOTSTRAP_SAMPLES}\n")
+    assert config.bootstrap_samples == MAX_BOOTSTRAP_SAMPLES
 
 
 def test_discounted_mode_exits_2_at_config_time(tmp_path, capsys):
@@ -455,6 +476,68 @@ def test_sensitivity_command(tmp_path):
         assert set(row["scores"]) == {"random", "basic"}
         assert isinstance(row["ordering_preserved"], bool)
     assert document["machines"][0]["ordering_preserved"] is True
+
+
+@pytest.fixture
+def pools_made(monkeypatch):
+    """max_workers of every process pool the CLI constructs."""
+    made = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+@pytest.mark.parametrize("workers, pools", [("1", []), ("2", [2])],
+                         ids=["workers-1", "workers-2"])
+def test_run_starts_at_most_one_pool_for_all_agents(tmp_path, pools_made, workers, pools):
+    config = write_config(tmp_path, agents="random,basic,2back")
+    assert main(["run", str(config), "--workers", workers]) == 0
+    assert pools_made == pools
+
+
+@pytest.mark.parametrize("workers, pools", [("1", []), ("2", [2])],
+                         ids=["workers-1", "workers-2"])
+def test_sensitivity_starts_at_most_one_pool_for_all_machines(tmp_path, pools_made,
+                                                               workers, pools):
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 7\noutput_dir = {tmp_path / 'sens'}\n"
+                      "ensemble.max_length_bits = 11\nensemble.dedup_horizon = 4\n"
+                      "valuation.episodes = 5\nvaluation.horizon = 30\n", encoding="utf-8")
+    assert main(["sensitivity", "--config", str(config), "--permutations", "3",
+                 "--workers", workers]) == 0
+    assert pools_made == pools
+
+
+@pytest.mark.parametrize("flag", ["--episodes", "--discount-episodes"])
+def test_study_episodes_above_the_cap_exit_2(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["example-study", "--out", str(out), "--seed", "1", flag, str(MAX_EPISODES + 1)])
+    assert exit_info.value.code == 2
+    assert f"at most {MAX_EPISODES}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{config}"], ["sensitivity", "--config", "{config}", "--permutations", "2"],
+], ids=["run", "sensitivity"])
+def test_workers_above_the_cap_exit_2(tmp_path, capsys, pools_made, argv):
+    config = write_config(tmp_path)
+    argv = [arg.format(config=config) for arg in argv] + ["--workers", str(MAX_WORKERS + 1)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"at most {MAX_WORKERS}" in capsys.readouterr().err
+    assert pools_made == []
+    assert not (tmp_path / "out").exists()
+    # the cap itself parses; no command runs with it
+    assert build_parser().parse_args(
+        ["run", str(config), "--workers", str(MAX_WORKERS)]).workers == MAX_WORKERS
 
 
 def test_sensitivity_rejects_a_programs_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,12 @@ def small_spec(**overrides):
     defaults = dict(max_program_length_bits=17, dedup_horizon=6)
     defaults.update(overrides)
     return EnsembleSpec(**defaults)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessPoolExecutor(max_workers=2) as executor:
+        yield executor
 
 
 def test_spec_validation():
@@ -142,11 +149,24 @@ def test_kt_weight_scheme_builds_and_normalizes():
     assert sum(weights) == pytest.approx(1.0, abs=2 ** -40)
 
 
-def test_estimation_is_deterministic_and_worker_independent():
+@pytest.mark.parametrize("scheme", ["length", "kt"])
+@pytest.mark.parametrize("dedup", [8, None])
+def test_pooled_ensemble_matches_the_serial_one(pool, dedup, scheme):
+    spec = small_spec(dedup_horizon=dedup, weight_scheme=scheme)
+
+    def facts(ensemble):
+        return [(e.identifier, e.raw_weight, e.weight, e.member_count)
+                for e in ensemble.entries]
+
+    serial = build_ensemble(spec, MACHINE, SPACE)
+    assert facts(build_ensemble(spec, MACHINE, SPACE, pool=pool)) == facts(serial)
+
+
+def test_estimation_is_deterministic_and_worker_independent(pool):
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
-    one = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS, workers=1)
-    two = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS, workers=2)
-    again = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS, workers=1)
+    one = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS)
+    two = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS, pool=pool)
+    again = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS)
     assert one.score == two.score == again.score
     assert one.ci_half_width == two.ci_half_width
     for key, values in one.episode_values.items():

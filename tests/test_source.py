@@ -84,3 +84,17 @@ def test_unread_names_are_found():
 def test_every_top_level_name_is_read_by_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_names(sources) == []
+
+
+def test_only_the_cli_names_a_process_pool():
+    # each command owns at most one pool, made in cli.py and passed down
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        if "ProcessPoolExecutor" in names:
+            found.append(path.name)
+    assert found == ["cli.py"]

@@ -30,6 +30,7 @@ from agentgauge.machine import (
 from agentgauge.measure import EnsembleSpec, build_ensemble
 from agentgauge.seeding import derive_seed
 from agentgauge.valuation import (
+    MAX_EPISODES,
     ValuationParams,
     discounted_value,
     harmonic_value,
@@ -96,6 +97,13 @@ def test_gamma_norm_values():
     for gamma in (0.0, 1.0):
         with pytest.raises(AgentGaugeError):
             ValuationParams(gamma=gamma)
+
+
+def test_episode_count_is_bounded():
+    assert ValuationParams(episodes=MAX_EPISODES).episodes == MAX_EPISODES
+    for episodes in (0, MAX_EPISODES + 1):
+        with pytest.raises(AgentGaugeError, match="valuation.episodes"):
+            ValuationParams(episodes=episodes)
 
 
 def test_discounted_pi_opt_on_copy_is_exact():
