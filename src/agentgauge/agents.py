@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import AgentGaugeError
-from .interaction import Percept, SpaceConfig, window_key
+from .interaction import Percept, SpaceConfig
 
 _SCRIPTED_KINDS = ("pi_opt", "pi_1", "pi_2")
 
@@ -80,48 +80,49 @@ def scripted_prob_action_one(kind: str, cycle: int) -> float:
 class _TablePolicy:
     """Epsilon-greedy learner over running means of the next cycle's reward.
 
-    Statistics are keyed by the canonical window key: the current observation
-    plus the last `back` (action, percept) pairs.  Greedy action selection
+    Statistics are keyed by a flat tuple: the current observation, then the
+    last `back` completed cycles newest first, each as (action, observation,
+    reward numerator).  A key's length tells its window's length, so a short
+    window never shares a key with a longer one.  Greedy action selection
     requires every action to have been sampled at least once under the key;
     before that the policy is uniform.  Ties between greedy actions go to the
     lowest action index.
     """
 
-    __slots__ = ("space", "back", "epsilon", "rng", "table",
-                 "window", "pending", "current_key", "prev_percept", "last_action")
+    __slots__ = ("space", "tail", "epsilon", "rng", "table",
+                 "pending", "current_key", "prev_reward", "last_action")
 
     def __init__(self, space: SpaceConfig, back: int, epsilon: float,
                  rng: random.Random) -> None:
         self.space = space
-        self.back = back
+        # a new key keeps this much of the last key after its observation
+        self.tail = 3 * back - 2 if back else 0
         self.epsilon = epsilon
         self.rng = rng
         # key -> flat [count_0, total_0, count_1, total_1, ...] per action
-        self.table: dict[bytes, list[float]] = {}
-        self.window: list[tuple[int, int, int]] = []
-        self.pending: tuple[bytes, int] | None = None
-        self.current_key: bytes | None = None
-        self.prev_percept: Percept | None = None
+        self.table: dict[tuple[int, ...], list[float]] = {}
+        self.pending: int | None = None  # the action awaiting its reward
+        self.current_key: tuple[int, ...] | None = None
+        self.prev_reward = 0
         self.last_action = 0
 
     def observe(self, percept: Percept) -> None:
-        if self.pending is not None:
-            key, action = self.pending
+        observation, reward = percept
+        key = self.current_key
+        action = self.pending
+        if action is not None:
             entry = self.table.get(key)
             if entry is None:
-                entry = [0.0] * (2 * self.space.action_count)
-                self.table[key] = entry
+                entry = self.table[key] = [0.0] * (2 * self.space.action_count)
             entry[2 * action] += 1.0
-            entry[2 * action + 1] += percept.reward_numerator / self.space.reward_denominator
+            entry[2 * action + 1] += reward / self.space.reward_denominator
             self.pending = None
-        if self.prev_percept is not None and self.back > 0:
-            self.window.append((self.last_action, self.prev_percept.observation,
-                                self.prev_percept.reward_numerator))
-            if len(self.window) > self.back:
-                self.window.pop(0)
-        self.prev_percept = percept
-        pairs = tuple(reversed(self.window)) if self.back else ()
-        self.current_key = window_key(percept.observation, pairs)
+        if key is None or not self.tail:
+            self.current_key = (observation,)
+        else:
+            self.current_key = ((observation, self.last_action, key[0], self.prev_reward)
+                                + key[1 : self.tail])
+        self.prev_reward = reward
 
     def _greedy_action(self, entry: list[float]) -> int | None:
         """Lowest index of a maximal running mean, or None if some action is unsampled."""
@@ -140,11 +141,9 @@ class _TablePolicy:
     def action_distribution(self) -> tuple[float, ...]:
         n = self.space.action_count
         entry = self.table.get(self.current_key) if self.current_key is not None else None
-        if entry is None:
-            return tuple(1.0 / n for _ in range(n))
-        greedy = self._greedy_action(entry)
+        greedy = None if entry is None else self._greedy_action(entry)
         if greedy is None:
-            return tuple(1.0 / n for _ in range(n))
+            return (1.0 / n,) * n
         base = self.epsilon / n
         dist = [base] * n
         dist[greedy] = 1.0 - base * (n - 1)
@@ -160,8 +159,7 @@ class _TablePolicy:
             if r < acc:
                 action = i
                 break
-        self.pending = (self.current_key, action)
-        self.last_action = action
+        self.pending = self.last_action = action
         return action
 
 

@@ -53,6 +53,8 @@ from .valuation import MAX_EPISODES, ValuationParams, discounted_value, per_cycl
 
 # A fork-started pool forks all --workers processes at its first submit.
 MAX_WORKERS = 64
+# A reward profile holds a float per cycle; ten million of them take 80 MB.
+MAX_STUDY_CYCLES = 10_000_000
 
 
 def _worker_pool(workers: int):
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--out", required=True)
     p_study.add_argument("--seed", type=int, required=True)
     p_study.add_argument("--episodes", type=_size_up_to(MAX_EPISODES), default=10000)
-    p_study.add_argument("--cycles", type=_size, default=5200)
+    p_study.add_argument("--cycles", type=_size_up_to(MAX_STUDY_CYCLES), default=5200)
     p_study.add_argument("--discount-episodes", type=_size_up_to(MAX_EPISODES),
                          default=10000)
     p_study.set_defaults(func=_cmd_example_study)

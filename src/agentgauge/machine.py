@@ -28,6 +28,7 @@ marked reward-free has a remaining reward bound of 0 from its first cycle on.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -56,6 +57,9 @@ INSTRUCTION_NAMES = (
 
 # Canonical internal opcodes, in INSTRUCTION_NAMES order.
 _OP_RIGHT, _OP_LEFT, _OP_INC, _OP_DEC, _OP_OPEN, _OP_CLOSE, _OP_READ, _OP_RAND, _OP_EMIT = range(9)
+
+# Builds a Percept without a Python-level call of Percept.__new__.
+_new_tuple = tuple.__new__
 
 OPCODE_BITS = 4
 SIGNATURE_NODE_CAP = 8192
@@ -109,7 +113,7 @@ class EnvProgram:
     def has_emit(self) -> bool:
         return _OP_EMIT in self.ops
 
-    @property
+    @functools.cached_property
     def program_id(self) -> str:
         return format_program_line(self.bits)
 
@@ -237,7 +241,8 @@ class EnvProcess:
     `enable_shortcuts=False` turns off all execution shortcuts (used by tests
     that check the shortcuts are behavior-preserving).  `reward_free` is set
     by the owner of a `proves_reward_free` proof; it changes no percept, only
-    the remaining reward bound.
+    the remaining reward bound.  A program without `random_bit` keeps no
+    random stream: its `rng` is None.
     """
 
     __slots__ = (
@@ -257,7 +262,9 @@ class EnvProcess:
         self.budget = space.reward_denominator
         self.last_action = 0
         self.cycles = 0
-        if isinstance(rng, random.Random):
+        if _OP_RAND not in program.ops:
+            self.rng = None  # a program without random_bit never draws
+        elif isinstance(rng, random.Random):
             self.rng = rng
         else:
             self.rng = random.Random(0 if rng is None else rng)
@@ -304,7 +311,7 @@ class EnvProcess:
             other.rng = random.Random.__new__(random.Random)
             other.rng.setstate(self.rng.getstate())
         else:
-            other.rng = self.rng  # never drawn from, so sharing is exact
+            other.rng = None
         other.shortcuts = self.shortcuts
         other.frozen = self.frozen
         other.frozen_obs = self.frozen_obs
@@ -316,136 +323,116 @@ class EnvProcess:
         other.reward_free = self.reward_free
         return other
 
-    def _emit(self, raw_obs: int, raw_numerator: int) -> Percept:
-        if self.machine.enforce_reward_budget:
-            numerator = min(raw_numerator, self.budget)
-            self.budget -= numerator
-        else:
-            numerator = raw_numerator
-        self.emitted_total += numerator
-        return Percept(observation=raw_obs, reward_numerator=numerator)
-
     def step(self, action: int | None) -> Percept:
         """Advance one interaction cycle and return the emitted percept."""
-        if self.cycles == 0:
-            if action is not None:
-                raise ProtocolError("the environment moves first: no action on cycle 1")
-        else:
+        if self.cycles:
             if action is None:
                 raise ProtocolError("an action is required after the first cycle")
             if not 0 <= action < self.space.action_count:
                 raise ValueError(f"action {action} outside [0, {self.space.action_count})")
             self.last_action = action
+        elif action is not None:
+            raise ProtocolError("the environment moves first: no action on cycle 1")
         self.cycles += 1
+        machine = self.machine
 
         if self.frozen:
             self.steps_last_cycle = 0
-            return self._emit(self.frozen_obs, self.frozen_raw)
+            raw_obs = self.frozen_obs
+            raw_numerator = self.frozen_raw
+        else:
+            tape = self.tape
+            program = self.program
+            ops = program.ops
+            jumps = program.jumps
+            length = len(ops)
+            modulus = machine.cell_modulus
+            tape_len = machine.tape_length
+            budget_limit = machine.step_budget_per_cycle
+            shortcuts = self.shortcuts
 
-        tape = self.tape
-        ops = self.program.ops
-        jumps = self.program.jumps
-        length = len(ops)
-        modulus = self.machine.cell_modulus
-        tape_len = self.machine.tape_length
-        obs_count = self.space.observation_count
-        reward_mod = self.space.reward_denominator + 1
-        budget_limit = self.machine.step_budget_per_cycle
-
-        ptr = self.ptr
-        start_ptr = ptr
-        ip = 0
-        steps = 0
-        limit = budget_limit
-        spin_detected = False
-        write_ops = 0
-        io_ops = 0
-        first_old: dict[int, int] = {}
-        back_log: dict[int, tuple[int, int, int, int]] | None = None
-
-        raw_obs = 0
-        raw_numerator = 0
-        while True:
-            if ip >= length or steps >= limit:
-                break
-            op = ops[ip]
-            steps += 1
-            if op == _OP_RIGHT:
-                ptr = ptr + 1 if ptr + 1 < tape_len else 0
+            ptr = start_ptr = self.ptr
+            ip = steps = write_ops = io_ops = 0
+            limit = budget_limit
+            spin_detected = False
+            first_old: dict[int, int] = {}
+            back_log: dict[int, tuple[int, int, int, int]] | None = None
+            raw_obs = raw_numerator = 0
+            while ip < length and steps < limit:
+                op = ops[ip]
                 ip += 1
-            elif op == _OP_LEFT:
-                ptr = ptr - 1 if ptr else tape_len - 1
-                ip += 1
-            elif op == _OP_INC:
-                old = tape[ptr]
-                if ptr not in first_old:
-                    first_old[ptr] = old
-                tape[ptr] = (old + 1) % modulus
-                write_ops += 1
-                ip += 1
-            elif op == _OP_DEC:
-                old = tape[ptr]
-                if ptr not in first_old:
-                    first_old[ptr] = old
-                tape[ptr] = (old - 1) % modulus
-                write_ops += 1
-                ip += 1
-            elif op == _OP_OPEN:
-                ip = jumps[ip] + 1 if tape[ptr] == 0 else ip + 1
-            elif op == _OP_CLOSE:
-                if tape[ptr] != 0:
-                    if self.shortcuts and not spin_detected:
-                        if back_log is None:
-                            back_log = {}
-                        previous = back_log.get(ip)
-                        state = (steps, ptr, write_ops, io_ops)
-                        if previous is not None and previous[1:] == state[1:]:
-                            # One full pass of this loop had no effect on tape,
-                            # pointer or I/O: the cycle can never emit.  Burn
-                            # the exact residue of the step budget so machine
-                            # state matches an unshortened run.
-                            iteration = steps - previous[0]
-                            limit = steps + (budget_limit - steps) % iteration
-                            spin_detected = True
-                        else:
-                            back_log[ip] = state
-                    ip = jumps[ip] + 1
+                steps += 1
+                if op < _OP_OPEN:
+                    if op == _OP_RIGHT:
+                        ptr += 1
+                        if ptr == tape_len:
+                            ptr = 0
+                    elif op == _OP_LEFT:
+                        ptr = ptr - 1 if ptr else tape_len - 1
+                    else:
+                        old = tape[ptr]
+                        if ptr not in first_old:
+                            first_old[ptr] = old
+                        tape[ptr] = (old + 1 if op == _OP_INC else old - 1) % modulus
+                        write_ops += 1
+                elif op == _OP_OPEN:
+                    if not tape[ptr]:
+                        ip = jumps[ip - 1] + 1
+                elif op == _OP_CLOSE:
+                    if tape[ptr]:
+                        if shortcuts and not spin_detected:
+                            if back_log is None:
+                                back_log = {}
+                            previous = back_log.get(ip)
+                            if previous is not None and previous[1:] == (ptr, write_ops, io_ops):
+                                # One full pass of this loop had no effect on
+                                # tape, pointer or I/O: the cycle can never
+                                # emit.  Burn the exact residue of the step
+                                # budget so machine state matches an
+                                # unshortened run.
+                                limit = steps + (budget_limit - steps) % (steps - previous[0])
+                                spin_detected = True
+                            else:
+                                back_log[ip] = (steps, ptr, write_ops, io_ops)
+                        ip = jumps[ip - 1] + 1
+                elif op == _OP_EMIT:
+                    raw_obs = tape[ptr] % self.space.observation_count
+                    raw_numerator = (tape[ptr + 1 if ptr + 1 < tape_len else 0]
+                                     % (self.space.reward_denominator + 1))
+                    break
                 else:
-                    ip += 1
-            elif op == _OP_READ:
-                if ptr not in first_old:
-                    first_old[ptr] = tape[ptr]
-                tape[ptr] = self.last_action % modulus
-                write_ops += 1
-                io_ops += 1
-                ip += 1
-            elif op == _OP_RAND:
-                if ptr not in first_old:
-                    first_old[ptr] = tape[ptr]
-                tape[ptr] = self.rng.getrandbits(1)
-                self.draws += 1
-                write_ops += 1
-                io_ops += 1
-                ip += 1
-            else:  # _OP_EMIT
-                raw_obs = tape[ptr] % obs_count
-                raw_numerator = tape[ptr + 1 if ptr + 1 < tape_len else 0] % reward_mod
-                break
+                    if ptr not in first_old:
+                        first_old[ptr] = tape[ptr]
+                    if op == _OP_READ:
+                        tape[ptr] = self.last_action % modulus
+                    else:
+                        tape[ptr] = self.rng.getrandbits(1)
+                        self.draws += 1
+                    write_ops += 1
+                    io_ops += 1
 
-        self.ptr = ptr
-        if spin_detected:
-            steps = budget_limit
-        self.steps_last_cycle = steps
-        self.total_steps += steps
+            self.ptr = ptr
+            if spin_detected:
+                steps = budget_limit
+            self.steps_last_cycle = steps
+            self.total_steps += steps
+            if shortcuts and not io_ops and ptr == start_ptr:
+                for cell, value in first_old.items():
+                    if tape[cell] != value:
+                        break
+                else:
+                    # The cycle left the machine state untouched and consumed
+                    # no input: every future cycle will replay it identically.
+                    self.frozen = True
+                    self.frozen_obs = raw_obs
+                    self.frozen_raw = raw_numerator
 
-        if self.shortcuts and io_ops == 0 and ptr == start_ptr:
-            if all(tape[i] == value for i, value in first_old.items()):
-                # The cycle left the machine state untouched and consumed no
-                # input: every future cycle will replay it identically.
-                self.frozen = True
-                self.frozen_obs = raw_obs
-                self.frozen_raw = raw_numerator
-        return self._emit(raw_obs, raw_numerator)
+        if machine.enforce_reward_budget:
+            if raw_numerator > self.budget:
+                raw_numerator = self.budget
+            self.budget -= raw_numerator
+        self.emitted_total += raw_numerator
+        return _new_tuple(Percept, (raw_obs, raw_numerator))
 
 
 class _ScriptedBits:

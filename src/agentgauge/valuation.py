@@ -23,11 +23,14 @@ An environment that never reads an action (a program without `read_action`,
 or a constant schedule) yields the same percepts for every agent.  When the
 agent is an in-process factory, whose policy is built fresh for each episode
 and observed by nothing else, `_rollout` then builds no policy and steps with
-action 0; if the environment is also deterministic (no `random_bit`),
-`summable_episode_values` plays one episode and repeats it.  Environment
+action 0.  For such a factory, `summable_episode_values` plays one episode
+and repeats it where every episode is provably the same: the environment is
+proven reward-free (each episode is one cycle with reward 0 and bound 0), or
+it reads no action and is deterministic (no `random_bit`).  Environment
 streams keep their seeds and the policy's stream was never read by the
-environment, so every value is what the full loop gives.  External agents
-always see every percept: their replies and warnings are part of the report.
+environment, so every value is what the full loop gives.  A deterministic
+environment is spawned without a random stream.  External agents always see
+every percept: their replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  The one fact an episode reports about
@@ -138,7 +141,7 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     environment, index), so any caller that passes the same arguments
     replays the same episode.  An agent-free
     episode builds no policy and steps with action 0, which the environment
-    never reads.
+    never reads; a deterministic environment gets no random stream.
     """
     if _agent_free(agent_factory, env_model):
         policy = _UNREAD
@@ -146,19 +149,24 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
         policy = agent_factory.make(
             random.Random(derive_seed(seed, "agent", agent_factory.name,
                                       env_model.identifier, index)))
-    episode = env_model.spawn(
-        random.Random(derive_seed(seed, "env", agent_factory.name,
-                                  env_model.identifier, index)))
-    percept = episode.step(None)
-    policy.observe(percept)
+    if getattr(env_model, "deterministic", False):
+        episode = env_model.spawn(None)
+    else:
+        episode = env_model.spawn(
+            random.Random(derive_seed(seed, "env", agent_factory.name,
+                                      env_model.identifier, index)))
+    step, act, observe = episode.step, policy.act, policy.observe
+    percept = step(None)
+    observe(percept)
     numerators = [percept.reward_numerator]
+    append = numerators.append
     for _ in range(1, horizon):
         bound = episode.remaining_reward_bound
         if bound == 0.0 or bound < epsilon:
             break
-        percept = episode.step(policy.act())
-        policy.observe(percept)
-        numerators.append(percept.reward_numerator)
+        percept = step(act())
+        observe(percept)
+        append(percept.reward_numerator)
     return numerators, episode
 
 
@@ -256,15 +264,19 @@ def summable_episode_values(agent_factory, env_model,
 
     Returns (episode values, mean remaining reward bound at stop, failures).
     Each episode is one `_rollout` with epsilon = trunc_epsilon.  Failed
-    rollouts (external agents only) are excluded, not scored as zero.  An
-    agent-free episode in a deterministic environment is the same whatever
-    its index, so it is played once and its result repeated.
+    rollouts (external agents only) are excluded, not scored as zero.  For
+    a factory with private policies, an episode is the same whatever its
+    index when the environment is proven reward-free (one cycle of reward 0
+    and bound 0) or never reads an action and is deterministic, so it is
+    played once and its result repeated.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
-    replay = (_agent_free(agent_factory, env_model)
-              and getattr(env_model, "deterministic", False))
+    replay = (getattr(agent_factory, "private_policies", False)
+              and (getattr(env_model, "reward_free", False)
+                   or (not getattr(env_model, "reads_actions", True)
+                       and getattr(env_model, "deterministic", False))))
     values: list[float] = []
     remainders: list[float] = []
     failed = 0

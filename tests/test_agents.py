@@ -17,7 +17,7 @@ from agentgauge.agents import (
 )
 from agentgauge.environments import make_copy_env, make_pattern_env
 from agentgauge.errors import AgentGaugeError
-from agentgauge.interaction import Percept, SpaceConfig, window_key
+from agentgauge.interaction import Percept, SpaceConfig
 from agentgauge.valuation import ValuationParams, per_cycle_reward_profile, summable_value
 
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
@@ -96,11 +96,11 @@ def test_learner_table_matches_replay_oracle(depth):
     policy = kback_agent(BINARY, depth).make(random.Random(11))
     percepts, actions = _drive_and_log(policy, cycles=300, seed=42)
 
-    expected: dict[tuple[bytes, int], list[float]] = {}
+    expected: dict[tuple[tuple[int, ...], int], list[float]] = {}
     for k in range(len(percepts) - 1):
-        pairs = tuple((actions[j], percepts[j].observation, percepts[j].reward_numerator)
-                      for j in range(k - 1, max(k - depth, 0) - 1, -1))
-        key = window_key(percepts[k].observation, pairs)
+        key = (percepts[k].observation,)
+        for j in range(k - 1, max(k - depth, 0) - 1, -1):
+            key += (actions[j], percepts[j].observation, percepts[j].reward_numerator)
         reward = percepts[k + 1].reward_numerator / BINARY.reward_denominator
         expected.setdefault((key, actions[k]), []).append(reward)
 

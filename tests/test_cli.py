@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from agentgauge import cli
-from agentgauge.cli import MAX_WORKERS, build_parser, main
+from agentgauge.cli import MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
 from agentgauge.config import _KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, RunConfig, parse_config
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program, save_program_file
@@ -256,8 +256,8 @@ def test_external_command_that_cannot_run_exits_2(tmp_path, capsys, command):
     "spaces.reward_denominator = 65536",
 ], ids=["actions", "observations", "reward-denominator"])
 def test_space_beyond_two_bytes_exits_2(tmp_path, capsys, line):
-    # signatures and window keys store each action, observation and reward
-    # numerator in two bytes
+    # behavior signatures store each observation and reward numerator in
+    # two bytes; actions share the same bound
     config = write_config(tmp_path, extra=line.replace("\n", "\n        "))
     assert main(["run", str(config)]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -521,6 +521,20 @@ def test_study_episodes_above_the_cap_exit_2(tmp_path, capsys, flag):
     assert exit_info.value.code == 2
     assert f"at most {MAX_EPISODES}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_study_cycles_above_the_cap_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["example-study", "--out", str(out), "--seed", "1",
+              "--cycles", str(MAX_STUDY_CYCLES + 1)])
+    assert exit_info.value.code == 2
+    assert f"at most {MAX_STUDY_CYCLES}" in capsys.readouterr().err
+    assert not out.exists()
+    # the cap itself parses; no study runs with it
+    assert build_parser().parse_args(
+        ["example-study", "--out", str(out), "--seed", "1",
+         "--cycles", str(MAX_STUDY_CYCLES)]).cycles == MAX_STUDY_CYCLES
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,4 @@
-"""Protocol types: space validation and the canonical window keys agents use."""
+"""Protocol types: space validation and the window keys learners build."""
 
 from __future__ import annotations
 
@@ -6,7 +6,24 @@ import itertools
 
 import pytest
 
-from agentgauge.interaction import SpaceConfig, window_key
+from agentgauge.agents import kback_agent
+from agentgauge.interaction import Percept, SpaceConfig
+
+BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
+
+
+class _Forced:
+    """Random source that makes a binary learner take the scripted actions.
+
+    The learner takes action 0 when its draw falls below the probability of
+    action 0, which is positive at every history, and action 1 otherwise.
+    """
+
+    def __init__(self, actions):
+        self.actions = iter(actions)
+
+    def random(self):
+        return 0.0 if next(self.actions) == 0 else 1.0 - 2.0 ** -53
 
 
 def _pairs(percepts, actions, depth):
@@ -16,10 +33,15 @@ def _pairs(percepts, actions, depth):
 
 
 def key(*moves, depth):
-    """window_key of alternating (observation, reward) percepts and int actions."""
+    """The key a `depth`-back learner holds after alternating percepts and actions."""
     percepts = [move for move in moves if isinstance(move, tuple)]
     actions = [move for move in moves if not isinstance(move, tuple)]
-    return window_key(percepts[-1][0], _pairs(percepts, actions, depth))
+    policy = kback_agent(BINARY, depth).make(_Forced(actions))
+    for k, percept in enumerate(percepts):
+        policy.observe(Percept(*percept))
+        if k < len(actions):
+            assert policy.act() == actions[k]
+    return policy.current_key
 
 
 def test_space_config_validation():
@@ -62,12 +84,24 @@ def test_history_key_injective_on_window_exhaustive(depth):
     # Brute force over all interactions of <= 3 cycles over binary spaces:
     # keys collide exactly when the suffix windows agree.
     percept_values = [(o, r) for o in (0, 1) for r in (0, 1)]
-    seen: dict[bytes, object] = {}
+    seen: dict[tuple[int, ...], object] = {}
     for cycles in range(1, 4):
         for percepts in itertools.product(percept_values, repeat=cycles):
             for actions in itertools.product((0, 1), repeat=cycles - 1):
                 window = (percepts[-1][0], _pairs(percepts, actions, depth))
-                assert seen.setdefault(window_key(*window), window) == window
+                moves = [m for pair in itertools.zip_longest(percepts, actions)
+                         for m in pair if m is not None]
+                assert seen.setdefault(key(*moves, depth=depth), window) == window
     # and distinct windows never share a key
     windows = set(seen.values())
     assert len(windows) == len(seen)
+
+
+def test_history_key_separates_window_lengths():
+    # The same newest cycles with one more cycle behind them: a learner with
+    # room for both windows must key them apart.
+    short = ((1, 0), 1, (0, 1))
+    longer = ((0, 1), 0) + short
+    assert key(*short, depth=3) != key(*longer, depth=3)
+    assert key(*longer, depth=3)[: len(key(*short, depth=3))] == key(*short, depth=3)
+    assert key(*short, depth=1) == key(*longer, depth=1)

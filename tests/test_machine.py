@@ -228,29 +228,54 @@ def test_identical_seed_gives_identical_percepts():
     assert a != c
 
 
+LOOP_FIXTURES = (
+    ("inc", "loop_open", "loop_close", "emit"),
+    ("dec", "loop_open", "loop_close", "inc"),
+    ("random_bit", "loop_open", "loop_close", "emit"),
+    ("read_action", "loop_open", "loop_close", "emit"),
+    ("inc", "loop_open", "inc", "loop_close"),
+    ("inc", "loop_open", "move_left", "loop_close"),
+    ("loop_open", "loop_open", "loop_close", "loop_close"),
+    ("inc", "loop_open", "loop_open", "loop_close", "loop_close"),
+    ("inc", "loop_open", "move_left", "move_right", "loop_close", "emit"),
+    ("inc", "loop_open", "emit", "loop_close"),
+)
+STEP_TRACE_DIGEST = "2aac77b7066ec15a86bf12bec3e25498b551ef913e2d93cbe14252ce05b495b4"
+
+
 def test_shortcuts_preserve_behavior_exactly():
     # Oracle: the plain interpreter with every shortcut disabled.  Percepts
     # must agree bit for bit, including for programs that spin out a whole
     # step budget each cycle.
     rng = random.Random(123)
     programs = list(enumerate_programs(17, MACHINE))
-    programs += [
-        make("inc", "loop_open", "loop_close", "emit"),
-        make("dec", "loop_open", "loop_close", "inc"),
-        make("random_bit", "loop_open", "loop_close", "emit"),
-        make("read_action", "loop_open", "loop_close", "emit"),
-        make("inc", "loop_open", "inc", "loop_close"),
-        make("inc", "loop_open", "move_left", "loop_close"),
-        make("loop_open", "loop_open", "loop_close", "loop_close"),
-        make("inc", "loop_open", "loop_open", "loop_close", "loop_close"),
-        make("inc", "loop_open", "move_left", "move_right", "loop_close", "emit"),
-        make("inc", "loop_open", "emit", "loop_close"),
-    ]
+    programs += [make(*instructions) for instructions in LOOP_FIXTURES]
     for program in programs:
         actions = [rng.randrange(2) for _ in range(30)]
         _, fast = run(program, actions, seed=77, shortcuts=True)
         _, slow = run(program, actions, seed=77, shortcuts=False)
         assert fast == slow, program.program_id
+
+
+def test_step_trace_is_golden():
+    # Percepts alone cannot see a drift in step counts, and `kt` weights
+    # depend on them: pin the whole per-cycle machine state of both modes.
+    script = random.Random(31)
+    actions = [script.randrange(2) for _ in range(39)]
+    programs = list(enumerate_programs(17, MACHINE))
+    programs += [make(*instructions) for instructions in LOOP_FIXTURES]
+    digest = hashlib.sha256()
+    for program in programs:
+        for shortcuts in (True, False):
+            proc = EnvProcess(program, MACHINE, SPACE, rng=random.Random(41),
+                              enable_shortcuts=shortcuts)
+            for action in [None] + actions:
+                percept = proc.step(action)
+                digest.update(repr((
+                    percept.observation, percept.reward_numerator,
+                    proc.steps_last_cycle, proc.total_steps, proc.draws, proc.ptr,
+                    proc.budget, proc.frozen)).encode())
+    assert digest.hexdigest() == STEP_TRACE_DIGEST
 
 
 def test_protocol_discipline():

@@ -415,6 +415,7 @@ class _Spawns:
         self.identifier = inner.identifier
         self.reads_actions = inner.reads_actions
         self.deterministic = inner.deterministic
+        self.reward_free = getattr(inner, "reward_free", False)
         self.spawned = 0
 
     def spawn(self, rng):
@@ -462,15 +463,21 @@ def test_agent_free_paths_follow_the_declared_facts():
         (ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
                             MachineConfig(), BINARY), 5, 5),
         (make_constant_env([1] * 40, BINARY), 0, 1),
+        # proven reward-free: every episode is one cycle of reward 0
+        (ProgramEnvironment(encode_program(["read_action", "emit"]),
+                            MachineConfig(), BINARY), 1, 1),
+        (ProgramEnvironment(encode_program(["random_bit", "emit"]),
+                            MachineConfig(), BINARY), 0, 1),
     )
     for env, made, spawned in cases:
         factory, counted = _Counting(random_agent(BINARY)), _Spawns(env)
         summable_episode_values(factory, counted, params)
         assert (factory.made, counted.spawned) == (made, spawned), env.identifier
-        # a factory that does not declare private policies keeps its policy
+        # a factory that does not declare private policies plays every episode
         public = _Counting(random_agent(BINARY), private_policies=False)
+        counted = _Spawns(env)
         summable_episode_values(public, counted, params)
-        assert public.made == params.episodes
+        assert (public.made, counted.spawned) == (params.episodes, params.episodes)
     # models that declare neither fact take the policy path
     for env in (make_pattern_env(2, BINARY), _NoBatch(make_constant_env([1] * 40, BINARY))):
         factory = _Counting(random_agent(BINARY))
