@@ -47,5 +47,4 @@ from .measure import (  # noqa: F401
     build_ensemble,
     compare_agents,
     estimate_intelligence,
-    machine_sensitivity,
 )

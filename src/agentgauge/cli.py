@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import math
 import pathlib
 import random
 import sys
@@ -26,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .agents import make_agent, scripted_agents
-from .config import RunConfig, load_config
+from .agents import scripted_agents
+from .config import load_config
 from .environments import make_copy_env
 from .errors import AgentGaugeError, ConfigError
 from .external import ExternalAgentFactory
@@ -45,7 +46,6 @@ from .measure import (
     build_ensemble,
     compare_agents,
     estimate_intelligence,
-    machine_sensitivity,
 )
 from .reports import build_manifest, build_report, dump_json, write_run_outputs
 from .seeding import derive_seed
@@ -55,6 +55,8 @@ from .valuation import MAX_EPISODES, ValuationParams, discounted_value, per_cycl
 MAX_WORKERS = 64
 # A reward profile holds a float per cycle; ten million of them take 80 MB.
 MAX_STUDY_CYCLES = 10_000_000
+# The number of distinct opcode tables.
+MAX_PERMUTATIONS = math.factorial(len(INSTRUCTION_NAMES))
 
 
 def _worker_pool(workers: int):
@@ -62,24 +64,9 @@ def _worker_pool(workers: int):
     return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
 
 
-def _build_agent_roster(config: RunConfig) -> tuple[list, list[ExternalAgentFactory]]:
-    factories = []
-    externals = []
-    for name in config.agent_names:
-        if name in config.external_commands:
-            factory = ExternalAgentFactory(
-                name, config.external_commands[name], config.space,
-                timeout_ms=config.external_timeout_ms)
-            externals.append(factory)
-            factories.append(factory)
-        else:
-            factories.append(make_agent(name, config.space, epsilon=config.agent_epsilon))
-    return factories, externals
-
-
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    factories, externals = _build_agent_roster(config)
+    externals = [f for f in config.agents if isinstance(f, ExternalAgentFactory)]
     workers = args.workers
     if externals and workers > 1:
         print("external agents require workers=1; reducing", file=sys.stderr)
@@ -93,14 +80,12 @@ def _cmd_run(args) -> int:
                                       config.space, programs=programs, pool=pool)
             measurements = [
                 estimate_intelligence(factory, ensemble, config.valuation, pool=pool)
-                for factory in factories
+                for factory in config.agents
             ]
-        comparisons = []
-        if len(measurements) > 1:
-            comparisons = compare_agents(
-                measurements, ensemble, seed=config.seed,
-                bootstrap_samples=config.bootstrap_samples,
-                confidence=config.valuation.confidence)
+        comparisons = compare_agents(
+            measurements, ensemble, seed=config.seed,
+            bootstrap_samples=config.bootstrap_samples,
+            confidence=config.valuation.confidence)
         warnings = {f.name: f.host.timeout_warnings for f in externals}
         report = build_report(config.seed, ensemble, measurements, comparisons,
                               config.valuation, external_warnings=warnings)
@@ -211,61 +196,51 @@ def _cmd_sensitivity(args) -> int:
         raise ConfigError("ensemble.programs_file: sensitivity enumerates the ensemble "
                           "under each opcode table, where the same bits decode to "
                           "other programs")
-    external = [name for name in config.agent_names if name in config.external_commands]
+    external = [f.name for f in config.agents if isinstance(f, ExternalAgentFactory)]
     if external:
         print(f"sensitivity scores built-in agents only; skipping external agents: "
               f"{', '.join(external)}", file=sys.stderr)
-    factories = [make_agent(name, config.space, epsilon=config.agent_epsilon)
-                 for name in config.agent_names if name not in external]
+    factories = [f for f in config.agents if not isinstance(f, ExternalAgentFactory)]
     if not factories:
         raise ConfigError("sensitivity needs at least one built-in agent in agents")
     rng = random.Random(derive_seed(config.seed, "sensitivity-permutations"))
-    machines = [config.machine]
-    while len(machines) < args.permutations:
-        table = list(INSTRUCTION_NAMES)
-        rng.shuffle(table)
-        machines.append(dataclasses.replace(config.machine, opcode_table=tuple(table)))
+    machine = config.machine  # the baseline; each later row draws its own table
+    rows = []
     with _worker_pool(args.workers) as pool:
-        rows = machine_sensitivity(factories, config.ensemble_spec, config.valuation,
-                                   machines, config.space, pool=pool)
+        for index in range(args.permutations):
+            if index:
+                table = list(INSTRUCTION_NAMES)
+                rng.shuffle(table)
+                machine = dataclasses.replace(config.machine, opcode_table=tuple(table))
+            ensemble = build_ensemble(config.ensemble_spec, machine, config.space, pool=pool)
+            scores = {f.name: estimate_intelligence(f, ensemble, config.valuation,
+                                                    pool=pool).score
+                      for f in factories}
+            ordering = sorted(scores, key=lambda name: (-scores[name], name))
+            preserved = not rows or ordering == rows[0]["ordering"]
+            label = f"machine-{index}"
+            rows.append({"label": label, "opcode_table": list(machine.opcode_table),
+                         "scores": scores, "ordering": ordering,
+                         "ordering_preserved": preserved})
+            shown = " ".join(f"{k}={v:.3g}" for k, v in scores.items())
+            print(f"{label}: {shown} ordering_preserved={preserved}")
     out = pathlib.Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    document = {
-        "seed": config.seed,
-        "machines": [
-            {
-                "label": row.machine_label,
-                "opcode_table": list(row.opcode_table),
-                "scores": row.scores,
-                "ordering": list(row.ordering),
-                "ordering_preserved": row.ordering_preserved,
-            }
-            for row in rows
-        ],
-    }
+    document = {"seed": config.seed, "machines": rows}
     (out / "sensitivity.json").write_text(dump_json(document), encoding="utf-8")
-    for row in rows:
-        scores = " ".join(f"{k}={v:.3g}" for k, v in row.scores.items())
-        print(f"{row.machine_label}: {scores} ordering_preserved={row.ordering_preserved}")
     print(f"sensitivity report written to {out / 'sensitivity.json'}")
     return 0
 
 
-def _size(text: str) -> int:
-    """argparse type of the size options: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _size_up_to(maximum: int):
-    """argparse type of a size option with an upper bound."""
+    """argparse type of a size option: an integer in [1, maximum]."""
     def parse(text: str) -> int:
-        value = _size(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
         if value > maximum:
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
@@ -304,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sens = sub.add_parser("sensitivity",
                             help="re-score agents under permuted opcode tables")
     p_sens.add_argument("--config", required=True)
-    p_sens.add_argument("--permutations", type=_size, required=True)
+    p_sens.add_argument("--permutations", type=_size_up_to(MAX_PERMUTATIONS), required=True)
     p_sens.add_argument("--workers", type=_size_up_to(MAX_WORKERS), default=1)
     p_sens.set_defaults(func=_cmd_sensitivity)
     return parser

@@ -6,6 +6,8 @@ not run with silently ignored settings.  The seed is mandatory; wall-clock
 time never influences results.
 Each key fills one dataclass field (`_TABLE`), which checks the value; a key
 left out keeps the field's default, so every default has one home.
+`RunConfig` builds its agent roster once, and building it is the check of the
+agent names; no external agent process starts before its first episode.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .agents import make_agent
 from .errors import AgentGaugeError, ConfigError
+from .external import ExternalAgentFactory
 from .interaction import SpaceConfig
 from .machine import MachineConfig, check_signature_horizon
 from .measure import EnsembleSpec
@@ -41,6 +44,8 @@ class RunConfig:
     bootstrap_samples: int = 2000
     programs_file: str | None = None
     raw: dict[str, str] = field(default_factory=dict)
+    # one factory per name of agent_names, in that order
+    agents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.ensemble_spec.signature_horizon is not None:
@@ -58,13 +63,19 @@ class RunConfig:
             raise ConfigError("agents: duplicate agent names")
         if not 0.0 <= self.agent_epsilon <= 1.0:
             raise ConfigError("agent_epsilon must lie in [0, 1]")
+        agents = []
         for name in self.agent_names:
-            if name not in self.external_commands:
-                try:
-                    make_agent(name, self.space, epsilon=self.agent_epsilon)
-                except AgentGaugeError as exc:
-                    raise ConfigError(f"agents: {exc}, and no external.{name} command "
-                                      f"is configured") from None
+            if name in self.external_commands:
+                agents.append(ExternalAgentFactory(
+                    name, self.external_commands[name], self.space,
+                    timeout_ms=self.external_timeout_ms))
+                continue
+            try:
+                agents.append(make_agent(name, self.space, epsilon=self.agent_epsilon))
+            except AgentGaugeError as exc:
+                raise ConfigError(f"agents: {exc}, and no external.{name} command "
+                                  f"is configured") from None
+        self.agents = tuple(agents)
         for name in self.external_commands:
             if name not in self.agent_names:
                 raise ConfigError(f"external.{name}: {name!r} is not in agents")

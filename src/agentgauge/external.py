@@ -124,7 +124,8 @@ class ExternalAgentHost:
         if reply.get("type") != "action":
             raise RolloutFailed(f"protocol violation: expected action, got {reply!r}")
         action = reply.get("a")
-        if not isinstance(action, int) or not 0 <= action < self.space.action_count:
+        # json gives true/false as bool, a subclass of int
+        if type(action) is not int or not 0 <= action < self.space.action_count:
             raise RolloutFailed(f"action out of range from external agent: {action!r}")
         return action
 

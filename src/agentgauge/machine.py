@@ -63,6 +63,8 @@ _new_tuple = tuple.__new__
 
 OPCODE_BITS = 4
 SIGNATURE_NODE_CAP = 8192
+# Each process holds the tape as a list of ints; more cells is almost surely a typo.
+MAX_TAPE_LENGTH = 65_536
 REACH_STATE_CAP = 256     # distinct post-cycle states a proof may visit
 REACH_SCRIPT_CAP = 256    # random-bit scripts one cycle may branch into
 
@@ -88,6 +90,9 @@ class MachineConfig:
             raise ValueError("step_budget_per_cycle must be >= 1")
         if self.tape_length < 2:
             raise ValueError("tape_length must be >= 2 (emit reads two cells)")
+        if self.tape_length > MAX_TAPE_LENGTH:
+            raise ValueError(f"tape_length must be at most {MAX_TAPE_LENGTH}, "
+                             f"got {self.tape_length}")
         if self.cell_modulus < 2:
             raise ValueError("cell_modulus must be >= 2")
         table = tuple(self.opcode_table)

@@ -8,12 +8,13 @@ each entry also keeps its exact raw weight (under `length` weighting the raw
 weights sum to the Kraft sum).  An agent's score is the weight-averaged
 expected total reward across the ensemble, with a confidence interval
 propagated from the per-environment estimates (whose random streams are
-disjoint by construction).
+disjoint by construction).  The opcode-table sensitivity experiment is these
+same two calls once per table; the `sensitivity` command runs it.
 
-Signatures and entry values are independent, so `build_ensemble`,
-`estimate_intelligence` and `machine_sensitivity` spread them in small blocks
-over a process pool the caller owns, if given one.  Seeds derive from labels
-and results keep input order, so the pool changes no number.
+Signatures and entry values are independent, so `build_ensemble` and
+`estimate_intelligence` spread them in small blocks over a process pool the
+caller owns, if given one.  Seeds derive from labels and results keep input
+order, so the pool changes no number.
 """
 
 from __future__ import annotations
@@ -270,41 +271,3 @@ def compare_agents(measurements: list[AgentMeasurement], ensemble: Ensemble,
                 mean_difference=point, ci_low=float(low), ci_high=float(high),
                 significant=significant))
     return comparisons
-
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    machine_label: str
-    opcode_table: tuple[str, ...]
-    scores: dict[str, float]
-    ordering: tuple[str, ...]
-    ordering_preserved: bool
-
-
-def machine_sensitivity(agent_factories, spec: EnsembleSpec, params: ValuationParams,
-                        machines: list[MachineConfig], space: SpaceConfig = SpaceConfig(),
-                        pool=None) -> list[SensitivityRow]:
-    """Scores per agent under each reference machine; report-only.
-
-    The first machine is the baseline; each row records whether the agent
-    ordering under that machine matches the baseline ordering.
-    """
-    rows: list[SensitivityRow] = []
-    baseline_ordering: tuple[str, ...] | None = None
-    for index, machine in enumerate(machines):
-        ensemble = build_ensemble(spec, machine, space, pool=pool)
-        scores = {}
-        for factory in agent_factories:
-            measurement = estimate_intelligence(factory, ensemble, params, pool=pool)
-            scores[factory.name] = measurement.score
-        ordering = tuple(sorted(scores, key=lambda name: (-scores[name], name)))
-        if baseline_ordering is None:
-            baseline_ordering = ordering
-        rows.append(SensitivityRow(
-            machine_label=f"machine-{index}",
-            opcode_table=machine.opcode_table,
-            scores=scores,
-            ordering=ordering,
-            ordering_preserved=ordering == baseline_ordering,
-        ))
-    return rows

@@ -13,8 +13,6 @@ import io
 import json
 from importlib import resources
 
-import jsonschema
-
 from . import __version__
 from .measure import AgentComparison, AgentMeasurement, Ensemble
 
@@ -29,6 +27,8 @@ def load_report_schema() -> dict:
 
 
 def validate_report(report: dict) -> None:
+    import jsonschema  # imported here: only validation needs it, and it is slow to load
+
     jsonschema.validate(report, load_report_schema())
 
 

@@ -11,6 +11,7 @@ ledger for the blocking analysis).
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import json
 import random
@@ -270,8 +271,14 @@ def test_acceptance_7_reproducibility(tmp_path):
 def test_acceptance_8_machine_sensitivity(tmp_path):
     with criterion("8", "opcode-permutation sensitivity report"):
         config = _reproducibility_config(tmp_path, "sens")
-        assert main(["sensitivity", "--config", str(config), "--permutations", "3"]) == 0
-        document = json.loads((tmp_path / "sens" / "sensitivity.json").read_text())
+        for workers in ("1", "2"):
+            assert main(["sensitivity", "--config", str(config), "--permutations", "3",
+                         "--workers", workers]) == 0
+            # Exact bytes, recorded while sensitivity still had its own scoring loop.
+            data = (tmp_path / "sens" / "sensitivity.json").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == (
+                "96f08c00cc0d30925b3dc5ee4e90760c26b88b61d997b31a55f85acce5535a9a")
+        document = json.loads(data)
         assert len(document["machines"]) == 3
         for row in document["machines"]:
             assert set(row["scores"]) == {"random", "basic"}

@@ -7,17 +7,25 @@ import hashlib
 import json
 import pathlib
 import re
+import subprocess
 import sys
 import textwrap
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import agentgauge
 from agentgauge import cli
-from agentgauge.cli import MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
+from agentgauge.cli import MAX_PERMUTATIONS, MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
 from agentgauge.config import _KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, RunConfig, parse_config
 from agentgauge.interaction import SpaceConfig
-from agentgauge.machine import MachineConfig, encode_program, save_program_file
+from agentgauge.machine import (
+    INSTRUCTION_NAMES,
+    MAX_TAPE_LENGTH,
+    MachineConfig,
+    encode_program,
+    save_program_file,
+)
 from agentgauge.measure import MAX_PROGRAM_LENGTH_BITS, EnsembleSpec
 from agentgauge.reports import validate_report
 from agentgauge.valuation import MAX_EPISODES, ValuationParams
@@ -298,6 +306,27 @@ def test_length_cutoff_outside_its_range_exits_2(tmp_path, capsys, command, bits
     assert not (tmp_path / "out").exists()
 
 
+def test_tape_beyond_the_cap_exits_2(tmp_path, capsys):
+    # every environment process holds the whole tape
+    config = write_config(tmp_path, extra=f"machine.tape_length = {MAX_TAPE_LENGTH + 1}")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "tape_length" in err
+    assert not (tmp_path / "out").exists()
+    # the cap itself parses; no run starts with it
+    config = parse_config(f"seed = 1\nmachine.tape_length = {MAX_TAPE_LENGTH}\n")
+    assert config.machine.tape_length == MAX_TAPE_LENGTH
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # only validate_report needs jsonschema, which is slow to import
+    code = "import sys, agentgauge.cli; print('jsonschema' in sys.modules)"
+    src = pathlib.Path(agentgauge.__file__).parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == "False\n"
+
+
 def test_length_cutoff_cap_is_accepted():
     config = parse_config(
         f"seed = 1\nensemble.max_length_bits = {MAX_PROGRAM_LENGTH_BITS}\n")
@@ -478,6 +507,48 @@ def test_sensitivity_command(tmp_path):
     assert document["machines"][0]["ordering_preserved"] is True
 
 
+def write_sensitivity_config(tmp_path, agents):
+    config = tmp_path / "sens.txt"
+    config.write_text(textwrap.dedent(f"""
+        seed = 3
+        output_dir = {tmp_path / 'out'}
+        agents = {agents}
+        ensemble.max_length_bits = 17
+        ensemble.dedup_horizon = 6
+        valuation.episodes = 20
+        valuation.horizon = 60
+        bootstrap_samples = 100
+    """), encoding="utf-8")
+    return config
+
+
+def test_sensitivity_identity_row_matches_run_bit_exactly(tmp_path):
+    # machine-0 is the config's own machine, scored as run scores it
+    config = write_sensitivity_config(tmp_path, "random,basic")
+    assert main(["run", str(config)]) == 0
+    assert main(["sensitivity", "--config", str(config), "--permutations", "1"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    document = json.loads((tmp_path / "out" / "sensitivity.json").read_text())
+    scores = document["machines"][0]["scores"]
+    assert scores == {name: agent["intelligence"] for name, agent in report["agents"].items()}
+    assert all(score > 0 for score in scores.values())
+
+
+def test_sensitivity_permuted_table_reports_per_machine_scores(tmp_path):
+    # Fixed-width opcodes make a table permutation an isomorphism of the
+    # weighted ensemble, so scores move only through the reshuffled random
+    # streams; each row must still carry its own table and scores.
+    config = write_sensitivity_config(tmp_path, "random,basic,2back")
+    assert main(["sensitivity", "--config", str(config), "--permutations", "2"]) == 0
+    baseline, permuted = json.loads((tmp_path / "out" / "sensitivity.json").read_text())[
+        "machines"]
+    assert baseline["opcode_table"] == list(INSTRUCTION_NAMES)
+    assert sorted(permuted["opcode_table"]) == sorted(INSTRUCTION_NAMES)
+    assert permuted["opcode_table"] != baseline["opcode_table"]
+    assert set(permuted["scores"]) == {"random", "basic", "2back"}
+    assert permuted["scores"] != baseline["scores"]  # stream relabeling moves the noise
+
+
 @pytest.fixture
 def pools_made(monkeypatch):
     """max_workers of every process pool the CLI constructs."""
@@ -566,23 +637,29 @@ def test_sensitivity_rejects_a_programs_file(tmp_path, capsys):
     assert not (tmp_path / "sens").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "{config}", "--workers", "0"],
-    ["run", "{config}", "--workers", "-4"],
-    ["example-study", "--out", "{out}", "--seed", "1", "--episodes", "0"],
-    ["example-study", "--out", "{out}", "--seed", "1", "--cycles", "0"],
-    ["example-study", "--out", "{out}", "--seed", "1", "--discount-episodes", "0"],
-    ["sensitivity", "--config", "{config}", "--permutations", "0"],
-    ["sensitivity", "--config", "{config}", "--permutations", "2", "--workers", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["run", "{config}", "--workers", "0"], "at least 1"),
+    (["run", "{config}", "--workers", "-4"], "at least 1"),
+    (["example-study", "--out", "{out}", "--seed", "1", "--episodes", "0"], "at least 1"),
+    (["example-study", "--out", "{out}", "--seed", "1", "--cycles", "0"], "at least 1"),
+    (["example-study", "--out", "{out}", "--seed", "1", "--discount-episodes", "0"],
+     "at least 1"),
+    (["sensitivity", "--config", "{config}", "--permutations", "0"], "at least 1"),
+    (["sensitivity", "--config", "{config}", "--permutations", "2", "--workers", "0"],
+     "at least 1"),
+    # one row more than there are distinct opcode tables
+    (["sensitivity", "--config", "{config}", "--permutations", str(MAX_PERMUTATIONS + 1)],
+     f"at most {MAX_PERMUTATIONS}"),
 ], ids=["run-workers-0", "run-workers-neg", "study-episodes", "study-cycles",
-        "study-discount-episodes", "sensitivity-permutations", "sensitivity-workers"])
-def test_sizes_below_one_exit_2(tmp_path, capsys, argv):
+        "study-discount-episodes", "sensitivity-permutations", "sensitivity-workers",
+        "sensitivity-permutations-above-cap"])
+def test_sizes_below_one_exit_2(tmp_path, capsys, argv, message):
     config = write_config(tmp_path)
     argv = [arg.format(config=config, out=tmp_path / "out") for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
-    assert "at least 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

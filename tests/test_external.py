@@ -180,14 +180,17 @@ def test_malformed_reply_marks_rollout_failed_not_scored(tmp_path):
 
 def test_out_of_range_action_fails_every_rollout(tmp_path):
     env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
-    factory = ExternalAgentFactory("ext-wild", child(tmp_path, WILD_CHILD, "wild"),
-                                   SPACE, timeout_ms=4000)
     params = ValuationParams(horizon=4, episodes=2, seed=1)
-    try:
-        with pytest.raises(RolloutFailed):
-            summable_value(factory, env, params)
-    finally:
-        factory.close()
+    # a JSON true is no action, though Python's bool is a subclass of int
+    children = {"wild": WILD_CHILD, "bool": WILD_CHILD.replace('"a": 7', '"a": True')}
+    for name, source in children.items():
+        factory = ExternalAgentFactory(f"ext-{name}", child(tmp_path, source, name),
+                                       SPACE, timeout_ms=4000)
+        try:
+            with pytest.raises(RolloutFailed):
+                summable_value(factory, env, params)
+        finally:
+            factory.close()
 
 
 def test_handshake_failure_is_loud(tmp_path):

@@ -1,4 +1,4 @@
-"""Ensemble building, aggregate scores, comparisons, machine sensitivity."""
+"""Ensemble building, aggregate scores and comparisons."""
 
 from __future__ import annotations
 
@@ -12,13 +12,12 @@ from agentgauge.agents import basic_agent, random_agent
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import EnsembleError
 from agentgauge.interaction import SpaceConfig
-from agentgauge.machine import INSTRUCTION_NAMES, MachineConfig, encode_program
+from agentgauge.machine import MachineConfig, encode_program
 from agentgauge.measure import (
     EnsembleSpec,
     build_ensemble,
     compare_agents,
     estimate_intelligence,
-    machine_sensitivity,
 )
 from agentgauge.valuation import ValuationParams, summable_value
 
@@ -171,31 +170,3 @@ def test_estimation_is_deterministic_and_worker_independent(pool):
     assert one.ci_half_width == two.ci_half_width
     for key, values in one.episode_values.items():
         assert np.array_equal(values, two.episode_values[key])
-
-
-def test_sensitivity_identity_rows_match_bit_exactly():
-    spec = EnsembleSpec(max_program_length_bits=11, dedup_horizon=4)
-    params = ValuationParams(horizon=60, episodes=20, seed=3)
-    factories = [random_agent(SPACE), basic_agent(SPACE)]
-    machines = [MACHINE, MachineConfig()]  # the identity permutation twice
-    rows = machine_sensitivity(factories, spec, params, machines, SPACE)
-    assert rows[0].scores == rows[1].scores
-    assert rows[1].ordering_preserved
-
-
-def test_sensitivity_permuted_table_reports_per_machine_scores():
-    # Fixed-width opcodes make a table permutation an isomorphism of the
-    # weighted ensemble, so scores move only through the reshuffled random
-    # streams; the report must still carry each machine's scores and an
-    # ordering-preservation flag.
-    table = list(INSTRUCTION_NAMES)
-    table[0], table[8] = table[8], table[0]  # swap move_right and emit
-    permuted = MachineConfig(opcode_table=tuple(table))
-    spec = EnsembleSpec(max_program_length_bits=17, dedup_horizon=6)
-    params = ValuationParams(horizon=120, episodes=40, seed=3)
-    rows = machine_sensitivity([random_agent(SPACE), basic_agent(SPACE)],
-                               spec, params, [MACHINE, permuted], SPACE)
-    assert rows[0].ordering_preserved  # the baseline row trivially preserves itself
-    assert set(rows[1].scores) == {"random", "basic"}
-    assert rows[0].scores != rows[1].scores  # stream relabeling moves the noise
-    assert rows[1].opcode_table == tuple(table)
