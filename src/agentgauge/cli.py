@@ -31,7 +31,7 @@ from .agents import scripted_agents
 from .config import load_config
 from .environments import make_copy_env
 from .errors import AgentGaugeError, ConfigError
-from .external import ExternalAgentFactory
+from .external import ExternalAgentHost
 from .interaction import SpaceConfig
 from .machine import (
     INSTRUCTION_NAMES,
@@ -66,7 +66,7 @@ def _worker_pool(workers: int):
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    externals = [f for f in config.agents if isinstance(f, ExternalAgentFactory)]
+    externals = [f for f in config.agents if isinstance(f, ExternalAgentHost)]
     workers = args.workers
     if externals and workers > 1:
         print("external agents require workers=1; reducing", file=sys.stderr)
@@ -86,14 +86,14 @@ def _cmd_run(args) -> int:
             measurements, ensemble, seed=config.seed,
             bootstrap_samples=config.bootstrap_samples,
             confidence=config.valuation.confidence)
-        warnings = {f.name: f.host.timeout_warnings for f in externals}
+        warnings = {f.name: f.timeout_warnings for f in externals}
         report = build_report(config.seed, ensemble, measurements, comparisons,
                               config.valuation, external_warnings=warnings)
         manifest = build_manifest("run", config.seed, config.raw)
         write_run_outputs(config.output_dir, report, manifest)
     finally:
-        for factory in externals:
-            factory.close()
+        for host in externals:
+            host.close()
     for measurement in measurements:
         print(f"{measurement.agent_name}: intelligence="
               f"{measurement.score:.6g} +- {measurement.ci_half_width:.2g} "
@@ -196,22 +196,26 @@ def _cmd_sensitivity(args) -> int:
         raise ConfigError("ensemble.programs_file: sensitivity enumerates the ensemble "
                           "under each opcode table, where the same bits decode to "
                           "other programs")
-    external = [f.name for f in config.agents if isinstance(f, ExternalAgentFactory)]
+    external = [f.name for f in config.agents if isinstance(f, ExternalAgentHost)]
     if external:
         print(f"sensitivity scores built-in agents only; skipping external agents: "
               f"{', '.join(external)}", file=sys.stderr)
-    factories = [f for f in config.agents if not isinstance(f, ExternalAgentFactory)]
+    factories = [f for f in config.agents if not isinstance(f, ExternalAgentHost)]
     if not factories:
         raise ConfigError("sensitivity needs at least one built-in agent in agents")
     rng = random.Random(derive_seed(config.seed, "sensitivity-permutations"))
-    machine = config.machine  # the baseline; each later row draws its own table
+    machine = config.machine  # the baseline; each later row draws a table not yet drawn
+    drawn = {machine.opcode_table}
     rows = []
     with _worker_pool(args.workers) as pool:
         for index in range(args.permutations):
             if index:
                 table = list(INSTRUCTION_NAMES)
                 rng.shuffle(table)
+                while tuple(table) in drawn:
+                    rng.shuffle(table)
                 machine = dataclasses.replace(config.machine, opcode_table=tuple(table))
+                drawn.add(machine.opcode_table)
             ensemble = build_ensemble(config.ensemble_spec, machine, config.space, pool=pool)
             scores = {f.name: estimate_intelligence(f, ensemble, config.valuation,
                                                     pool=pool).score

@@ -4,10 +4,10 @@ The format is one `key = value` pair per line, `#` comment lines, nothing
 else.  Unknown keys are errors: a misconfigured benchmark must fail loudly,
 not run with silently ignored settings.  The seed is mandatory; wall-clock
 time never influences results.
-Each key fills one dataclass field (`_TABLE`), which checks the value; a key
-left out keeps the field's default, so every default has one home.
-`RunConfig` builds its agent roster once, and building it is the check of the
-agent names; no external agent process starts before its first episode.
+Each key fills one dataclass field (`_TABLE`), which checks the value; a
+rejected value is reported under its key, and a key left out keeps the
+field's default.  `RunConfig` builds its agent roster once, which checks the
+agent names; an external agent's factory is its `ExternalAgentHost`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .agents import make_agent
 from .errors import AgentGaugeError, ConfigError
-from .external import ExternalAgentFactory
+from .external import ExternalAgentHost
 from .interaction import SpaceConfig
 from .machine import MachineConfig, check_signature_horizon
 from .measure import EnsembleSpec
@@ -66,7 +66,7 @@ class RunConfig:
         agents = []
         for name in self.agent_names:
             if name in self.external_commands:
-                agents.append(ExternalAgentFactory(
+                agents.append(ExternalAgentHost(
                     name, self.external_commands[name], self.space,
                     timeout_ms=self.external_timeout_ms))
                 continue
@@ -145,12 +145,14 @@ _TABLE = {
 _KNOWN_KEYS = set(_TABLE)
 
 
-def _build(cls, fields: dict):
-    """cls(**fields), with a rejected value reported as a ConfigError."""
+def _build(cls, section: str, fields: dict):
+    """cls(**fields); a rejected value is a ConfigError led by its key, not its field."""
     try:
         return cls(**fields)
     except (ValueError, AgentGaugeError) as exc:
-        raise ConfigError(str(exc)) from None
+        name, _, rest = str(exc).partition(" ")
+        key = next((k for k, (s, n, _) in _TABLE.items() if (s, n) == (section, name)), name)
+        raise ConfigError(f"{key} {rest}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -197,10 +199,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key}: {exc}") from None
     run = sections["run"]
     return RunConfig(
-        space=_build(SpaceConfig, sections["space"]),
-        machine=_build(MachineConfig, sections["machine"]),
-        ensemble_spec=_build(EnsembleSpec, sections["ensemble"]),
-        valuation=_build(ValuationParams, {**sections["valuation"], "seed": run["seed"]}),
+        space=_build(SpaceConfig, "space", sections["space"]),
+        machine=_build(MachineConfig, "machine", sections["machine"]),
+        ensemble_spec=_build(EnsembleSpec, "ensemble", sections["ensemble"]),
+        valuation=_build(ValuationParams, "valuation",
+                         {**sections["valuation"], "seed": run["seed"]}),
         external_commands=external,
         raw=dict(pairs),
         **run,

@@ -19,6 +19,8 @@ replies owed by timed-out percepts and discards that many lines before it
 accepts the next reply, so a late reply is never taken as the answer to a
 later percept.  A malformed line, discarded or not, or an out-of-range reply
 aborts the rollout, which is then reported as failed rather than scored.
+`ExternalAgentHost` is the agent factory: `make` starts the process on first
+use, and each call opens one episode.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ PROTOCOL_VERSION = 1
 
 
 class ExternalAgentHost:
-    """Owns one external agent process and its message streams."""
+    """Agent factory of one external agent process; it owns the message streams."""
 
-    def __init__(self, argv: list[str], space: SpaceConfig,
+    def __init__(self, name: str, argv: list[str], space: SpaceConfig,
                  timeout_ms: int = 1000) -> None:
+        self.name = name
         self.argv = list(argv)
         self.space = space
         self.timeout_s = timeout_ms / 1000.0
@@ -129,10 +132,12 @@ class ExternalAgentHost:
             raise RolloutFailed(f"action out of range from external agent: {action!r}")
         return action
 
-    def begin_episode(self) -> int:
+    def make(self, rng: random.Random) -> _ExternalPolicy:
+        if self.process is None:
+            self.start()
         self.episodes_started += 1
         self._send({"type": "reset", "episode": self.episodes_started})
-        return self.episodes_started
+        return _ExternalPolicy(self, self.episodes_started, rng)
 
     def close(self) -> None:
         if self.process is None:
@@ -184,26 +189,3 @@ class _ExternalPolicy:
         if self.next_action is None:
             raise RolloutFailed("external agent asked to act before any percept")
         return self.next_action
-
-
-class ExternalAgentFactory:
-    """Agent-factory adapter for one external process (serial episodes)."""
-
-    def __init__(self, name: str, argv: list[str], space: SpaceConfig,
-                 timeout_ms: int = 1000) -> None:
-        self.name = name
-        self.space = space
-        self.host = ExternalAgentHost(argv, space, timeout_ms)
-        self._started = False
-
-    def make(self, rng: random.Random) -> _ExternalPolicy:
-        if not self._started:
-            self.host.start()
-            self._started = True
-        episode = self.host.begin_episode()
-        return _ExternalPolicy(self.host, episode, rng)
-
-    def close(self) -> None:
-        if self._started:
-            self.host.close()
-            self._started = False

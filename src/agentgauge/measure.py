@@ -62,10 +62,11 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.max_program_length_bits <= MAX_PROGRAM_LENGTH_BITS:
             raise EnsembleError(
-                f"ensemble.max_length_bits (max_program_length_bits) must lie in "
-                f"[1, {MAX_PROGRAM_LENGTH_BITS}], got {self.max_program_length_bits}")
+                f"max_program_length_bits must lie in [1, {MAX_PROGRAM_LENGTH_BITS}], "
+                f"got {self.max_program_length_bits}")
         if self.weight_scheme not in WEIGHT_SCHEMES:
-            raise EnsembleError(f"unknown weight scheme {self.weight_scheme!r}")
+            raise EnsembleError(f"weight_scheme must be one of {', '.join(WEIGHT_SCHEMES)}, "
+                                f"got {self.weight_scheme!r}")
         if self.dedup_horizon is not None and self.dedup_horizon < 1:
             raise EnsembleError("dedup_horizon must be >= 1 or None")
 

@@ -73,8 +73,7 @@ class ValuationParams:
         if self.horizon < 1:
             raise AgentGaugeError("horizon must be >= 1")
         if not 1 <= self.episodes <= MAX_EPISODES:
-            raise AgentGaugeError(f"valuation.episodes (episodes) must lie in "
-                                  f"[1, {MAX_EPISODES}], got {self.episodes}")
+            raise AgentGaugeError(f"episodes must lie in [1, {MAX_EPISODES}], got {self.episodes}")
         if not 0.0 < self.trunc_epsilon < 1.0:
             raise AgentGaugeError("trunc_epsilon must lie in (0, 1)")
         if not 0.0 < self.confidence < 1.0:

@@ -268,7 +268,36 @@ def test_space_beyond_two_bytes_exits_2(tmp_path, capsys, line):
     # two bytes; actions share the same bound
     config = write_config(tmp_path, extra=line.replace("\n", "\n        "))
     assert main(["run", str(config)]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    key = line.partition(" =")[0]
+    assert f"configuration error: {key} must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "machine.step_budget = 0",
+    "machine.tape_length = 70000",
+    "valuation.trunc_epsilon = 2",
+    "ensemble.weight_scheme = foo",
+])
+def test_rejected_value_names_its_key(tmp_path, capsys, line):
+    # the dataclass that rejects the value knows its field, not the key
+    config = write_config(tmp_path, extra=line)
+    assert main(["run", str(config)]) == 2
+    key = line.partition(" =")[0]
+    assert f"configuration error: {key} must" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_opcode_table_key_parses_a_permutation_and_rejects_a_repeat(tmp_path, capsys):
+    table = INSTRUCTION_NAMES[1:] + INSTRUCTION_NAMES[:1]
+    config = parse_config(f"seed = 1\nmachine.opcode_table = {', '.join(table)}\n")
+    assert config.machine.opcode_table == table
+    repeated = ("emit",) + INSTRUCTION_NAMES[1:]
+    assert repeated.count("emit") == 2
+    config = write_config(tmp_path, extra=f"machine.opcode_table = {','.join(repeated)}")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "opcode_table" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -391,7 +420,7 @@ def test_programs_file_without_programs_exits_1_naming_it(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_with_external_agent(tmp_path):
+def test_run_with_external_agent(tmp_path, capsys, pools_made):
     child = tmp_path / "uniform.py"
     child.write_text(textwrap.dedent("""
         import json, random, sys
@@ -409,9 +438,16 @@ def test_run_with_external_agent(tmp_path):
         tmp_path, agents="random,probe",
         extra=f"external.probe = {sys.executable} {child}\nexternal_timeout_ms = 4000")
     assert main(["run", str(config)]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report_bytes = (tmp_path / "out" / "report.json").read_bytes()
+    report = json.loads(report_bytes)
     assert "probe" in report["agents"]
     assert report["external_timeout_warnings"] == {"probe": 0}
+    # the agent process talks to this one, so a second worker is dropped
+    capsys.readouterr()
+    assert main(["run", str(config), "--workers", "2"]) == 0
+    assert "external agents require workers=1; reducing" in capsys.readouterr().err
+    assert pools_made == []
+    assert (tmp_path / "out" / "report.json").read_bytes() == report_bytes
 
 
 def test_example_study_outputs(tmp_path):
@@ -547,6 +583,16 @@ def test_sensitivity_permuted_table_reports_per_machine_scores(tmp_path):
     assert permuted["opcode_table"] != baseline["opcode_table"]
     assert set(permuted["scores"]) == {"random", "basic", "2back"}
     assert permuted["scores"] != baseline["scores"]  # stream relabeling moves the noise
+
+
+def test_sensitivity_draws_each_table_once(tmp_path):
+    # at seed 7, drawing each row by its own shuffle repeats a table within 1,000 rows
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 7\noutput_dir = {tmp_path / 'sens'}\nagents = random\n"
+                      f"ensemble.max_length_bits = 1\n", encoding="utf-8")
+    assert main(["sensitivity", "--config", str(config), "--permutations", "1000"]) == 0
+    rows = json.loads((tmp_path / "sens" / "sensitivity.json").read_text())["machines"]
+    assert len({tuple(row["opcode_table"]) for row in rows}) == len(rows) == 1000
 
 
 @pytest.fixture

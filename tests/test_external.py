@@ -15,7 +15,7 @@ import pytest
 from agentgauge.agents import random_agent
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import ExternalAgentError, RolloutFailed
-from agentgauge.external import ExternalAgentFactory, ExternalAgentHost
+from agentgauge.external import ExternalAgentHost
 from agentgauge.interaction import Percept, SpaceConfig
 from agentgauge.machine import MachineConfig, encode_program
 from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence
@@ -137,8 +137,8 @@ def test_external_uniform_agent_scores_like_builtin_random(tmp_path):
     ensemble = reward_bearing_ensemble()
     params = ValuationParams(horizon=80, episodes=40, seed=23)
     builtin = estimate_intelligence(random_agent(SPACE), ensemble, params)
-    factory = ExternalAgentFactory("ext-uniform", child(tmp_path, UNIFORM_CHILD, "uni"),
-                                  SPACE, timeout_ms=4000)
+    factory = ExternalAgentHost("ext-uniform", child(tmp_path, UNIFORM_CHILD, "uni"),
+                                SPACE, timeout_ms=4000)
     try:
         external = estimate_intelligence(factory, ensemble, params)
     finally:
@@ -152,8 +152,8 @@ def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
     # A reward-capable program: the rollouts run all five cycles.
     env = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"], MACHINE),
                              MACHINE, SPACE)
-    factory = ExternalAgentFactory("ext-silent", child(tmp_path, SILENT_CHILD, "mute"),
-                                   SPACE, timeout_ms=100)
+    factory = ExternalAgentHost("ext-silent", child(tmp_path, SILENT_CHILD, "mute"),
+                                SPACE, timeout_ms=100)
     params = ValuationParams(horizon=5, episodes=2, seed=1)
     try:
         estimate = summable_value(factory, env, params)
@@ -162,13 +162,13 @@ def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
     assert estimate.episodes_used == 2
     assert estimate.failed_episodes == 0
     # one warning per percept sent: 5 cycles per episode, 2 episodes
-    assert factory.host.timeout_warnings == 10
+    assert factory.timeout_warnings == 10
 
 
 def test_malformed_reply_marks_rollout_failed_not_scored(tmp_path):
     env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
-    factory = ExternalAgentFactory("ext-flaky", child(tmp_path, FLAKY_CHILD, "flaky"),
-                                   SPACE, timeout_ms=4000)
+    factory = ExternalAgentHost("ext-flaky", child(tmp_path, FLAKY_CHILD, "flaky"),
+                                SPACE, timeout_ms=4000)
     params = ValuationParams(horizon=4, episodes=3, seed=1)
     try:
         estimate = summable_value(factory, env, params)
@@ -184,8 +184,8 @@ def test_out_of_range_action_fails_every_rollout(tmp_path):
     # a JSON true is no action, though Python's bool is a subclass of int
     children = {"wild": WILD_CHILD, "bool": WILD_CHILD.replace('"a": 7', '"a": True')}
     for name, source in children.items():
-        factory = ExternalAgentFactory(f"ext-{name}", child(tmp_path, source, name),
-                                       SPACE, timeout_ms=4000)
+        factory = ExternalAgentHost(f"ext-{name}", child(tmp_path, source, name),
+                                    SPACE, timeout_ms=4000)
         try:
             with pytest.raises(RolloutFailed):
                 summable_value(factory, env, params)
@@ -194,7 +194,7 @@ def test_out_of_range_action_fails_every_rollout(tmp_path):
 
 
 def test_handshake_failure_is_loud(tmp_path):
-    factory = ExternalAgentFactory(
+    factory = ExternalAgentHost(
         "ext-dead", [sys.executable, "-c", "pass"], SPACE, timeout_ms=500)
     with pytest.raises(ExternalAgentError):
         factory.make(None)
@@ -208,7 +208,7 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     env = ProgramEnvironment(encode_program(["inc", "move_left", "emit"], MACHINE),
                              MACHINE, SPACE)
     counts = tmp_path / "counts.txt"
-    factory = ExternalAgentFactory(
+    factory = ExternalAgentHost(
         "ext-count", child(tmp_path, COUNTING_CHILD, "count") + [str(counts)],
         SPACE, timeout_ms=4000)
     params = ValuationParams(horizon=6, episodes=3, seed=2)
@@ -226,17 +226,16 @@ def test_late_reply_is_discarded_not_taken_for_the_next_percept(tmp_path):
     # The reply to cycle 1 arrives after its timeout, while cycle 2 waits; it
     # must be dropped, so cycle 2 gets its own reply and the streams realign.
     timeout_ms = 1000
-    host = ExternalAgentHost(
-        child(tmp_path, LATE_CHILD, "late") + [str(1.5 * timeout_ms / 1000)],
+    factory = ExternalAgentHost(
+        "ext-late", child(tmp_path, LATE_CHILD, "late") + [str(1.5 * timeout_ms / 1000)],
         SPACE, timeout_ms=timeout_ms)
-    host.start()
     try:
-        episode = host.begin_episode()
-        actions = [host.request_action(Percept(0, 0), cycle, episode, random.Random(0))
+        episode = factory.make(random.Random(0)).episode
+        actions = [factory.request_action(Percept(0, 0), cycle, episode, random.Random(0))
                    for cycle in range(1, 7)]
     finally:
-        host.close()
-    assert host.timeout_warnings == 1
+        factory.close()
+    assert factory.timeout_warnings == 1
     assert actions[1:] == [cycle % 2 for cycle in range(2, 7)]
 
 
@@ -250,11 +249,11 @@ def test_close_leaves_no_pipe_open(tmp_path, monkeypatch, handshake):
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         if handshake == "completed":
-            host = ExternalAgentHost(child(tmp_path, UNIFORM_CHILD, "uni"), SPACE)
+            host = ExternalAgentHost("ext-uni", child(tmp_path, UNIFORM_CHILD, "uni"), SPACE)
             host.start()
             host.close()
         else:
-            host = ExternalAgentHost([sys.executable, "-c", "pass"], SPACE)
+            host = ExternalAgentHost("ext-dead", [sys.executable, "-c", "pass"], SPACE)
             with pytest.raises(ExternalAgentError):
                 host.start()
         deadline = time.monotonic() + 10.0

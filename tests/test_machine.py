@@ -538,6 +538,19 @@ def test_reward_reachability_is_sound(machine, space):
     assert proven.hexdigest() == _REWARD_FREE_DIGEST
 
 
+def test_reward_proof_answers_no_past_the_state_cap(monkeypatch):
+    # emit takes its reward from an odd cell and nothing writes one, so no run
+    # rewards; the closure still counts the random bits in the even cells
+    program = make("random_bit", "move_right", "move_right", "emit")
+    assert program.length_bits == 21
+    assert proves_reward_free(program, MachineConfig(tape_length=8), SPACE)
+    assert not proves_reward_free(program, MACHINE, SPACE)  # 2^32 tapes at 64 cells
+    sixteen = MachineConfig(tape_length=16)
+    assert not proves_reward_free(program, sixteen, SPACE)
+    monkeypatch.setattr("agentgauge.machine.REACH_STATE_CAP", 4096)
+    assert proves_reward_free(program, sixteen, SPACE)
+
+
 # ------------------------------------------------------------ fixture files
 
 def test_program_file_round_trip(tmp_path):

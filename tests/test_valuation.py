@@ -102,7 +102,7 @@ def test_gamma_norm_values():
 def test_episode_count_is_bounded():
     assert ValuationParams(episodes=MAX_EPISODES).episodes == MAX_EPISODES
     for episodes in (0, MAX_EPISODES + 1):
-        with pytest.raises(AgentGaugeError, match="valuation.episodes"):
+        with pytest.raises(AgentGaugeError, match="^episodes must lie in"):
             ValuationParams(episodes=episodes)
 
 
