@@ -13,24 +13,26 @@ standard streams:
     tool -> {"type": "reset", "episode": e}      (episode boundary)
     tool -> {"type": "bye"}                      (shutdown)
 
-A timed-out action is replaced by a uniformly random one and counted as a
-warning.  The reply it was owed may still arrive later; the host counts the
-replies owed by timed-out percepts and discards that many lines before it
-accepts the next reply, so a late reply is never taken as the answer to a
-later percept.  A malformed line, discarded or not, or an out-of-range reply
-aborts the rollout, which is then reported as failed rather than scored.
-`ExternalAgentHost` is the agent factory: `make` starts the process on first
-use, and each call opens one episode.
+The host reads its own replies, with no thread: it polls the agent's stdout
+until the percept's deadline and splits one line of UTF-8 JSON off the bytes
+that arrived.  A timed-out action is replaced by a uniformly random one and
+counted as a warning.  The host counts the replies owed by timed-out
+percepts and discards that many lines before it accepts the next reply, so
+a late reply is never taken as the answer to a later percept.  A malformed
+line (not UTF-8, or not a JSON object), discarded or not, or an out-of-range
+reply aborts the rollout, which is then reported as failed rather than
+scored.  An agent that exits mid-run fails the run.  `ExternalAgentHost` is
+the agent factory: `make` starts the process on first use, and each call
+opens one episode.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import queue
+import os
 import random
+import select
 import subprocess
-import threading
 import time
 
 from .errors import ExternalAgentError, RolloutFailed
@@ -38,6 +40,8 @@ from .interaction import Percept, SpaceConfig
 
 HANDSHAKE_TIMEOUT_S = 10.0
 PROTOCOL_VERSION = 1
+# the bytes of json.dumps(percept message, sort_keys=True) + "\n"
+PERCEPT_LINE = b'{"cycle": %d, "episode": %d, "o": %d, "r_num": %d, "type": "percept"}\n'
 
 
 class ExternalAgentHost:
@@ -50,25 +54,17 @@ class ExternalAgentHost:
         self.space = space
         self.timeout_s = timeout_ms / 1000.0
         self.process: subprocess.Popen | None = None
-        self.pump: threading.Thread | None = None
-        self.lines: queue.Queue[str | None] = queue.Queue()
+        self.poller: select.poll | None = None
+        self.pending = b""      # read from the agent, not yet split into lines
         self.timeout_warnings = 0
         self.late_replies_owed = 0
         self.episodes_started = 0
 
     def start(self) -> None:
         self.process = subprocess.Popen(
-            self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1)
-
-        def pump() -> None:
-            assert self.process is not None and self.process.stdout is not None
-            for line in self.process.stdout:
-                self.lines.put(line)
-            self.lines.put(None)
-
-        self.pump = threading.Thread(target=pump, daemon=True)
-        self.pump.start()
+            self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
+        self.poller = select.poll()
+        self.poller.register(self.process.stdout, select.POLLIN)
         try:
             self._send({"type": "hello",
                         "spaces": {"actions": self.space.action_count,
@@ -76,50 +72,57 @@ class ExternalAgentHost:
                                    "reward_denominator": self.space.reward_denominator},
                         "protocol": PROTOCOL_VERSION})
             try:
-                reply = self._read(HANDSHAKE_TIMEOUT_S)
+                reply = self._read(time.monotonic() + HANDSHAKE_TIMEOUT_S)
             except RolloutFailed as exc:
-                raise ExternalAgentError(f"handshake failed: {exc}") from exc
+                raise ExternalAgentError(
+                    f"external agent {self.name}: handshake failed: {exc}") from exc
             if reply is None or reply.get("type") != "ready":
-                raise ExternalAgentError(f"handshake failed: expected ready, got {reply!r}")
+                raise ExternalAgentError(f"external agent {self.name}: handshake failed: "
+                                         f"expected ready, got {reply!r}")
         except ExternalAgentError:
             self.close()
             raise
 
     def _send(self, message: dict) -> None:
-        assert self.process is not None and self.process.stdin is not None
-        try:
-            self.process.stdin.write(json.dumps(message, sort_keys=True) + "\n")
-            self.process.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise ExternalAgentError(f"external agent pipe closed: {exc}") from exc
+        self._write((json.dumps(message, sort_keys=True) + "\n").encode())
 
-    def _read(self, timeout_s: float) -> dict | None:
-        """Next parsed message, or None on timeout/stream end."""
+    def _write(self, line: bytes) -> None:
         try:
-            line = self.lines.get(timeout=timeout_s)
-        except queue.Empty:
-            return None
-        if line is None:
-            return None
+            self.process.stdin.write(line)
+        except (BrokenPipeError, ValueError) as exc:
+            raise ExternalAgentError(f"external agent {self.name}: pipe closed: {exc}") from exc
+
+    def _read(self, deadline: float) -> dict | None:
+        """Next parsed message, or None if no whole line arrives by the deadline."""
+        end = self.pending.find(b"\n")
+        while end < 0:
+            wait_ms = (deadline - time.monotonic()) * 1000.0
+            if wait_ms <= 0 or not self.poller.poll(wait_ms):
+                return None
+            chunk = os.read(self.process.stdout.fileno(), 65536)
+            if not chunk:
+                raise ExternalAgentError(f"external agent {self.name} exited or closed its output")
+            self.pending += chunk
+            end = self.pending.find(b"\n")
+        line = self.pending[:end]
+        self.pending = self.pending[end + 1:]
         try:
-            parsed = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise RolloutFailed(f"malformed reply from external agent: {line!r}") from exc
+            parsed = json.loads(line.decode("utf-8"))
+        except ValueError:      # UnicodeDecodeError or JSONDecodeError
+            parsed = None
         if not isinstance(parsed, dict):
-            raise RolloutFailed(f"malformed reply from external agent: {line!r}")
+            raise RolloutFailed(f"malformed reply from external agent {self.name}: {line!r}")
         return parsed
 
     def request_action(self, percept: Percept, cycle: int, episode: int,
                        fallback_rng: random.Random) -> int:
-        self._send({"type": "percept", "o": percept.observation,
-                    "r_num": percept.reward_numerator,
-                    "cycle": cycle, "episode": episode})
+        self._write(PERCEPT_LINE % (cycle, episode, *percept))
         deadline = time.monotonic() + self.timeout_s
-        reply = self._read(self.timeout_s)
+        reply = self._read(deadline)
         while reply is not None and self.late_replies_owed:
             # the late reply to an earlier percept that timed out
             self.late_replies_owed -= 1
-            reply = self._read(max(0.0, deadline - time.monotonic()))
+            reply = self._read(deadline)
         if reply is None:
             self.timeout_warnings += 1
             self.late_replies_owed += 1
@@ -155,14 +158,10 @@ class ExternalAgentHost:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
-        # The pump reads stdout to its end once the child has exited; close
-        # the pipes only after it stops, so no read meets a closed file.
-        self.pump.join(timeout=2.0)
-        with contextlib.suppress(BrokenPipeError):
-            self.process.stdin.close()
-        if not self.pump.is_alive():
-            self.process.stdout.close()
+        self.process.stdin.close()
+        self.process.stdout.close()
         self.process = None
+        self.pending = b""
 
 
 class _ExternalPolicy:

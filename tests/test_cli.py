@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -449,6 +450,35 @@ def test_run_with_external_agent(tmp_path, capsys, pools_made):
     assert pools_made == []
     assert (tmp_path / "out" / "report.json").read_bytes() == report_bytes
 
+
+def test_agent_that_exits_mid_run_fails_the_run(tmp_path, capsys):
+    child = tmp_path / "quitter.py"
+    child.write_text(textwrap.dedent("""
+        import json, sys
+        percepts = 0
+        for line in sys.stdin:
+            msg = json.loads(line)
+            if msg["type"] == "hello":
+                print(json.dumps({"type": "ready"}), flush=True)
+            elif msg["type"] == "percept":
+                percepts += 1
+                if percepts == 5:
+                    sys.exit(0)
+                print(json.dumps({"type": "action", "a": 0}), flush=True)
+    """), encoding="utf-8")
+    timeout_s = 10
+    config = write_config(
+        tmp_path, agents="random,quitter",
+        extra=f"external.quitter = {sys.executable} {child}\n"
+              f"external_timeout_ms = {timeout_s * 1000}")
+    started = time.monotonic()
+    assert main(["run", str(config)]) == 1
+    # end of stream is no timeout: the run fails at once, not one timeout later
+    assert time.monotonic() - started < timeout_s / 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "external agent quitter" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 def test_example_study_outputs(tmp_path):
     out = tmp_path / "study"

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import gc
+import json
 import random
 import sys
 import textwrap
 import threading
-import time
 import warnings
 
 import pytest
@@ -117,6 +117,62 @@ for line in sys.stdin:
 """
 
 
+NON_UTF8_CHILD = """
+import json, sys
+count = 0
+for line in sys.stdin:
+    msg = json.loads(line)
+    kind = msg["type"]
+    if kind == "hello":
+        print(json.dumps({"type": "ready"}), flush=True)
+    elif kind == "percept":
+        count += 1
+        if count == 3:
+            # valid JSON under any lenient decoding, but not UTF-8
+            sys.stdout.buffer.write(b'{"type": "action", "a": 0, "note": "\\xff"}\\n')
+            sys.stdout.buffer.flush()
+        else:
+            print(json.dumps({"type": "action", "a": 0}), flush=True)
+    elif kind == "bye":
+        break
+"""
+
+FRAMING_CHILD = """
+import json, os, sys, time
+for line in sys.stdin:
+    msg = json.loads(line)
+    kind = msg["type"]
+    if kind == "hello":
+        os.write(1, b'{"type": "ready"}\\n')
+    elif kind == "percept" and msg["cycle"] == 1:
+        # the replies to cycles 1 and 2 in one write
+        os.write(1, b'{"type": "action", "a": 1}\\n{"type": "action", "a": 2}\\n')
+    elif kind == "percept" and msg["cycle"] == 3:
+        # the reply to cycle 3 in two writes 50 ms apart
+        os.write(1, b'{"type": "act')
+        time.sleep(0.05)
+        os.write(1, b'ion", "a": 3}\\n')
+    elif kind == "percept" and msg["cycle"] > 3:
+        os.write(1, b'{"type": "action", "a": 0}\\n')
+    elif kind == "bye":
+        break
+"""
+
+RECORDING_CHILD = """
+import json, sys
+with open(sys.argv[1], "ab") as record:
+    for line in sys.stdin.buffer:
+        record.write(line)
+        record.flush()
+        kind = json.loads(line)["type"]
+        if kind == "hello":
+            print(json.dumps({"type": "ready"}), flush=True)
+        elif kind == "percept":
+            print(json.dumps({"type": "action", "a": 1}), flush=True)
+        elif kind == "bye":
+            break
+"""
+
 def child(tmp_path, source, name):
     path = tmp_path / f"{name}.py"
     path.write_text(textwrap.dedent(source), encoding="utf-8")
@@ -176,6 +232,26 @@ def test_malformed_reply_marks_rollout_failed_not_scored(tmp_path):
         factory.close()
     assert estimate.failed_episodes == 1
     assert estimate.episodes_used == 2
+
+
+def test_reply_that_is_not_utf8_fails_only_its_rollout(tmp_path, monkeypatch):
+    # The bad line is consumed with its rollout: the later percepts get their
+    # own replies, and nothing is raised outside the calling thread.
+    unraisable, thread_errors = [], []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
+    factory = ExternalAgentHost("ext-latin", child(tmp_path, NON_UTF8_CHILD, "latin"),
+                                SPACE, timeout_ms=1000)
+    params = ValuationParams(horizon=4, episodes=3, seed=1)
+    try:
+        estimate = summable_value(factory, env, params)
+    finally:
+        factory.close()
+    assert estimate.failed_episodes == 1
+    assert estimate.episodes_used == 2
+    assert factory.timeout_warnings == 0
+    assert unraisable == [] and thread_errors == []
 
 
 def test_out_of_range_action_fails_every_rollout(tmp_path):
@@ -256,9 +332,47 @@ def test_close_leaves_no_pipe_open(tmp_path, monkeypatch, handshake):
             host = ExternalAgentHost("ext-dead", [sys.executable, "-c", "pass"], SPACE)
             with pytest.raises(ExternalAgentError):
                 host.start()
-        deadline = time.monotonic() + 10.0
-        while threading.active_count() > threads and time.monotonic() < deadline:
-            time.sleep(0.01)
+        # the host reads its replies itself and starts no thread
+        assert threading.active_count() == threads
         del host
         gc.collect()
     assert [hook.exc_value for hook in unraisable] == []
+
+
+def test_replies_are_framed_by_newlines_not_by_writes(tmp_path):
+    # Two replies in one write, then one reply split over two writes.
+    space = SpaceConfig(action_count=4)
+    host = ExternalAgentHost("ext-framing", child(tmp_path, FRAMING_CHILD, "framing"),
+                             space, timeout_ms=1000)
+    try:
+        episode = host.make(random.Random(0)).episode
+        actions = [host.request_action(Percept(0, 0), cycle, episode, random.Random(0))
+                   for cycle in range(1, 5)]
+    finally:
+        host.close()
+    assert actions == [1, 2, 3, 0]
+    assert host.timeout_warnings == 0
+
+
+def test_wire_bytes_are_sorted_key_json_lines(tmp_path):
+    space = SpaceConfig(action_count=3, observation_count=65536, reward_denominator=65535)
+    record = tmp_path / "stdin.bin"
+    host = ExternalAgentHost(
+        "ext-record", child(tmp_path, RECORDING_CHILD, "record") + [str(record)],
+        space, timeout_ms=4000)
+    try:
+        policy = host.make(random.Random(0))
+        policy.observe(Percept(65535, 65535))
+        policy.observe(Percept(0, 12))
+    finally:
+        host.close()
+    messages = [
+        {"type": "hello", "protocol": 1,
+         "spaces": {"actions": 3, "observations": 65536, "reward_denominator": 65535}},
+        {"type": "reset", "episode": 1},
+        {"type": "percept", "o": 65535, "r_num": 65535, "cycle": 1, "episode": 1},
+        {"type": "percept", "o": 0, "r_num": 12, "cycle": 2, "episode": 1},
+        {"type": "bye"},
+    ]
+    expected = "".join(json.dumps(m, sort_keys=True) + "\n" for m in messages)
+    assert record.read_bytes() == expected.encode()
