@@ -21,9 +21,10 @@ percepts and discards that many lines before it accepts the next reply, so
 a late reply is never taken as the answer to a later percept.  A malformed
 line (not UTF-8, or not a JSON object), discarded or not, or an out-of-range
 reply aborts the rollout, which is then reported as failed rather than
-scored.  An agent that exits mid-run fails the run.  `ExternalAgentHost` is
-the agent factory: `make` starts the process on first use, and each call
-opens one episode.
+scored.  An agent that exits mid-run fails the run, and so does one whose
+input pipe stays full for the timeout (the handshake's for hello).
+`ExternalAgentHost` is the agent factory: `make` starts the process on first
+use, and each call opens one episode.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class ExternalAgentHost:
         self.space = space
         self.timeout_s = timeout_ms / 1000.0
         self.process: subprocess.Popen | None = None
-        self.poller: select.poll | None = None
+        self.poller: select.poll | None = None      # the agent's output has bytes
+        self.writable: select.poll | None = None    # its input has room
         self.pending = b""      # read from the agent, not yet split into lines
         self.timeout_warnings = 0
         self.late_replies_owed = 0
@@ -65,12 +67,15 @@ class ExternalAgentHost:
             self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0)
         self.poller = select.poll()
         self.poller.register(self.process.stdout, select.POLLIN)
+        os.set_blocking(self.process.stdin.fileno(), False)
+        self.writable = select.poll()
+        self.writable.register(self.process.stdin, select.POLLOUT)
         try:
             self._send({"type": "hello",
                         "spaces": {"actions": self.space.action_count,
                                    "observations": self.space.observation_count,
                                    "reward_denominator": self.space.reward_denominator},
-                        "protocol": PROTOCOL_VERSION})
+                        "protocol": PROTOCOL_VERSION}, HANDSHAKE_TIMEOUT_S)
             try:
                 reply = self._read(time.monotonic() + HANDSHAKE_TIMEOUT_S)
             except RolloutFailed as exc:
@@ -83,14 +88,26 @@ class ExternalAgentHost:
             self.close()
             raise
 
-    def _send(self, message: dict) -> None:
-        self._write((json.dumps(message, sort_keys=True) + "\n").encode())
+    def _send(self, message: dict, timeout_s: float) -> None:
+        self._write((json.dumps(message, sort_keys=True) + "\n").encode(), timeout_s)
 
-    def _write(self, line: bytes) -> None:
-        try:
-            self.process.stdin.write(line)
-        except (BrokenPipeError, ValueError) as exc:
-            raise ExternalAgentError(f"external agent {self.name}: pipe closed: {exc}") from exc
+    def _write(self, line: bytes, timeout_s: float) -> None:
+        """Write one message; fail if the agent's input stays full for timeout_s."""
+        fd = self.process.stdin.fileno()
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                line = line[os.write(fd, line):]
+            except BlockingIOError:
+                pass
+            except BrokenPipeError as exc:
+                raise ExternalAgentError(
+                    f"external agent {self.name}: pipe closed: {exc}") from exc
+            if not line:
+                return
+            wait_ms = (deadline - time.monotonic()) * 1000.0
+            if wait_ms <= 0 or not self.writable.poll(wait_ms):
+                raise ExternalAgentError(f"external agent {self.name} stopped reading its input")
 
     def _read(self, deadline: float) -> dict | None:
         """Next parsed message, or None if no whole line arrives by the deadline."""
@@ -116,7 +133,7 @@ class ExternalAgentHost:
 
     def request_action(self, percept: Percept, cycle: int, episode: int,
                        fallback_rng: random.Random) -> int:
-        self._write(PERCEPT_LINE % (cycle, episode, *percept))
+        self._write(PERCEPT_LINE % (cycle, episode, *percept), self.timeout_s)
         deadline = time.monotonic() + self.timeout_s
         reply = self._read(deadline)
         while reply is not None and self.late_replies_owed:
@@ -139,16 +156,17 @@ class ExternalAgentHost:
         if self.process is None:
             self.start()
         self.episodes_started += 1
-        self._send({"type": "reset", "episode": self.episodes_started})
+        self._send({"type": "reset", "episode": self.episodes_started}, self.timeout_s)
         return _ExternalPolicy(self, self.episodes_started, rng)
 
     def close(self) -> None:
         if self.process is None:
             return
         try:
-            self._send({"type": "bye"})
+            self._send({"type": "bye"}, 0.0)    # not waiting on an agent that stopped reading
         except ExternalAgentError:
             pass
+        self.process.stdin.close()              # end of input, should bye not fit
         try:
             self.process.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
@@ -158,7 +176,6 @@ class ExternalAgentHost:
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
-        self.process.stdin.close()
         self.process.stdout.close()
         self.process = None
         self.pending = b""

@@ -2,8 +2,9 @@
 
 Serialization is byte-deterministic: keys are sorted, floats use their
 shortest round-trip repr, and nothing derived from wall-clock time is ever
-written.  The JSON document validates against the schema shipped with the
-package.
+written.  `build_report` fixes the shape of schema v1 by construction, and
+`validate_report` checks the value bounds it states and that every float is
+finite; the schema file (`schemas/report-v1.json`) is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from importlib import resources
+import math
 
 from . import __version__
+from .errors import AgentGaugeError
 from .measure import AgentComparison, AgentMeasurement, Ensemble
 
 SCHEMA_VERSION = 1
@@ -21,15 +23,35 @@ CSV_HEADER = ("program_id", "length_bits", "weight", "agent",
               "value_mean", "value_ci", "episodes")
 
 
-def load_report_schema() -> dict:
-    text = resources.files("agentgauge").joinpath("schemas/report-v1.json").read_text()
-    return json.loads(text)
-
-
 def validate_report(report: dict) -> None:
-    import jsonschema  # imported here: only validation needs it, and it is slow to load
+    """Check the bounds of schema v1 that `build_report` does not fix.
 
-    jsonschema.validate(report, load_report_schema())
+    Every float must also be finite: `json.dumps` would write NaN or Infinity,
+    which are not JSON.  A violation raises AgentGaugeError naming the field.
+    """
+    def check(where: str, node: dict, fields, low=-math.inf, high=math.inf) -> None:
+        for field in fields:
+            if not (math.isfinite(node[field]) and low <= node[field] <= high):
+                raise AgentGaugeError(f"report field {where}.{field} = {node[field]!r} "
+                                      f"is not a finite number in [{low}, {high}]")
+
+    check("ensemble", report["ensemble"], ("max_length_bits",), 1)
+    check("ensemble", report["ensemble"], ("program_count", "entry_count"), 0)
+    check("ensemble", report["ensemble"], ("kraft_sum_float",), high=1.0)
+    check("valuation", report["valuation"], ("horizon", "episodes"), 1)
+    check("valuation", report["valuation"], ("trunc_epsilon", "confidence"))
+    for name, agent in report["agents"].items():
+        check(f"agents.{name}", agent, ("intelligence",), 0.0, 1.000001)
+        check(f"agents.{name}", agent, ("ci_half_width", "failed_rollouts"), 0)
+    for row in report["environments"]:
+        where = f"environments[{row['program_id']}]"
+        check(where, row, ("length_bits", "members"), 1)
+        check(where, row, ("weight",), 0.0)
+        for name, value in row["values"].items():
+            check(f"{where}.values.{name}", value, ("mean", "ci_half_width", "truncation_bound"))
+    for pair in report["comparisons"]:
+        check(f"comparisons[{pair['agent_a']} vs {pair['agent_b']}]", pair,
+              ("mean_difference", "ci_low", "ci_high"))
 
 
 def build_report(seed: int, ensemble: Ensemble,
@@ -135,9 +157,9 @@ def dump_json(document: dict) -> str:
 def write_run_outputs(output_dir, report: dict, manifest: dict) -> None:
     import pathlib
 
+    validate_report(report)
     out = pathlib.Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    validate_report(report)
     (out / "report.json").write_text(dump_json(report), encoding="utf-8")
     (out / "rows.csv").write_text(report_rows_csv(report), encoding="utf-8")
     (out / "manifest.json").write_text(dump_json(manifest), encoding="utf-8")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -13,12 +15,14 @@ import textwrap
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import jsonschema
 import pytest
 
 import agentgauge
 from agentgauge import cli
 from agentgauge.cli import MAX_PERMUTATIONS, MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
 from agentgauge.config import _KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, RunConfig, parse_config
+from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
     INSTRUCTION_NAMES,
@@ -32,6 +36,9 @@ from agentgauge.reports import validate_report
 from agentgauge.valuation import MAX_EPISODES, ValuationParams
 
 MACHINE = MachineConfig()
+SRC = pathlib.Path(agentgauge.__file__).parents[1]
+# the schema of report.json, the oracle the checks of validate_report must agree with
+SCHEMA = json.loads((SRC / "agentgauge" / "schemas" / "report-v1.json").read_text())
 
 
 def write_programs(tmp_path):
@@ -66,11 +73,114 @@ def test_run_writes_valid_report_with_full_budget_row(tmp_path):
     config = write_config(tmp_path)
     assert main(["run", str(config)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    validate_report(report)
+    jsonschema.validate(report, SCHEMA)
     # the dec/move_left/emit environment pays the whole budget to any agent
     full = next(r for r in report["environments"] if "218C0" in r["program_id"])
     assert full["values"]["random"]["mean"] == 1.0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def run_report(tmp_path_factory):
+    """The report of a real two-agent run, which the schema accepts."""
+    tmp_path = tmp_path_factory.mktemp("run")
+    assert main(["run", str(write_config(tmp_path))]) == 0
+    return json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+def with_value(report: dict, path: tuple, value) -> dict:
+    changed = copy.deepcopy(report)
+    *parents, last = path
+    node = changed
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return changed
+
+
+def schema_accepts(report: dict) -> bool:
+    try:
+        jsonschema.validate(report, SCHEMA)
+    except jsonschema.ValidationError:
+        return False
+    return True
+
+
+def check_accepts(report: dict) -> bool:
+    try:
+        validate_report(report)
+    except AgentGaugeError:
+        return False
+    return True
+
+
+TINY = math.ulp(0.0)
+# (field, its bound, a value just past the bound) for every bound schema v1 states
+BOUNDS = [
+    (("ensemble", "max_length_bits"), 1, 0),
+    (("ensemble", "program_count"), 0, -1),
+    (("ensemble", "entry_count"), 0, -1),
+    (("ensemble", "kraft_sum_float"), 1.0, math.nextafter(1.0, 2.0)),
+    (("valuation", "horizon"), 1, 0),
+    (("valuation", "episodes"), 1, 0),
+    (("agents", "basic", "intelligence"), 0.0, -TINY),
+    (("agents", "basic", "intelligence"), 1.000001, math.nextafter(1.000001, 2.0)),
+    (("agents", "basic", "ci_half_width"), 0.0, -TINY),
+    (("agents", "basic", "failed_rollouts"), 0, -1),
+    (("environments", 1, "length_bits"), 1, 0),
+    (("environments", 1, "weight"), 0.0, -TINY),
+    (("environments", 1, "members"), 1, 0),
+]
+
+
+@pytest.mark.parametrize("path,bound,past", BOUNDS,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, _, v in BOUNDS])
+def test_report_check_agrees_with_the_schema_at_every_bound(run_report, path, bound, past):
+    assert schema_accepts(run_report) and check_accepts(run_report)
+    at_bound = with_value(run_report, path, bound)
+    assert schema_accepts(at_bound) and check_accepts(at_bound)
+    beyond = with_value(run_report, path, past)
+    assert not schema_accepts(beyond)
+    with pytest.raises(AgentGaugeError, match=str(path[-1])):
+        validate_report(beyond)
+
+
+def float_paths(node, path=()):
+    """The path of every float in a JSON document."""
+    if isinstance(node, float):
+        return [path]
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return [found for key, child in items for found in float_paths(child, path + (key,))]
+
+
+def test_report_check_rejects_every_non_finite_float(run_report):
+    paths = float_paths(run_report)
+    # every float field of schema v1, in each of its places
+    assert {path[-1] for path in paths} == {
+        "kraft_sum_float", "trunc_epsilon", "confidence", "intelligence", "ci_half_width",
+        "weight", "mean", "truncation_bound", "mean_difference", "ci_low", "ci_high"}
+    for path in paths:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(AgentGaugeError, match=str(path[-1])):
+                validate_report(with_value(run_report, path, bad))
+
+
+@pytest.mark.parametrize("bad", [2.0, math.nan])
+def test_report_out_of_bounds_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch, bad):
+    build_report = cli.build_report
+
+    def corrupted(*args, **kwargs):
+        report = build_report(*args, **kwargs)
+        report["agents"]["random"]["intelligence"] = bad
+        return report
+
+    monkeypatch.setattr(cli, "build_report", corrupted)
+    assert main(["run", str(write_config(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "intelligence" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_run_is_byte_identical_across_reruns_and_worker_counts(tmp_path):
@@ -348,13 +458,15 @@ def test_tape_beyond_the_cap_exits_2(tmp_path, capsys):
     assert config.machine.tape_length == MAX_TAPE_LENGTH
 
 
-def test_importing_the_cli_leaves_jsonschema_unloaded():
-    # only validate_report needs jsonschema, which is slow to import
-    code = "import sys, agentgauge.cli; print('jsonschema' in sys.modules)"
-    src = pathlib.Path(agentgauge.__file__).parents[1]
+def test_a_run_never_loads_jsonschema(tmp_path):
+    # jsonschema is slow to import, and only the tests need it
+    code = ("import sys, agentgauge.cli\n"
+            f"assert agentgauge.cli.main(['run', {str(write_config(tmp_path))!r}]) == 0\n"
+            "print('jsonschema' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env={"PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == "False\n"
+                            env={"PYTHONPATH": str(SRC)}, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "out" / "report.json").exists()
 
 
 def test_length_cutoff_cap_is_accepted():
@@ -479,6 +591,38 @@ def test_agent_that_exits_mid_run_fails_the_run(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert "external agent quitter" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+def test_agent_that_stops_reading_fails_the_run(tmp_path):
+    # once the agent's input pipe is full, a write waits only up to the timeout
+    child = tmp_path / "sleeper.py"
+    child.write_text(textwrap.dedent("""
+        import json, os, sys, time
+        parent = os.getppid()
+        json.loads(sys.stdin.readline())
+        print(json.dumps({"type": "ready"}), flush=True)
+        while os.getppid() == parent:   # never reads again, but ends with the run
+            time.sleep(0.1)
+    """), encoding="utf-8")
+    # 2 programs x 50 episodes x 100 cycles of percepts overfill a 64 KiB pipe
+    config = tmp_path / "config.txt"
+    config.write_text(textwrap.dedent(f"""
+        seed = 99
+        output_dir = {tmp_path / "out"}
+        agents = random,sleeper
+        ensemble.programs_file = {write_programs(tmp_path)}
+        valuation.episodes = 50
+        valuation.horizon = 100
+        external.sleeper = {sys.executable} {child}
+        external_timeout_ms = 1
+    """), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "agentgauge.cli", "run", str(config)],
+                            capture_output=True, text=True, timeout=60,
+                            env={"PYTHONPATH": str(SRC)})
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        "error: external agent sleeper stopped reading its input"]
+    assert not (tmp_path / "out").exists()
+
 
 def test_example_study_outputs(tmp_path):
     out = tmp_path / "study"

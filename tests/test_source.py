@@ -98,3 +98,17 @@ def test_only_the_cli_names_a_process_pool():
         if "ProcessPoolExecutor" in names:
             found.append(path.name)
     assert found == ["cli.py"]
+
+
+def test_no_module_imports_jsonschema():
+    # reports are checked by validate_report; the schema file is the tests' oracle
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        if any(module.partition(".")[0] == "jsonschema" for module in modules):
+            found.append(path.name)
+    assert found == []
