@@ -45,8 +45,12 @@ class ProgramEnvironment:
 
     Its episodes are marked reward-free when `proves_reward_free` holds for
     its program, so a rollout stops after cycle 1.
-    The proof runs on first use and once per environment object, so building
-    an ensemble costs nothing extra and unvalued programs are never proved.
+    The proof runs on first use and once per environment object, so
+    unvalued programs are never proved.  Under a pool the object is a
+    worker's unpickled copy, one for each agent whose block holds the entry,
+    and the parent never keeps the result: a 24-bit, dedup-8, three-agent
+    run makes 150 proofs at `--workers 2` against 50 at `--workers 1`
+    (ROADMAP item 6).
     """
 
     program: EnvProgram

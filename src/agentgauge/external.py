@@ -58,6 +58,7 @@ class ExternalAgentHost:
         self.poller: select.poll | None = None      # the agent's output has bytes
         self.writable: select.poll | None = None    # its input has room
         self.pending = b""      # read from the agent, not yet split into lines
+        self.stopped_reading = False    # a write found its input full for a whole timeout
         self.timeout_warnings = 0
         self.late_replies_owed = 0
         self.episodes_started = 0
@@ -107,6 +108,7 @@ class ExternalAgentHost:
                 return
             wait_ms = (deadline - time.monotonic()) * 1000.0
             if wait_ms <= 0 or not self.writable.poll(wait_ms):
+                self.stopped_reading = True
                 raise ExternalAgentError(f"external agent {self.name} stopped reading its input")
 
     def _read(self, deadline: float) -> dict | None:
@@ -168,7 +170,8 @@ class ExternalAgentHost:
             pass
         self.process.stdin.close()              # end of input, should bye not fit
         try:
-            self.process.wait(timeout=2.0)
+            # an agent that stopped reading never sees bye: stop it at once
+            self.process.wait(timeout=0.0 if self.stopped_reading else 2.0)
         except subprocess.TimeoutExpired:
             self.process.terminate()
             try:
@@ -179,6 +182,7 @@ class ExternalAgentHost:
         self.process.stdout.close()
         self.process = None
         self.pending = b""
+        self.stopped_reading = False
 
 
 class _ExternalPolicy:

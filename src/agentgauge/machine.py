@@ -14,6 +14,15 @@ per-cycle step budget is exhausted (the latter two emit the default percept
 register and the random stream persist across cycles, so short programs can
 express environments whose rewards depend on the agent's actions.
 
+A cycle of a loop-free program is straight-line code.  `summarize_cycle`
+evaluates it once per process, relative to the start pointer
+(symbolic execution, King 1976): the random-bit and action writes, the net
+change of each cell, the net pointer move, the step count and whether it
+emits.  With shortcuts on, `EnvProcess.step` applies that summary instead
+of dispatching instruction by instruction.  The interpreter runs programs
+with loops, and every program when shortcuts are off, which makes it the
+reference the summary is tested against.
+
 Reward emission is budget-limited: a process can emit at most D/D = 1 of
 total reward over its lifetime (numerators are clamped to the remaining
 budget), which makes every program a reward-summable environment by
@@ -21,7 +30,7 @@ construction.
 
 `proves_reward_free` decides, once per program, that no positive reward can
 ever be emitted.  It explores the closure of machine states reachable under
-every action and every outcome of every random bit, stepping the interpreter
+every action and every outcome of every random bit, stepping `EnvProcess.step`
 itself, and answers no when a step emits reward or a cap is hit.  A process
 marked reward-free has a remaining reward bound of 0 from its first cycle on.
 """
@@ -33,6 +42,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coding import (
     elias_gamma_decode,
@@ -65,6 +75,8 @@ OPCODE_BITS = 4
 SIGNATURE_NODE_CAP = 8192
 # Each process holds the tape as a list of ints; more cells is almost surely a typo.
 MAX_TAPE_LENGTH = 65_536
+# A looping cycle may spin through its whole budget; more steps is almost surely a typo.
+MAX_STEP_BUDGET = 65_536
 REACH_STATE_CAP = 256     # distinct post-cycle states a proof may visit
 REACH_SCRIPT_CAP = 256    # random-bit scripts one cycle may branch into
 
@@ -88,6 +100,9 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.step_budget_per_cycle < 1:
             raise ValueError("step_budget_per_cycle must be >= 1")
+        if self.step_budget_per_cycle > MAX_STEP_BUDGET:
+            raise ValueError(f"step_budget_per_cycle must be at most {MAX_STEP_BUDGET}, "
+                             f"got {self.step_budget_per_cycle}")
         if self.tape_length < 2:
             raise ValueError("tape_length must be >= 2 (emit reads two cells)")
         if self.tape_length > MAX_TAPE_LENGTH:
@@ -239,6 +254,65 @@ def prior_weight(program: EnvProgram) -> Fraction:
     return Fraction(1, 2 ** program.length_bits)
 
 
+class CycleSummary(NamedTuple):
+    """The effect of one cycle of a loop-free program, relative to its start pointer.
+
+    A cell is an offset from the start pointer reduced mod the tape length,
+    then stored minus the tape length, so `tape[ptr + cell]` indexes it
+    directly for any pointer on the tape.
+    """
+
+    steps: int                  # instructions run: through emit, or to the end, within budget
+    rands: tuple[int, ...]      # the cell of each random_bit, in order
+    reads: tuple[int, ...]      # the cells whose last write is a read_action
+    increments: tuple[tuple[int, int], ...]  # (cell, net change after its last write)
+    move: int                   # net pointer move, stored like a cell
+    emits: bool
+    static: bool                # no input, no move, no change: the state stays as it was
+
+
+def summarize_cycle(program: EnvProgram, machine: MachineConfig) -> CycleSummary | None:
+    """The straight-line summary of one cycle, or None for a program with a loop.
+
+    Without a loop a cycle runs the program's instructions in order, up to
+    the first emit or the end of the program, capped by the step budget.  A
+    read_action or random_bit write drops the increments made before it to
+    the same cell.  Applying the random bits in order, then the reads, then
+    the increments gives the tape the interpreter leaves.
+    """
+    if _OP_OPEN in program.ops:
+        return None
+    tape_len = machine.tape_length
+    ops = program.ops[:machine.step_budget_per_cycle]
+    steps, emits = len(ops), False
+    cell = -tape_len    # where the pointer is, stored like a cell
+    rands: list[int] = []
+    reads: set[int] = set()
+    increments: dict[int, int] = {}
+    for index, op in enumerate(ops):
+        if op == _OP_RIGHT:
+            cell = cell + 1 if cell < -1 else -tape_len
+        elif op == _OP_LEFT:
+            cell = cell - 1 if cell > -tape_len else -1
+        elif op == _OP_INC or op == _OP_DEC:
+            increments[cell] = increments.get(cell, 0) + (1 if op == _OP_INC else -1)
+        elif op == _OP_EMIT:
+            steps, emits = index + 1, True
+            break
+        else:
+            increments.pop(cell, None)
+            reads.discard(cell)
+            if op == _OP_READ:
+                reads.add(cell)
+            else:
+                rands.append(cell)
+    modulus = machine.cell_modulus
+    changes = tuple((c, amount % modulus) for c, amount in increments.items()
+                    if amount % modulus)
+    static = not (rands or reads or changes) and cell == -tape_len
+    return CycleSummary(steps, tuple(rands), tuple(reads), changes, cell, emits, static)
+
+
 class EnvProcess:
     """One running environment: a program plus its persistent machine state.
 
@@ -247,13 +321,16 @@ class EnvProcess:
     that check the shortcuts are behavior-preserving).  `reward_free` is set
     by the owner of a `proves_reward_free` proof; it changes no percept, only
     the remaining reward bound.  A program without `random_bit` keeps no
-    random stream: its `rng` is None.
+    random stream: its `rng` is None.  With shortcuts on, a loop-free
+    program that can emit keeps its `CycleSummary` in `summary`; otherwise
+    that is None and each cycle runs through the interpreter.
     """
 
     __slots__ = (
         "program", "machine", "space", "tape", "ptr", "budget", "last_action",
         "cycles", "rng", "shortcuts", "frozen", "frozen_obs", "frozen_raw",
         "steps_last_cycle", "total_steps", "emitted_total", "draws", "reward_free",
+        "summary",
     )
 
     def __init__(self, program: EnvProgram, machine: MachineConfig,
@@ -285,6 +362,9 @@ class EnvProcess:
         if enable_shortcuts and not program.has_emit:
             # A program with no EMIT can only ever produce default percepts.
             self.frozen = True
+        # With shortcuts on, a loop-free program runs each cycle from its summary.
+        self.summary = (summarize_cycle(program, machine)
+                        if enable_shortcuts and not self.frozen else None)
 
     @property
     def halted(self) -> bool:
@@ -326,6 +406,7 @@ class EnvProcess:
         other.emitted_total = self.emitted_total
         other.draws = self.draws
         other.reward_free = self.reward_free
+        other.summary = self.summary
         return other
 
     def step(self, action: int | None) -> Percept:
@@ -345,6 +426,40 @@ class EnvProcess:
             self.steps_last_cycle = 0
             raw_obs = self.frozen_obs
             raw_numerator = self.frozen_raw
+        elif (summary := self.summary) is not None:
+            steps, rands, reads, increments, move, emits, static = summary
+            tape = self.tape
+            ptr = self.ptr
+            if rands:
+                draw = self.rng.getrandbits
+                for cell in rands:
+                    tape[ptr + cell] = draw(1)
+                self.draws += len(rands)
+            if reads:
+                value = self.last_action % machine.cell_modulus
+                for cell in reads:
+                    tape[ptr + cell] = value
+            if increments:
+                modulus = machine.cell_modulus
+                for cell, amount in increments:
+                    cell += ptr
+                    tape[cell] = (tape[cell] + amount) % modulus
+            ptr += move
+            if ptr < 0:
+                ptr += machine.tape_length
+            self.ptr = ptr
+            self.steps_last_cycle = steps
+            self.total_steps += steps
+            if emits:
+                raw_obs = tape[ptr] % self.space.observation_count
+                raw_numerator = (tape[ptr + 1 - machine.tape_length]
+                                 % (self.space.reward_denominator + 1))
+            else:
+                raw_obs = raw_numerator = 0
+            if static:
+                self.frozen = True
+                self.frozen_obs = raw_obs
+                self.frozen_raw = raw_numerator
         else:
             tape = self.tape
             program = self.program
@@ -432,11 +547,12 @@ class EnvProcess:
                     self.frozen_obs = raw_obs
                     self.frozen_raw = raw_numerator
 
-        if machine.enforce_reward_budget:
-            if raw_numerator > self.budget:
-                raw_numerator = self.budget
-            self.budget -= raw_numerator
-        self.emitted_total += raw_numerator
+        if raw_numerator:
+            if machine.enforce_reward_budget:
+                if raw_numerator > self.budget:
+                    raw_numerator = self.budget
+                self.budget -= raw_numerator
+            self.emitted_total += raw_numerator
         return _new_tuple(Percept, (raw_obs, raw_numerator))
 
 
@@ -463,18 +579,22 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
     reward budget and frozen percept: the last-action register is rewritten
     before the program runs and the random stream only supplies bits.  The
     proof steps `EnvProcess.step` from each reachable state once per action
-    (only action 0 when the program never reads one) and once per script of
-    random bits: a draw past the end of a script yields 0, and every such
-    draw also queues the script whose bit there is 1.  So the closure holds
-    every state any run can reach, with the interpreter's own shortcuts.
+    (only action 0 when no action the program reads can outlast its cycle)
+    and once per script of random bits: a draw past the end of a script
+    yields 0, and every such draw also queues the script whose bit there is
+    1.  So the closure holds every state any run can reach, with the
+    interpreter's own shortcuts.
 
     True once the closure is complete without a positive reward.  False as
     soon as a step emits one, and when the closure would need more than
     REACH_STATE_CAP states or some cycle more than REACH_SCRIPT_CAP scripts.
     """
-    actions = range(space.action_count) if _OP_READ in program.ops else (0,)
     bits = _ScriptedBits()
     proc = EnvProcess(program, machine, space)
+    # a loop-free cycle whose reads are all overwritten ends in the same state
+    # whatever the action
+    reads = _OP_READ in program.ops if proc.summary is None else proc.summary.reads
+    actions = range(space.action_count) if reads else (0,)
     proc.rng = bits
     initial = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
                proc.frozen_obs, proc.frozen_raw)
@@ -503,10 +623,11 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
                 scripts.append(drawn[:index] + (1,))
             after = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
                      proc.frozen_obs, proc.frozen_raw)
-            if after not in seen:
-                if len(seen) == REACH_STATE_CAP:
+            known = len(seen)   # add and compare sizes: one hash of the state, not two
+            seen.add(after)
+            if len(seen) > known:
+                if known == REACH_STATE_CAP:
                     return False
-                seen.add(after)
                 stack.append(after)
         return True
 

@@ -386,6 +386,7 @@ def test_space_beyond_two_bytes_exits_2(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line", [
     "machine.step_budget = 0",
+    "machine.step_budget = 1000000000",
     "machine.tape_length = 70000",
     "valuation.trunc_epsilon = 2",
     "ensemble.weight_scheme = foo",

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
+import os
 import random
 import sys
 import textwrap
 import threading
+import time
 import warnings
 
 import pytest
@@ -156,6 +159,13 @@ for line in sys.stdin:
         os.write(1, b'{"type": "action", "a": 0}\\n')
     elif kind == "bye":
         break
+"""
+
+DEAF_CHILD = """
+import json, sys, time
+sys.stdin.readline()
+print(json.dumps({"type": "ready"}), flush=True)
+time.sleep(60)    # never reads again
 """
 
 RECORDING_CHILD = """
@@ -337,6 +347,29 @@ def test_close_leaves_no_pipe_open(tmp_path, monkeypatch, handshake):
         del host
         gc.collect()
     assert [hook.exc_value for hook in unraisable] == []
+
+
+@pytest.mark.parametrize("fill", ["percepts", "to-the-brim"])
+def test_close_stops_an_agent_that_stopped_reading_at_once(tmp_path, fill):
+    # Percepts fill the pipe until one does not fit, which can leave room
+    # for bye; filled to the brim, bye itself does not fit.  Either way the
+    # agent never reads bye, so waiting for it to exit would only wait.
+    host = ExternalAgentHost("ext-deaf", child(tmp_path, DEAF_CHILD, "deaf"), SPACE,
+                             timeout_ms=1)
+    host.start()
+    process = host.process
+    if fill == "percepts":
+        with pytest.raises(ExternalAgentError, match="stopped reading"):
+            for cycle in itertools.count(1):
+                host.request_action(Percept(0, 0), cycle, 1, random.Random(0))
+    else:
+        with pytest.raises(BlockingIOError):
+            while True:
+                os.write(process.stdin.fileno(), b"\n" * 65536)
+    started = time.monotonic()
+    host.close()
+    assert time.monotonic() - started < 0.5
+    assert process.returncode is not None and host.process is None
 
 
 def test_replies_are_framed_by_newlines_not_by_writes(tmp_path):

@@ -278,6 +278,41 @@ def test_step_trace_is_golden():
     assert digest.hexdigest() == STEP_TRACE_DIGEST
 
 
+@pytest.mark.parametrize("machine, space", [
+    (MACHINE, SPACE),
+    (MachineConfig(tape_length=2), SPACE),
+    (MachineConfig(tape_length=3), SPACE),
+    (MachineConfig(cell_modulus=2), SPACE),
+    (MachineConfig(step_budget_per_cycle=1), SPACE),
+    (MachineConfig(step_budget_per_cycle=2), SPACE),
+    (MachineConfig(step_budget_per_cycle=3), SPACE),
+    (MACHINE, SpaceConfig(action_count=3)),
+], ids=["default", "tape2", "tape3", "mod2", "budget1", "budget2", "budget3",
+        "three-actions"])
+def test_cycle_summary_matches_the_reference_interpreter(machine, space):
+    # Every program of up to 21 bits: the 24-bit ensemble holds no longer
+    # instruction sequence.  Small tapes alias offsets, and small budgets cut
+    # a cycle before its emit.  A program without emit is frozen from the
+    # start in shortcut mode, so only its percepts are compared.
+    for program in enumerate_programs(21, machine):
+        script = random.Random(program.bits)
+        fast = EnvProcess(program, machine, space, rng=random.Random(5))
+        slow = EnvProcess(program, machine, space, rng=random.Random(5),
+                          enable_shortcuts=False)
+        if program.has_emit:
+            assert (fast.summary is None) == ("loop_open" in program.instructions)
+        action = None
+        for _ in range(8):
+            was_frozen = fast.frozen
+            assert fast.step(action) == slow.step(action), program.instructions
+            if program.has_emit:
+                assert (fast.draws, fast.ptr, fast.budget, fast.tape) == \
+                    (slow.draws, slow.ptr, slow.budget, slow.tape), program.instructions
+            if not was_frozen:
+                assert fast.steps_last_cycle == slow.steps_last_cycle, program.instructions
+            action = script.randrange(space.action_count)
+
+
 def test_protocol_discipline():
     proc = EnvProcess(make("emit"), MACHINE, SPACE)
     with pytest.raises(ProtocolError):
@@ -536,6 +571,21 @@ def test_reward_reachability_is_sound(machine, space):
                         for _ in range(999)]
             assert all(p.reward_numerator == 0 for p in emitted), program.instructions
     assert proven.hexdigest() == _REWARD_FREE_DIGEST
+
+
+@pytest.mark.parametrize("machine, space", [
+    (MACHINE, SPACE),
+    (MachineConfig(tape_length=4, cell_modulus=3),
+     SpaceConfig(action_count=3, observation_count=3, reward_denominator=2)),
+], ids=["default", "tape4-mod3-three-actions"])
+def test_cycle_summaries_change_no_proof_verdict(monkeypatch, machine, space):
+    # With summaries the proof steps them, and tries only action 0 where every
+    # read is overwritten within the cycle; without, every program runs through
+    # the interpreter under every action.
+    programs = enumerate_programs(21, machine)
+    verdicts = [proves_reward_free(program, machine, space) for program in programs]
+    monkeypatch.setattr("agentgauge.machine.summarize_cycle", lambda program, machine: None)
+    assert verdicts == [proves_reward_free(program, machine, space) for program in programs]
 
 
 def test_reward_proof_answers_no_past_the_state_cap(monkeypatch):
