@@ -17,12 +17,12 @@ episodes in lockstep: `state = model.begin_batch(n)` starts n episodes and
 int64 action array (None on the first cycle) and returning the int64 array
 of their reward numerators.
 A model may also declare `reads_actions = False` (its percepts never depend
-on the actions) and `deterministic = True` (they never depend on the rng,
-so it is spawned with rng None); the valuation layer then plays such
-episodes without the agent and, when they are deterministic too, only once
-per estimate.  A model that declares neither is assumed to read actions and
-draw randomness.  A program environment's `reward_free` (its proof) also
-lets an estimate play one episode: each is one cycle of reward 0.
+on the actions) and `deterministic = True` (they never depend on the rng);
+the valuation layer then plays such episodes without the agent and, when
+they are deterministic too, only once per estimate.  A model that declares
+neither is assumed to read actions and draw randomness.  A program
+environment's `reward_free` (its proof) also lets an estimate play one
+episode: each is one cycle of reward 0.
 """
 
 from __future__ import annotations

@@ -317,24 +317,28 @@ class EnvProcess:
     """One running environment: a program plus its persistent machine state.
 
     Single-owner mutable; distinct processes may run in parallel freely.
-    `enable_shortcuts=False` turns off all execution shortcuts (used by tests
-    that check the shortcuts are behavior-preserving).  `reward_free` is set
-    by the owner of a `proves_reward_free` proof; it changes no percept, only
-    the remaining reward bound.  A program without `random_bit` keeps no
-    random stream: its `rng` is None.  With shortcuts on, a loop-free
-    program that can emit keeps its `CycleSummary` in `summary`; otherwise
-    that is None and each cycle runs through the interpreter.
+    After a cycle, the process's future depends only on `state()` (its tape,
+    pointer, reward budget and frozen percept) and on the bits its `rng`
+    still supplies.  `frozen` is the raw percept every later cycle repeats
+    once a cycle left the state untouched, or None while the process is
+    live.  `enable_shortcuts=False` turns off all execution shortcuts (used
+    by tests that check the shortcuts are behavior-preserving), freezing
+    included.  `reward_free` is set by the owner of a `proves_reward_free`
+    proof; it changes no percept, only the remaining reward bound.  A
+    program without `random_bit` keeps no bit source: its `rng` is None.
+    With shortcuts on, a loop-free program that can emit keeps its
+    `CycleSummary` in `summary`; otherwise that is None and each cycle runs
+    through the interpreter.
     """
 
     __slots__ = (
         "program", "machine", "space", "tape", "ptr", "budget", "last_action",
-        "cycles", "rng", "shortcuts", "frozen", "frozen_obs", "frozen_raw",
-        "steps_last_cycle", "total_steps", "emitted_total", "draws", "reward_free",
-        "summary",
+        "cycles", "rng", "shortcuts", "frozen", "steps_last_cycle", "total_steps",
+        "draws", "reward_free", "summary",
     )
 
     def __init__(self, program: EnvProgram, machine: MachineConfig,
-                 space: SpaceConfig, rng: random.Random | int | None = None,
+                 space: SpaceConfig, rng: random.Random | None = None,
                  enable_shortcuts: bool = True) -> None:
         self.program = program
         self.machine = machine
@@ -344,41 +348,41 @@ class EnvProcess:
         self.budget = space.reward_denominator
         self.last_action = 0
         self.cycles = 0
-        if _OP_RAND not in program.ops:
-            self.rng = None  # a program without random_bit never draws
-        elif isinstance(rng, random.Random):
-            self.rng = rng
-        else:
-            self.rng = random.Random(0 if rng is None else rng)
+        self.rng = rng if _OP_RAND in program.ops else None
         self.shortcuts = enable_shortcuts
-        self.frozen = False
-        self.frozen_obs = 0
-        self.frozen_raw = 0
+        # A program with no EMIT can only ever produce default percepts.
+        self.frozen = Percept(0, 0) if enable_shortcuts and not program.has_emit else None
         self.steps_last_cycle = 0
         self.total_steps = 0
-        self.emitted_total = 0
         self.draws = 0  # random bits drawn so far
         self.reward_free = False
-        if enable_shortcuts and not program.has_emit:
-            # A program with no EMIT can only ever produce default percepts.
-            self.frozen = True
         # With shortcuts on, a loop-free program runs each cycle from its summary.
         self.summary = (summarize_cycle(program, machine)
-                        if enable_shortcuts and not self.frozen else None)
+                        if enable_shortcuts and self.frozen is None else None)
 
     @property
     def halted(self) -> bool:
         """True once every future percept is provably (observation 0, reward 0)."""
-        return self.frozen and self.frozen_obs == 0 and self.remaining_reward_bound == 0
+        return (self.frozen is not None and self.frozen.observation == 0
+                and self.remaining_reward_bound == 0)
 
     @property
     def remaining_reward_bound(self) -> float:
         """Upper bound on the reward fraction this process can still emit."""
-        if self.reward_free or (self.frozen and self.frozen_raw == 0):
+        if self.reward_free or (self.frozen is not None and self.frozen.reward_numerator == 0):
             return 0.0
         if not self.machine.enforce_reward_budget:
             return math.inf
         return self.budget / self.space.reward_denominator
+
+    def state(self) -> tuple:
+        """The post-cycle machine state: (tape, pointer, budget, frozen percept).
+
+        The last-action register is not part of it, because every cycle
+        rewrites it before the program runs, and the random stream only
+        supplies bits.
+        """
+        return (tuple(self.tape), self.ptr, self.budget, self.frozen)
 
     def clone(self) -> "EnvProcess":
         other = EnvProcess.__new__(EnvProcess)
@@ -390,7 +394,7 @@ class EnvProcess:
         other.budget = self.budget
         other.last_action = self.last_action
         other.cycles = self.cycles
-        if _OP_RAND in self.program.ops:
+        if self.rng is not None:
             # setstate overwrites the whole generator, so skip the OS seeding
             # that random.Random() would do first.
             other.rng = random.Random.__new__(random.Random)
@@ -399,11 +403,8 @@ class EnvProcess:
             other.rng = None
         other.shortcuts = self.shortcuts
         other.frozen = self.frozen
-        other.frozen_obs = self.frozen_obs
-        other.frozen_raw = self.frozen_raw
         other.steps_last_cycle = self.steps_last_cycle
         other.total_steps = self.total_steps
-        other.emitted_total = self.emitted_total
         other.draws = self.draws
         other.reward_free = self.reward_free
         other.summary = self.summary
@@ -422,10 +423,9 @@ class EnvProcess:
         self.cycles += 1
         machine = self.machine
 
-        if self.frozen:
+        if self.frozen is not None:
             self.steps_last_cycle = 0
-            raw_obs = self.frozen_obs
-            raw_numerator = self.frozen_raw
+            raw_obs, raw_numerator = self.frozen
         elif (summary := self.summary) is not None:
             steps, rands, reads, increments, move, emits, static = summary
             tape = self.tape
@@ -457,9 +457,7 @@ class EnvProcess:
             else:
                 raw_obs = raw_numerator = 0
             if static:
-                self.frozen = True
-                self.frozen_obs = raw_obs
-                self.frozen_raw = raw_numerator
+                self.frozen = _new_tuple(Percept, (raw_obs, raw_numerator))
         else:
             tape = self.tape
             program = self.program
@@ -543,16 +541,12 @@ class EnvProcess:
                 else:
                     # The cycle left the machine state untouched and consumed
                     # no input: every future cycle will replay it identically.
-                    self.frozen = True
-                    self.frozen_obs = raw_obs
-                    self.frozen_raw = raw_numerator
+                    self.frozen = _new_tuple(Percept, (raw_obs, raw_numerator))
 
-        if raw_numerator:
-            if machine.enforce_reward_budget:
-                if raw_numerator > self.budget:
-                    raw_numerator = self.budget
-                self.budget -= raw_numerator
-            self.emitted_total += raw_numerator
+        if raw_numerator and machine.enforce_reward_budget:
+            if raw_numerator > self.budget:
+                raw_numerator = self.budget
+            self.budget -= raw_numerator
         return _new_tuple(Percept, (raw_obs, raw_numerator))
 
 
@@ -575,29 +569,26 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
                        space: SpaceConfig = SpaceConfig()) -> bool:
     """Whether no positive reward is reachable, by closure over machine states.
 
-    After every cycle the machine's future depends only on its tape, pointer,
-    reward budget and frozen percept: the last-action register is rewritten
-    before the program runs and the random stream only supplies bits.  The
-    proof steps `EnvProcess.step` from each reachable state once per action
-    (only action 0 when no action the program reads can outlast its cycle)
-    and once per script of random bits: a draw past the end of a script
-    yields 0, and every such draw also queues the script whose bit there is
-    1.  So the closure holds every state any run can reach, with the
-    interpreter's own shortcuts.
+    After every cycle the machine's future depends only on
+    `EnvProcess.state()`: its tape, pointer, reward budget and frozen
+    percept.  The proof steps `EnvProcess.step` from each reachable state
+    once per action (only action 0 when no action the program reads can
+    outlast its cycle) and once per script of random bits: a draw past the
+    end of a script yields 0, and every such draw also queues the script
+    whose bit there is 1.  So the closure holds every state any run can
+    reach, with the interpreter's own shortcuts.
 
     True once the closure is complete without a positive reward.  False as
     soon as a step emits one, and when the closure would need more than
     REACH_STATE_CAP states or some cycle more than REACH_SCRIPT_CAP scripts.
     """
     bits = _ScriptedBits()
-    proc = EnvProcess(program, machine, space)
+    proc = EnvProcess(program, machine, space, rng=bits)
     # a loop-free cycle whose reads are all overwritten ends in the same state
     # whatever the action
     reads = _OP_READ in program.ops if proc.summary is None else proc.summary.reads
     actions = range(space.action_count) if reads else (0,)
-    proc.rng = bits
-    initial = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
-               proc.frozen_obs, proc.frozen_raw)
+    initial = proc.state()
     seen: set[tuple] = set()  # post-cycle states
     stack: list[tuple] = []
 
@@ -612,8 +603,7 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
                 return False
             bits.script = scripts.pop()
             bits.drawn = 0
-            tape, proc.ptr, proc.budget, proc.frozen, proc.frozen_obs, proc.frozen_raw = \
-                initial if state is None else state
+            tape, proc.ptr, proc.budget, proc.frozen = initial if state is None else state
             proc.tape = list(tape)
             proc.cycles = 0 if state is None else 1
             if proc.step(action).reward_numerator > 0:
@@ -621,8 +611,7 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
             drawn = bits.script + (0,) * (bits.drawn - len(bits.script))
             for index in range(len(bits.script), bits.drawn):
                 scripts.append(drawn[:index] + (1,))
-            after = (tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
-                     proc.frozen_obs, proc.frozen_raw)
+            after = proc.state()
             known = len(seen)   # add and compare sizes: one hash of the state, not two
             seen.add(after)
             if len(seen) > known:
@@ -670,13 +659,12 @@ def signature_and_steps(program: EnvProgram, horizon: int,
 
     Signature and step count are those of the complete tree, but each
     distinct machine state is expanded only once.  A node's subtree depends
-    only on its depth and on the state its step left behind: tape, pointer,
-    reward budget, frozen percept and random stream position.  The
-    last-action register is not part of it, because every step overwrites it
-    before the program runs.  Every node descends from the same seeded
-    stream, so the number of random bits drawn identifies the stream
-    position exactly.  Repeated subtrees reuse their bytes and add their
-    steps again, so the step count stays the full-tree figure.
+    only on its depth, on the `EnvProcess.state()` its step left behind
+    (tape, pointer, reward budget and frozen percept) and on the random
+    stream position.  Every node descends from the same seeded stream, so
+    the number of random bits drawn identifies that position exactly.
+    Repeated subtrees reuse their bytes and add their steps again, so the
+    step count stays the full-tree figure.
     """
     check_signature_horizon(horizon, space.action_count)
     last = space.action_count - 1
@@ -690,8 +678,7 @@ def signature_and_steps(program: EnvProgram, horizon: int,
             # The whole subtree is (0, 0); record that fact canonically
             # instead of expanding it.
             return b"\xff", 0
-        key = (depth, tuple(proc.tape), proc.ptr, proc.budget, proc.frozen,
-               proc.frozen_obs, proc.frozen_raw, proc.draws)
+        key = (depth, proc.draws, proc.state())
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -708,7 +695,7 @@ def signature_and_steps(program: EnvProgram, horizon: int,
         memo[key] = result = (b"".join(parts), steps)
         return result
 
-    proc = EnvProcess(program, machine, space, rng=seed)
+    proc = EnvProcess(program, machine, space, rng=random.Random(seed))
     first = proc.step(None)
     first_steps = proc.steps_last_cycle
     tail, tail_steps = below(proc, 0)

@@ -28,9 +28,8 @@ and repeats it where every episode is provably the same: the environment is
 proven reward-free (each episode is one cycle with reward 0 and bound 0), or
 it reads no action and is deterministic (no `random_bit`).  Environment
 streams keep their seeds and the policy's stream was never read by the
-environment, so every value is what the full loop gives.  A deterministic
-environment is spawned without a random stream.  External agents always see
-every percept: their replies and warnings are part of the report.
+environment, so every value is what the full loop gives.  External agents
+always see every percept: their replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  The one fact an episode reports about
@@ -138,9 +137,8 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     its remaining reward bound is 0 or below epsilon, or after `horizon`
     cycles.  Policy and episode streams are derived from (seed, agent name,
     environment, index), so any caller that passes the same arguments
-    replays the same episode.  An agent-free
-    episode builds no policy and steps with action 0, which the environment
-    never reads; a deterministic environment gets no random stream.
+    replays the same episode.  An agent-free episode builds no policy and
+    steps with action 0, which the environment never reads.
     """
     if _agent_free(agent_factory, env_model):
         policy = _UNREAD
@@ -148,12 +146,9 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
         policy = agent_factory.make(
             random.Random(derive_seed(seed, "agent", agent_factory.name,
                                       env_model.identifier, index)))
-    if getattr(env_model, "deterministic", False):
-        episode = env_model.spawn(None)
-    else:
-        episode = env_model.spawn(
-            random.Random(derive_seed(seed, "env", agent_factory.name,
-                                      env_model.identifier, index)))
+    episode = env_model.spawn(
+        random.Random(derive_seed(seed, "env", agent_factory.name,
+                                  env_model.identifier, index)))
     step, act, observe = episode.step, policy.act, policy.observe
     percept = step(None)
     observe(percept)

@@ -129,7 +129,7 @@ def _budget_rollout(program, env_seed, policy, horizon):
         if policy is not None:
             policy.observe(percept)
         total += percept.reward_numerator
-    assert total == proc.emitted_total
+    assert total == SPACE.reward_denominator - proc.budget
     return total
 
 

@@ -414,12 +414,14 @@ def test_opcode_table_key_parses_a_permutation_and_rejects_a_repeat(tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["run", "sensitivity"])
-@pytest.mark.parametrize("lines", [
-    "spaces.actions = 3\nensemble.dedup_horizon = 8",
-    "ensemble.dedup_horizon = 20",
-    "spaces.actions = 4\nensemble.dedup_horizon = none\nensemble.weight_scheme = kt",
+@pytest.mark.parametrize("lines, key", [
+    ("spaces.actions = 3\nensemble.dedup_horizon = 8", "ensemble.dedup_horizon"),
+    ("ensemble.dedup_horizon = 20", "ensemble.dedup_horizon"),
+    # with dedup off the walk is kt weighting's, so the message names that key
+    ("spaces.actions = 4\nensemble.dedup_horizon = none\nensemble.weight_scheme = kt",
+     "ensemble.weight_scheme"),
 ], ids=["three-actions", "horizon-20", "kt-four-actions"])
-def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines):
+def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines, key):
     config = tmp_path / "config.txt"
     config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{lines}\n",
                       encoding="utf-8")
@@ -428,7 +430,8 @@ def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert "ensemble.dedup_horizon" in err and "spaces.actions" in err
+    assert key in err and "spaces.actions" in err
+    assert ("ensemble.dedup_horizon" in err) == (key == "ensemble.dedup_horizon")
     assert not (tmp_path / "out").exists()
 
 

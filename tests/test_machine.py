@@ -204,7 +204,7 @@ def test_budget_never_exceeded_on_long_rollouts():
                 break
             total += proc.step(rng.randrange(2)).reward_numerator
         assert total <= SPACE.reward_denominator
-        assert total == proc.emitted_total
+        assert total == SPACE.reward_denominator - proc.budget
 
 
 def test_step_bound_instrumented():
@@ -274,7 +274,7 @@ def test_step_trace_is_golden():
                 digest.update(repr((
                     percept.observation, percept.reward_numerator,
                     proc.steps_last_cycle, proc.total_steps, proc.draws, proc.ptr,
-                    proc.budget, proc.frozen)).encode())
+                    proc.budget, proc.frozen is not None)).encode())
     assert digest.hexdigest() == STEP_TRACE_DIGEST
 
 
@@ -311,6 +311,38 @@ def test_cycle_summary_matches_the_reference_interpreter(machine, space):
             if not was_frozen:
                 assert fast.steps_last_cycle == slow.steps_last_cycle, program.instructions
             action = script.randrange(space.action_count)
+
+
+_CLONE_FIXTURES = (
+    ("inc", "loop_open", "move_left", "loop_close", "emit"),     # loop
+    ("read_action", "move_right", "inc", "emit"),                # loop-free
+    ("random_bit", "move_left", "read_action", "emit"),          # random
+    ("random_bit", "loop_open", "random_bit", "loop_close", "emit"),  # random loop
+    ("inc", "dec", "emit"),                                      # frozen by its summary
+    ("loop_open", "loop_close", "emit"),                         # frozen by the interpreter
+    ("loop_open", "dec", "loop_close", "inc", "emit"),           # frozen on observation 1
+    ("inc", "move_left"),                                        # no emit
+)
+
+
+@pytest.mark.parametrize("shortcuts", [True, False], ids=["shortcuts", "reference"])
+def test_clone_copies_every_slot(shortcuts):
+    # A slot that clone forgets to copy fails here rather than deep inside a
+    # signature walk.
+    for instructions in _CLONE_FIXTURES:
+        proc, _ = run(make(*instructions), [1, 0, 1], seed=3, shortcuts=shortcuts)
+        twin = proc.clone()
+        for slot in EnvProcess.__slots__:
+            mine, theirs = getattr(proc, slot), getattr(twin, slot)
+            if slot == "tape":
+                assert mine == theirs and mine is not theirs, instructions
+            elif slot == "rng" and mine is not None:
+                assert mine.getstate() == theirs.getstate() and mine is not theirs
+            else:
+                assert mine == theirs, (instructions, slot)
+        actions = [0, 1, 1, 0, 1, 1]
+        assert [proc.step(a) for a in actions] == [twin.step(a) for a in actions], \
+            instructions
 
 
 def test_protocol_discipline():
@@ -405,7 +437,7 @@ def _full_tree_walk(program, horizon, machine, space, seed):
 
     def visit(path):
         nonlocal steps
-        proc = EnvProcess(program, machine, space, rng=seed)
+        proc = EnvProcess(program, machine, space, rng=random.Random(seed))
         percept = proc.step(None)
         for action in path:
             percept = proc.step(action)

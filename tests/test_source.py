@@ -5,7 +5,8 @@ from __future__ import annotations
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "agentgauge"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "agentgauge"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,6 +85,69 @@ def test_unread_names_are_found():
 def test_every_top_level_name_is_read_by_the_package():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_names(sources) == []
+
+
+def _attribute_loads(node: ast.AST, skip: set) -> set[str]:
+    """Attribute names loaded under `node`, outside the subtrees in `skip`."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if child in skip:
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            found.add(child.attr)
+        found |= _attribute_loads(child, skip)
+    return found
+
+
+def unread_slots(sources: dict[str, str]) -> list[str]:
+    """`__slots__` entries no source reads, as `module: Class.slot`.
+
+    A read is an attribute load in any source outside the class's own
+    `__init__` and `clone`, which only set the slots up.  The target of an
+    augmented assignment such as `x.total += n` is a store, not a read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    found = []
+    for module, tree in sorted(trees.items()):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            slots = next((ast.literal_eval(node.value) for node in cls.body
+                          if isinstance(node, ast.Assign)
+                          and any(getattr(t, "id", None) == "__slots__" for t in node.targets)),
+                         ())
+            if not slots:
+                continue
+            skip = {node for node in cls.body if isinstance(node, ast.FunctionDef)
+                    and node.name in ("__init__", "clone")}
+            read = set().union(*(_attribute_loads(t, skip) for t in trees.values()))
+            found += [f"{module}: {cls.name}.{slot}" for slot in slots if slot not in read]
+    return found
+
+
+def test_unread_slots_are_found():
+    sources = {
+        "a": "class Proc:\n"
+             "    __slots__ = ('kept', 'counted', 'copied')\n"
+             "    def __init__(self):\n"
+             "        self.kept = self.counted = self.copied = 0\n"
+             "    def clone(self):\n"
+             "        other = Proc()\n"
+             "        other.copied = self.copied\n"
+             "        return other\n"
+             "    def step(self):\n"
+             "        self.counted += 1\n",
+        "b": "def show(proc):\n    return proc.kept\n",
+    }
+    assert unread_slots(sources) == ["a: Proc.counted", "a: Proc.copied"]
+
+
+def test_every_slot_is_read_outside_its_setup():
+    # a slot only tests read is state the program keeps for nothing; the
+    # benchmark's tracer reads some slots, so bench/ counts as a reader
+    paths = list(PACKAGE.glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+    assert unread_slots(sources) == []
 
 
 def test_only_the_cli_names_a_process_pool():
