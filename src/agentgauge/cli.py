@@ -22,8 +22,6 @@ import math
 import pathlib
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,8 +35,8 @@ from .machine import (
     INSTRUCTION_NAMES,
     MachineConfig,
     enumerate_programs,
+    kraft_sum,
     load_program_file,
-    prior_weight,
     save_program_file,
 )
 from .measure import (
@@ -59,9 +57,19 @@ MAX_STUDY_CYCLES = 10_000_000
 MAX_PERMUTATIONS = math.factorial(len(INSTRUCTION_NAMES))
 
 
+# Imported by _worker_pool when a command first makes a pool: the pool's
+# modules cost a run at one worker about 15 ms of start-up.
+ProcessPoolExecutor = None
+
+
 def _worker_pool(workers: int):
     """The command's one process pool, or a context giving None at 1 worker."""
-    return ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+    global ProcessPoolExecutor
+    if workers == 1:
+        return contextlib.nullcontext()
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers)
 
 
 def _cmd_run(args) -> int:
@@ -181,7 +189,7 @@ def _cmd_example_study(args) -> int:
 def _cmd_enumerate(args) -> int:
     machine = MachineConfig()
     programs = enumerate_programs(args.max_len, machine)
-    kraft = sum((prior_weight(p) for p in programs), Fraction(0))
+    kraft = kraft_sum(programs)
     print(f"valid programs with length <= {args.max_len} bits: {len(programs)}")
     print(f"kraft sum: {kraft} (= {float(kraft):.6f})")
     if args.out:

@@ -21,13 +21,13 @@ on the actions) and `deterministic = True` (they never depend on the rng);
 the valuation layer then plays such episodes without the agent and, when
 they are deterministic too, only once per estimate.  A model that declares
 neither is assumed to read actions and draw randomness.  A program
-environment's `reward_free` (its proof) also lets an estimate play one
-episode: each is one cycle of reward 0.
+environment carries its `reward_free` verdict, proved when the ensemble is
+built; an estimate for an in-process agent values a proven reward-free
+environment at 0 and plays no episode of it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -36,26 +36,25 @@ import numpy as np
 
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
-from .machine import EnvProcess, EnvProgram, MachineConfig, encode_program, proves_reward_free
+from .machine import EnvProcess, EnvProgram, MachineConfig, encode_program
 
 
 @dataclass(frozen=True)
 class ProgramEnvironment:
     """An enumerated machine program exposed as an environment model.
 
-    Its episodes are marked reward-free when `proves_reward_free` holds for
-    its program, so a rollout stops after cycle 1.
-    The proof runs on first use and once per environment object, so
-    unvalued programs are never proved.  Under a pool the object is a
-    worker's unpickled copy, one for each agent whose block holds the entry,
-    and the parent never keeps the result: a 24-bit, dedup-8, three-agent
-    run makes 150 proofs at `--workers 2` against 50 at `--workers 1`
-    (ROADMAP item 6).
+    `reward_free` is the verdict of `proves_reward_free` for the program, on
+    this machine and space.  It has no default, so no environment is left
+    unproven by accident: `build_ensemble` proves once per
+    `reward_free_key` before any rollout, and pool workers receive the
+    verdict with the entry.  The episodes of a reward-free environment have
+    a remaining reward bound of 0, so a rollout stops after cycle 1.
     """
 
     program: EnvProgram
     machine: MachineConfig
     space: SpaceConfig
+    reward_free: bool
 
     @property
     def identifier(self) -> str:
@@ -72,10 +71,6 @@ class ProgramEnvironment:
     @property
     def deterministic(self) -> bool:
         return "random_bit" not in self.program.instructions
-
-    @functools.cached_property
-    def reward_free(self) -> bool:
-        return proves_reward_free(self.program, self.machine, self.space)
 
     def spawn(self, rng: random.Random) -> EnvProcess:
         process = EnvProcess(self.program, self.machine, self.space, rng=rng)

@@ -28,11 +28,15 @@ total reward over its lifetime (numerators are clamped to the remaining
 budget), which makes every program a reward-summable environment by
 construction.
 
-`proves_reward_free` decides, once per program, that no positive reward can
-ever be emitted.  It explores the closure of machine states reachable under
-every action and every outcome of every random bit, stepping `EnvProcess.step`
-itself, and answers no when a step emits reward or a cap is hit.  A process
-marked reward-free has a remaining reward bound of 0 from its first cycle on.
+`proves_reward_free` decides that a program can never emit a positive
+reward.  It explores the closure of machine states reachable under every
+action and every outcome of every random bit, stepping `EnvProcess.step`
+itself, and answers no when a step emits reward or a cap is hit.  Its
+verdict depends only on `reward_free_key`: the cycle summary of a loop-free
+program (less its step count), the opcodes of a program with a loop, or one
+shared key for every program without `emit`.  So an ensemble proves once per
+key; at 24 bits, 3,119 programs have 225 keys.  A process marked reward-free
+has a remaining reward bound of 0 from its first cycle on.
 """
 
 from __future__ import annotations
@@ -252,6 +256,12 @@ def enumerate_programs(max_length_bits: int,
 def prior_weight(program: EnvProgram) -> Fraction:
     """Exact dyadic prior weight 2^-|p| of one program."""
     return Fraction(1, 2 ** program.length_bits)
+
+
+def kraft_sum(programs: list[EnvProgram]) -> Fraction:
+    """Exact sum of 2^-|p| over the programs, as integer numerators over 2^longest."""
+    longest = max((p.length_bits for p in programs), default=0)
+    return Fraction(sum(1 << (longest - p.length_bits) for p in programs), 1 << longest)
 
 
 class CycleSummary(NamedTuple):
@@ -629,6 +639,25 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
     return True
 
 
+def reward_free_key(program: EnvProgram, machine: MachineConfig) -> tuple:
+    """What `proves_reward_free` reads of a program: equal keys, equal verdicts.
+
+    The proof only builds an `EnvProcess` with shortcuts on and steps it.
+    A program without `emit` is frozen at (0, 0) from its first cycle, so
+    every such program shares the key `()` and the proof holds.  A
+    loop-free program that can emit runs each cycle from its
+    `CycleSummary`, and the proof's choice of actions reads the summary too;
+    of the summary, `steps` only feeds the step counters, which no percept
+    and no state reads, so the key is the rest of the summary.  Any other
+    program runs through the interpreter, and its key is its opcodes.  The
+    key holds for one machine and space, like the proof.
+    """
+    if not program.has_emit:
+        return ()
+    summary = summarize_cycle(program, machine)
+    return program.ops if summary is None else summary[1:]
+
+
 def check_signature_horizon(horizon: int, action_count: int) -> None:
     """Raise ValueError unless a signature walk to `horizon` fits the node cap.
 
@@ -718,17 +747,24 @@ def load_program_file(path, machine: MachineConfig = MachineConfig()) -> list[En
     """Read a program fixture file written by save_program_file.
 
     A line that is not valid UTF-8 or not a valid program raises
-    InvalidProgramError naming the file and the line number; a file without
-    a program line raises it naming the file.
+    InvalidProgramError naming the file and the line number, and so does a
+    repeated program, naming both lines: its weight would count twice.  A
+    file without a program line raises it naming the file.
     """
     with open(path, "rb") as handle:
         lines = handle.read().splitlines()
     programs = []
+    first_line: dict[str, int] = {}   # bits -> line number
     for lineno, raw in enumerate(lines, start=1):
         try:
             line = raw.decode("utf-8").strip()
             if line and not line.startswith("#"):
-                programs.append(decode_program(parse_program_line(line), machine))
+                program = decode_program(parse_program_line(line), machine)
+                if program.bits in first_line:
+                    raise InvalidProgramError(
+                        f"repeats the program of line {first_line[program.bits]}")
+                first_line[program.bits] = lineno
+                programs.append(program)
         except (ValueError, InvalidProgramError) as exc:
             raise InvalidProgramError(f"{path}, line {lineno}: {exc}") from None
     if not programs:

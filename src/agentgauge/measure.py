@@ -14,7 +14,9 @@ same two calls once per table; the `sensitivity` command runs it.
 Signatures and entry values are independent, so `build_ensemble` and
 `estimate_intelligence` spread them in small blocks over a process pool the
 caller owns, if given one.  Seeds derive from labels and results keep input
-order, so the pool changes no number.
+order, so the pool changes no number.  Reward-freedom is proved in the
+caller's process, once per `reward_free_key`, and travels with each entry,
+so no worker proves anything.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from .interaction import SpaceConfig
 from .machine import (
     MachineConfig,
     enumerate_programs,
+    kraft_sum,
     prior_weight,
+    proves_reward_free,
+    reward_free_key,
     signature_and_steps,
 )
 from .seeding import derive_seed
@@ -110,17 +115,19 @@ class Ensemble:
 
 def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
                    space: SpaceConfig = SpaceConfig(), programs=None, pool=None) -> Ensemble:
-    """Enumerate, weight and deduplicate environments.
+    """Enumerate, weight and deduplicate environments, and prove which are reward-free.
 
     `programs` overrides enumeration with an explicit program list (e.g. a
-    fixture file), still weighted and deduplicated the same way.
+    fixture file), still weighted and deduplicated the same way.  Each
+    entry's `reward_free` verdict comes from one `proves_reward_free` call
+    per `reward_free_key` among the representatives, made here.
     """
     if programs is None:
         programs = enumerate_programs(spec.max_program_length_bits, machine)
     if not programs:
         raise EnsembleError(
             f"no valid program fits in {spec.max_program_length_bits} bits")
-    kraft = sum((prior_weight(p) for p in programs), Fraction(0))
+    kraft = kraft_sum(programs)
 
     horizon = spec.signature_horizon
     if horizon is not None:
@@ -132,21 +139,32 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
         key = signature if spec.dedup_horizon is not None else program.program_id
         groups.setdefault(key, []).append((program, steps))
 
-    raw_weights: list[Fraction] = []
-    for members in groups.values():
-        if spec.weight_scheme == "length":
-            raw = sum((prior_weight(p) for p, _ in members), Fraction(0))
-        else:
-            # 2^-(|p| + log2 steps) == 2^-|p| / steps, kept exact as a Fraction
-            raw = sum((prior_weight(p) / max(1, steps) for p, steps in members),
-                      Fraction(0))
-        raw_weights.append(raw)
-    total = sum(raw_weights, Fraction(0))
-    entries = [
-        EnsembleEntry(environment=ProgramEnvironment(members[0][0], machine, space),
-                      weight=float(raw / total), raw_weight=raw, member_count=len(members))
-        for members, raw in zip(groups.values(), raw_weights)
-    ]
+    if spec.weight_scheme == "length":
+        # 2^-|p| as an integer numerator over 2^longest.  An int quotient is
+        # correctly rounded, so n / total is float(raw / total) exactly.
+        longest = max(p.length_bits for p in programs)
+        numerators = [sum(1 << (longest - p.length_bits) for p, _ in members)
+                      for members in groups.values()]
+        total = sum(numerators)
+        raw_weights = [Fraction(n, 1 << longest) for n in numerators]
+        weights = [n / total for n in numerators]
+    else:
+        # 2^-(|p| + log2 steps) == 2^-|p| / steps, kept exact as a Fraction
+        raw_weights = [sum((prior_weight(p) / max(1, steps) for p, steps in members),
+                           Fraction(0))
+                       for members in groups.values()]
+        total = sum(raw_weights, Fraction(0))
+        weights = [float(raw / total) for raw in raw_weights]
+    verdicts: dict[tuple, bool] = {}
+    entries = []
+    for members, raw, weight in zip(groups.values(), raw_weights, weights):
+        program = members[0][0]
+        key = reward_free_key(program, machine)
+        if key not in verdicts:
+            verdicts[key] = proves_reward_free(program, machine, space)
+        environment = ProgramEnvironment(program, machine, space, verdicts[key])
+        entries.append(EnsembleEntry(environment=environment, weight=weight,
+                                     raw_weight=raw, member_count=len(members)))
     return Ensemble(entries=tuple(entries), kraft_sum=kraft, program_count=len(programs),
                     spec=spec)
 

@@ -23,13 +23,14 @@ An environment that never reads an action (a program without `read_action`,
 or a constant schedule) yields the same percepts for every agent.  When the
 agent is an in-process factory, whose policy is built fresh for each episode
 and observed by nothing else, `_rollout` then builds no policy and steps with
-action 0.  For such a factory, `summable_episode_values` plays one episode
-and repeats it where every episode is provably the same: the environment is
-proven reward-free (each episode is one cycle with reward 0 and bound 0), or
-it reads no action and is deterministic (no `random_bit`).  Environment
-streams keep their seeds and the policy's stream was never read by the
-environment, so every value is what the full loop gives.  External agents
-always see every percept: their replies and warnings are part of the report.
+action 0.  For such a factory, `summable_episode_values` values an
+environment proven reward-free at 0 with no episode at all, which is what
+each episode would give: one cycle with reward 0 and bound 0.  It plays one
+episode and repeats it where the environment reads no action and is
+deterministic (no `random_bit`).  Environment streams keep their seeds and
+the policy's stream was never read by the environment, so every value is
+what the full loop gives.  External agents always see every percept: their
+replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  The one fact an episode reports about
@@ -259,18 +260,19 @@ def summable_episode_values(agent_factory, env_model,
     Returns (episode values, mean remaining reward bound at stop, failures).
     Each episode is one `_rollout` with epsilon = trunc_epsilon.  Failed
     rollouts (external agents only) are excluded, not scored as zero.  For
-    a factory with private policies, an episode is the same whatever its
-    index when the environment is proven reward-free (one cycle of reward 0
-    and bound 0) or never reads an action and is deterministic, so it is
-    played once and its result repeated.
+    a factory with private policies, an environment proven reward-free is
+    worth 0 in every episode with bound 0, so none is played; one that
+    never reads an action and is deterministic gives the same episode
+    whatever its index, so it is played once and its result repeated.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
-    replay = (getattr(agent_factory, "private_policies", False)
-              and (getattr(env_model, "reward_free", False)
-                   or (not getattr(env_model, "reads_actions", True)
-                       and getattr(env_model, "deterministic", False))))
+    private = getattr(agent_factory, "private_policies", False)
+    if private and getattr(env_model, "reward_free", False):
+        return np.zeros(params.episodes), 0.0, 0
+    replay = (private and not getattr(env_model, "reads_actions", True)
+              and getattr(env_model, "deterministic", False))
     values: list[float] = []
     remainders: list[float] = []
     failed = 0

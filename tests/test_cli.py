@@ -19,7 +19,7 @@ import jsonschema
 import pytest
 
 import agentgauge
-from agentgauge import cli
+from agentgauge import cli, machine, measure
 from agentgauge.cli import MAX_PERMUTATIONS, MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
 from agentgauge.config import _KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, RunConfig, parse_config
 from agentgauge.errors import AgentGaugeError
@@ -31,7 +31,7 @@ from agentgauge.machine import (
     encode_program,
     save_program_file,
 )
-from agentgauge.measure import MAX_PROGRAM_LENGTH_BITS, EnsembleSpec
+from agentgauge.measure import MAX_PROGRAM_LENGTH_BITS, EnsembleSpec, build_ensemble
 from agentgauge.reports import validate_report
 from agentgauge.valuation import MAX_EPISODES, ValuationParams
 
@@ -473,6 +473,18 @@ def test_a_run_never_loads_jsonschema(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("workers, loaded", [("1", "False"), ("2", "True")])
+def test_only_a_pooled_run_loads_the_process_pool(tmp_path, workers, loaded):
+    # the pool's modules cost a run about 15 ms of start-up
+    code = ("import sys, agentgauge.cli\n"
+            f"assert agentgauge.cli.main(['run', {str(write_config(tmp_path))!r}, "
+            f"'--workers', {workers!r}]) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": str(SRC)}, check=True)
+    assert result.stdout.splitlines()[-1] == loaded
+
+
 def test_length_cutoff_cap_is_accepted():
     config = parse_config(
         f"seed = 1\nensemble.max_length_bits = {MAX_PROGRAM_LENGTH_BITS}\n")
@@ -535,6 +547,53 @@ def test_programs_file_without_programs_exits_1_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {programs}:" in err and "no program" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+def test_repeated_program_exits_1_naming_both_lines(tmp_path, capsys, copies):
+    # each copy would add the program's weight again: two copies of the
+    # empty program made a Kraft sum of 1, three of them 3/2
+    config = write_config(tmp_path)
+    programs = tmp_path / "envs.progs"
+    programs.write_text("# the empty program\n" + "len=1 hex=8\n" * copies, encoding="utf-8")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {programs}, line 3: repeats the program of line 2\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimates_make_no_proof(tmp_path, monkeypatch):
+    # build_ensemble proves every entry; with the proof replaced by a stub
+    # that raises once it returns, a pooled run writes the serial report
+    config = tmp_path / "config.txt"
+    config.write_text(textwrap.dedent(f"""
+        seed = 5
+        output_dir = {tmp_path / "out"}
+        agents = random,basic
+        ensemble.max_length_bits = 17
+        ensemble.dedup_horizon = none
+        valuation.episodes = 4
+        valuation.horizon = 30
+        bootstrap_samples = 100
+    """), encoding="utf-8")
+    assert main(["run", str(config), "--workers", "1"]) == 0
+    serial = (tmp_path / "out" / "report.json").read_bytes()
+
+    def no_proof(*args):
+        raise AssertionError("proves_reward_free called after build_ensemble")
+
+    def build_then_stub(*args, **kwargs):
+        ensemble = build_ensemble(*args, **kwargs)
+        # without dedup nothing reaches the pool before this, so its workers
+        # fork with the stub in place
+        for module in (machine, measure):
+            monkeypatch.setattr(module, "proves_reward_free", no_proof)
+        return ensemble
+
+    monkeypatch.setattr(cli, "build_ensemble", build_then_stub)
+    assert main(["run", str(config), "--workers", "2"]) == 0
+    assert (tmp_path / "out" / "report.json").read_bytes() == serial
+    assert json.loads(serial)["ensemble"]["program_count"] == 422
 
 
 def test_run_with_external_agent(tmp_path, capsys, pools_made):

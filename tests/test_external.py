@@ -217,7 +217,7 @@ def test_external_uniform_agent_scores_like_builtin_random(tmp_path):
 def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
     # A reward-capable program: the rollouts run all five cycles.
     env = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"], MACHINE),
-                             MACHINE, SPACE)
+                             MACHINE, SPACE, reward_free=False)
     factory = ExternalAgentHost("ext-silent", child(tmp_path, SILENT_CHILD, "mute"),
                                 SPACE, timeout_ms=100)
     params = ValuationParams(horizon=5, episodes=2, seed=1)
@@ -232,7 +232,8 @@ def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
 
 
 def test_malformed_reply_marks_rollout_failed_not_scored(tmp_path):
-    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
+    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE,
+                             reward_free=True)
     factory = ExternalAgentHost("ext-flaky", child(tmp_path, FLAKY_CHILD, "flaky"),
                                 SPACE, timeout_ms=4000)
     params = ValuationParams(horizon=4, episodes=3, seed=1)
@@ -250,7 +251,8 @@ def test_reply_that_is_not_utf8_fails_only_its_rollout(tmp_path, monkeypatch):
     unraisable, thread_errors = [], []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     monkeypatch.setattr(threading, "excepthook", thread_errors.append)
-    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
+    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE,
+                             reward_free=True)
     factory = ExternalAgentHost("ext-latin", child(tmp_path, NON_UTF8_CHILD, "latin"),
                                 SPACE, timeout_ms=1000)
     params = ValuationParams(horizon=4, episodes=3, seed=1)
@@ -265,7 +267,8 @@ def test_reply_that_is_not_utf8_fails_only_its_rollout(tmp_path, monkeypatch):
 
 
 def test_out_of_range_action_fails_every_rollout(tmp_path):
-    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE)
+    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE,
+                             reward_free=True)
     params = ValuationParams(horizon=4, episodes=2, seed=1)
     # a JSON true is no action, though Python's bool is a subclass of int
     children = {"wild": WILD_CHILD, "bool": WILD_CHILD.replace('"a": 7', '"a": True')}
@@ -292,7 +295,7 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     # built-in agent's episodes are all one; an external agent is a process
     # whose replies and warnings are observable, so it is still consulted.
     env = ProgramEnvironment(encode_program(["inc", "move_left", "emit"], MACHINE),
-                             MACHINE, SPACE)
+                             MACHINE, SPACE, reward_free=False)
     counts = tmp_path / "counts.txt"
     factory = ExternalAgentHost(
         "ext-count", child(tmp_path, COUNTING_CHILD, "count") + [str(counts)],
@@ -306,6 +309,26 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     builtin = summable_episode_values(random_agent(SPACE), env, params)
     assert external[0].tolist() == builtin[0].tolist()
     assert external[1:] == builtin[1:]
+
+
+def test_external_agent_plays_every_episode_of_a_reward_free_program(tmp_path):
+    # A built-in agent values a proven reward-free program at 0 and plays no
+    # episode; an external agent still gets each episode's one percept.
+    env = ProgramEnvironment(encode_program(["inc", "emit"], MACHINE), MACHINE, SPACE,
+                             reward_free=True)
+    counts = tmp_path / "counts.txt"
+    factory = ExternalAgentHost(
+        "ext-count", child(tmp_path, COUNTING_CHILD, "count") + [str(counts)],
+        SPACE, timeout_ms=4000)
+    params = ValuationParams(horizon=6, episodes=3, seed=2)
+    try:
+        external = summable_episode_values(factory, env, params)
+    finally:
+        factory.close()
+    assert counts.read_text(encoding="utf-8") == "3 3"
+    builtin = summable_episode_values(random_agent(SPACE), env, params)
+    assert external[0].tolist() == builtin[0].tolist() == [0.0] * 3
+    assert external[1:] == builtin[1:] == (0.0, 0)
 
 
 def test_late_reply_is_discarded_not_taken_for_the_next_percept(tmp_path):

@@ -23,6 +23,7 @@ from agentgauge.machine import (
     prior_weight,
     program_length_bits,
     proves_reward_free,
+    reward_free_key,
     save_program_file,
     signature_and_steps,
 )
@@ -618,6 +619,24 @@ def test_cycle_summaries_change_no_proof_verdict(monkeypatch, machine, space):
     verdicts = [proves_reward_free(program, machine, space) for program in programs]
     monkeypatch.setattr("agentgauge.machine.summarize_cycle", lambda program, machine: None)
     assert verdicts == [proves_reward_free(program, machine, space) for program in programs]
+
+
+@pytest.mark.parametrize("bits, machine, space, keys", [
+    (24, MACHINE, SPACE, 225),
+    # a step budget of 2 cuts the 3-instruction programs short
+    (20, MachineConfig(tape_length=4, cell_modulus=3, step_budget_per_cycle=2),
+     SpaceConfig(action_count=3, observation_count=3, reward_denominator=2), 39),
+], ids=["default-24-bits", "tape4-mod3-three-actions-budget2"])
+def test_programs_sharing_a_reward_free_key_share_the_verdict(bits, machine, space, keys):
+    # build_ensemble proves one program per key and gives every other
+    # program of that key the same verdict
+    verdicts: dict[tuple, bool] = {}
+    for program in enumerate_programs(bits, machine):
+        verdict = proves_reward_free(program, machine, space)
+        key = reward_free_key(program, machine)
+        assert verdicts.setdefault(key, verdict) == verdict, program.instructions
+    assert True in verdicts.values() and False in verdicts.values()
+    assert len(verdicts) == keys
 
 
 def test_reward_proof_answers_no_past_the_state_cap(monkeypatch):

@@ -8,11 +8,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from agentgauge import measure
 from agentgauge.agents import basic_agent, random_agent
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import EnsembleError
 from agentgauge.interaction import SpaceConfig
-from agentgauge.machine import MachineConfig, encode_program
+from agentgauge.machine import (
+    MachineConfig,
+    encode_program,
+    enumerate_programs,
+    load_program_file,
+    prior_weight,
+    proves_reward_free,
+    reward_free_key,
+    save_program_file,
+    signature_and_steps,
+)
 from agentgauge.measure import (
     EnsembleSpec,
     build_ensemble,
@@ -54,6 +65,68 @@ def test_raw_weights_sum_to_kraft_sum():
     assert total <= 1
 
 
+@pytest.fixture(scope="module")
+def ensembles_24():
+    """The 24-bit ensembles with dedup at 8 and off, each with the programs it proved."""
+    built = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for horizon in (8, None):
+            proved = []
+
+            def counting(program, machine, space, proved=proved):
+                proved.append(program)
+                return proves_reward_free(program, machine, space)
+
+            patch.setattr(measure, "proves_reward_free", counting)
+            spec = EnsembleSpec(max_program_length_bits=24, dedup_horizon=horizon)
+            built[horizon] = build_ensemble(spec, MACHINE, SPACE), proved
+    return built
+
+
+def fraction_weights(programs, horizon):
+    """Kraft sum, raw weights and weights of `length` weighting, in Fraction arithmetic."""
+    groups = {}
+    for program in programs:
+        key = (program.bits if horizon is None
+               else signature_and_steps(program, horizon, MACHINE, SPACE)[0])
+        groups.setdefault(key, []).append(program)
+    raws = [sum((prior_weight(p) for p in members), Fraction(0)) for members in groups.values()]
+    total = sum(raws, Fraction(0))
+    kraft = sum((prior_weight(p) for p in programs), Fraction(0))
+    return kraft, raws, [float(raw / total) for raw in raws]
+
+
+@pytest.mark.parametrize("horizon", [8, None], ids=["dedup-8", "dedup-off"])
+def test_length_weights_equal_the_fraction_computation(ensembles_24, horizon):
+    ensemble, _ = ensembles_24[horizon]
+    kraft, raws, weights = fraction_weights(enumerate_programs(24, MACHINE), horizon)
+    assert ensemble.kraft_sum == kraft
+    assert [entry.raw_weight for entry in ensemble.entries] == raws
+    assert [entry.weight for entry in ensemble.entries] == weights
+
+
+def test_length_weights_of_a_programs_file_equal_the_fraction_computation(tmp_path):
+    path = tmp_path / "envs.progs"
+    save_program_file(path, enumerate_programs(17, MACHINE)[::3])
+    programs = load_program_file(path, MACHINE)
+    ensemble = build_ensemble(small_spec(dedup_horizon=4), MACHINE, SPACE, programs=programs)
+    kraft, raws, weights = fraction_weights(programs, 4)
+    assert ensemble.kraft_sum == kraft
+    assert [entry.raw_weight for entry in ensemble.entries] == raws
+    assert [entry.weight for entry in ensemble.entries] == weights
+
+
+@pytest.mark.parametrize("horizon, proofs", [(8, 50), (None, 225)],
+                         ids=["dedup-8", "dedup-off"])
+def test_build_ensemble_proves_once_per_key(ensembles_24, horizon, proofs):
+    ensemble, proved = ensembles_24[horizon]
+    programs = [entry.environment.program for entry in ensemble.entries]
+    assert len(proved) == len({reward_free_key(p, MACHINE) for p in proved}) == proofs
+    assert len({reward_free_key(p, MACHINE) for p in programs}) == proofs
+    assert ([entry.environment.reward_free for entry in ensemble.entries]
+            == [proves_reward_free(p, MACHINE, SPACE) for p in programs])
+
+
 def test_renormalized_weights_sum_to_one():
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
     assert sum(entry.weight for entry in ensemble.entries) == pytest.approx(1.0, abs=2 ** -40)
@@ -74,7 +147,8 @@ def test_degenerate_single_environment_ensemble():
     assert ensemble.entries[0].weight == 1.0
     measurement = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
     direct = summable_value(random_agent(SPACE),
-                            ProgramEnvironment(program, MACHINE, SPACE), PARAMS)
+                            ProgramEnvironment(program, MACHINE, SPACE, reward_free=False),
+                            PARAMS)
     assert measurement.score == direct.mean == 1.0
 
 

@@ -26,6 +26,7 @@ from agentgauge.machine import (
     decode_program,
     encode_program,
     enumerate_programs,
+    proves_reward_free,
 )
 from agentgauge.measure import EnsembleSpec, build_ensemble
 from agentgauge.seeding import derive_seed
@@ -41,6 +42,14 @@ from agentgauge.valuation import (
 
 UNIT = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
+
+
+def proven(program, machine=MachineConfig(), space=BINARY):
+    """A program's environment with its reward-freedom proved, as build_ensemble makes it."""
+    return ProgramEnvironment(program, machine, space,
+                              proves_reward_free(program, machine, space))
+
+
 GOLDEN_VALUES_DIGEST = "18fad326aee0333606374ab04fac09e97fd6f3beadd3446b2341f844274ad533"
 GOLDEN_BOUNDS_DIGEST = "9d9d5885d3d2887b15426ecb1d9dc94974911df531d729f8e750f72b65d245d7"
 
@@ -182,7 +191,7 @@ def test_summable_full_budget_schedule_is_one_for_every_agent():
 
 
 def test_summable_empty_program_is_zero():
-    env = ProgramEnvironment(decode_program("1"), MachineConfig(), BINARY)
+    env = proven(decode_program("1"))
     params = ValuationParams(horizon=100, episodes=10, seed=4)
     estimate = summable_value(random_agent(BINARY), env, params)
     assert estimate.mean == 0.0
@@ -441,7 +450,7 @@ def test_agent_free_rollouts_match_the_full_reference():
     params = ValuationParams(horizon=40, episodes=4, seed=29)
     factories = (random_agent(BINARY), basic_agent(BINARY), kback_agent(BINARY, 2))
     for program in programs:
-        env = ProgramEnvironment(program, MachineConfig(), BINARY)
+        env = proven(program)
         for factory in factories:
             got_values, got_remaining, got_failed = summable_episode_values(
                 factory, env, params)
@@ -456,18 +465,13 @@ def test_agent_free_paths_follow_the_declared_facts():
     params = ValuationParams(horizon=30, episodes=5, seed=3)
     cases = (
         # (environment, policies built, episodes spawned)
-        (ProgramEnvironment(encode_program(["inc", "move_left", "emit"]),
-                            MachineConfig(), BINARY), 0, 1),
-        (ProgramEnvironment(encode_program(["random_bit", "move_left", "emit"]),
-                            MachineConfig(), BINARY), 0, 5),
-        (ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
-                            MachineConfig(), BINARY), 5, 5),
+        (proven(encode_program(["inc", "move_left", "emit"])), 0, 1),
+        (proven(encode_program(["random_bit", "move_left", "emit"])), 0, 5),
+        (proven(encode_program(["read_action", "move_left", "emit"])), 5, 5),
         (make_constant_env([1] * 40, BINARY), 0, 1),
-        # proven reward-free: every episode is one cycle of reward 0
-        (ProgramEnvironment(encode_program(["read_action", "emit"]),
-                            MachineConfig(), BINARY), 1, 1),
-        (ProgramEnvironment(encode_program(["random_bit", "emit"]),
-                            MachineConfig(), BINARY), 0, 1),
+        # proven reward-free: worth 0 in every episode, so none is played
+        (proven(encode_program(["read_action", "emit"])), 0, 0),
+        (proven(encode_program(["random_bit", "emit"])), 0, 0),
     )
     for env, made, spawned in cases:
         factory, counted = _Counting(random_agent(BINARY)), _Spawns(env)
