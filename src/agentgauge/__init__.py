@@ -14,17 +14,10 @@ from .machine import (  # noqa: F401
     EnvProgram,
     MachineConfig,
     decode_program,
-    encode_program,
     enumerate_programs,
     prior_weight,
 )
-from .environments import (  # noqa: F401
-    compile_fixture,
-    make_constant_env,
-    make_copy_env,
-    make_pattern_env,
-    ProgramEnvironment,
-)
+from .environments import CopyEnvironment, ProgramEnvironment  # noqa: F401
 from .agents import (  # noqa: F401
     AgentFactory,
     basic_agent,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .agents import scripted_agents
 from .config import load_config
-from .environments import make_copy_env
+from .environments import CopyEnvironment
 from .errors import AgentGaugeError, ConfigError
 from .external import ExternalAgentHost
 from .interaction import SpaceConfig
@@ -114,7 +114,7 @@ def _cmd_example_study(args) -> int:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     space = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
-    env = make_copy_env(space)
+    env = CopyEnvironment(space)
     trio = scripted_agents(space)
     cycles = args.cycles
     episodes = args.episodes

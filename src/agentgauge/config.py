@@ -25,6 +25,8 @@ from .valuation import ValuationParams
 
 # More is almost surely a typo, which would fail only after every rollout.
 MAX_BOOTSTRAP_SAMPLES = 100_000
+# A one-hour reply is almost surely a typo; poll() rejects more than 2^31 - 1 ms.
+MAX_EXTERNAL_TIMEOUT_MS = 3_600_000
 
 
 @dataclass
@@ -59,6 +61,9 @@ class RunConfig:
         if self.bootstrap_samples > MAX_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"bootstrap_samples must be at most {MAX_BOOTSTRAP_SAMPLES}, "
                               f"got {self.bootstrap_samples}")
+        if self.external_timeout_ms > MAX_EXTERNAL_TIMEOUT_MS:
+            raise ConfigError(f"external_timeout_ms must be at most {MAX_EXTERNAL_TIMEOUT_MS}, "
+                              f"got {self.external_timeout_ms}")
         if not self.agent_names:
             raise ConfigError("agents: at least one agent is required")
         if len(set(self.agent_names)) != len(self.agent_names):

@@ -192,21 +192,6 @@ def decode_program(bits: str, machine: MachineConfig = MachineConfig()) -> EnvPr
     return _compile(codes, bits, machine)
 
 
-def encode_program(instructions: tuple[str, ...] | list[str],
-                   machine: MachineConfig = MachineConfig()) -> EnvProgram:
-    """Encode an instruction list into its canonical bit string."""
-    codes = []
-    for name in instructions:
-        try:
-            codes.append(machine.opcode_table.index(name))
-        except ValueError:
-            raise InvalidProgramError(f"unknown instruction {name!r}") from None
-    bits = elias_gamma_encode(len(codes) + 1) + "".join(
-        f"{c:0{OPCODE_BITS}b}" for c in codes
-    )
-    return _compile(codes, bits, machine)
-
-
 def program_length_bits(instruction_count: int) -> int:
     """Encoded length in bits of a program with the given instruction count."""
     return len(elias_gamma_encode(instruction_count + 1)) + OPCODE_BITS * instruction_count

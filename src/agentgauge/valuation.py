@@ -19,8 +19,8 @@ through a small contiguous block, and weight it with one `rewards @ weights`
 product: the product's last bits depend on each row's place in the matrix,
 so a streamed weighted sum would not reproduce them.
 
-An environment that never reads an action (a program without `read_action`,
-or a constant schedule) yields the same percepts for every agent.  When the
+An environment that never reads an action (a program without `read_action`)
+yields the same percepts for every agent.  When the
 agent is an in-process factory, whose policy is built fresh for each episode
 and observed by nothing else, `_rollout` then builds no policy and steps with
 action 0.  For such a factory, `summable_episode_values` values an
@@ -271,8 +271,7 @@ def summable_episode_values(agent_factory, env_model,
     private = getattr(agent_factory, "private_policies", False)
     if private and getattr(env_model, "reward_free", False):
         return np.zeros(params.episodes), 0.0, 0
-    replay = (private and not getattr(env_model, "reads_actions", True)
-              and getattr(env_model, "deterministic", False))
+    replay = _agent_free(agent_factory, env_model) and getattr(env_model, "deterministic", False)
     values: list[float] = []
     remainders: list[float] = []
     failed = 0

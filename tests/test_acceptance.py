@@ -24,7 +24,7 @@ import pytest
 
 from agentgauge.agents import basic_agent, kback_agent, random_agent, scripted_agents
 from agentgauge.cli import main
-from agentgauge.environments import compile_fixture, make_copy_env
+from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import InvalidProgramError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
@@ -41,6 +41,7 @@ from agentgauge.valuation import (
     harmonic_value,
     per_cycle_reward_profile,
 )
+from natives import copy_fixture, encode_program
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
@@ -77,7 +78,7 @@ def ordering_measurements(default_ensemble):
 def test_acceptance_1_worked_example_phases():
     with criterion("1", "worked-example per-cycle phases"):
         started = time.monotonic()
-        env = make_copy_env(UNIT)
+        env = CopyEnvironment(UNIT)
         _, pi_1, pi_2 = scripted_agents(UNIT)
         cycles, episodes, seed = 5200, 10_000, 424243
         profile_1 = per_cycle_reward_profile(pi_1, env, cycles, episodes, seed)
@@ -95,7 +96,7 @@ def test_acceptance_1_worked_example_phases():
 
 def test_acceptance_2_closed_form_valuation():
     with criterion("2", "closed-form discounted and harmonic values"):
-        env = make_copy_env(UNIT)
+        env = CopyEnvironment(UNIT)
         pi_opt, pi_1, _ = scripted_agents(UNIT)
 
         exact = discounted_value(pi_opt, env, ValuationParams(
@@ -191,8 +192,6 @@ def test_acceptance_4_prefix_free_and_kraft():
         assert kraft <= 1
         # dual route: constructive enumeration must produce the same set,
         # and decode/encode must round-trip on all of it
-        from agentgauge.machine import encode_program
-
         enumerated = enumerate_programs(20, MACHINE)
         assert {p.bits for p in enumerated} == pool
         for program in enumerated:
@@ -230,11 +229,10 @@ def test_acceptance_5b_ordering_2back_above_basic(default_ensemble, ordering_mea
 
 def test_acceptance_6_fixture_cross_validation():
     with criterion("6", "VM copy fixture percept-identical to the native copy"):
-        fixture = compile_fixture("copy")
+        program, machine, space, copy = copy_fixture()
         for actions in itertools.product((0, 1), repeat=10):
-            native = fixture.native.spawn(random.Random(0))
-            process = EnvProcess(fixture.program, fixture.machine, fixture.space,
-                                 rng=random.Random(0))
+            native = copy.spawn(random.Random(0))
+            process = EnvProcess(program, machine, space, rng=random.Random(0))
             assert native.step(None) == process.step(None)
             for action in actions:
                 assert native.step(action) == process.step(action), actions

@@ -15,10 +15,11 @@ from agentgauge.agents import (
     scripted_agents,
     scripted_prob_action_one,
 )
-from agentgauge.environments import make_copy_env, make_pattern_env
+from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import Percept, SpaceConfig
 from agentgauge.valuation import ValuationParams, per_cycle_reward_profile, summable_value
+from natives import PatternEnvironment
 
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
 
@@ -127,7 +128,7 @@ def test_kback_zero_equals_basic_exhaustively():
 def test_two_back_beats_basic_on_pattern_environment():
     # The ordering mechanism: the pattern environment's phase is invisible
     # to a current-observation key but tracked by a two-cycle window.
-    env = make_pattern_env(2, BINARY)
+    env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=400, episodes=60, seed=29)
     v_basic = summable_value(basic_agent(BINARY), env, params)
     v_2back = summable_value(kback_agent(BINARY, 2), env, params)
@@ -140,7 +141,7 @@ def test_two_back_beats_basic_on_pattern_environment():
 def test_two_back_matches_basic_on_memoryless_environment():
     # On the copy environment the one-step statistic is sufficient; after
     # convergence the two learners' late-window mean rewards agree.
-    env = make_copy_env(BINARY)
+    env = CopyEnvironment(BINARY)
     window = slice(200, 300)
     basic_profile = per_cycle_reward_profile(basic_agent(BINARY), env, 300, 50, seed=13)
     deep_profile = per_cycle_reward_profile(kback_agent(BINARY, 2), env, 300, 50, seed=13)
@@ -168,7 +169,7 @@ def test_scripted_phase_boundaries():
 
 def test_pi_opt_earns_every_cycle_on_copy():
     space = SpaceConfig(2, 1, 1)
-    env = make_copy_env(space)
+    env = CopyEnvironment(space)
     pi_opt, _, _ = scripted_agents(space)
     profile = per_cycle_reward_profile(pi_opt, env, 50, 1, seed=0)
     assert profile[0] == 0.0
@@ -177,7 +178,7 @@ def test_pi_opt_earns_every_cycle_on_copy():
 
 def test_pi_1_half_reward_and_pi_2_zero_in_short_phase():
     space = SpaceConfig(2, 1, 1)
-    env = make_copy_env(space)
+    env = CopyEnvironment(space)
     _, pi_1, pi_2 = scripted_agents(space)
     profile_1 = per_cycle_reward_profile(pi_1, env, 101, 3000, seed=1)
     profile_2 = per_cycle_reward_profile(pi_2, env, 101, 3, seed=1)

@@ -21,19 +21,20 @@ import pytest
 import agentgauge
 from agentgauge import cli, machine, measure
 from agentgauge.cli import MAX_PERMUTATIONS, MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
-from agentgauge.config import _KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, RunConfig, parse_config
+from agentgauge.config import (_KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, MAX_EXTERNAL_TIMEOUT_MS,
+                               RunConfig, parse_config)
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
     INSTRUCTION_NAMES,
     MAX_TAPE_LENGTH,
     MachineConfig,
-    encode_program,
     save_program_file,
 )
 from agentgauge.measure import MAX_PROGRAM_LENGTH_BITS, EnsembleSpec, build_ensemble
 from agentgauge.reports import validate_report
 from agentgauge.valuation import MAX_EPISODES, ValuationParams
+from natives import encode_program
 
 MACHINE = MachineConfig()
 SRC = pathlib.Path(agentgauge.__file__).parents[1]
@@ -329,7 +330,8 @@ def test_zero_bootstrap_samples_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "sensitivity"])
-@pytest.mark.parametrize("key", ["bootstrap_samples", "valuation.episodes"])
+@pytest.mark.parametrize("key", ["bootstrap_samples", "valuation.episodes",
+                                 "external_timeout_ms"])
 def test_huge_sample_counts_exit_2_at_config_time(tmp_path, capsys, command, key):
     config = tmp_path / "config.txt"
     config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{key} = 10000000000\n",
@@ -343,8 +345,10 @@ def test_huge_sample_counts_exit_2_at_config_time(tmp_path, capsys, command, key
 
 
 def test_sample_count_caps_are_accepted():
-    config = parse_config(f"seed = 1\nbootstrap_samples = {MAX_BOOTSTRAP_SAMPLES}\n")
+    config = parse_config(f"seed = 1\nbootstrap_samples = {MAX_BOOTSTRAP_SAMPLES}\n"
+                          f"external_timeout_ms = {MAX_EXTERNAL_TIMEOUT_MS}\n")
     assert config.bootstrap_samples == MAX_BOOTSTRAP_SAMPLES
+    assert config.external_timeout_ms == MAX_EXTERNAL_TIMEOUT_MS
 
 
 def test_discounted_mode_exits_2_at_config_time(tmp_path, capsys):

@@ -20,9 +20,10 @@ from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import ExternalAgentError, RolloutFailed
 from agentgauge.external import ExternalAgentHost
 from agentgauge.interaction import Percept, SpaceConfig
-from agentgauge.machine import MachineConfig, encode_program
+from agentgauge.machine import MachineConfig
 from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence
 from agentgauge.valuation import ValuationParams, summable_episode_values, summable_value
+from natives import encode_program
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()

@@ -17,7 +17,6 @@ from agentgauge.machine import (
     EnvProcess,
     MachineConfig,
     decode_program,
-    encode_program,
     enumerate_programs,
     load_program_file,
     prior_weight,
@@ -28,6 +27,7 @@ from agentgauge.machine import (
     signature_and_steps,
 )
 from agentgauge.measure import EnsembleSpec, build_ensemble
+from natives import encode_program
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()

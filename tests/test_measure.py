@@ -15,7 +15,6 @@ from agentgauge.errors import EnsembleError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
     MachineConfig,
-    encode_program,
     enumerate_programs,
     load_program_file,
     prior_weight,
@@ -31,6 +30,7 @@ from agentgauge.measure import (
     estimate_intelligence,
 )
 from agentgauge.valuation import ValuationParams, summable_value
+from natives import encode_program
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()

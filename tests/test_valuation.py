@@ -11,20 +11,12 @@ import numpy as np
 import pytest
 
 from agentgauge.agents import basic_agent, kback_agent, random_agent, scripted_agents
-from agentgauge.environments import (
-    ProgramEnvironment,
-    make_constant_env,
-    make_copy_env,
-    make_pattern_env,
-    pattern_reward_cap,
-    pattern_target_bit,
-)
+from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
     MachineConfig,
     decode_program,
-    encode_program,
     enumerate_programs,
     proves_reward_free,
 )
@@ -39,6 +31,8 @@ from agentgauge.valuation import (
     summable_episode_values,
     summable_value,
 )
+from natives import (ConstantEnvironment, PatternEnvironment, encode_program, pattern_reward_cap,
+                     pattern_target_bit)
 
 UNIT = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
@@ -97,7 +91,7 @@ class FollowerFactory:
 def test_gamma_norm_values():
     # Normalized by sum_{i>=1} gamma^i, an all-ones reward stream is worth 1,
     # less the tail gamma^T beyond the truncation point T.
-    ones = make_constant_env([1] * 400, UNIT, summable=False)
+    ones = ConstantEnvironment([1] * 400, UNIT, summable=False)
     for gamma in (0.1, 0.35, 0.5, 0.77, 0.9):
         params = ValuationParams(gamma=gamma, horizon=400,
                                  episodes=1, trunc_epsilon=1e-12, seed=0)
@@ -119,7 +113,7 @@ def test_discounted_pi_opt_on_copy_is_exact():
     pi_opt, _, _ = scripted_agents(UNIT)
     params = ValuationParams(gamma=0.9, horizon=10 ** 6,
                              episodes=1, trunc_epsilon=1e-18, seed=5)
-    estimate = discounted_value(pi_opt, make_copy_env(UNIT), params)
+    estimate = discounted_value(pi_opt, CopyEnvironment(UNIT), params)
     assert estimate.mean == 0.9
     assert estimate.ci_half_width == 0.0
     assert estimate.truncation_bound < 1e-17
@@ -129,21 +123,21 @@ def test_discounted_pi_1_on_copy_near_half_gamma():
     _, pi_1, _ = scripted_agents(UNIT)
     params = ValuationParams(gamma=0.9, horizon=10 ** 6,
                              episodes=10_000, trunc_epsilon=1e-12, seed=5)
-    estimate = discounted_value(pi_1, make_copy_env(UNIT), params)
+    estimate = discounted_value(pi_1, CopyEnvironment(UNIT), params)
     assert estimate.mean == pytest.approx(0.45, abs=0.01)
     assert 0.0 <= estimate.mean <= 1.0
 
 
 def test_discounted_zero_environment_is_zero():
     params = ValuationParams(gamma=0.9, episodes=10, seed=1)
-    estimate = discounted_value(random_agent(BINARY), make_constant_env([], BINARY), params)
+    estimate = discounted_value(random_agent(BINARY), ConstantEnvironment([], BINARY), params)
     assert estimate.mean == 0.0
     assert estimate.ci_half_width == 0.0
 
 
 def test_discounted_scalar_and_batch_paths_agree_statistically():
     _, pi_1, _ = scripted_agents(UNIT)
-    env = make_copy_env(UNIT)
+    env = CopyEnvironment(UNIT)
     params = ValuationParams(gamma=0.9, episodes=4000,
                              trunc_epsilon=1e-9, horizon=10 ** 5, seed=21)
     fast = discounted_value(pi_1, env, params)
@@ -155,7 +149,7 @@ def test_harmonic_pi_opt_matches_analytic_series():
     pi_opt, _, _ = scripted_agents(UNIT)
     params = ValuationParams(horizon=10 ** 5, episodes=1,
                              trunc_epsilon=1e-4, seed=5)
-    estimate = harmonic_value(pi_opt, make_copy_env(UNIT), params)
+    estimate = harmonic_value(pi_opt, CopyEnvironment(UNIT), params)
     assert estimate.mean == pytest.approx(1.0 - 6.0 / math.pi ** 2, abs=2e-4)
     assert estimate.ci_half_width == 0.0
 
@@ -163,7 +157,7 @@ def test_harmonic_pi_opt_matches_analytic_series():
 def test_harmonic_zero_environment_is_zero():
     params = ValuationParams(episodes=5, horizon=1000,
                              trunc_epsilon=1e-3, seed=2)
-    estimate = harmonic_value(random_agent(BINARY), make_constant_env([], BINARY), params)
+    estimate = harmonic_value(random_agent(BINARY), ConstantEnvironment([], BINARY), params)
     assert estimate.mean == 0.0
 
 
@@ -174,15 +168,15 @@ def test_harmonic_weights_quarter_at_doubled_cycle():
                              trunc_epsilon=1e-5, seed=3)
     agent = random_agent(BINARY)
     for t in (3, 7, 20):
-        env_t = make_constant_env([0] * (t - 1) + [255], BINARY)
-        env_2t = make_constant_env([0] * (2 * t - 1) + [255], BINARY)
+        env_t = ConstantEnvironment([0] * (t - 1) + [255], BINARY)
+        env_2t = ConstantEnvironment([0] * (2 * t - 1) + [255], BINARY)
         w_t = harmonic_value(agent, env_t, params).mean
         w_2t = harmonic_value(agent, env_2t, params).mean
         assert w_2t / w_t == pytest.approx(0.25, abs=1e-12)
 
 
 def test_summable_full_budget_schedule_is_one_for_every_agent():
-    env = make_constant_env([255], BINARY)
+    env = ConstantEnvironment([255], BINARY)
     params = ValuationParams(horizon=50, episodes=20, seed=9)
     for factory in (random_agent(BINARY), basic_agent(BINARY)):
         estimate = summable_value(factory, env, params)
@@ -198,7 +192,7 @@ def test_summable_empty_program_is_zero():
 
 
 def test_summable_pattern_follower_collects_designed_maximum():
-    env = make_pattern_env(2, BINARY)
+    env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=400, episodes=3, seed=6)
     estimate = summable_value(FollowerFactory(2), env, params)
     assert estimate.mean == pattern_reward_cap(255) / 255
@@ -208,21 +202,21 @@ def test_summable_pattern_follower_collects_designed_maximum():
 def test_summable_rejects_non_summable_environment():
     params = ValuationParams(episodes=5, seed=0)
     with pytest.raises(SummabilityError):
-        summable_value(random_agent(BINARY), make_copy_env(BINARY), params)
+        summable_value(random_agent(BINARY), CopyEnvironment(BINARY), params)
 
 
 def test_summable_estimates_respect_unit_bound():
     params = ValuationParams(horizon=2000, episodes=30, seed=12)
     for schedule in ([255], [127, 128], [1] * 200):
         estimate = summable_value(random_agent(BINARY),
-                                  make_constant_env(schedule, BINARY), params)
+                                  ConstantEnvironment(schedule, BINARY), params)
         assert estimate.mean <= 1.0 + 2 ** -20
-    estimate = summable_value(basic_agent(BINARY), make_pattern_env(1, BINARY), params)
+    estimate = summable_value(basic_agent(BINARY), PatternEnvironment(1, BINARY), params)
     assert estimate.mean <= 1.0 + 2 ** -20
 
 
 def test_seed_determinism_bit_exact():
-    env = make_pattern_env(2, BINARY)
+    env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=300, episodes=25, seed=33)
     a = summable_value(basic_agent(BINARY), env, params)
     b = summable_value(basic_agent(BINARY), env, params)
@@ -235,14 +229,14 @@ def test_seed_determinism_bit_exact():
 def test_truncation_bounds_are_reported():
     params = ValuationParams(gamma=0.9, episodes=2,
                              trunc_epsilon=1e-6, horizon=10 ** 5, seed=1)
-    estimate = discounted_value(random_agent(UNIT), make_copy_env(UNIT), params)
+    estimate = discounted_value(random_agent(UNIT), CopyEnvironment(UNIT), params)
     cycles = math.ceil(math.log(1e-6) / math.log(0.9))
     assert estimate.truncation_bound == pytest.approx(0.9 ** cycles)
 
     sparams = ValuationParams(horizon=10, episodes=4,
                               trunc_epsilon=1e-9, seed=1)
     sestimate = summable_value(random_agent(BINARY),
-                               make_constant_env([1] * 50, BINARY), sparams)
+                               ConstantEnvironment([1] * 50, BINARY), sparams)
     # 10 cycles of a 50-cycle unit schedule leave 40 units on the table
     assert sestimate.truncation_bound == pytest.approx(1e-9 + 40 / 255)
 
@@ -250,7 +244,7 @@ def test_truncation_bounds_are_reported():
 def test_single_episode_deterministic_pair_equals_closed_form():
     # Independent oracle: the truncated weighted sum evaluated with fsum.
     pi_opt, _, _ = scripted_agents(UNIT)
-    env = make_copy_env(UNIT)
+    env = CopyEnvironment(UNIT)
     gamma, epsilon = 0.8, 1e-10
     params = ValuationParams(gamma=gamma, horizon=10 ** 6,
                              episodes=1, trunc_epsilon=epsilon, seed=2)
@@ -266,7 +260,7 @@ def test_ci_calibration_on_copy_with_uniform_agent():
     # True value is gamma/2; the 95% interval should cover it in >= 90% of
     # independent-seed repetitions.
     _, pi_1, _ = scripted_agents(UNIT)
-    env = make_copy_env(UNIT)
+    env = CopyEnvironment(UNIT)
     covered = 0
     repetitions = 200
     for rep in range(repetitions):
@@ -279,7 +273,7 @@ def test_ci_calibration_on_copy_with_uniform_agent():
 
 
 def test_profile_validation():
-    copy = make_copy_env(UNIT)
+    copy = CopyEnvironment(UNIT)
     for env in (copy, _NoBatch(copy)):
         with pytest.raises(AgentGaugeError, match="cycles"):
             per_cycle_reward_profile(random_agent(UNIT), env, 0, 5, seed=0)
@@ -290,7 +284,7 @@ def test_profile_validation():
 def test_batch_profile_is_reduced_as_it_runs():
     # An (episodes, cycles) float64 matrix here would take 64 MB.
     pi_opt, pi_1, _ = scripted_agents(UNIT)
-    copy = make_copy_env(UNIT)
+    copy = CopyEnvironment(UNIT)
     tracemalloc.start()
     try:
         profile = per_cycle_reward_profile(pi_1, copy, cycles=4000, episodes=2000, seed=0)
@@ -341,7 +335,7 @@ def _valuation_digests(mixture_estimate):
         add_estimate(mixture_estimate(factory, mixed, params, draws=300))
 
     basic = basic_agent(BINARY)
-    pattern = make_pattern_env(2, BINARY)
+    pattern = PatternEnvironment(2, BINARY)
     add(values, *per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
     add_estimate(discounted_value(basic, pattern, ValuationParams(
         gamma=0.9, horizon=300, episodes=20, seed=5)))
@@ -349,7 +343,7 @@ def _valuation_digests(mixture_estimate):
         horizon=300, episodes=20, trunc_epsilon=1e-3, seed=5)))
 
     _, pi_1, _ = scripted_agents(UNIT)
-    copy = make_copy_env(UNIT)
+    copy = CopyEnvironment(UNIT)
     for env in (copy, _NoBatch(copy)):
         add(values, *per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
         add_estimate(discounted_value(pi_1, env, ValuationParams(
@@ -468,7 +462,7 @@ def test_agent_free_paths_follow_the_declared_facts():
         (proven(encode_program(["inc", "move_left", "emit"])), 0, 1),
         (proven(encode_program(["random_bit", "move_left", "emit"])), 0, 5),
         (proven(encode_program(["read_action", "move_left", "emit"])), 5, 5),
-        (make_constant_env([1] * 40, BINARY), 0, 1),
+        (ConstantEnvironment([1] * 40, BINARY), 0, 1),
         # proven reward-free: worth 0 in every episode, so none is played
         (proven(encode_program(["read_action", "emit"])), 0, 0),
         (proven(encode_program(["random_bit", "emit"])), 0, 0),
@@ -483,7 +477,7 @@ def test_agent_free_paths_follow_the_declared_facts():
         summable_episode_values(public, counted, params)
         assert (public.made, counted.spawned) == (params.episodes, params.episodes)
     # models that declare neither fact take the policy path
-    for env in (make_pattern_env(2, BINARY), _NoBatch(make_constant_env([1] * 40, BINARY))):
+    for env in (PatternEnvironment(2, BINARY), _NoBatch(ConstantEnvironment([1] * 40, BINARY))):
         factory = _Counting(random_agent(BINARY))
         summable_episode_values(factory, env, params)
         assert factory.made == params.episodes, env.identifier
