@@ -18,14 +18,7 @@ from .machine import (  # noqa: F401
     prior_weight,
 )
 from .environments import CopyEnvironment, ProgramEnvironment  # noqa: F401
-from .agents import (  # noqa: F401
-    AgentFactory,
-    basic_agent,
-    kback_agent,
-    make_agent,
-    random_agent,
-    scripted_agents,
-)
+from .agents import AgentFactory  # noqa: F401
 from .valuation import (  # noqa: F401
     ValuationParams,
     ValueEstimate,

@@ -1,10 +1,10 @@
 """Reference agents: uniform random, tabular epsilon-greedy learners, and the
 three scripted policies from the worked copy-environment example.
 
-An agent factory is the benchmark-level handle (identifier plus behavior);
-`factory.make(rng)` builds a fresh single-rollout policy instance, so learner
-tables are never shared across rollouts.  Policy instances follow a small
-protocol:
+An agent is its roster name: `AgentFactory("2back", space)` is the handle a
+run holds, and `factory.make(rng)` builds a fresh single-rollout policy
+instance, so learner tables are never shared across rollouts.  Policy
+instances follow a small protocol:
 
     policy.observe(percept)     # update hook, called after every percept
     policy.act()                # the action for the current cycle
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
 
-_SCRIPTED_KINDS = ("pi_opt", "pi_1", "pi_2")
+_SCRIPTED_NAMES = ("pi_opt", "pi_1", "pi_2")
 
 
 class _UniformPolicy:
@@ -163,90 +163,52 @@ class _TablePolicy:
         return action
 
 
+# `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
+# and "01back" of 1back, and two roster entries would then share one name.
+_KBACK_NAME = re.compile(r"[1-9][0-9]*back")
+
+
 @dataclass(frozen=True)
 class AgentFactory:
-    """Picklable agent handle: identifier plus per-rollout instance builder."""
+    """Picklable handle of a built-in agent, which is its roster name:
+    ``random`` (uniform actions), ``basic`` (greedy on per-observation
+    next-reward means, with epsilon exploration), ``<k>back`` such as ``2back``
+    (basic, conditioned on the last k cycles as well), and the worked
+    example's ``pi_opt``, ``pi_1`` and ``pi_2`` (always 1, uniform, and
+    phase-switching; binary actions only).  The name seeds every random
+    stream of the agent's episodes."""
 
     name: str
-    kind: str  # "random" | "table" | "pi_opt" | "pi_1" | "pi_2"
     space: SpaceConfig
-    epsilon: float = 0.0
-    back: int = 0
+    epsilon: float = 0.10
+
+    # Each episode's policy is fresh, seeded per episode and seen by nothing
+    # else, so an episode that never reads an action may skip it.
+    private_policies = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise AgentGaugeError("epsilon must lie in [0, 1]")
+        if self.name in _SCRIPTED_NAMES:
+            if self.space.action_count != 2:
+                raise AgentGaugeError(f"{self.name} requires a binary action space")
+        elif self.name not in ("random", "basic") and not _KBACK_NAME.fullmatch(self.name):
+            raise AgentGaugeError(f"unknown agent {self.name!r}")
 
     @property
     def supports_batch(self) -> bool:
         """Batch episodes need a policy that is a function of the cycle index."""
-        return self.space.action_count == 2 and self.kind in ("random",) + _SCRIPTED_KINDS
-
-    @property
-    def private_policies(self) -> bool:
-        """Each episode's policy is fresh, seeded per episode and seen by
-        nothing else, so an episode that never reads an action may skip it."""
-        return True
+        return self.space.action_count == 2 and self.name in ("random",) + _SCRIPTED_NAMES
 
     def prob_action_one(self, cycle: int) -> float:
-        if self.kind == "random":
+        if self.name == "random":
             return 0.5
-        return scripted_prob_action_one(self.kind, cycle)
+        return scripted_prob_action_one(self.name, cycle)
 
     def make(self, rng: random.Random):
-        if self.kind == "random":
+        if self.name == "random":
             return _UniformPolicy(self.space.action_count, rng)
-        if self.kind in _SCRIPTED_KINDS:
-            return _ScriptedPolicy(self.kind, rng)
-        if self.kind == "table":
-            return _TablePolicy(self.space, self.back, self.epsilon, rng)
-        raise AgentGaugeError(f"unknown agent kind {self.kind!r}")
-
-
-def random_agent(space: SpaceConfig) -> AgentFactory:
-    """Uniformly random actions at every history."""
-    return AgentFactory(name="random", kind="random", space=space)
-
-
-def basic_agent(space: SpaceConfig, epsilon: float = 0.10) -> AgentFactory:
-    """Greedy on per-observation next-reward means with epsilon exploration."""
-    return AgentFactory(name="basic", kind="table", space=space, epsilon=epsilon, back=0)
-
-
-def kback_agent(space: SpaceConfig, back: int, epsilon: float = 0.10) -> AgentFactory:
-    """Like basic_agent but conditioned on the last `back` cycles as well."""
-    if back < 0:
-        raise AgentGaugeError("back must be >= 0")
-    name = "basic" if back == 0 else f"{back}back"
-    return AgentFactory(name=name, kind="table", space=space, epsilon=epsilon, back=back)
-
-
-def scripted_agents(space: SpaceConfig) -> tuple[AgentFactory, AgentFactory, AgentFactory]:
-    """The worked-example trio: always-1, uniform, and the phase-switching policy."""
-    if space.action_count != 2:
-        raise AgentGaugeError("scripted agents require a binary action space")
-    return (
-        AgentFactory(name="pi_opt", kind="pi_opt", space=space),
-        AgentFactory(name="pi_1", kind="pi_1", space=space),
-        AgentFactory(name="pi_2", kind="pi_2", space=space),
-    )
-
-
-def make_agent(name: str, space: SpaceConfig, epsilon: float = 0.10) -> AgentFactory:
-    """Resolve a built-in agent by roster name (e.g. "random", "basic", "2back")."""
-    if name == "random":
-        return random_agent(space)
-    if name == "basic":
-        return basic_agent(space, epsilon)
-    if _KBACK_NAME.fullmatch(name):
-        return kback_agent(space, int(name[:-4]), epsilon)
-    if name in _SCRIPTED_KINDS:
-        if space.action_count != 2:
-            raise AgentGaugeError(f"{name} requires a binary action space")
-        return AgentFactory(name=name, kind=name, space=space)
-    raise AgentGaugeError(f"unknown agent {name!r}")
-
-
-# `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
-# and "01back" of 1back, and two roster entries would then share one name.
-_KBACK_NAME = re.compile(r"[1-9][0-9]*back")
+        if self.name in _SCRIPTED_NAMES:
+            return _ScriptedPolicy(self.name, rng)
+        back = 0 if self.name == "basic" else int(self.name[:-4])
+        return _TablePolicy(self.space, back, self.epsilon, rng)

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .agents import scripted_agents
+from .agents import AgentFactory
 from .config import load_config
 from .environments import CopyEnvironment
 from .errors import AgentGaugeError, ConfigError
@@ -53,6 +53,8 @@ from .valuation import MAX_EPISODES, ValuationParams, discounted_value, per_cycl
 MAX_WORKERS = 64
 # A reward profile holds a float per cycle; ten million of them take 80 MB.
 MAX_STUDY_CYCLES = 10_000_000
+# The gamma = 0.99 discounted matrix holds 2.2 GB at this many episodes.
+MAX_DISCOUNT_EPISODES = 100_000
 # The number of distinct opcode tables.
 MAX_PERMUTATIONS = math.factorial(len(INSTRUCTION_NAMES))
 
@@ -115,7 +117,7 @@ def _cmd_example_study(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     space = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
     env = CopyEnvironment(space)
-    trio = scripted_agents(space)
+    trio = [AgentFactory(name, space) for name in ("pi_opt", "pi_1", "pi_2")]
     cycles = args.cycles
     episodes = args.episodes
 
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--seed", type=int, required=True)
     p_study.add_argument("--episodes", type=_size_up_to(MAX_EPISODES), default=10000)
     p_study.add_argument("--cycles", type=_size_up_to(MAX_STUDY_CYCLES), default=5200)
-    p_study.add_argument("--discount-episodes", type=_size_up_to(MAX_EPISODES),
+    p_study.add_argument("--discount-episodes", type=_size_up_to(MAX_DISCOUNT_EPISODES),
                          default=10000)
     p_study.set_defaults(func=_cmd_example_study)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass, field
 
-from .agents import make_agent
+from .agents import AgentFactory
 from .errors import AgentGaugeError, ConfigError
 from .external import ExternalAgentHost
 from .interaction import SpaceConfig
@@ -25,6 +25,8 @@ from .valuation import ValuationParams
 
 # More is almost surely a typo, which would fail only after every rollout.
 MAX_BOOTSTRAP_SAMPLES = 100_000
+# compare_agents holds 24 bytes per draw of each entry: 2.4 GB at the cap.
+MAX_BOOTSTRAP_DRAWS = 100_000_000
 # A one-hour reply is almost surely a typo; poll() rejects more than 2^31 - 1 ms.
 MAX_EXTERNAL_TIMEOUT_MS = 3_600_000
 
@@ -61,6 +63,10 @@ class RunConfig:
         if self.bootstrap_samples > MAX_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"bootstrap_samples must be at most {MAX_BOOTSTRAP_SAMPLES}, "
                               f"got {self.bootstrap_samples}")
+        draws = self.bootstrap_samples * self.valuation.episodes
+        if draws > MAX_BOOTSTRAP_DRAWS:
+            raise ConfigError(f"bootstrap_samples times valuation.episodes must be at most "
+                              f"{MAX_BOOTSTRAP_DRAWS}, got {draws}")
         if self.external_timeout_ms > MAX_EXTERNAL_TIMEOUT_MS:
             raise ConfigError(f"external_timeout_ms must be at most {MAX_EXTERNAL_TIMEOUT_MS}, "
                               f"got {self.external_timeout_ms}")
@@ -78,7 +84,7 @@ class RunConfig:
                     timeout_ms=self.external_timeout_ms))
                 continue
             try:
-                agents.append(make_agent(name, self.space, epsilon=self.agent_epsilon))
+                agents.append(AgentFactory(name, self.space, self.agent_epsilon))
             except AgentGaugeError as exc:
                 raise ConfigError(f"agents: {exc}, and no external.{name} command "
                                   f"is configured") from None

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from agentgauge.agents import basic_agent, kback_agent, random_agent, scripted_agents
+from agentgauge.agents import AgentFactory
 from agentgauge.cli import main
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import InvalidProgramError
@@ -70,7 +70,7 @@ def default_ensemble():
 def ordering_measurements(default_ensemble):
     params = ValuationParams(horizon=250, episodes=150,
                              seed=ORDERING_SEED)
-    factories = [random_agent(SPACE), basic_agent(SPACE), kback_agent(SPACE, 2)]
+    factories = [AgentFactory(name, SPACE) for name in ("random", "basic", "2back")]
     return {f.name: estimate_intelligence(f, default_ensemble, params)
             for f in factories}
 
@@ -79,7 +79,7 @@ def test_acceptance_1_worked_example_phases():
     with criterion("1", "worked-example per-cycle phases"):
         started = time.monotonic()
         env = CopyEnvironment(UNIT)
-        _, pi_1, pi_2 = scripted_agents(UNIT)
+        pi_1, pi_2 = AgentFactory("pi_1", UNIT), AgentFactory("pi_2", UNIT)
         cycles, episodes, seed = 5200, 10_000, 424243
         profile_1 = per_cycle_reward_profile(pi_1, env, cycles, episodes, seed)
         profile_2 = per_cycle_reward_profile(pi_2, env, cycles, episodes, seed)
@@ -97,7 +97,7 @@ def test_acceptance_1_worked_example_phases():
 def test_acceptance_2_closed_form_valuation():
     with criterion("2", "closed-form discounted and harmonic values"):
         env = CopyEnvironment(UNIT)
-        pi_opt, pi_1, _ = scripted_agents(UNIT)
+        pi_opt, pi_1 = AgentFactory("pi_opt", UNIT), AgentFactory("pi_1", UNIT)
 
         exact = discounted_value(pi_opt, env, ValuationParams(
             gamma=0.9, horizon=10 ** 6, episodes=1,
@@ -138,8 +138,8 @@ def test_acceptance_3_reward_summability(ordering_measurements):
     with criterion("3", "integer reward budget over the whole enumeration"):
         horizon = 10_000
         programs = enumerate_programs(DEFAULT_LENGTH_CUTOFF, MACHINE)
-        factories = [random_agent(SPACE), basic_agent(SPACE), kback_agent(SPACE, 2),
-                     *scripted_agents(SPACE)]
+        factories = [AgentFactory(name, SPACE)
+                     for name in ("random", "basic", "2back", "pi_opt", "pi_1", "pi_2")]
         violations = 0
         for program in programs:
             reads_actions = "read_action" in program.instructions

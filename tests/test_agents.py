@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
-from agentgauge.agents import (
-    basic_agent,
-    kback_agent,
-    make_agent,
-    random_agent,
-    scripted_agents,
-    scripted_prob_action_one,
-)
+from agentgauge.agents import AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import Percept, SpaceConfig
@@ -30,8 +22,8 @@ def test_random_agent_is_uniform_everywhere():
     # The actions do not depend on the history: two policies on one seed act
     # alike whatever percepts they see, so the uniform frequencies checked
     # below hold at every history.
-    quiet = random_agent(BINARY).make(random.Random(0))
-    busy = random_agent(BINARY).make(random.Random(0))
+    quiet = AgentFactory("random", BINARY).make(random.Random(0))
+    busy = AgentFactory("random", BINARY).make(random.Random(0))
     rng = random.Random(1)
     for _ in range(500):
         quiet.observe(Percept(0, 0))
@@ -40,7 +32,7 @@ def test_random_agent_is_uniform_everywhere():
 
 
 def test_random_agent_empirical_frequencies():
-    policy = random_agent(BINARY).make(random.Random(7))
+    policy = AgentFactory("random", BINARY).make(random.Random(7))
     policy.observe(Percept(0, 0))
     draws = 100_000
     ones = sum(policy.act() for _ in range(draws))
@@ -50,7 +42,7 @@ def test_random_agent_empirical_frequencies():
 # -------------------------------------------------------------------- basic
 
 def test_basic_agent_uniform_before_statistics():
-    policy = basic_agent(BINARY).make(random.Random(0))
+    policy = AgentFactory("basic", BINARY).make(random.Random(0))
     policy.observe(Percept(1, 40))
     assert policy.action_distribution() == (0.5, 0.5)
 
@@ -59,7 +51,7 @@ def test_basic_agent_greedy_mass_split_exact():
     # Copy-style feedback: the next reward equals the chosen action, so once
     # both actions are sampled the maximizer is unique and the returned
     # distribution must put exactly 1 - eps + eps/2 on it.
-    policy = basic_agent(BINARY, epsilon=0.10).make(random.Random(3))
+    policy = AgentFactory("basic", BINARY, epsilon=0.10).make(random.Random(3))
     policy.observe(Percept(0, 0))
     for _ in range(60):
         action = policy.act()
@@ -68,7 +60,7 @@ def test_basic_agent_greedy_mass_split_exact():
 
 
 def test_basic_agent_tie_breaks_to_lowest_index():
-    policy = basic_agent(BINARY, epsilon=0.10).make(random.Random(3))
+    policy = AgentFactory("basic", BINARY, epsilon=0.10).make(random.Random(3))
     policy.observe(Percept(0, 0))
     for _ in range(60):
         policy.act()
@@ -94,7 +86,7 @@ def test_learner_table_matches_replay_oracle(depth):
     # Independent recomputation: group logged rewards by the key of the
     # window before each action and the action taken; the agent's running
     # means must agree exactly.
-    policy = kback_agent(BINARY, depth).make(random.Random(11))
+    policy = AgentFactory(f"{depth}back" if depth else "basic", BINARY).make(random.Random(11))
     percepts, actions = _drive_and_log(policy, cycles=300, seed=42)
 
     expected: dict[tuple[tuple[int, ...], int], list[float]] = {}
@@ -111,28 +103,14 @@ def test_learner_table_matches_replay_oracle(depth):
         assert total / count == sum(rewards) / len(rewards)
 
 
-def test_kback_zero_equals_basic_exhaustively():
-    # Identical seeds and identical percept streams: the two must produce
-    # identical distributions (and therefore identical actions) everywhere.
-    percept_values = [Percept(o, r) for o in (0, 1) for r in (0, 255)]
-    for percepts in itertools.product(percept_values, repeat=4):
-        a = basic_agent(BINARY).make(random.Random(5))
-        b = kback_agent(BINARY, 0).make(random.Random(5))
-        for percept in percepts:
-            a.observe(percept)
-            b.observe(percept)
-            assert a.action_distribution() == b.action_distribution()
-            assert a.act() == b.act()
-
-
 def test_two_back_beats_basic_on_pattern_environment():
     # The ordering mechanism: the pattern environment's phase is invisible
     # to a current-observation key but tracked by a two-cycle window.
     env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=400, episodes=60, seed=29)
-    v_basic = summable_value(basic_agent(BINARY), env, params)
-    v_2back = summable_value(kback_agent(BINARY, 2), env, params)
-    v_rand = summable_value(random_agent(BINARY), env, params)
+    v_basic = summable_value(AgentFactory("basic", BINARY), env, params)
+    v_2back = summable_value(AgentFactory("2back", BINARY), env, params)
+    v_rand = summable_value(AgentFactory("random", BINARY), env, params)
     assert v_2back.mean - v_basic.mean > 0.08
     assert v_2back.mean - v_basic.mean > 2 * (v_2back.ci_half_width + v_basic.ci_half_width)
     assert v_basic.mean > v_rand.mean
@@ -143,8 +121,8 @@ def test_two_back_matches_basic_on_memoryless_environment():
     # convergence the two learners' late-window mean rewards agree.
     env = CopyEnvironment(BINARY)
     window = slice(200, 300)
-    basic_profile = per_cycle_reward_profile(basic_agent(BINARY), env, 300, 50, seed=13)
-    deep_profile = per_cycle_reward_profile(kback_agent(BINARY, 2), env, 300, 50, seed=13)
+    basic_profile = per_cycle_reward_profile(AgentFactory("basic", BINARY), env, 300, 50, seed=13)
+    deep_profile = per_cycle_reward_profile(AgentFactory("2back", BINARY), env, 300, 50, seed=13)
     assert abs(float(basic_profile[window].mean()) - float(deep_profile[window].mean())) < 0.05
 
 
@@ -152,7 +130,7 @@ def test_two_back_matches_basic_on_memoryless_environment():
 
 def test_scripted_phase_boundaries():
     space = SpaceConfig(2, 1, 1)
-    _, _, pi_2 = scripted_agents(space)
+    pi_2 = AgentFactory("pi_2", space)
     policy = pi_2.make(random.Random(0))
     actions = []
     for cycle in range(1, 5002):
@@ -170,7 +148,7 @@ def test_scripted_phase_boundaries():
 def test_pi_opt_earns_every_cycle_on_copy():
     space = SpaceConfig(2, 1, 1)
     env = CopyEnvironment(space)
-    pi_opt, _, _ = scripted_agents(space)
+    pi_opt = AgentFactory("pi_opt", space)
     profile = per_cycle_reward_profile(pi_opt, env, 50, 1, seed=0)
     assert profile[0] == 0.0
     assert all(value == 1.0 for value in profile[1:])
@@ -179,7 +157,7 @@ def test_pi_opt_earns_every_cycle_on_copy():
 def test_pi_1_half_reward_and_pi_2_zero_in_short_phase():
     space = SpaceConfig(2, 1, 1)
     env = CopyEnvironment(space)
-    _, pi_1, pi_2 = scripted_agents(space)
+    pi_1, pi_2 = AgentFactory("pi_1", space), AgentFactory("pi_2", space)
     profile_1 = per_cycle_reward_profile(pi_1, env, 101, 3000, seed=1)
     profile_2 = per_cycle_reward_profile(pi_2, env, 101, 3, seed=1)
     assert float(profile_1[1:].mean()) == pytest.approx(0.5, abs=0.02)
@@ -190,7 +168,7 @@ def test_pi_1_half_reward_and_pi_2_zero_in_short_phase():
 
 @pytest.mark.parametrize("name", ["basic", "2back"])
 def test_distributions_normalize_at_every_history(name):
-    policy = make_agent(name, BINARY).make(random.Random(2))
+    policy = AgentFactory(name, BINARY).make(random.Random(2))
     rng = random.Random(8)
     for _ in range(200):
         policy.observe(Percept(rng.randrange(2), rng.randrange(256)))
@@ -201,12 +179,14 @@ def test_distributions_normalize_at_every_history(name):
 
 
 def test_agent_registry():
-    assert make_agent("3back", BINARY).back == 3
-    with pytest.raises(AgentGaugeError):
-        make_agent("chess", BINARY)
-    with pytest.raises(AgentGaugeError):
-        kback_agent(BINARY, -1)
-    assert make_agent("12back", BINARY).name == "12back"
+    policy = AgentFactory("3back", BINARY).make(random.Random(0))
+    _drive_and_log(policy, cycles=5, seed=0)
+    assert len(policy.current_key) == 1 + 3 * 3  # the observation and three cycles
+    with pytest.raises(AgentGaugeError, match="unknown agent 'chess'"):
+        AgentFactory("chess", BINARY)
+    with pytest.raises(AgentGaugeError, match="pi_opt requires a binary action space"):
+        AgentFactory("pi_opt", SpaceConfig(3, 2, 255))
+    AgentFactory("12back", BINARY)  # canonical: two digits, no leading zero
     for alias in ("0back", "01back", "٣back"):
         with pytest.raises(AgentGaugeError):
-            make_agent(alias, BINARY)
+            AgentFactory(alias, BINARY)

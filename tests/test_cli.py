@@ -20,9 +20,10 @@ import pytest
 
 import agentgauge
 from agentgauge import cli, machine, measure
-from agentgauge.cli import MAX_PERMUTATIONS, MAX_STUDY_CYCLES, MAX_WORKERS, build_parser, main
-from agentgauge.config import (_KNOWN_KEYS, MAX_BOOTSTRAP_SAMPLES, MAX_EXTERNAL_TIMEOUT_MS,
-                               RunConfig, parse_config)
+from agentgauge.cli import (MAX_DISCOUNT_EPISODES, MAX_PERMUTATIONS, MAX_STUDY_CYCLES,
+                            MAX_WORKERS, build_parser, main)
+from agentgauge.config import (_KNOWN_KEYS, MAX_BOOTSTRAP_DRAWS, MAX_BOOTSTRAP_SAMPLES,
+                               MAX_EXTERNAL_TIMEOUT_MS, RunConfig, parse_config)
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
@@ -79,6 +80,23 @@ def test_run_writes_valid_report_with_full_budget_row(tmp_path):
     full = next(r for r in report["environments"] if "218C0" in r["program_id"])
     assert full["values"]["random"]["mean"] == 1.0
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_every_roster_kind_runs_end_to_end(tmp_path):
+    # at 17 bits some entries read actions, so every policy kind plays episodes
+    names = ["random", "basic", "1back", "pi_opt", "pi_1", "pi_2"]
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 5\noutput_dir = {tmp_path / 'out'}\nagents = {','.join(names)}\n"
+                      "ensemble.max_length_bits = 17\nensemble.dedup_horizon = 4\n"
+                      "valuation.horizon = 20\nvaluation.episodes = 3\n", encoding="utf-8")
+    assert main(["run", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sorted(report["agents"]) == sorted(names)
+    assert all(agent["failed_rollouts"] == 0 for agent in report["agents"].values())
+    assert all(value["failed"] == 0 for row in report["environments"]
+               for value in row["values"].values())
+    # the agents acted on what they read: their scores are not all one number
+    assert len({agent["intelligence"] for agent in report["agents"].values()}) > 1
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +240,7 @@ def test_unknown_agent_exits_2_and_names_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("alias", ["0back", "01back", "002back"])
 def test_agent_name_aliasing_a_builtin_exits_2(tmp_path, capsys, alias):
-    # make_agent would name these basic, 1back and 2back: the roster and the
+    # read as numbers these name basic, 1back and 2back: the roster and the
     # report would then hold two agents of one name
     config = tmp_path / "alias.txt"
     config.write_text(f"seed = 1\nagents = basic,{alias}\n", encoding="utf-8")
@@ -344,10 +362,31 @@ def test_huge_sample_counts_exit_2_at_config_time(tmp_path, capsys, command, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+def test_bootstrap_draws_above_the_cap_exit_2_at_config_time(tmp_path, capsys, command):
+    # each value is within its own cap, but compare_agents would hold 24 bytes
+    # for each of their product's draws
+    episodes = MAX_BOOTSTRAP_DRAWS // MAX_BOOTSTRAP_SAMPLES + 1
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n"
+                      f"bootstrap_samples = {MAX_BOOTSTRAP_SAMPLES}\n"
+                      f"valuation.episodes = {episodes}\n", encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: bootstrap_samples times valuation.episodes" in err
+    assert f"at most {MAX_BOOTSTRAP_DRAWS}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sample_count_caps_are_accepted():
+    episodes = MAX_BOOTSTRAP_DRAWS // MAX_BOOTSTRAP_SAMPLES
     config = parse_config(f"seed = 1\nbootstrap_samples = {MAX_BOOTSTRAP_SAMPLES}\n"
+                          f"valuation.episodes = {episodes}\n"
                           f"external_timeout_ms = {MAX_EXTERNAL_TIMEOUT_MS}\n")
     assert config.bootstrap_samples == MAX_BOOTSTRAP_SAMPLES
+    assert config.bootstrap_samples * config.valuation.episodes == MAX_BOOTSTRAP_DRAWS
     assert config.external_timeout_ms == MAX_EXTERNAL_TIMEOUT_MS
 
 
@@ -871,14 +910,20 @@ def test_sensitivity_starts_at_most_one_pool_for_all_machines(tmp_path, pools_ma
     assert pools_made == pools
 
 
-@pytest.mark.parametrize("flag", ["--episodes", "--discount-episodes"])
-def test_study_episodes_above_the_cap_exit_2(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, cap", [("--episodes", MAX_EPISODES),
+                                       ("--discount-episodes", MAX_DISCOUNT_EPISODES)],
+                         ids=["--episodes", "--discount-episodes"])
+def test_study_episodes_above_the_cap_exit_2(tmp_path, capsys, flag, cap):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
-        main(["example-study", "--out", str(out), "--seed", "1", flag, str(MAX_EPISODES + 1)])
+        main(["example-study", "--out", str(out), "--seed", "1", flag, str(cap + 1)])
     assert exit_info.value.code == 2
-    assert f"at most {MAX_EPISODES}" in capsys.readouterr().err
+    assert f"at most {cap}" in capsys.readouterr().err
     assert not out.exists()
+    # the cap itself parses; no study runs with it
+    args = build_parser().parse_args(["example-study", "--out", str(out), "--seed", "1",
+                                      flag, str(cap)])
+    assert getattr(args, flag[2:].replace("-", "_")) == cap
 
 
 def test_study_cycles_above_the_cap_exit_2(tmp_path, capsys):

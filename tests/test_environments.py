@@ -127,12 +127,12 @@ def test_pattern_reward_sum_never_exceeds_budget():
 def test_summable_natives_hold_integer_budget_for_all_agents():
     # Same budget discipline as machine environments: cumulative numerator
     # stays within D over 10^4-cycle rollouts for every built-in agent.
-    from agentgauge.agents import make_agent
+    from agentgauge.agents import AgentFactory
 
     for env in (PatternEnvironment(1, BINARY), PatternEnvironment(2, BINARY),
                 ConstantEnvironment([3] * 85, BINARY)):
         for name in ("random", "basic", "2back", "pi_opt", "pi_1", "pi_2"):
-            policy = make_agent(name, BINARY).make(random.Random(21))
+            policy = AgentFactory(name, BINARY).make(random.Random(21))
             episode = env.spawn(random.Random(22))
             percept = episode.step(None)
             policy.observe(percept)

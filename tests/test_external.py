@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from agentgauge.agents import random_agent
+from agentgauge.agents import AgentFactory
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import ExternalAgentError, RolloutFailed
 from agentgauge.external import ExternalAgentHost
@@ -203,7 +203,7 @@ def reward_bearing_ensemble():
 def test_external_uniform_agent_scores_like_builtin_random(tmp_path):
     ensemble = reward_bearing_ensemble()
     params = ValuationParams(horizon=80, episodes=40, seed=23)
-    builtin = estimate_intelligence(random_agent(SPACE), ensemble, params)
+    builtin = estimate_intelligence(AgentFactory("random", SPACE), ensemble, params)
     factory = ExternalAgentHost("ext-uniform", child(tmp_path, UNIFORM_CHILD, "uni"),
                                 SPACE, timeout_ms=4000)
     try:
@@ -307,7 +307,7 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     finally:
         factory.close()
     assert counts.read_text(encoding="utf-8") == "18 3"
-    builtin = summable_episode_values(random_agent(SPACE), env, params)
+    builtin = summable_episode_values(AgentFactory("random", SPACE), env, params)
     assert external[0].tolist() == builtin[0].tolist()
     assert external[1:] == builtin[1:]
 
@@ -327,7 +327,7 @@ def test_external_agent_plays_every_episode_of_a_reward_free_program(tmp_path):
     finally:
         factory.close()
     assert counts.read_text(encoding="utf-8") == "3 3"
-    builtin = summable_episode_values(random_agent(SPACE), env, params)
+    builtin = summable_episode_values(AgentFactory("random", SPACE), env, params)
     assert external[0].tolist() == builtin[0].tolist() == [0.0] * 3
     assert external[1:] == builtin[1:] == (0.0, 0)
 

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from agentgauge.agents import kback_agent
+from agentgauge.agents import AgentFactory
 from agentgauge.interaction import Percept, SpaceConfig
 
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
@@ -36,7 +36,7 @@ def key(*moves, depth):
     """The key a `depth`-back learner holds after alternating percepts and actions."""
     percepts = [move for move in moves if isinstance(move, tuple)]
     actions = [move for move in moves if not isinstance(move, tuple)]
-    policy = kback_agent(BINARY, depth).make(_Forced(actions))
+    policy = AgentFactory(f"{depth}back" if depth else "basic", BINARY).make(_Forced(actions))
     for k, percept in enumerate(percepts):
         policy.observe(Percept(*percept))
         if k < len(actions):

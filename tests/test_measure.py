@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from agentgauge import measure
-from agentgauge.agents import basic_agent, random_agent
+from agentgauge.agents import AgentFactory
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import EnsembleError
 from agentgauge.interaction import SpaceConfig
@@ -145,8 +145,8 @@ def test_degenerate_single_environment_ensemble():
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE, programs=[program])
     assert len(ensemble.entries) == 1
     assert ensemble.entries[0].weight == 1.0
-    measurement = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
-    direct = summable_value(random_agent(SPACE),
+    measurement = estimate_intelligence(AgentFactory("random", SPACE), ensemble, PARAMS)
+    direct = summable_value(AgentFactory("random", SPACE),
                             ProgramEnvironment(program, MACHINE, SPACE, reward_free=False),
                             PARAMS)
     assert measurement.score == direct.mean == 1.0
@@ -154,13 +154,13 @@ def test_degenerate_single_environment_ensemble():
 
 def test_all_zero_ensemble_scores_zero():
     ensemble = build_ensemble(EnsembleSpec(max_program_length_bits=1), MACHINE, SPACE)
-    for factory in (random_agent(SPACE), basic_agent(SPACE)):
+    for factory in (AgentFactory("random", SPACE), AgentFactory("basic", SPACE)):
         assert estimate_intelligence(factory, ensemble, PARAMS).score == 0.0
 
 
 def test_score_is_weighted_sum_of_environment_values():
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
-    measurement = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
+    measurement = estimate_intelligence(AgentFactory("random", SPACE), ensemble, PARAMS)
     manual = sum(entry.weight * measurement.estimates[entry.identifier].mean
                  for entry in ensemble.entries)
     assert measurement.score == pytest.approx(manual, rel=1e-12)
@@ -178,8 +178,8 @@ def test_mixture_estimator_agrees_with_weighted_sum(mixture_estimate):
         encode_program(["inc", "emit"], MACHINE),
     ]
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE, programs=programs)
-    weighted = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
-    mixture = mixture_estimate(random_agent(SPACE), ensemble, PARAMS, draws=800)
+    weighted = estimate_intelligence(AgentFactory("random", SPACE), ensemble, PARAMS)
+    mixture = mixture_estimate(AgentFactory("random", SPACE), ensemble, PARAMS, draws=800)
     gap = abs(weighted.score - mixture.mean)
     assert gap <= weighted.ci_half_width + 1.5 * mixture.ci_half_width
 
@@ -191,14 +191,14 @@ def test_mixture_truncation_bound_counts_unearned_reward(mixture_estimate):
     program = encode_program(["read_action", "move_left", "emit"], MACHINE)
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE, programs=[program])
     params = ValuationParams(horizon=5, episodes=20, seed=0)
-    mixture = mixture_estimate(random_agent(SPACE), ensemble, params, draws=2000)
+    mixture = mixture_estimate(AgentFactory("random", SPACE), ensemble, params, draws=2000)
     assert mixture.truncation_bound >= 1e-3
 
 
 def test_compare_agent_with_itself_is_exact_zero():
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
-    a = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
-    b = estimate_intelligence(random_agent(SPACE), ensemble, PARAMS)
+    a = estimate_intelligence(AgentFactory("random", SPACE), ensemble, PARAMS)
+    b = estimate_intelligence(AgentFactory("random", SPACE), ensemble, PARAMS)
     comparison = compare_agents([a, b], ensemble, seed=5)[0]
     assert comparison.mean_difference == 0.0
     assert (comparison.ci_low, comparison.ci_high) == (0.0, 0.0)
@@ -237,9 +237,9 @@ def test_pooled_ensemble_matches_the_serial_one(pool, dedup, scheme):
 
 def test_estimation_is_deterministic_and_worker_independent(pool):
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
-    one = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS)
-    two = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS, pool=pool)
-    again = estimate_intelligence(basic_agent(SPACE), ensemble, PARAMS)
+    one = estimate_intelligence(AgentFactory("basic", SPACE), ensemble, PARAMS)
+    two = estimate_intelligence(AgentFactory("basic", SPACE), ensemble, PARAMS, pool=pool)
+    again = estimate_intelligence(AgentFactory("basic", SPACE), ensemble, PARAMS)
     assert one.score == two.score == again.score
     assert one.ci_half_width == two.ci_half_width
     for key, values in one.episode_values.items():

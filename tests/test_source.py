@@ -106,6 +106,45 @@ def test_every_public_name_serves_the_package():
     assert [e for e in found if e.partition(": ")[2] not in SERVES_READERS_OUTSIDE] == []
 
 
+def class_wrappers(sources: dict[str, str]) -> list[str]:
+    """Top-level functions whose body, after a docstring, only returns a call
+    of a class some source defines, as `module: name`."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    found = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call)
+                    and isinstance(body[0].value.func, ast.Name)
+                    and body[0].value.func.id in classes):
+                found.append(f"{module}: {node.name}")
+    return found
+
+
+def test_class_wrappers_are_found():
+    sources = {
+        "a": "class Env:\n    pass\n"
+             "def make_env(n):\n    \"\"\"A wrapper.\"\"\"\n    return Env(n)\n"
+             "def checked_env(n):\n    if n < 0:\n        raise ValueError(n)\n"
+             "    return Env(n)\n"
+             "def total(xs):\n    return sum(xs)\n",
+        "b": "from .a import Env\ndef bare_env():\n    return Env(0)\n",
+    }
+    assert class_wrappers(sources) == ["a: make_env", "b: bare_env"]
+
+
+def test_no_function_only_returns_a_package_class():
+    # a caller builds the class itself; a second spelling of its constructor
+    # is one more public name that says nothing new
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert class_wrappers(sources) == []
+
+
 def _attribute_loads(node: ast.AST, skip: set) -> set[str]:
     """Attribute names loaded under `node`, outside the subtrees in `skip`."""
     found = set()

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agentgauge.agents import basic_agent, kback_agent, random_agent, scripted_agents
+from agentgauge.agents import AgentFactory
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
 from agentgauge.interaction import SpaceConfig
@@ -95,7 +95,7 @@ def test_gamma_norm_values():
     for gamma in (0.1, 0.35, 0.5, 0.77, 0.9):
         params = ValuationParams(gamma=gamma, horizon=400,
                                  episodes=1, trunc_epsilon=1e-12, seed=0)
-        estimate = discounted_value(random_agent(UNIT), ones, params)
+        estimate = discounted_value(AgentFactory("random", UNIT), ones, params)
         assert estimate.mean + estimate.truncation_bound == pytest.approx(1.0, abs=1e-12)
     for gamma in (0.0, 1.0):
         with pytest.raises(AgentGaugeError):
@@ -110,7 +110,7 @@ def test_episode_count_is_bounded():
 
 
 def test_discounted_pi_opt_on_copy_is_exact():
-    pi_opt, _, _ = scripted_agents(UNIT)
+    pi_opt = AgentFactory("pi_opt", UNIT)
     params = ValuationParams(gamma=0.9, horizon=10 ** 6,
                              episodes=1, trunc_epsilon=1e-18, seed=5)
     estimate = discounted_value(pi_opt, CopyEnvironment(UNIT), params)
@@ -120,7 +120,7 @@ def test_discounted_pi_opt_on_copy_is_exact():
 
 
 def test_discounted_pi_1_on_copy_near_half_gamma():
-    _, pi_1, _ = scripted_agents(UNIT)
+    pi_1 = AgentFactory("pi_1", UNIT)
     params = ValuationParams(gamma=0.9, horizon=10 ** 6,
                              episodes=10_000, trunc_epsilon=1e-12, seed=5)
     estimate = discounted_value(pi_1, CopyEnvironment(UNIT), params)
@@ -130,13 +130,14 @@ def test_discounted_pi_1_on_copy_near_half_gamma():
 
 def test_discounted_zero_environment_is_zero():
     params = ValuationParams(gamma=0.9, episodes=10, seed=1)
-    estimate = discounted_value(random_agent(BINARY), ConstantEnvironment([], BINARY), params)
+    estimate = discounted_value(AgentFactory("random", BINARY), ConstantEnvironment([], BINARY),
+                                params)
     assert estimate.mean == 0.0
     assert estimate.ci_half_width == 0.0
 
 
 def test_discounted_scalar_and_batch_paths_agree_statistically():
-    _, pi_1, _ = scripted_agents(UNIT)
+    pi_1 = AgentFactory("pi_1", UNIT)
     env = CopyEnvironment(UNIT)
     params = ValuationParams(gamma=0.9, episodes=4000,
                              trunc_epsilon=1e-9, horizon=10 ** 5, seed=21)
@@ -146,7 +147,7 @@ def test_discounted_scalar_and_batch_paths_agree_statistically():
 
 
 def test_harmonic_pi_opt_matches_analytic_series():
-    pi_opt, _, _ = scripted_agents(UNIT)
+    pi_opt = AgentFactory("pi_opt", UNIT)
     params = ValuationParams(horizon=10 ** 5, episodes=1,
                              trunc_epsilon=1e-4, seed=5)
     estimate = harmonic_value(pi_opt, CopyEnvironment(UNIT), params)
@@ -157,7 +158,8 @@ def test_harmonic_pi_opt_matches_analytic_series():
 def test_harmonic_zero_environment_is_zero():
     params = ValuationParams(episodes=5, horizon=1000,
                              trunc_epsilon=1e-3, seed=2)
-    estimate = harmonic_value(random_agent(BINARY), ConstantEnvironment([], BINARY), params)
+    estimate = harmonic_value(AgentFactory("random", BINARY), ConstantEnvironment([], BINARY),
+                              params)
     assert estimate.mean == 0.0
 
 
@@ -166,7 +168,7 @@ def test_harmonic_weights_quarter_at_doubled_cycle():
     # the weight w_t, so w_2t / w_t must be 1/4.
     params = ValuationParams(episodes=1, horizon=10 ** 5,
                              trunc_epsilon=1e-5, seed=3)
-    agent = random_agent(BINARY)
+    agent = AgentFactory("random", BINARY)
     for t in (3, 7, 20):
         env_t = ConstantEnvironment([0] * (t - 1) + [255], BINARY)
         env_2t = ConstantEnvironment([0] * (2 * t - 1) + [255], BINARY)
@@ -178,7 +180,7 @@ def test_harmonic_weights_quarter_at_doubled_cycle():
 def test_summable_full_budget_schedule_is_one_for_every_agent():
     env = ConstantEnvironment([255], BINARY)
     params = ValuationParams(horizon=50, episodes=20, seed=9)
-    for factory in (random_agent(BINARY), basic_agent(BINARY)):
+    for factory in (AgentFactory("random", BINARY), AgentFactory("basic", BINARY)):
         estimate = summable_value(factory, env, params)
         assert estimate.mean == 1.0
         assert estimate.ci_half_width == 0.0
@@ -187,7 +189,7 @@ def test_summable_full_budget_schedule_is_one_for_every_agent():
 def test_summable_empty_program_is_zero():
     env = proven(decode_program("1"))
     params = ValuationParams(horizon=100, episodes=10, seed=4)
-    estimate = summable_value(random_agent(BINARY), env, params)
+    estimate = summable_value(AgentFactory("random", BINARY), env, params)
     assert estimate.mean == 0.0
 
 
@@ -202,26 +204,26 @@ def test_summable_pattern_follower_collects_designed_maximum():
 def test_summable_rejects_non_summable_environment():
     params = ValuationParams(episodes=5, seed=0)
     with pytest.raises(SummabilityError):
-        summable_value(random_agent(BINARY), CopyEnvironment(BINARY), params)
+        summable_value(AgentFactory("random", BINARY), CopyEnvironment(BINARY), params)
 
 
 def test_summable_estimates_respect_unit_bound():
     params = ValuationParams(horizon=2000, episodes=30, seed=12)
     for schedule in ([255], [127, 128], [1] * 200):
-        estimate = summable_value(random_agent(BINARY),
+        estimate = summable_value(AgentFactory("random", BINARY),
                                   ConstantEnvironment(schedule, BINARY), params)
         assert estimate.mean <= 1.0 + 2 ** -20
-    estimate = summable_value(basic_agent(BINARY), PatternEnvironment(1, BINARY), params)
+    estimate = summable_value(AgentFactory("basic", BINARY), PatternEnvironment(1, BINARY), params)
     assert estimate.mean <= 1.0 + 2 ** -20
 
 
 def test_seed_determinism_bit_exact():
     env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=300, episodes=25, seed=33)
-    a = summable_value(basic_agent(BINARY), env, params)
-    b = summable_value(basic_agent(BINARY), env, params)
+    a = summable_value(AgentFactory("basic", BINARY), env, params)
+    b = summable_value(AgentFactory("basic", BINARY), env, params)
     assert a == b
-    c = summable_value(basic_agent(BINARY), env,
+    c = summable_value(AgentFactory("basic", BINARY), env,
                        ValuationParams(horizon=300, episodes=25, seed=34))
     assert a != c
 
@@ -229,13 +231,13 @@ def test_seed_determinism_bit_exact():
 def test_truncation_bounds_are_reported():
     params = ValuationParams(gamma=0.9, episodes=2,
                              trunc_epsilon=1e-6, horizon=10 ** 5, seed=1)
-    estimate = discounted_value(random_agent(UNIT), CopyEnvironment(UNIT), params)
+    estimate = discounted_value(AgentFactory("random", UNIT), CopyEnvironment(UNIT), params)
     cycles = math.ceil(math.log(1e-6) / math.log(0.9))
     assert estimate.truncation_bound == pytest.approx(0.9 ** cycles)
 
     sparams = ValuationParams(horizon=10, episodes=4,
                               trunc_epsilon=1e-9, seed=1)
-    sestimate = summable_value(random_agent(BINARY),
+    sestimate = summable_value(AgentFactory("random", BINARY),
                                ConstantEnvironment([1] * 50, BINARY), sparams)
     # 10 cycles of a 50-cycle unit schedule leave 40 units on the table
     assert sestimate.truncation_bound == pytest.approx(1e-9 + 40 / 255)
@@ -243,7 +245,7 @@ def test_truncation_bounds_are_reported():
 
 def test_single_episode_deterministic_pair_equals_closed_form():
     # Independent oracle: the truncated weighted sum evaluated with fsum.
-    pi_opt, _, _ = scripted_agents(UNIT)
+    pi_opt = AgentFactory("pi_opt", UNIT)
     env = CopyEnvironment(UNIT)
     gamma, epsilon = 0.8, 1e-10
     params = ValuationParams(gamma=gamma, horizon=10 ** 6,
@@ -259,7 +261,7 @@ def test_single_episode_deterministic_pair_equals_closed_form():
 def test_ci_calibration_on_copy_with_uniform_agent():
     # True value is gamma/2; the 95% interval should cover it in >= 90% of
     # independent-seed repetitions.
-    _, pi_1, _ = scripted_agents(UNIT)
+    pi_1 = AgentFactory("pi_1", UNIT)
     env = CopyEnvironment(UNIT)
     covered = 0
     repetitions = 200
@@ -276,14 +278,14 @@ def test_profile_validation():
     copy = CopyEnvironment(UNIT)
     for env in (copy, _NoBatch(copy)):
         with pytest.raises(AgentGaugeError, match="cycles"):
-            per_cycle_reward_profile(random_agent(UNIT), env, 0, 5, seed=0)
+            per_cycle_reward_profile(AgentFactory("random", UNIT), env, 0, 5, seed=0)
         with pytest.raises(AgentGaugeError, match="episodes"):
-            per_cycle_reward_profile(random_agent(UNIT), env, 5, 0, seed=0)
+            per_cycle_reward_profile(AgentFactory("random", UNIT), env, 5, 0, seed=0)
 
 
 def test_batch_profile_is_reduced_as_it_runs():
     # An (episodes, cycles) float64 matrix here would take 64 MB.
-    pi_opt, pi_1, _ = scripted_agents(UNIT)
+    pi_opt, pi_1 = AgentFactory("pi_opt", UNIT), AgentFactory("pi_1", UNIT)
     copy = CopyEnvironment(UNIT)
     tracemalloc.start()
     try:
@@ -326,7 +328,7 @@ def _valuation_digests(mixture_estimate):
             ["read_action", "move_left", "emit"], ["random_bit", "move_left", "emit"],
             ["inc", "emit"])])
     params = ValuationParams(horizon=120, episodes=20, seed=17)
-    for factory in (random_agent(BINARY), basic_agent(BINARY)):
+    for factory in (AgentFactory("random", BINARY), AgentFactory("basic", BINARY)):
         for entry in ensemble.entries:
             episode_values, mean_remaining, failed = summable_episode_values(
                 factory, entry.environment, params)
@@ -334,7 +336,7 @@ def _valuation_digests(mixture_estimate):
             add(bounds, mean_remaining)
         add_estimate(mixture_estimate(factory, mixed, params, draws=300))
 
-    basic = basic_agent(BINARY)
+    basic = AgentFactory("basic", BINARY)
     pattern = PatternEnvironment(2, BINARY)
     add(values, *per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
     add_estimate(discounted_value(basic, pattern, ValuationParams(
@@ -342,7 +344,7 @@ def _valuation_digests(mixture_estimate):
     add_estimate(harmonic_value(basic, pattern, ValuationParams(
         horizon=300, episodes=20, trunc_epsilon=1e-3, seed=5)))
 
-    _, pi_1, _ = scripted_agents(UNIT)
+    pi_1 = AgentFactory("pi_1", UNIT)
     copy = CopyEnvironment(UNIT)
     for env in (copy, _NoBatch(copy)):
         add(values, *per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
@@ -442,7 +444,7 @@ def test_agent_free_rollouts_match_the_full_reference():
     # replaying a deterministic one, must leave every number unchanged.
     programs = enumerate_programs(17) + [encode_program(ops) for ops in HAND_PICKED]
     params = ValuationParams(horizon=40, episodes=4, seed=29)
-    factories = (random_agent(BINARY), basic_agent(BINARY), kback_agent(BINARY, 2))
+    factories = [AgentFactory(name, BINARY) for name in ("random", "basic", "2back")]
     for program in programs:
         env = proven(program)
         for factory in factories:
@@ -468,16 +470,16 @@ def test_agent_free_paths_follow_the_declared_facts():
         (proven(encode_program(["random_bit", "emit"])), 0, 0),
     )
     for env, made, spawned in cases:
-        factory, counted = _Counting(random_agent(BINARY)), _Spawns(env)
+        factory, counted = _Counting(AgentFactory("random", BINARY)), _Spawns(env)
         summable_episode_values(factory, counted, params)
         assert (factory.made, counted.spawned) == (made, spawned), env.identifier
         # a factory that does not declare private policies plays every episode
-        public = _Counting(random_agent(BINARY), private_policies=False)
+        public = _Counting(AgentFactory("random", BINARY), private_policies=False)
         counted = _Spawns(env)
         summable_episode_values(public, counted, params)
         assert (public.made, counted.spawned) == (params.episodes, params.episodes)
     # models that declare neither fact take the policy path
     for env in (PatternEnvironment(2, BINARY), _NoBatch(ConstantEnvironment([1] * 40, BINARY))):
-        factory = _Counting(random_agent(BINARY))
+        factory = _Counting(AgentFactory("random", BINARY))
         summable_episode_values(factory, env, params)
         assert factory.made == params.episodes, env.identifier
