@@ -18,18 +18,13 @@ def elias_gamma_encode(value: int) -> str:
     return "0" * (len(binary) - 1) + binary
 
 
-def elias_gamma_decode(bits: str, start: int = 0) -> tuple[int, int]:
-    """Decode one gamma codeword at `start`; return (value, bits consumed)."""
-    zeros = 0
-    i = start
-    n = len(bits)
-    while i < n and bits[i] == "0":
-        zeros += 1
-        i += 1
-    if i >= n or i + zeros + 1 > n:
+def elias_gamma_decode(bits: str) -> tuple[int, int]:
+    """Decode the gamma codeword that starts `bits`; return (value, bits consumed)."""
+    zeros = len(bits) - len(bits.lstrip("0"))
+    consumed = 2 * zeros + 1
+    if consumed > len(bits):
         raise InvalidProgramError("truncated Elias gamma header")
-    value = int(bits[i : i + zeros + 1], 2)
-    return value, 2 * zeros + 1
+    return int(bits[zeros:consumed], 2), consumed
 
 
 def bits_to_hex(bits: str) -> str:

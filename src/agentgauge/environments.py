@@ -9,13 +9,13 @@ Every environment model exposes the same episode interface:
 Episodes additionally expose `remaining_reward_bound`: an upper bound on the
 reward fraction still to come.  A rollout stops once it is 0, or below the
 truncation epsilon, and reports it as the truncated mass.  A program
-environment whose program provably never emits a positive reward makes it 0
-from the first cycle on.  Models whose `supports_batch` is true (only the
-copy environment, whose long reward profiles need it) can also run many
-episodes in lockstep: `state = model.begin_batch(n)` starts n episodes and
-`model.batch_step(state, actions)` advances them all one cycle, taking an
-int64 action array (None on the first cycle) and returning the int64 array
-of their reward numerators.
+environment whose program provably never emits a positive reward spawns its
+episodes with their reward budget spent, so it is 0 from the first cycle on.
+Models whose `supports_batch` is true (only the copy environment, whose long
+reward profiles need it) can also run many episodes in lockstep: `state =
+model.begin_batch(n)` starts n episodes and `model.batch_step(state,
+actions)` advances them all one cycle, taking an int64 action array (None on
+the first cycle) and returning the int64 array of their reward numerators.
 A program environment declares `reads_actions` (its program has
 `read_action`) and `deterministic` (it has no `random_bit`); the valuation
 layer plays an episode that reads no action without the agent and, when it
@@ -47,8 +47,9 @@ class ProgramEnvironment:
     this machine and space.  It has no default, so no environment is left
     unproven by accident: `build_ensemble` proves once per
     `reward_free_key` before any rollout, and pool workers receive the
-    verdict with the entry.  The episodes of a reward-free environment have
-    a remaining reward bound of 0, so a rollout stops after cycle 1.
+    verdict with the entry.  The episodes of a reward-free environment
+    start with their reward budget spent: they emit the same percepts, and
+    their remaining reward bound is 0, so a rollout stops after cycle 1.
     """
 
     program: EnvProgram
@@ -56,13 +57,11 @@ class ProgramEnvironment:
     space: SpaceConfig
     reward_free: bool
 
+    summable = True
+
     @property
     def identifier(self) -> str:
         return self.program.program_id
-
-    @property
-    def summable(self) -> bool:
-        return self.machine.enforce_reward_budget
 
     @property
     def reads_actions(self) -> bool:
@@ -74,7 +73,8 @@ class ProgramEnvironment:
 
     def spawn(self, rng: random.Random) -> EnvProcess:
         process = EnvProcess(self.program, self.machine, self.space, rng=rng)
-        process.reward_free = self.reward_free
+        if self.reward_free:
+            process.budget = 0
         return process
 
 

@@ -35,14 +35,14 @@ itself, and answers no when a step emits reward or a cap is hit.  Its
 verdict depends only on `reward_free_key`: the cycle summary of a loop-free
 program (less its step count), the opcodes of a program with a loop, or one
 shared key for every program without `emit`.  So an ensemble proves once per
-key; at 24 bits, 3,119 programs have 225 keys.  A process marked reward-free
-has a remaining reward bound of 0 from its first cycle on.
+key; at 24 bits, 3,119 programs have 225 keys.  The owner of a proof starts
+a proven process with its budget spent: no percept changes, and its remaining
+reward bound is 0 from its first cycle on.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,15 +91,12 @@ class MachineConfig:
 
     The opcode table maps 4-bit code values 0..8 to instruction meanings; it
     is permutable to support the reference-machine sensitivity experiment.
-    `enforce_reward_budget` turns the lifetime reward cap off for fixtures
-    that mirror non-summable native environments.
     """
 
     step_budget_per_cycle: int = 4096
     tape_length: int = 64
     cell_modulus: int = 256
     opcode_table: tuple[str, ...] = INSTRUCTION_NAMES
-    enforce_reward_budget: bool = True
 
     def __post_init__(self) -> None:
         if self.step_budget_per_cycle < 1:
@@ -318,9 +315,10 @@ class EnvProcess:
     once a cycle left the state untouched, or None while the process is
     live.  `enable_shortcuts=False` turns off all execution shortcuts (used
     by tests that check the shortcuts are behavior-preserving), freezing
-    included.  `reward_free` is set by the owner of a `proves_reward_free`
-    proof; it changes no percept, only the remaining reward bound.  A
-    program without `random_bit` keeps no bit source: its `rng` is None.
+    included.  The remaining reward bound reads only `budget` and `frozen`;
+    the owner of a `proves_reward_free` proof sets `budget` to 0, which
+    changes no percept of that program, only the bound.  A program without
+    `random_bit` keeps no bit source: its `rng` is None.
     With shortcuts on, a loop-free program that can emit keeps its
     `CycleSummary` in `summary`; otherwise that is None and each cycle runs
     through the interpreter.
@@ -329,7 +327,7 @@ class EnvProcess:
     __slots__ = (
         "program", "machine", "space", "tape", "ptr", "budget", "last_action",
         "cycles", "rng", "shortcuts", "frozen", "steps_last_cycle", "total_steps",
-        "draws", "reward_free", "summary",
+        "draws", "summary",
     )
 
     def __init__(self, program: EnvProgram, machine: MachineConfig,
@@ -350,7 +348,6 @@ class EnvProcess:
         self.steps_last_cycle = 0
         self.total_steps = 0
         self.draws = 0  # random bits drawn so far
-        self.reward_free = False
         # With shortcuts on, a loop-free program runs each cycle from its summary.
         self.summary = (summarize_cycle(program, machine)
                         if enable_shortcuts and self.frozen is None else None)
@@ -364,10 +361,8 @@ class EnvProcess:
     @property
     def remaining_reward_bound(self) -> float:
         """Upper bound on the reward fraction this process can still emit."""
-        if self.reward_free or (self.frozen is not None and self.frozen.reward_numerator == 0):
+        if self.frozen is not None and self.frozen.reward_numerator == 0:
             return 0.0
-        if not self.machine.enforce_reward_budget:
-            return math.inf
         return self.budget / self.space.reward_denominator
 
     def state(self) -> tuple:
@@ -401,7 +396,6 @@ class EnvProcess:
         other.steps_last_cycle = self.steps_last_cycle
         other.total_steps = self.total_steps
         other.draws = self.draws
-        other.reward_free = self.reward_free
         other.summary = self.summary
         return other
 
@@ -538,7 +532,7 @@ class EnvProcess:
                     # no input: every future cycle will replay it identically.
                     self.frozen = _new_tuple(Percept, (raw_obs, raw_numerator))
 
-        if raw_numerator and machine.enforce_reward_budget:
+        if raw_numerator:
             if raw_numerator > self.budget:
                 raw_numerator = self.budget
             self.budget -= raw_numerator
@@ -567,7 +561,8 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
     After every cycle the machine's future depends only on
     `EnvProcess.state()`: its tape, pointer, reward budget and frozen
     percept.  The proof steps `EnvProcess.step` from each reachable state
-    once per action (only action 0 when no action the program reads can
+    once per action the machine can tell apart (it reads an action modulo
+    `cell_modulus`; only action 0 when no action the program reads can
     outlast its cycle) and once per script of random bits: a draw past the
     end of a script yields 0, and every such draw also queues the script
     whose bit there is 1.  So the closure holds every state any run can
@@ -580,9 +575,9 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
     bits = _ScriptedBits()
     proc = EnvProcess(program, machine, space, rng=bits)
     # a loop-free cycle whose reads are all overwritten ends in the same state
-    # whatever the action
+    # whatever the action, and actions equal modulo cell_modulus write equal cells
     reads = _OP_READ in program.ops if proc.summary is None else proc.summary.reads
-    actions = range(space.action_count) if reads else (0,)
+    actions = range(min(space.action_count, machine.cell_modulus)) if reads else (0,)
     initial = proc.state()
     seen: set[tuple] = set()  # post-cycle states
     stack: list[tuple] = []

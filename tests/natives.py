@@ -161,11 +161,12 @@ def copy_fixture():
     """(program, machine, space, native) for the copy environment.
 
     Each cycle writes the last action on the tape, steps left and emits; the
-    reward cell is exactly the cell just written.  The reward budget is
-    lifted because the copy environment is not reward-summable.
+    reward cell is exactly the cell just written.  The copy environment is
+    not reward-summable, so a caller lifts the budget of each process it
+    builds: `process.budget = math.inf`.
     """
     space = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
-    machine = MachineConfig(enforce_reward_budget=False)
+    machine = MachineConfig()
     program = encode_program(["read_action", "move_left", "emit"], machine)
     return program, machine, space, CopyEnvironment(space)
 

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import random
 import textwrap
 import time
@@ -233,6 +234,7 @@ def test_acceptance_6_fixture_cross_validation():
         for actions in itertools.product((0, 1), repeat=10):
             native = copy.spawn(random.Random(0))
             process = EnvProcess(program, machine, space, rng=random.Random(0))
+            process.budget = math.inf  # the copy environment is not reward-summable
             assert native.step(None) == process.step(None)
             for action in actions:
                 assert native.step(action) == process.step(action), actions

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
-from agentgauge.environments import CopyEnvironment
+from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import SpaceConfig
-from agentgauge.machine import EnvProcess
+from agentgauge.machine import EnvProcess, MachineConfig, enumerate_programs, proves_reward_free
 from natives import (ConstantEnvironment, PatternEnvironment, copy_fixture, pattern_reward_cap,
                      pattern_target_bit, zero_fixture)
 
@@ -170,6 +171,7 @@ def test_copy_fixture_matches_native_exhaustively():
     for actions in itertools.product((0, 1), repeat=length):
         native = copy.spawn(random.Random(0))
         process = EnvProcess(program, machine, space, rng=random.Random(0))
+        process.budget = math.inf  # the copy environment is not reward-summable
         assert native.step(None) == process.step(None)
         for action in actions:
             assert native.step(action) == process.step(action), actions
@@ -184,3 +186,25 @@ def test_zero_fixture_matches_constant_everywhere():
     for _ in range(200):
         action = rng.randrange(2)
         assert native.step(action) == process.step(action)
+
+
+# ------------------------------------------------------------------ program
+
+def test_spawned_reward_free_process_has_spent_its_budget():
+    # a proven program has nothing left to pay: its bound is 0 from the start,
+    # and spending the budget changes none of its percepts
+    machine, space = MachineConfig(), SpaceConfig()
+    proven = [program for program in enumerate_programs(17, machine)
+              if proves_reward_free(program, machine, space)]
+    assert proven
+    for program in proven:
+        process = ProgramEnvironment(program, machine, space, reward_free=True).spawn(
+            random.Random(0))
+        assert process.remaining_reward_bound == 0
+        fresh = EnvProcess(program, machine, space, rng=random.Random(0))
+        assert process.step(None) == fresh.step(None), program.instructions
+        assert process.remaining_reward_bound == 0
+        unproven = ProgramEnvironment(program, machine, space, reward_free=False).spawn(
+            random.Random(0))
+        if program.has_emit:   # a program without emit is frozen at (0, 0) from the start
+            assert unproven.remaining_reward_bound == unproven.budget / space.reward_denominator

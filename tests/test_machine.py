@@ -652,6 +652,32 @@ def test_reward_proof_answers_no_past_the_state_cap(monkeypatch):
     assert proves_reward_free(program, sixteen, SPACE)
 
 
+def test_proof_tries_each_machine_visible_action_once(monkeypatch):
+    # the machine reads an action modulo cell_modulus, so actions past it
+    # reach no new state; the proof's cost must not grow with them
+    calls = []
+    step = EnvProcess.step
+
+    def counting_step(proc, action):
+        calls.append(action)
+        return step(proc, action)
+
+    monkeypatch.setattr(EnvProcess, "step", counting_step)
+    counts = []
+    for actions in (256, 4096):
+        calls.clear()
+        assert proves_reward_free(make("read_action", "emit"), MACHINE,
+                                  SpaceConfig(action_count=actions))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    monkeypatch.undo()
+    binary = MachineConfig(cell_modulus=2)
+    for program in enumerate_programs(17, binary):
+        assert (proves_reward_free(program, binary, SpaceConfig(action_count=2))
+                == proves_reward_free(program, binary, SpaceConfig(action_count=5))), \
+            program.instructions
+
+
 # ------------------------------------------------------------ fixture files
 
 def test_program_file_round_trip(tmp_path):

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import pathlib
+
+from agentgauge.config import _TABLE
+from agentgauge.interaction import SpaceConfig
+from agentgauge.machine import MachineConfig
+from agentgauge.measure import EnsembleSpec
+from agentgauge.valuation import ValuationParams
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "agentgauge"
@@ -234,3 +241,45 @@ def test_no_module_imports_jsonschema():
         if any(module.partition(".")[0] == "jsonschema" for module in modules):
             found.append(path.name)
     assert found == []
+
+
+def unset_fields(classes: dict[str, type], table: dict, sources: list[str]) -> list[str]:
+    """Dataclass fields no config key fills and no call passes, as `Class.field`.
+
+    `classes` maps each config section to its dataclass, and `table` maps
+    each key to its (section, field, parser), like `config._TABLE`.  A call
+    passes a field by keyword when it calls the class, or `replace` on it.
+    """
+    filled = {(section, name) for section, name, _ in table.values()}
+    passed = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed |= {(callee, kw.arg) for kw in node.keywords}
+    return [f"{cls.__name__}.{f.name}" for section, cls in classes.items()
+            for f in dataclasses.fields(cls)
+            if (section, f.name) not in filled
+            and (cls.__name__, f.name) not in passed and ("replace", f.name) not in passed]
+
+
+def test_unset_fields_are_found():
+    @dataclasses.dataclass
+    class Spec:
+        keyed: int = 0
+        built: int = 0
+        replaced: int = 0
+        spare: int = 0
+
+    sources = ["Spec(built=1)\ndataclasses.replace(spec, replaced=2)\nother(spare=3)\n"]
+    table = {"spec.keyed": ("spec", "keyed", int)}
+    assert unset_fields({"spec": Spec}, table, sources) == ["Spec.spare"]
+
+
+def test_every_setting_is_set_by_the_package():
+    # a field that only tests set is a switch the program never turns
+    classes = {"space": SpaceConfig, "machine": MachineConfig,
+               "ensemble": EnsembleSpec, "valuation": ValuationParams}
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unset_fields(classes, _TABLE, sources) == []
