@@ -25,7 +25,7 @@ from .valuation import (  # noqa: F401
     discounted_value,
     harmonic_value,
     per_cycle_reward_profile,
-    summable_value,
+    summable_episode_values,
 )
 from .measure import (  # noqa: F401
     Ensemble,

@@ -43,10 +43,10 @@ class _UniformPolicy:
 class _ScriptedPolicy:
     """Cycle-indexed policy over binary actions."""
 
-    __slots__ = ("kind", "rng", "cycles")
+    __slots__ = ("name", "rng", "cycles")
 
-    def __init__(self, kind: str, rng: random.Random) -> None:
-        self.kind = kind
+    def __init__(self, name: str, rng: random.Random) -> None:
+        self.name = name
         self.rng = rng
         self.cycles = 0
 
@@ -54,7 +54,7 @@ class _ScriptedPolicy:
         self.cycles += 1
 
     def act(self) -> int:
-        p_one = scripted_prob_action_one(self.kind, self.cycles)
+        p_one = scripted_prob_action_one(self.name, self.cycles)
         if p_one == 0.0:
             return 0
         if p_one == 1.0:
@@ -62,19 +62,19 @@ class _ScriptedPolicy:
         return 1 if self.rng.random() < p_one else 0
 
 
-def scripted_prob_action_one(kind: str, cycle: int) -> float:
+def scripted_prob_action_one(name: str, cycle: int) -> float:
     """P(action = 1) for a scripted policy acting at the given cycle index."""
-    if kind == "pi_opt":
+    if name == "pi_opt":
         return 1.0
-    if kind == "pi_1":
+    if name == "pi_1":
         return 0.5
-    if kind == "pi_2":
+    if name == "pi_2":
         if cycle <= 100:
             return 0.0
         if cycle <= 5000:
             return 1.0
         return 0.5
-    raise AgentGaugeError(f"unknown scripted kind {kind!r}")
+    raise AgentGaugeError(f"unknown scripted agent {name!r}")
 
 
 class _TablePolicy:

@@ -246,15 +246,15 @@ def _cmd_sensitivity(args) -> int:
     return 0
 
 
-def _size_up_to(maximum: int):
-    """argparse type of a size option: an integer in [1, maximum]."""
+def _size_up_to(maximum: int, minimum: int = 1):
+    """argparse type of a size option: an integer in [minimum, maximum]."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         if value > maximum:
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--seed", type=int, required=True)
     p_study.add_argument("--episodes", type=_size_up_to(MAX_EPISODES), default=10000)
     p_study.add_argument("--cycles", type=_size_up_to(MAX_STUDY_CYCLES), default=5200)
-    p_study.add_argument("--discount-episodes", type=_size_up_to(MAX_DISCOUNT_EPISODES),
+    # one episode would claim a confidence interval of width 0
+    p_study.add_argument("--discount-episodes", type=_size_up_to(MAX_DISCOUNT_EPISODES, 2),
                          default=10000)
     p_study.set_defaults(func=_cmd_example_study)
 

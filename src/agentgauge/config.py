@@ -63,6 +63,10 @@ class RunConfig:
         if self.bootstrap_samples > MAX_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"bootstrap_samples must be at most {MAX_BOOTSTRAP_SAMPLES}, "
                               f"got {self.bootstrap_samples}")
+        if self.valuation.episodes < 2:
+            # one episode per environment has no spread to give an interval
+            raise ConfigError(f"valuation.episodes must be at least 2, "
+                              f"got {self.valuation.episodes}")
         draws = self.bootstrap_samples * self.valuation.episodes
         if draws > MAX_BOOTSTRAP_DRAWS:
             raise ConfigError(f"bootstrap_samples times valuation.episodes must be at most "

@@ -12,11 +12,12 @@ disjoint by construction).  The opcode-table sensitivity experiment is these
 same two calls once per table; the `sensitivity` command runs it.
 
 Signatures and entry values are independent, so `build_ensemble` and
-`estimate_intelligence` spread them in small blocks over a process pool the
-caller owns, if given one.  Seeds derive from labels and results keep input
-order, so the pool changes no number.  Reward-freedom is proved in the
-caller's process, once per `reward_free_key`, and travels with each entry,
-so no worker proves anything.
+`estimate_intelligence` map them over a process pool the caller owns, if
+given one, in blocks that workers take as they free up.  Seeds derive from
+labels and results keep input order, so the pool changes no number.
+Reward-freedom is proved in the caller's process, once per
+`reward_free_key`, and travels with each entry, so no worker proves
+anything.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -40,12 +43,7 @@ from .machine import (
     signature_and_steps,
 )
 from .seeding import derive_seed
-from .valuation import (
-    ValuationParams,
-    ValueEstimate,
-    _summable_estimate,
-    summable_episode_values,
-)
+from .valuation import ValuationParams, ValueEstimate, summable_episode_values
 
 WEIGHT_SCHEMES = ("length", "kt")
 # Enumeration and valuation grow about 2^n with the length cutoff n; at 29
@@ -131,7 +129,7 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
 
     horizon = spec.signature_horizon
     if horizon is not None:
-        keyed = _map_blocks(pool, _signature_block, programs, horizon, machine, space)
+        keyed = _map(pool, signature_and_steps, programs, horizon, machine, space)
     else:
         keyed = [(program.program_id, 1) for program in programs]
     groups: dict[object, list] = {}
@@ -186,37 +184,25 @@ class AgentMeasurement:
     truncation_bound: float = 0.0
 
 
-def _map_blocks(pool, fn, items, *args) -> list:
-    """fn(*args, block) over blocks of `items`, the results joined in input order.
+def _map(pool, fn, items, *constants):
+    """fn(item, *constants) for each of `items`, in input order.
 
-    Without a pool the whole list is one block, run here.  A pool's workers
-    take small blocks as they free up, so costly items even out unmodelled.
+    Without a pool this is the builtin `map`, run here.  A pool's workers
+    take blocks of items as they free up, so costly items even out unmodelled.
     """
     if pool is None:
-        return fn(*args, items)
+        return map(fn, items, *map(repeat, constants))
     # ProcessPoolExecutor keeps its worker count in _max_workers
     size = max(1, math.ceil(len(items) / (pool._max_workers * _BLOCKS_PER_WORKER)))
-    futures = [pool.submit(fn, *args, items[i : i + size])
-               for i in range(0, len(items), size)]
-    return [result for future in futures for result in future.result()]
-
-
-def _signature_block(horizon, machine, space, programs):
-    """Worker unit: (signature, VM steps) of each program in a block."""
-    return [signature_and_steps(p, horizon, machine, space) for p in programs]
-
-
-def _value_entry_block(agent_factory, params, entries):
-    """Worker unit: per-episode values for a block of ensemble entries."""
-    return [summable_episode_values(agent_factory, entry.environment, params)
-            for entry in entries]
+    return pool.map(fn, items, *map(repeat, constants), chunksize=size)
 
 
 def estimate_intelligence(agent_factory, ensemble: Ensemble,
                           params: ValuationParams, pool=None) -> AgentMeasurement:
     """Weight-averaged expected total reward of one agent over the ensemble."""
     entries = ensemble.entries
-    results = _map_blocks(pool, _value_entry_block, entries, agent_factory, params)
+    results = _map(pool, partial(summable_episode_values, agent_factory),
+                   [entry.environment for entry in entries], params)
 
     estimates: dict[str, ValueEstimate] = {}
     episode_values: dict[str, np.ndarray] = {}
@@ -224,14 +210,13 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
     variance = 0.0
     truncation = 0.0
     failures = 0
-    for entry, (values, mean_remaining, failed) in zip(entries, results):
-        estimate = _summable_estimate(params, values, mean_remaining, failed)
+    for entry, (values, estimate) in zip(entries, results):
         estimates[entry.identifier] = estimate
         episode_values[entry.identifier] = values
         score += entry.weight * estimate.mean
         variance += (entry.weight * estimate.ci_half_width) ** 2
         truncation += entry.weight * estimate.truncation_bound
-        failures += failed
+        failures += estimate.failed_episodes
     return AgentMeasurement(
         agent_name=agent_factory.name,
         score=score,

@@ -5,8 +5,9 @@ Three value notions are supported, and the function called is the notion:
 * `discounted_value`: mean reward weighted by powers of `gamma`, normalized
   so the value of an all-ones reward stream is 1;
 * `harmonic_value`: inverse-square cycle weights with the analytic normalizer;
-* `summable_value`: plain expected total reward, which is bounded by 1 for
-  budget-constrained environments.  The intelligence measure uses this one.
+* `summable_episode_values`: plain expected total reward, which is bounded
+  by 1 for budget-constrained environments, with the episode values it
+  averages.  The intelligence measure uses this one.
 
 The notions differ only in a per-cycle weight vector and a stop rule.  One
 kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
@@ -254,23 +255,25 @@ def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
 
 
 def summable_episode_values(agent_factory, env_model,
-                            params: ValuationParams) -> tuple[np.ndarray, float, int]:
-    """Per-episode total rewards for a summable environment.
+                            params: ValuationParams) -> tuple[np.ndarray, ValueEstimate]:
+    """Per-episode total rewards for a summable environment, and their estimate.
 
-    Returns (episode values, mean remaining reward bound at stop, failures).
     Each episode is one `_rollout` with epsilon = trunc_epsilon.  Failed
-    rollouts (external agents only) are excluded, not scored as zero.  For
-    a factory with private policies, an environment proven reward-free is
-    worth 0 in every episode with bound 0, so none is played; one that
-    never reads an action and is deterministic gives the same episode
-    whatever its index, so it is played once and its result repeated.
+    rollouts (external agents only) are excluded, not scored as zero.  The
+    estimate's truncation bound is trunc_epsilon plus the mean reward the
+    episodes could still have earned when they stopped.  For a factory with
+    private policies, an environment proven reward-free is worth 0 in every
+    episode with bound 0, so none is played; one that never reads an action
+    and is deterministic gives the same episode whatever its index, so it is
+    played once and its result repeated.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
     private = getattr(agent_factory, "private_policies", False)
     if private and getattr(env_model, "reward_free", False):
-        return np.zeros(params.episodes), 0.0, 0
+        zeros = np.zeros(params.episodes)
+        return zeros, _estimate(zeros, params.confidence, params.trunc_epsilon)
     replay = _agent_free(agent_factory, env_model) and getattr(env_model, "deterministic", False)
     values: list[float] = []
     remainders: list[float] = []
@@ -291,24 +294,9 @@ def summable_episode_values(agent_factory, env_model,
         raise RolloutFailed(
             f"all {params.episodes} rollouts failed for agent {agent_factory.name} "
             f"on {env_model.identifier}")
-    return np.asarray(values), float(np.mean(remainders)), failed
-
-
-def _summable_estimate(params: ValuationParams, values: np.ndarray,
-                       mean_remaining: float, failed: int) -> ValueEstimate:
-    """Estimate from `summable_episode_values` output.
-
-    The truncation bound is trunc_epsilon plus the mean reward the episodes
-    could still have earned when they stopped.
-    """
-    return _estimate(values, params.confidence,
-                     truncation_bound=params.trunc_epsilon + mean_remaining, failed=failed)
-
-
-def summable_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
-    """Expected total reward of a budget-constrained environment."""
-    values, mean_remaining, failed = summable_episode_values(agent_factory, env_model, params)
-    return _summable_estimate(params, values, mean_remaining, failed)
+    array = np.asarray(values)
+    return array, _estimate(array, params.confidence,
+                            params.trunc_epsilon + float(np.mean(remainders)), failed)
 
 
 def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int,

@@ -10,7 +10,8 @@ from agentgauge.agents import AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import Percept, SpaceConfig
-from agentgauge.valuation import ValuationParams, per_cycle_reward_profile, summable_value
+from agentgauge.valuation import (ValuationParams, per_cycle_reward_profile,
+                                  summable_episode_values)
 from natives import PatternEnvironment
 
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
@@ -108,9 +109,9 @@ def test_two_back_beats_basic_on_pattern_environment():
     # to a current-observation key but tracked by a two-cycle window.
     env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=400, episodes=60, seed=29)
-    v_basic = summable_value(AgentFactory("basic", BINARY), env, params)
-    v_2back = summable_value(AgentFactory("2back", BINARY), env, params)
-    v_rand = summable_value(AgentFactory("random", BINARY), env, params)
+    v_basic = summable_episode_values(AgentFactory("basic", BINARY), env, params)[1]
+    v_2back = summable_episode_values(AgentFactory("2back", BINARY), env, params)[1]
+    v_rand = summable_episode_values(AgentFactory("random", BINARY), env, params)[1]
     assert v_2back.mean - v_basic.mean > 0.08
     assert v_2back.mean - v_basic.mean > 2 * (v_2back.ci_half_width + v_basic.ci_half_width)
     assert v_basic.mean > v_rand.mean

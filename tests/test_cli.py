@@ -363,6 +363,22 @@ def test_huge_sample_counts_exit_2_at_config_time(tmp_path, capsys, command, key
 
 
 @pytest.mark.parametrize("command", ["run", "sensitivity"])
+def test_one_episode_exits_2_at_config_time(tmp_path, capsys, command):
+    # one episode per environment has no spread, so every interval would be
+    # 0 wide and every comparison significant
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n"
+                      "ensemble.max_length_bits = 17\nensemble.dedup_horizon = 4\n"
+                      "valuation.horizon = 20\nvaluation.episodes = 1\n", encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: valuation.episodes must be at least 2, got 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
 def test_bootstrap_draws_above_the_cap_exit_2_at_config_time(tmp_path, capsys, command):
     # each value is within its own cap, but compare_agents would hold 24 bytes
     # for each of their product's draws
@@ -975,7 +991,10 @@ def test_sensitivity_rejects_a_programs_file(tmp_path, capsys):
     (["example-study", "--out", "{out}", "--seed", "1", "--episodes", "0"], "at least 1"),
     (["example-study", "--out", "{out}", "--seed", "1", "--cycles", "0"], "at least 1"),
     (["example-study", "--out", "{out}", "--seed", "1", "--discount-episodes", "0"],
-     "at least 1"),
+     "at least 2"),
+    # one discounted episode would report an interval of width 0
+    (["example-study", "--out", "{out}", "--seed", "1", "--discount-episodes", "1"],
+     "at least 2"),
     (["sensitivity", "--config", "{config}", "--permutations", "0"], "at least 1"),
     (["sensitivity", "--config", "{config}", "--permutations", "2", "--workers", "0"],
      "at least 1"),
@@ -983,7 +1002,8 @@ def test_sensitivity_rejects_a_programs_file(tmp_path, capsys):
     (["sensitivity", "--config", "{config}", "--permutations", str(MAX_PERMUTATIONS + 1)],
      f"at most {MAX_PERMUTATIONS}"),
 ], ids=["run-workers-0", "run-workers-neg", "study-episodes", "study-cycles",
-        "study-discount-episodes", "sensitivity-permutations", "sensitivity-workers",
+        "study-discount-episodes", "study-discount-episodes-1",
+        "sensitivity-permutations", "sensitivity-workers",
         "sensitivity-permutations-above-cap"])
 def test_sizes_below_one_exit_2(tmp_path, capsys, argv, message):
     config = write_config(tmp_path)

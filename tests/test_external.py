@@ -22,7 +22,7 @@ from agentgauge.external import ExternalAgentHost
 from agentgauge.interaction import Percept, SpaceConfig
 from agentgauge.machine import MachineConfig
 from agentgauge.measure import EnsembleSpec, build_ensemble, estimate_intelligence
-from agentgauge.valuation import ValuationParams, summable_episode_values, summable_value
+from agentgauge.valuation import ValuationParams, ValueEstimate, summable_episode_values
 from natives import encode_program
 
 MACHINE = MachineConfig()
@@ -223,7 +223,7 @@ def test_timeouts_fall_back_to_uniform_with_warnings(tmp_path):
                                 SPACE, timeout_ms=100)
     params = ValuationParams(horizon=5, episodes=2, seed=1)
     try:
-        estimate = summable_value(factory, env, params)
+        estimate = summable_episode_values(factory, env, params)[1]
     finally:
         factory.close()
     assert estimate.episodes_used == 2
@@ -239,7 +239,7 @@ def test_malformed_reply_marks_rollout_failed_not_scored(tmp_path):
                                 SPACE, timeout_ms=4000)
     params = ValuationParams(horizon=4, episodes=3, seed=1)
     try:
-        estimate = summable_value(factory, env, params)
+        estimate = summable_episode_values(factory, env, params)[1]
     finally:
         factory.close()
     assert estimate.failed_episodes == 1
@@ -258,7 +258,7 @@ def test_reply_that_is_not_utf8_fails_only_its_rollout(tmp_path, monkeypatch):
                                 SPACE, timeout_ms=1000)
     params = ValuationParams(horizon=4, episodes=3, seed=1)
     try:
-        estimate = summable_value(factory, env, params)
+        estimate = summable_episode_values(factory, env, params)[1]
     finally:
         factory.close()
     assert estimate.failed_episodes == 1
@@ -278,7 +278,7 @@ def test_out_of_range_action_fails_every_rollout(tmp_path):
                                     SPACE, timeout_ms=4000)
         try:
             with pytest.raises(RolloutFailed):
-                summable_value(factory, env, params)
+                summable_episode_values(factory, env, params)
         finally:
             factory.close()
 
@@ -309,7 +309,7 @@ def test_external_agent_sees_every_percept_of_an_action_free_program(tmp_path):
     assert counts.read_text(encoding="utf-8") == "18 3"
     builtin = summable_episode_values(AgentFactory("random", SPACE), env, params)
     assert external[0].tolist() == builtin[0].tolist()
-    assert external[1:] == builtin[1:]
+    assert external[1] == builtin[1]
 
 
 def test_external_agent_plays_every_episode_of_a_reward_free_program(tmp_path):
@@ -329,7 +329,10 @@ def test_external_agent_plays_every_episode_of_a_reward_free_program(tmp_path):
     assert counts.read_text(encoding="utf-8") == "3 3"
     builtin = summable_episode_values(AgentFactory("random", SPACE), env, params)
     assert external[0].tolist() == builtin[0].tolist() == [0.0] * 3
-    assert external[1:] == builtin[1:] == (0.0, 0)
+    # every episode stops after cycle 1 with nothing left to earn
+    assert external[1] == builtin[1] == ValueEstimate(
+        mean=0.0, ci_half_width=0.0, episodes_used=3,
+        truncation_bound=params.trunc_epsilon, failed_episodes=0)
 
 
 def test_late_reply_is_discarded_not_taken_for_the_next_percept(tmp_path):

@@ -29,7 +29,7 @@ from agentgauge.measure import (
     compare_agents,
     estimate_intelligence,
 )
-from agentgauge.valuation import ValuationParams, summable_value
+from agentgauge.valuation import ValuationParams, summable_episode_values
 from natives import encode_program
 
 MACHINE = MachineConfig()
@@ -146,9 +146,9 @@ def test_degenerate_single_environment_ensemble():
     assert len(ensemble.entries) == 1
     assert ensemble.entries[0].weight == 1.0
     measurement = estimate_intelligence(AgentFactory("random", SPACE), ensemble, PARAMS)
-    direct = summable_value(AgentFactory("random", SPACE),
-                            ProgramEnvironment(program, MACHINE, SPACE, reward_free=False),
-                            PARAMS)
+    _, direct = summable_episode_values(
+        AgentFactory("random", SPACE),
+        ProgramEnvironment(program, MACHINE, SPACE, reward_free=False), PARAMS)
     assert measurement.score == direct.mean == 1.0
 
 

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from agentgauge.seeding import derive_seed
 from agentgauge.valuation import (
     MAX_EPISODES,
     ValuationParams,
+    ValueEstimate,
     discounted_value,
     harmonic_value,
     per_cycle_reward_profile,
     summable_episode_values,
-    summable_value,
 )
 from natives import (ConstantEnvironment, PatternEnvironment, encode_program, pattern_reward_cap,
                      pattern_target_bit)
@@ -45,7 +46,7 @@ def proven(program, machine=MachineConfig(), space=BINARY):
 
 
 GOLDEN_VALUES_DIGEST = "18fad326aee0333606374ab04fac09e97fd6f3beadd3446b2341f844274ad533"
-GOLDEN_BOUNDS_DIGEST = "9d9d5885d3d2887b15426ecb1d9dc94974911df531d729f8e750f72b65d245d7"
+GOLDEN_BOUNDS_DIGEST = "869fb63851a2febb217276b93133eba3fb2aa5d13518d75b16969a7640a3ef99"
 
 
 class _NoBatch:
@@ -181,7 +182,7 @@ def test_summable_full_budget_schedule_is_one_for_every_agent():
     env = ConstantEnvironment([255], BINARY)
     params = ValuationParams(horizon=50, episodes=20, seed=9)
     for factory in (AgentFactory("random", BINARY), AgentFactory("basic", BINARY)):
-        estimate = summable_value(factory, env, params)
+        estimate = summable_episode_values(factory, env, params)[1]
         assert estimate.mean == 1.0
         assert estimate.ci_half_width == 0.0
 
@@ -189,14 +190,14 @@ def test_summable_full_budget_schedule_is_one_for_every_agent():
 def test_summable_empty_program_is_zero():
     env = proven(decode_program("1"))
     params = ValuationParams(horizon=100, episodes=10, seed=4)
-    estimate = summable_value(AgentFactory("random", BINARY), env, params)
+    estimate = summable_episode_values(AgentFactory("random", BINARY), env, params)[1]
     assert estimate.mean == 0.0
 
 
 def test_summable_pattern_follower_collects_designed_maximum():
     env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=400, episodes=3, seed=6)
-    estimate = summable_value(FollowerFactory(2), env, params)
+    estimate = summable_episode_values(FollowerFactory(2), env, params)[1]
     assert estimate.mean == pattern_reward_cap(255) / 255
     assert estimate.ci_half_width == 0.0
 
@@ -204,27 +205,28 @@ def test_summable_pattern_follower_collects_designed_maximum():
 def test_summable_rejects_non_summable_environment():
     params = ValuationParams(episodes=5, seed=0)
     with pytest.raises(SummabilityError):
-        summable_value(AgentFactory("random", BINARY), CopyEnvironment(BINARY), params)
+        summable_episode_values(AgentFactory("random", BINARY), CopyEnvironment(BINARY), params)
 
 
 def test_summable_estimates_respect_unit_bound():
     params = ValuationParams(horizon=2000, episodes=30, seed=12)
     for schedule in ([255], [127, 128], [1] * 200):
-        estimate = summable_value(AgentFactory("random", BINARY),
-                                  ConstantEnvironment(schedule, BINARY), params)
+        estimate = summable_episode_values(AgentFactory("random", BINARY),
+                                           ConstantEnvironment(schedule, BINARY), params)[1]
         assert estimate.mean <= 1.0 + 2 ** -20
-    estimate = summable_value(AgentFactory("basic", BINARY), PatternEnvironment(1, BINARY), params)
+    estimate = summable_episode_values(AgentFactory("basic", BINARY),
+                                       PatternEnvironment(1, BINARY), params)[1]
     assert estimate.mean <= 1.0 + 2 ** -20
 
 
 def test_seed_determinism_bit_exact():
     env = PatternEnvironment(2, BINARY)
     params = ValuationParams(horizon=300, episodes=25, seed=33)
-    a = summable_value(AgentFactory("basic", BINARY), env, params)
-    b = summable_value(AgentFactory("basic", BINARY), env, params)
+    a = summable_episode_values(AgentFactory("basic", BINARY), env, params)[1]
+    b = summable_episode_values(AgentFactory("basic", BINARY), env, params)[1]
     assert a == b
-    c = summable_value(AgentFactory("basic", BINARY), env,
-                       ValuationParams(horizon=300, episodes=25, seed=34))
+    c = summable_episode_values(AgentFactory("basic", BINARY), env,
+                                ValuationParams(horizon=300, episodes=25, seed=34))[1]
     assert a != c
 
 
@@ -237,8 +239,8 @@ def test_truncation_bounds_are_reported():
 
     sparams = ValuationParams(horizon=10, episodes=4,
                               trunc_epsilon=1e-9, seed=1)
-    sestimate = summable_value(AgentFactory("random", BINARY),
-                               ConstantEnvironment([1] * 50, BINARY), sparams)
+    sestimate = summable_episode_values(AgentFactory("random", BINARY),
+                                        ConstantEnvironment([1] * 50, BINARY), sparams)[1]
     # 10 cycles of a 50-cycle unit schedule leave 40 units on the table
     assert sestimate.truncation_bound == pytest.approx(1e-9 + 40 / 255)
 
@@ -307,7 +309,7 @@ def _valuation_digests(mixture_estimate):
 
     Values are the episode values, means, intervals, episode and failure
     counts of the summable, scalar-weighted, batch and mixture estimators;
-    bounds are their mean remaining rewards and truncation bounds.
+    bounds are their truncation bounds.
     """
     values, bounds = hashlib.sha256(), hashlib.sha256()
 
@@ -330,10 +332,10 @@ def _valuation_digests(mixture_estimate):
     params = ValuationParams(horizon=120, episodes=20, seed=17)
     for factory in (AgentFactory("random", BINARY), AgentFactory("basic", BINARY)):
         for entry in ensemble.entries:
-            episode_values, mean_remaining, failed = summable_episode_values(
+            episode_values, estimate = summable_episode_values(
                 factory, entry.environment, params)
-            add(values, len(episode_values), *episode_values, failed)
-            add(bounds, mean_remaining)
+            add(values, len(episode_values), *episode_values, estimate.failed_episodes)
+            add(bounds, estimate.truncation_bound)
         add_estimate(mixture_estimate(factory, mixed, params, draws=300))
 
     basic = AgentFactory("basic", BINARY)
@@ -358,8 +360,10 @@ def test_valuation_golden_hash(mixture_estimate):
     # a reordered draw.  The values digest was recorded before the episode
     # loops were merged into one kernel and has held since.  The bounds
     # digest moved when the mixture bound began to count unearned reward,
-    # and when reward-free programs began to stop after cycle 1 with a
-    # remaining bound of 0.
+    # when reward-free programs began to stop after cycle 1 with a
+    # remaining bound of 0, and when it began to take each environment's
+    # truncation bound in place of its mean remaining reward; the estimates
+    # of the removed `summable_value` give the same digest.
     values, bounds = _valuation_digests(mixture_estimate)
     assert values == GOLDEN_VALUES_DIGEST
     assert bounds == GOLDEN_BOUNDS_DIGEST
@@ -368,7 +372,12 @@ def test_valuation_golden_hash(mixture_estimate):
 # ------------------------------------------------- agent-free rollouts
 
 def _reference_episode_values(agent_factory, env_model, params):
-    """Every episode played in full with its policy, whatever the environment."""
+    """Every episode played in full with its policy, whatever the environment.
+
+    Returns the episode values and their estimate, built here from the
+    definition: the mean, its normal-approximation half-width, and a
+    truncation bound of trunc_epsilon plus the mean reward still to earn.
+    """
     values, remainders, failed = [], [], 0
     for index in range(params.episodes):
         policy = agent_factory.make(random.Random(derive_seed(
@@ -391,7 +400,14 @@ def _reference_episode_values(agent_factory, env_model, params):
             continue
         values.append(total / env_model.space.reward_denominator)
         remainders.append(min(1.0, episode.remaining_reward_bound))
-    return np.asarray(values), float(np.mean(remainders)), failed
+    values = np.asarray(values)
+    z = NormalDist().inv_cdf((1.0 + params.confidence) / 2.0)
+    return values, ValueEstimate(
+        mean=float(np.mean(values)),
+        ci_half_width=z * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
+        episodes_used=len(values),
+        truncation_bound=params.trunc_epsilon + float(np.mean(remainders)),
+        failed_episodes=failed)
 
 
 class _Counting:
@@ -440,21 +456,19 @@ HAND_PICKED = (
 
 
 def test_agent_free_rollouts_match_the_full_reference():
-    # Skipping the policy of an environment that never reads an action, and
-    # replaying a deterministic one, must leave every number unchanged.
+    # Skipping the policy of an environment that never reads an action,
+    # replaying a deterministic one, and valuing a proven reward-free one at
+    # 0 unplayed must leave every number of the estimate unchanged.
     programs = enumerate_programs(17) + [encode_program(ops) for ops in HAND_PICKED]
     params = ValuationParams(horizon=40, episodes=4, seed=29)
     factories = [AgentFactory(name, BINARY) for name in ("random", "basic", "2back")]
     for program in programs:
         env = proven(program)
         for factory in factories:
-            got_values, got_remaining, got_failed = summable_episode_values(
-                factory, env, params)
-            want_values, want_remaining, want_failed = _reference_episode_values(
-                factory, env, params)
+            got_values, got = summable_episode_values(factory, env, params)
+            want_values, want = _reference_episode_values(factory, env, params)
             assert np.array_equal(got_values, want_values), program.instructions
-            assert got_remaining == want_remaining, program.instructions
-            assert got_failed == want_failed
+            assert got == want, program.instructions
 
 
 def test_agent_free_paths_follow_the_declared_facts():
