@@ -63,10 +63,6 @@ class RunConfig:
         if self.bootstrap_samples > MAX_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"bootstrap_samples must be at most {MAX_BOOTSTRAP_SAMPLES}, "
                               f"got {self.bootstrap_samples}")
-        if self.valuation.episodes < 2:
-            # one episode per environment has no spread to give an interval
-            raise ConfigError(f"valuation.episodes must be at least 2, "
-                              f"got {self.valuation.episodes}")
         draws = self.bootstrap_samples * self.valuation.episodes
         if draws > MAX_BOOTSTRAP_DRAWS:
             raise ConfigError(f"bootstrap_samples times valuation.episodes must be at most "
@@ -215,6 +211,10 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     run = sections["run"]
+    # one episode has no spread to give an interval (ValuationParams allows 1)
+    episodes = sections["valuation"].get("episodes", 2)
+    if episodes < 2:
+        raise ConfigError(f"valuation.episodes must be at least 2, got {episodes}")
     return RunConfig(
         space=_build(SpaceConfig, "space", sections["space"]),
         machine=_build(MachineConfig, "machine", sections["machine"]),

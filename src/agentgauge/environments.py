@@ -21,9 +21,10 @@ A program environment declares `reads_actions` (its program has
 layer plays an episode that reads no action without the agent and, when it
 is deterministic too, only once per estimate.  A model that declares
 neither, like the copy environment, is assumed to read actions and draw
-randomness.  A program environment also carries its `reward_free` verdict,
-proved when the ensemble is built; an estimate for an in-process agent
-values a proven reward-free environment at 0 and plays no episode of it.
+randomness.  A program environment also declares its loop-free `summary`,
+which `lockstep_step` applies to an in-process agent's episodes together,
+and its `reward_free` verdict, proved when the ensemble is built; such an
+agent's estimate values a proven reward-free environment at 0, unplayed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
-from .machine import EnvProcess, EnvProgram, MachineConfig
+from .machine import CycleSummary, EnvProcess, EnvProgram, MachineConfig, summarize_cycle
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,14 @@ class ProgramEnvironment:
     @property
     def deterministic(self) -> bool:
         return "random_bit" not in self.program.instructions
+
+    @property
+    def summary(self) -> CycleSummary | None:
+        """The summary `lockstep_step` applies each cycle, or None: for a program
+        with a loop, a cycle that does not reach emit, or cells past int64."""
+        summary = summarize_cycle(self.program, self.machine)
+        fits = summary and summary.emits and self.machine.cell_modulus <= 2 ** 62
+        return summary if fits else None
 
     def spawn(self, rng: random.Random) -> EnvProcess:
         process = EnvProcess(self.program, self.machine, self.space, rng=rng)

@@ -19,9 +19,9 @@ evaluates it once per process, relative to the start pointer
 (symbolic execution, King 1976): the random-bit and action writes, the net
 change of each cell, the net pointer move, the step count and whether it
 emits.  With shortcuts on, `EnvProcess.step` applies that summary instead
-of dispatching instruction by instruction.  The interpreter runs programs
-with loops, and every program when shortcuts are off, which makes it the
-reference the summary is tested against.
+of dispatching instruction by instruction, and `lockstep_step` applies it
+to many processes at once.  The interpreter runs programs with loops, and
+every program when shortcuts are off, which makes it the reference.
 
 Reward emission is budget-limited: a process can emit at most D/D = 1 of
 total reward over its lifetime (numerators are clamped to the remaining
@@ -47,6 +47,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .coding import (
     elias_gamma_decode,
@@ -537,6 +539,30 @@ class EnvProcess:
                 raw_numerator = self.budget
             self.budget -= raw_numerator
         return _new_tuple(Percept, (raw_obs, raw_numerator))
+
+
+def lockstep_step(summary: CycleSummary, machine: MachineConfig, space: SpaceConfig,
+                  tape: np.ndarray, ptr: int, budget: np.ndarray, actions: np.ndarray | None,
+                  bits: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """`EnvProcess.step` with shortcuts on, for processes of one loop-free
+    program whose cycle emits, one per column of the int64 `tape` (cells x
+    processes).  They share `ptr`: each cycle moves it by `move`.  Each random
+    bit of the summary takes a row of `bits`, reads take `actions` (None: all
+    0), and rewards are clamped to `budget`, which is spent.  Returns the new
+    pointer, the observations and the reward numerators.  Cells must fit int64
+    with room for one increment: `cell_modulus` at most 2^62."""
+    _, rands, reads, increments, move, _, _ = summary
+    modulus = machine.cell_modulus
+    for cell, row in zip(rands, bits):
+        tape[ptr + cell] = row
+    for cell in reads:
+        tape[ptr + cell] = 0 if actions is None else actions % modulus
+    for cell, amount in increments:
+        tape[ptr + cell] = (tape[ptr + cell] + amount) % modulus
+    ptr = (ptr + move) % machine.tape_length
+    numerators = np.minimum(tape[ptr + 1 - len(tape)] % (space.reward_denominator + 1), budget)
+    budget -= numerators
+    return ptr, tape[ptr] % space.observation_count, numerators
 
 
 class _ScriptedBits:

@@ -38,7 +38,8 @@ def validate_report(report: dict) -> None:
     check("ensemble", report["ensemble"], ("max_length_bits",), 1)
     check("ensemble", report["ensemble"], ("program_count", "entry_count"), 0)
     check("ensemble", report["ensemble"], ("kraft_sum_float",), high=1.0)
-    check("valuation", report["valuation"], ("horizon", "episodes"), 1)
+    check("valuation", report["valuation"], ("horizon",), 1)
+    check("valuation", report["valuation"], ("episodes",), 2)
     check("valuation", report["valuation"], ("trunc_epsilon", "confidence"))
     for name, agent in report["agents"].items():
         check(f"agents.{name}", agent, ("intelligence",), 0.0, 1.000001)

@@ -20,18 +20,23 @@ through a small contiguous block, and weight it with one `rewards @ weights`
 product: the product's last bits depend on each row's place in the matrix,
 so a streamed weighted sum would not reproduce them.
 
+The summable episodes of an in-process agent in an environment with a cycle
+`summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
+group of them a cycle at a time by machine `lockstep_step`, while each live
+episode's own policy observes and acts, so learners run there as well.
+
 An environment that never reads an action (a program without `read_action`)
-yields the same percepts for every agent.  When the
-agent is an in-process factory, whose policy is built fresh for each episode
-and observed by nothing else, `_rollout` then builds no policy and steps with
-action 0.  For such a factory, `summable_episode_values` values an
-environment proven reward-free at 0 with no episode at all, which is what
-each episode would give: one cycle with reward 0 and bound 0.  It plays one
-episode and repeats it where the environment reads no action and is
-deterministic (no `random_bit`).  Environment streams keep their seeds and
-the policy's stream was never read by the environment, so every value is
-what the full loop gives.  External agents always see every percept: their
-replies and warnings are part of the report.
+yields the same percepts for every agent.  When the agent is an in-process
+factory, whose policy is built fresh for each episode and observed by
+nothing else, no policy is built and every action is 0.  For such a factory,
+`summable_episode_values` values an environment proven reward-free at 0 with
+no episode at all, which is what each episode would give: one cycle with
+reward 0 and bound 0.  It plays one episode and repeats it where the
+environment reads no action and is deterministic (no `random_bit`).  Every
+episode keeps the seeds and stop rule of `_rollout`, and the policy's stream
+was never read by the environment, so every value is what the full loop
+gives.  External agents always see every percept: their replies and
+warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  The one fact an episode reports about
@@ -51,6 +56,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
+from .interaction import Percept
+from .machine import lockstep_step
 from .seeding import derive_seed
 
 # More is almost surely a typo, which would fail deep inside a rollout.
@@ -92,19 +99,12 @@ class ValueEstimate:
     failed_episodes: int = 0
 
 
-def _z_score(confidence: float) -> float:
-    return NormalDist().inv_cdf((1.0 + confidence) / 2.0)
-
-
 def _estimate(values: np.ndarray, confidence: float, truncation_bound: float,
               failed: int = 0) -> ValueEstimate:
     n = len(values)
-    mean = float(np.mean(values)) if n else 0.0
-    if n > 1:
-        half = _z_score(confidence) * float(np.std(values, ddof=1)) / math.sqrt(n)
-    else:
-        half = 0.0
-    return ValueEstimate(mean=mean, ci_half_width=half, episodes_used=n,
+    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    half = z * float(np.std(values, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return ValueEstimate(mean=float(np.mean(values)), ci_half_width=half, episodes_used=n,
                          truncation_bound=truncation_bound, failed_episodes=failed)
 
 
@@ -258,45 +258,109 @@ def summable_episode_values(agent_factory, env_model,
                             params: ValuationParams) -> tuple[np.ndarray, ValueEstimate]:
     """Per-episode total rewards for a summable environment, and their estimate.
 
-    Each episode is one `_rollout` with epsilon = trunc_epsilon.  Failed
+    Each episode plays as one `_rollout` with epsilon = trunc_epsilon; failed
     rollouts (external agents only) are excluded, not scored as zero.  The
     estimate's truncation bound is trunc_epsilon plus the mean reward the
     episodes could still have earned when they stopped.  For a factory with
     private policies, an environment proven reward-free is worth 0 in every
-    episode with bound 0, so none is played; one that never reads an action
-    and is deterministic gives the same episode whatever its index, so it is
-    played once and its result repeated.
+    episode with bound 0, so none is played; one that reads no action and is
+    deterministic gives the same episode whatever its index, so it is played
+    once; any other with a cycle `summary` is played in `_lockstep`.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
     private = getattr(agent_factory, "private_policies", False)
     if private and getattr(env_model, "reward_free", False):
-        zeros = np.zeros(params.episodes)
-        return zeros, _estimate(zeros, params.confidence, params.trunc_epsilon)
+        return (np.zeros(params.episodes),
+                ValueEstimate(0.0, 0.0, params.episodes, params.trunc_epsilon))
     replay = _agent_free(agent_factory, env_model) and getattr(env_model, "deterministic", False)
-    values: list[float] = []
-    remainders: list[float] = []
+    summary = getattr(env_model, "summary", None) if private and not replay else None
     failed = 0
-    for index in range(1 if replay else params.episodes):
-        try:
-            numerators, episode = _rollout(agent_factory, env_model, params.seed, index,
-                                           params.horizon, params.trunc_epsilon)
-        except RolloutFailed:
-            failed += 1
-            continue
-        values.append(sum(numerators) / env_model.space.reward_denominator)
-        remainders.append(min(1.0, episode.remaining_reward_bound))
-    if replay:
-        values *= params.episodes
-        remainders *= params.episodes
-    if not values:
-        raise RolloutFailed(
-            f"all {params.episodes} rollouts failed for agent {agent_factory.name} "
-            f"on {env_model.identifier}")
+    if summary is not None:
+        values, remainders = _lockstep(agent_factory, env_model, summary, params)
+    else:
+        values, remainders = [], []
+        for index in range(1 if replay else params.episodes):
+            try:
+                numerators, episode = _rollout(agent_factory, env_model, params.seed, index,
+                                               params.horizon, params.trunc_epsilon)
+            except RolloutFailed:
+                failed += 1
+                continue
+            values.append(sum(numerators) / env_model.space.reward_denominator)
+            remainders.append(min(1.0, episode.remaining_reward_bound))
+        if replay:
+            values *= params.episodes
+            remainders *= params.episodes
+        if not values:
+            raise RolloutFailed(
+                f"all {params.episodes} rollouts failed for agent {agent_factory.name} "
+                f"on {env_model.identifier}")
     array = np.asarray(values)
     return array, _estimate(array, params.confidence,
                             params.trunc_epsilon + float(np.mean(remainders)), failed)
+
+
+# A lockstep group's tape cells or random bits at a time, and its episodes,
+# each holding one or two random streams of 2.5 kB and maybe a policy
+_LOCKSTEP_CELLS = 1 << 20
+_LOCKSTEP_EPISODES = 1024
+
+
+def _random_bits(rngs: list, count: int) -> np.ndarray:
+    """The next `count` getrandbits(1) results of each stream, a column each: the
+    top bits of the 32-bit outputs getrandbits(32 * count) joins, first lowest."""
+    words = np.frombuffer(b"".join(rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+                                   for rng in rngs), dtype="<u4")
+    return words.reshape(len(rngs), count).T >> 31
+
+
+def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
+    """Values and remaining reward bounds of every episode, played in groups
+    of at most `_LOCKSTEP_EPISODES` that take each cycle in one `lockstep_step`.
+    Each episode and its policy, if the environment reads actions, keep the
+    random streams and the stop rule of `_rollout`."""
+    machine, space, width = env_model.machine, env_model.space, len(summary.rands)
+    group = max(1, min(_LOCKSTEP_EPISODES, _LOCKSTEP_CELLS // max(machine.tape_length, width)))
+    span = max(1, _LOCKSTEP_CELLS // (group * width)) if width else params.horizon
+    labels = (agent_factory.name, env_model.identifier)
+    values, remainders = np.empty(params.episodes), np.empty(params.episodes)
+    for first in range(0, params.episodes, group):
+        indices = range(first, min(params.episodes, first + group))
+        n = len(indices)
+        rngs = [random.Random(derive_seed(params.seed, "env", *labels, i))
+                for i in indices] if width else []
+        policies = [agent_factory.make(random.Random(derive_seed(params.seed, "agent", *labels, i)))
+                    for i in indices] if not _agent_free(agent_factory, env_model) else []
+        tape, ptr, actions, block = np.zeros((machine.tape_length, n), dtype=np.int64), 0, None, ()
+        # a static cycle keeps the tape zero: (0, 0), then frozen with bound 0
+        budget = np.full(n, 0 if summary.static else space.reward_denominator)
+        totals, live, alive, acted = np.zeros_like(budget), np.ones(n, bool), range(n), [0] * n
+        for cycle in range(params.horizon):
+            row = width * (cycle % span)
+            if width and not row:
+                block = _random_bits(rngs, width * min(span, params.horizon - cycle))
+            ptr, observations, numerators = lockstep_step(
+                summary, machine, space, tape, ptr, budget, actions, block[row:row + width])
+            totals += numerators
+            bound = budget / space.reward_denominator
+            stop = live & ((bound < params.trunc_epsilon) | (cycle == params.horizon - 1))
+            if stop.any():
+                values[first:first + n][stop] = totals[stop] / space.reward_denominator
+                remainders[first:first + n][stop] = bound[stop]
+                live &= ~stop
+                alive = np.flatnonzero(live).tolist()
+            if not alive:
+                break
+            if policies:
+                observations, numerators = observations.tolist(), numerators.tolist()
+                for j in alive:
+                    policies[j].observe(Percept(observations[j], numerators[j]))
+                    acted[j] = policies[j].act()
+                actions = np.array(acted)
+        del tape, block  # before the next group's
+    return values, remainders
 
 
 def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int,

@@ -141,7 +141,7 @@ BOUNDS = [
     (("ensemble", "entry_count"), 0, -1),
     (("ensemble", "kraft_sum_float"), 1.0, math.nextafter(1.0, 2.0)),
     (("valuation", "horizon"), 1, 0),
-    (("valuation", "episodes"), 1, 0),
+    (("valuation", "episodes"), 2, 1),
     (("agents", "basic", "intelligence"), 0.0, -TINY),
     (("agents", "basic", "intelligence"), 1.000001, math.nextafter(1.000001, 2.0)),
     (("agents", "basic", "ci_half_width"), 0.0, -TINY),
@@ -375,6 +375,20 @@ def test_one_episode_exits_2_at_config_time(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error: valuation.episodes must be at least 2, got 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+def test_zero_episodes_exit_2_naming_the_bound_the_command_enforces(tmp_path, capsys, command):
+    # the valuation layer alone would accept 1 episode, which these commands reject
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n"
+                      "valuation.episodes = 0\n", encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: valuation.episodes must be at least 2, got 0" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -11,6 +11,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from agentgauge import valuation
 from agentgauge.agents import AgentFactory
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
@@ -469,6 +470,72 @@ def test_agent_free_rollouts_match_the_full_reference():
             want_values, want = _reference_episode_values(factory, env, params)
             assert np.array_equal(got_values, want_values), program.instructions
             assert got == want, program.instructions
+
+
+def test_lockstep_episodes_match_the_full_reference(monkeypatch):
+    # Episodes played in lockstep must give every number the scalar loop
+    # gives: on a small machine with three actions and observations, with
+    # episodes that stop early at trunc_epsilon 0.3, with cells as wide as
+    # int64 allows, and on unproven reward-free programs, whose static
+    # summaries freeze after cycle 1 with a remaining bound of 0.  Groups
+    # of two episodes make each estimate play three groups.
+    monkeypatch.setattr(valuation, "_LOCKSTEP_EPISODES", 2)
+    space = SpaceConfig(action_count=3, observation_count=3, reward_denominator=7)
+    factories = [AgentFactory(name, space) for name in ("random", "basic", "2back")]
+    lockstepped = 0
+    for machine, trunc_epsilon in ((MachineConfig(tape_length=5, cell_modulus=3), 0.3),
+                                   (MachineConfig(tape_length=3, cell_modulus=2 ** 62), 1e-9)):
+        params = ValuationParams(horizon=30, episodes=5, trunc_epsilon=trunc_epsilon, seed=8)
+        programs = enumerate_programs(17, machine)
+        programs += [encode_program(ops, machine) for ops in HAND_PICKED]
+        for program in programs:
+            for reward_free in {proves_reward_free(program, machine, space), False}:
+                env = ProgramEnvironment(program, machine, space, reward_free)
+                lockstepped += (env.summary is not None and not reward_free
+                                and (env.reads_actions or not env.deterministic))
+                for factory in factories:
+                    got_values, got = summable_episode_values(factory, env, params)
+                    want_values, want = _reference_episode_values(factory, env, params)
+                    assert np.array_equal(got_values, want_values), program.instructions
+                    assert got == want, program.instructions
+    assert lockstepped > 100
+    assert ProgramEnvironment(program, MachineConfig(cell_modulus=2 ** 62 + 1), space,
+                              False).summary is None
+
+
+def test_bulk_bits_are_successive_single_bit_draws():
+    # The lockstep draws an episode's random bits as the top bits of one
+    # getrandbits(32 * n) call; each must be the getrandbits(1) that
+    # EnvProcess.step would have drawn, block after block of one stream.
+    for seed in (0, 7, 2 ** 64 - 1):
+        for counts in ((1,), (3, 1, 64), (33, 500)):
+            bulk = [random.Random(seed + k) for k in range(3)]
+            single = [random.Random(seed + k) for k in range(3)]
+            for count in counts:
+                want = [[rng.getrandbits(1) for _ in range(count)] for rng in single]
+                assert valuation._random_bits(bulk, count).T.tolist() == want
+
+
+def test_lockstep_memory_is_bounded_whatever_the_horizon_and_episodes():
+    # The program never spends its budget (it rewards only odd cells, and
+    # writes only even ones), so every episode runs to the horizon.  Whole,
+    # the first run's tapes would take 32 MB and the second's random bits
+    # 32 MB as 32-bit words; in groups, one tape array and one block of bits
+    # hold at most 2^20 values each.
+    program = encode_program(["random_bit", "move_right", "move_right", "inc", "emit"])
+    for tape_length, episodes, horizon in ((65_536, 64, 3000), (64, 2048, 4000)):
+        machine = MachineConfig(tape_length=tape_length)
+        env = ProgramEnvironment(program, machine, BINARY, reward_free=False)
+        params = ValuationParams(horizon=horizon, episodes=episodes, seed=1)
+        tracemalloc.start()
+        try:
+            values, estimate = summable_episode_values(AgentFactory("random", BINARY),
+                                                       env, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20, (tape_length, peak)
+        assert not values.any() and estimate.truncation_bound == 1.0 + 1e-9
 
 
 def test_agent_free_paths_follow_the_declared_facts():
