@@ -2,16 +2,29 @@
 three scripted policies from the worked copy-environment example.
 
 An agent is its roster name: `AgentFactory("2back", space)` is the handle a
-run holds, and `factory.make(rng)` builds a fresh single-rollout policy
-instance, so learner tables are never shared across rollouts.  Policy
-instances follow a small protocol:
+run holds.  It builds policies in two forms, which take the same actions
+from the same random streams:
 
-    policy.observe(percept)     # update hook, called after every percept
-    policy.act()                # the action for the current cycle
+    policy = factory.make(rng)          # one episode's policy
+    policy.observe(percept)             # update hook, called after every percept
+    policy.act()                        # the action for the current cycle
 
-Scripted agents and the uniform random agent only depend on the cycle index
-(`AgentFactory.prob_action_one`), which lets the valuation layer run them in
-vectorized episode batches.
+    batch = factory.batch(rngs)         # one policy per stream, stepped together
+    actions = batch.step(live, observations, numerators)
+
+A fresh policy serves each rollout, so learner tables are never shared
+across episodes.  A batch policy serves one lockstep group: each call takes
+the percepts of the live episodes (`live` holds their indices in the group,
+ascending, and only loses episodes) as int64 arrays and returns their int64
+actions.  It builds no per-episode object; the one Python operation per
+episode is a learner's dict lookup of each key that changed.  It draws each
+episode's random numbers ahead in blocks, which changes no action: an
+episode's stream is its policy's alone and is dropped with it.
+
+Scripted agents and the uniform random agent on binary actions only depend
+on the cycle index (`AgentFactory.prob_action_one`), which also lets the
+valuation layer run them in vectorized episode batches of the copy
+environment, with NumPy's streams in place of the per-episode ones.
 """
 
 from __future__ import annotations
@@ -19,6 +32,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+
+import numpy as np
 
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
@@ -163,6 +180,198 @@ class _TablePolicy:
         return action
 
 
+# Draws of one group's streams made ahead at a time, at most; a block starts
+# at 8 draws per episode and doubles, so an episode that stops early draws few.
+_AHEAD_DRAWS = 1 << 16
+
+
+def _random_floats(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """random() of each pair of 32-bit outputs a, b, all accepted: CPython
+    makes it ((a >> 5) 2^26 + (b >> 6)) / 2^53."""
+    floats = ((words[..., 0] >> 5) * 67108864.0 + (words[..., 1] >> 6)) / 9007199254740992.0
+    return floats, np.ones(floats.shape, dtype=bool)
+
+
+def _below(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """randrange(n) candidates of 32-bit outputs and which are accepted:
+    CPython takes the top n.bit_length() bits and draws again while they are
+    n or more."""
+    bits = (words[..., 0] >> (32 - n.bit_length())).astype(np.int64)
+    return bits, bits < n
+
+
+class _Ahead:
+    """Successive draws of each live episode's own random stream, made ahead.
+
+    `convert` turns rows of `words` 32-bit outputs, one row per draw, into
+    draws and a mask of those accepted.  A block row holds an episode's
+    accepted draws first, in stream order, and each live episode takes its
+    next one per `take`.  When one has none left, a new block of each live
+    episode's untaken draws and then fresh ones, as many as fill its row,
+    follows.
+    """
+
+    __slots__ = ("rngs", "words", "convert", "episodes", "drawn", "count", "least", "used")
+
+    def __init__(self, rngs: list, words: int, convert) -> None:
+        self.rngs, self.words, self.convert = rngs, words, convert
+        self.episodes = np.arange(len(rngs))  # the live episodes, a block row each
+        self.drawn = np.empty((len(rngs), 0), dtype=np.int64)
+        self.count = np.zeros(len(rngs), dtype=np.int64)  # accepted draws per row
+        self.least = 0  # the fewest of them
+        self.used = 0  # draws each row gave
+
+    def take(self, live: np.ndarray) -> np.ndarray:
+        if live.size < self.episodes.size:  # drop the rows of episodes that stopped
+            keep = self.episodes.searchsorted(live)
+            self.rngs = [self.rngs[i] for i in keep.tolist()]
+            self.episodes, self.drawn, self.count = live, self.drawn[keep], self.count[keep]
+            self.least = self.count.min()
+        while self.used == self.least:
+            untaken = self.drawn[:, self.used:]
+            size = min(max(1, _AHEAD_DRAWS // live.size), max(8, 2 * self.drawn.shape[1]))
+            kept = np.arange(size) < (self.count - self.used)[:, None]
+            need = self.words * (size - kept.sum(axis=1))
+            words = np.frombuffer(b"".join(
+                rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+                for rng, k in zip(self.rngs, need.tolist())), dtype="<u4")
+            fresh, accepted = self.convert(words.reshape(-1, self.words))
+            block = np.empty(kept.shape, dtype=fresh.dtype)
+            block[kept], block[~kept] = untaken[kept[:, :untaken.shape[1]]], fresh
+            ok = kept.copy()
+            ok[~kept] = accepted
+            self.drawn = np.take_along_axis(block, np.argsort(~ok, axis=1, kind="stable"), axis=1)
+            self.count = ok.sum(axis=1)
+            self.least = self.count.min()
+            self.used = 0
+        self.used += 1
+        return self.drawn[:, self.used - 1]
+
+
+class _UniformBatch:
+    __slots__ = ("draws",)
+
+    def __init__(self, n_actions: int, rngs: list) -> None:
+        self.draws = _Ahead(rngs, 1, partial(_below, n_actions))
+
+    def step(self, live, observations, numerators) -> np.ndarray:
+        return self.draws.take(live)
+
+
+class _ScriptedBatch:
+    __slots__ = ("name", "draws", "cycles")
+
+    def __init__(self, name: str, rngs: list) -> None:
+        self.name = name
+        self.draws = _Ahead(rngs, 2, _random_floats)
+        self.cycles = 0
+
+    def step(self, live, observations, numerators) -> np.ndarray:
+        self.cycles += 1
+        p_one = scripted_prob_action_one(self.name, self.cycles)
+        if p_one in (0.0, 1.0):
+            return np.full(live.size, int(p_one), dtype=np.int64)
+        return (self.draws.take(live) < p_one).astype(np.int64)
+
+
+class _TableBatch:
+    """`_TablePolicy` for every live episode of a lockstep group at once.
+
+    Row i of `window` is a live episode's index and then the fields of its
+    current key, with -1 in those a short window has yet to fill, so its
+    bytes tell keys apart as the tuples do.  A dict maps them to a slot: a
+    row of the (slots x actions) `counts`, `totals` and `means`.  Sums,
+    means, the first greedy maximum and act's walk over the cumulative
+    action distribution use `_TablePolicy`'s float operations in its order,
+    so each episode takes the action its own `_TablePolicy` would.
+    """
+
+    __slots__ = ("space", "base", "episodes", "window", "slots", "counts", "totals", "means",
+                 "unsampled", "current", "actions", "rewards", "draws", "uniform",
+                 "cumulative", "peaks")
+
+    def __init__(self, space: SpaceConfig, back: int, epsilon: float, rngs: list) -> None:
+        n = space.action_count
+        self.space = space
+        self.episodes = np.arange(len(rngs))  # the live episodes, a row each
+        self.window = np.full((len(rngs), 2 + 3 * back), -1, dtype=np.int32)
+        self.window[:, 0] = self.episodes
+        self.slots: dict[bytes, int] = {}
+        self.counts, self.totals, self.means = (np.zeros((0, n)) for _ in range(3))
+        self.unsampled = np.zeros(0, dtype=np.int64)  # per slot: actions never taken
+        # per episode: the slot of its key, its last action and last reward
+        self.current, self.actions, self.rewards = (
+            np.zeros(len(rngs), dtype=np.int64) for _ in range(3))
+        self.draws = _Ahead(rngs, 2, _random_floats)
+        # thresholds of act's running sum, the last action's infinite: uniform,
+        # and with base epsilon/n before the greedy action, at it, and after it
+        self.uniform = np.cumsum(np.full(n, 1.0 / n))
+        self.uniform[-1] = np.inf
+        self.base = epsilon / n
+        self.cumulative = np.cumsum(np.full(n, self.base))
+        self.peaks = np.concatenate(([0.0], self.cumulative[:-1])) + (1.0 - self.base * (n - 1))
+
+    def step(self, live, observations, numerators) -> np.ndarray:
+        if live.size < self.episodes.size:  # drop the rows of episodes that stopped
+            keep = self.episodes.searchsorted(live)
+            self.episodes = live
+            self.window, self.current, self.actions, self.rewards = (
+                self.window[keep], self.current[keep], self.actions[keep], self.rewards[keep])
+        window, n = self.window, self.space.action_count
+        before = window.copy()
+        if self.slots:  # each episode's last action earned this reward under its key
+            at = self.current * n + self.actions
+            counts = self.counts.take(at) + 1.0
+            totals = self.totals.take(at) + numerators / self.space.reward_denominator
+            np.put(self.counts, at, counts)
+            np.put(self.totals, at, totals)
+            np.put(self.means, at, totals / counts)
+            self.unsampled[self.current] -= counts == 1.0
+            if window.shape[1] > 2:
+                window[:, 5:] = window[:, 2:-3]
+                window[:, 2], window[:, 3], window[:, 4] = self.actions, window[:, 1], self.rewards
+        window[:, 1] = observations
+        self.rewards = numerators
+        moved = (window != before).any(axis=1).nonzero()[0]  # a kept key keeps its slot
+        keys = window[moved].view(f"V{4 * window.shape[1]}").ravel().tolist()
+        found = np.fromiter(map(self.slots.get, keys, repeat(-1)), np.int64, len(keys))
+        new = (found < 0).nonzero()[0]  # one key per episode: none is new twice
+        if new.size:
+            found[new] = np.arange(len(self.slots), len(self.slots) + new.size)
+            self.slots.update(zip([keys[i] for i in new.tolist()], found[new].tolist()))
+            if len(self.slots) > len(self.counts):
+                grow = np.zeros((len(self.slots), n))
+                tables = self.counts, self.totals, self.means
+                self.counts, self.totals, self.means = (np.concatenate((t, grow)) for t in tables)
+                self.unsampled = np.concatenate((self.unsampled, np.full(len(grow), n)))
+        self.current[moved] = found
+        self.actions = self._act(self.current, self.draws.take(live))
+        return self.actions
+
+    def _act(self, current: np.ndarray, r: np.ndarray) -> np.ndarray:
+        actions = self.uniform.searchsorted(r, side="right")
+        greedy = self.unsampled[current] == 0
+        if np.count_nonzero(greedy):
+            best = self.means.take(current[greedy], axis=0).argmax(axis=1)
+            r = r[greedy]
+            chosen = np.minimum(self.cumulative.searchsorted(r, side="right"), best)
+            after = r >= self.peaks[best]
+            if np.count_nonzero(after):
+                for g in set(best[after].tolist()):
+                    at = after & (best == g)
+                    chosen[at] = g + self._walk(g).searchsorted(r[at], side="right")
+            actions[greedy] = chosen
+        return actions
+
+    def _walk(self, greedy: int) -> np.ndarray:
+        """Thresholds of act's sum from the greedy action's on: it adds the
+        base once per further action, and the last action takes the rest."""
+        sums = np.cumsum(np.concatenate(
+            ([self.peaks[greedy]], np.full(self.space.action_count - 1 - greedy, self.base))))
+        sums[-1] = np.inf
+        return sums
+
+
 # `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
 # and "01back" of 1back, and two roster entries would then share one name.
 _KBACK_NAME = re.compile(r"[1-9][0-9]*back")
@@ -210,5 +419,17 @@ class AgentFactory:
             return _UniformPolicy(self.space.action_count, rng)
         if self.name in _SCRIPTED_NAMES:
             return _ScriptedPolicy(self.name, rng)
-        back = 0 if self.name == "basic" else int(self.name[:-4])
-        return _TablePolicy(self.space, back, self.epsilon, rng)
+        return _TablePolicy(self.space, self._back, self.epsilon, rng)
+
+    def batch(self, rngs: list[random.Random]):
+        """The policies `make` builds from `rngs`, as one batch policy."""
+        if self.name == "random":
+            return _UniformBatch(self.space.action_count, rngs)
+        if self.name in _SCRIPTED_NAMES:
+            return _ScriptedBatch(self.name, rngs)
+        return _TableBatch(self.space, self._back, self.epsilon, rngs)
+
+    @property
+    def _back(self) -> int:
+        """A learner's window: the cycles its key holds beyond the observation."""
+        return 0 if self.name == "basic" else int(self.name[:-4])

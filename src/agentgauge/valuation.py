@@ -20,10 +20,13 @@ through a small contiguous block, and weight it with one `rewards @ weights`
 product: the product's last bits depend on each row's place in the matrix,
 so a streamed weighted sum would not reproduce them.
 
-The summable episodes of an in-process agent in an environment with a cycle
+The summable episodes of a built-in agent in an environment with a cycle
 `summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
-group of them a cycle at a time by machine `lockstep_step`, while each live
-episode's own policy observes and acts, so learners run there as well.
+group of them a cycle at a time by machine `lockstep_step` and one step of
+the agent's batch policy (`AgentFactory.batch`), which observes every live
+episode and returns their actions as int64 arrays.  It is built from the
+episodes' own policy streams and takes the actions their scalar policies
+would, learners included, so every value is the one `_rollout` gives.
 
 An environment that never reads an action (a program without `read_action`)
 yields the same percepts for every agent.  When the agent is an in-process
@@ -56,7 +59,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
-from .interaction import Percept
 from .machine import lockstep_step
 from .seeding import derive_seed
 
@@ -302,8 +304,10 @@ def summable_episode_values(agent_factory, env_model,
                             params.trunc_epsilon + float(np.mean(remainders)), failed)
 
 
-# A lockstep group's tape cells or random bits at a time, and its episodes,
-# each holding one or two random streams of 2.5 kB and maybe a policy
+# At most this many of a lockstep group's tape cells, of its random bits
+# drawn at a time, and of the values in the learner table rows it reads each
+# cycle (|A| per episode); and at most this many episodes, each holding one
+# or two random streams of 2.5 kB and its share of the batch policy
 _LOCKSTEP_CELLS = 1 << 20
 _LOCKSTEP_EPISODES = 1024
 
@@ -318,11 +322,13 @@ def _random_bits(rngs: list, count: int) -> np.ndarray:
 
 def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
     """Values and remaining reward bounds of every episode, played in groups
-    of at most `_LOCKSTEP_EPISODES` that take each cycle in one `lockstep_step`.
-    Each episode and its policy, if the environment reads actions, keep the
-    random streams and the stop rule of `_rollout`."""
+    of at most `_LOCKSTEP_EPISODES` that take each cycle in one `lockstep_step`
+    and, if the environment reads actions, one step of the group's batch
+    policy.  Each episode and its policy keep the random streams and the stop
+    rule of `_rollout`."""
     machine, space, width = env_model.machine, env_model.space, len(summary.rands)
-    group = max(1, min(_LOCKSTEP_EPISODES, _LOCKSTEP_CELLS // max(machine.tape_length, width)))
+    group = max(1, min(_LOCKSTEP_EPISODES, _LOCKSTEP_CELLS // max(
+        machine.tape_length, width, space.action_count)))
     span = max(1, _LOCKSTEP_CELLS // (group * width)) if width else params.horizon
     labels = (agent_factory.name, env_model.identifier)
     values, remainders = np.empty(params.episodes), np.empty(params.episodes)
@@ -331,12 +337,13 @@ def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
         n = len(indices)
         rngs = [random.Random(derive_seed(params.seed, "env", *labels, i))
                 for i in indices] if width else []
-        policies = [agent_factory.make(random.Random(derive_seed(params.seed, "agent", *labels, i)))
-                    for i in indices] if not _agent_free(agent_factory, env_model) else []
-        tape, ptr, actions, block = np.zeros((machine.tape_length, n), dtype=np.int64), 0, None, ()
+        policy = None if _agent_free(agent_factory, env_model) else agent_factory.batch(
+            [random.Random(derive_seed(params.seed, "agent", *labels, i)) for i in indices])
+        tape, ptr, block = np.zeros((machine.tape_length, n), dtype=np.int64), 0, ()
         # a static cycle keeps the tape zero: (0, 0), then frozen with bound 0
         budget = np.full(n, 0 if summary.static else space.reward_denominator)
-        totals, live, alive, acted = np.zeros_like(budget), np.ones(n, bool), range(n), [0] * n
+        totals, live, actions = np.zeros_like(budget), np.ones(n, bool), np.zeros_like(budget)
+        alive = np.arange(n)
         for cycle in range(params.horizon):
             row = width * (cycle % span)
             if width and not row:
@@ -350,16 +357,12 @@ def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
                 values[first:first + n][stop] = totals[stop] / space.reward_denominator
                 remainders[first:first + n][stop] = bound[stop]
                 live &= ~stop
-                alive = np.flatnonzero(live).tolist()
-            if not alive:
+                alive = np.flatnonzero(live)
+            if not alive.size:
                 break
-            if policies:
-                observations, numerators = observations.tolist(), numerators.tolist()
-                for j in alive:
-                    policies[j].observe(Percept(observations[j], numerators[j]))
-                    acted[j] = policies[j].act()
-                actions = np.array(acted)
-        del tape, block  # before the next group's
+            if policy is not None:
+                actions[alive] = policy.step(alive, observations[alive], numerators[alive])
+        del tape, block, policy  # before the next group's
     return values, remainders
 
 

@@ -6,12 +6,13 @@ import hashlib
 import math
 import random
 import tracemalloc
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from agentgauge import valuation
+from agentgauge import agents, valuation
 from agentgauge.agents import AgentFactory
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
@@ -503,6 +504,50 @@ def test_lockstep_episodes_match_the_full_reference(monkeypatch):
                               False).summary is None
 
 
+def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
+    # Each built-in agent's batch policy must take every action its episode's
+    # own policy takes: learners with windows of 0, 1 and 3 cycles at epsilon
+    # 0, 0.1 and 1, random and the learners on 1, 2 and 5 actions, random on
+    # 65,536, and the scripted agents, pi_2 past its random phase's start at
+    # cycle 5,001.  Groups of three episodes, which spend a budget of 63 at
+    # different cycles, and blocks of draws as short as one cycle make each
+    # estimate drop episodes mid-group and refill its draws many times.
+    monkeypatch.setattr(valuation, "_LOCKSTEP_EPISODES", 3)
+    machine = MachineConfig(tape_length=5, cell_modulus=7)
+    params = ValuationParams(horizon=30, episodes=5, trunc_epsilon=1e-3, seed=12)
+    spaces = [SpaceConfig(action_count=n, observation_count=3, reward_denominator=63)
+              for n in (1, 2, 5)]
+    factories = [AgentFactory(name, space, epsilon) for space in spaces
+                 for name in ("basic", "1back", "3back") for epsilon in (0.0, 0.1, 1.0)]
+    factories += [AgentFactory("random", space) for space in spaces]
+    factories += [AgentFactory(name, spaces[1]) for name in ("pi_opt", "pi_1", "pi_2")]
+    factories.append(AgentFactory("random", SpaceConfig(65536, 3, 63)))
+    # the first reward is (action - 1) mod 7, so the greedy action is 0 and
+    # act walks past it with probability epsilon (n - 1) / n; the second is
+    # the action of three cycles before, so the actions' means often tie
+    programs = HAND_PICKED + (["read_action", "dec", "move_left", "emit"],
+                              ["read_action", "move_right", "emit"])
+    cases = [(ProgramEnvironment(encode_program(ops, machine), machine, factory.space, False),
+              factory, params) for ops in programs for factory in factories]
+    # the action is the reward, out of a budget that outlasts pi_2's phases
+    space = SpaceConfig(action_count=2, observation_count=2, reward_denominator=65535)
+    echo = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
+                              MachineConfig(), space, False)
+    cases.append((echo, AgentFactory("pi_2", space), ValuationParams(horizon=5030, episodes=3)))
+    lockstepped = 0
+    for ahead in (1, agents._AHEAD_DRAWS):
+        monkeypatch.setattr(agents, "_AHEAD_DRAWS", ahead)
+        for env, factory, params in cases:
+            lockstepped += env.summary is not None and env.reads_actions
+            got_values, got = summable_episode_values(factory, env, params)
+            want_values, want = _reference_episode_values(factory, env, params)
+            assert np.array_equal(got_values, want_values), (factory, env.identifier)
+            assert got == want, (factory, env.identifier)
+    assert lockstepped > 200
+    # pi_2's episodes, the last case, part only in the random phase they reached
+    assert 0.0 < np.std(got_values) and max(got_values) < 1.0
+
+
 def test_bulk_bits_are_successive_single_bit_draws():
     # The lockstep draws an episode's random bits as the top bits of one
     # getrandbits(32 * n) call; each must be the getrandbits(1) that
@@ -516,25 +561,51 @@ def test_bulk_bits_are_successive_single_bit_draws():
                 assert valuation._random_bits(bulk, count).T.tolist() == want
 
 
+def test_bulk_draws_are_successive_randrange_and_random_draws(monkeypatch):
+    # A batch policy draws ahead: randrange(n) as the top n.bit_length() bits
+    # of 32-bit outputs, drawing again above n, and random() from two outputs.
+    # Each must be the call its episode's own policy would have made, block
+    # after block of one stream, as episodes stop and the blocks refill, so a
+    # change to either function in CPython fails here.
+    def check(convert, words, call):
+        ahead = agents._Ahead([random.Random(seed + k) for k in range(3)], words, convert)
+        single = [random.Random(seed + k) for k in range(3)]
+        for live in [[0, 1, 2]] * 40 + [[0, 2]] * 100 + [[2]] * 300:
+            want = [call(single[i]) for i in live]
+            assert ahead.take(np.array(live)).tolist() == want
+
+    for cap in (1, 7, agents._AHEAD_DRAWS):
+        monkeypatch.setattr(agents, "_AHEAD_DRAWS", cap)
+        for seed in (0, 7, 2 ** 64 - 1):
+            for n in (1, 2, 3, 5, 65_536):
+                check(partial(agents._below, n), 1, lambda rng: rng.randrange(n))
+            check(agents._random_floats, 2, random.Random.random)
+
+
 def test_lockstep_memory_is_bounded_whatever_the_horizon_and_episodes():
-    # The program never spends its budget (it rewards only odd cells, and
-    # writes only even ones), so every episode runs to the horizon.  Whole,
-    # the first run's tapes would take 32 MB and the second's random bits
-    # 32 MB as 32-bit words; in groups, one tape array and one block of bits
-    # hold at most 2^20 values each.
-    program = encode_program(["random_bit", "move_right", "move_right", "inc", "emit"])
-    for tape_length, episodes, horizon in ((65_536, 64, 3000), (64, 2048, 4000)):
+    # The programs never spend their budget (they reward only odd cells, and
+    # write only even ones), so every episode runs to the horizon.  Whole,
+    # the first run's tapes would take 32 MB, the second's random bits 32 MB
+    # as 32-bit words, and the policy draws of the last two, which read an
+    # action in place of a bit, 64 MB as 64-bit actions or random() floats;
+    # in groups, one tape array and one block of bits hold at most 2^20
+    # values each, and one block of policy draws at most 2^16.
+    drawn = encode_program(["random_bit", "move_right", "move_right", "inc", "emit"])
+    read = encode_program(["read_action", "move_right", "move_right", "inc", "emit"])
+    for program, agent, tape_length, episodes, horizon in (
+            (drawn, "random", 65_536, 64, 3000), (drawn, "random", 64, 2048, 4000),
+            (read, "random", 64, 2048, 4000), (read, "2back", 64, 2048, 4000)):
         machine = MachineConfig(tape_length=tape_length)
         env = ProgramEnvironment(program, machine, BINARY, reward_free=False)
         params = ValuationParams(horizon=horizon, episodes=episodes, seed=1)
         tracemalloc.start()
         try:
-            values, estimate = summable_episode_values(AgentFactory("random", BINARY),
+            values, estimate = summable_episode_values(AgentFactory(agent, BINARY),
                                                        env, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 20 * 2 ** 20, (tape_length, peak)
+        assert peak < 20 * 2 ** 20, (agent, tape_length, peak)
         assert not values.any() and estimate.truncation_bound == 1.0 + 1e-9
 
 
