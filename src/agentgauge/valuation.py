@@ -14,11 +14,10 @@ kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
 and harmonic values and reward profiles of cycle-indexed agents in
 batch-capable environments run vectorized in lockstep instead
 (`_batch_numerators`).  A reward profile keeps only a per-cycle sum over
-episodes while they run.  Discounted and harmonic values hold an
-(episodes, cycles) float64 matrix, filled `_BLOCK_CYCLES` cycles at a time
-through a small contiguous block, and weight it with one `rewards @ weights`
-product: the product's last bits depend on each row's place in the matrix,
-so a streamed weighted sum would not reproduce them.
+episodes while they run.  Discounted and harmonic values keep only each
+episode's weighted sum, a Kahan-compensated running sum over its cycles
+(`_weighted_values`): O(episodes) memory, and bits that do not depend on
+the BLAS build or its thread count.
 
 The summable episodes of a built-in agent in an environment with a cycle
 `summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
@@ -168,9 +167,6 @@ def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
     return numerators, episode
 
 
-_BLOCK_CYCLES = 64
-
-
 def _batched(agent_factory, env_model) -> bool:
     """True when a cycle-indexed agent meets a batch-capable environment."""
     return (getattr(agent_factory, "supports_batch", False)
@@ -196,32 +192,36 @@ def _batch_numerators(agent_factory, env_model, n_episodes: int, cycles: int, se
         yield env_model.batch_step(state, actions)
 
 
-def _reward_values(agent_factory, env_model, episodes: int, cycles: int,
-                   seed: int) -> np.ndarray:
-    """Reward values, shape (episodes, cycles), by batch or by scalar rollout.
+def _weighted_values(agent_factory, env_model, episodes: int, weights: np.ndarray,
+                     seed: int) -> np.ndarray:
+    """Each episode's Kahan-compensated sum, in cycle order, of (n_k / D) * w_k.
 
-    A cycle-indexed agent in a batch-capable environment runs in lockstep; its
-    cycles are gathered in a contiguous block of `_BLOCK_CYCLES` rows and
-    written into the matrix one transposed block at a time.  Otherwise each
-    episode is one `_rollout` with epsilon 0, which stops early only where
-    the remaining reward bound is 0, so the rest of its row is exactly zero.
-    """
+    Batch episodes update (episodes,) arrays in place; a scalar `_rollout`
+    (epsilon 0), which stops early only at bound 0, is padded with zero terms.
+    Both paths do the same IEEE operations in the same order, so a
+    deterministic agent gets the same bits on either, whatever the BLAS."""
     denominator = env_model.space.reward_denominator
     if _batched(agent_factory, env_model):
-        out = np.empty((episodes, cycles), dtype=np.float64)
-        block = np.empty((min(_BLOCK_CYCLES, cycles), episodes), dtype=np.float64)
-        batch = _batch_numerators(agent_factory, env_model, episodes, cycles, seed)
-        for k, numerators in enumerate(batch):
-            row = k % len(block)
-            block[row] = numerators
-            if row == len(block) - 1 or k == cycles - 1:
-                np.divide(block[: row + 1].T, denominator, out=out[:, k - row : k + 1])
-        return out
-    out = np.zeros((episodes, cycles), dtype=np.float64)
+        total, carry, y, t = (np.zeros(episodes) for _ in range(4))
+        batch = _batch_numerators(agent_factory, env_model, episodes, len(weights), seed)
+        for numerators, w in zip(batch, weights):
+            np.multiply(np.divide(numerators, denominator, out=y), w, out=y)
+            y -= carry
+            np.subtract(np.add(total, y, out=t), total, out=carry)
+            carry -= y
+            total, t = t, total
+        return total
+    values, weights = np.empty(episodes), weights.tolist()
     for index in range(episodes):
-        numerators, _ = _rollout(agent_factory, env_model, seed, index, cycles, 0.0)
-        out[index, : len(numerators)] = numerators
-    return out / denominator
+        numerators, _ = _rollout(agent_factory, env_model, seed, index, len(weights), 0.0)
+        total = carry = 0.0
+        for n, w in zip(numerators + [0] * (len(weights) - len(numerators)), weights):
+            y = n / denominator * w - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
+        values[index] = total
+    return values
 
 
 def discounted_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -236,8 +236,8 @@ def discounted_value(agent_factory, env_model, params: ValuationParams) -> Value
                  max(1, math.ceil(math.log(params.trunc_epsilon) / math.log(gamma))))
     # w_i = gamma^i / Gamma for i = 1..cycles
     weights = np.power(gamma, np.arange(1, cycles + 1)) * (1.0 - gamma) / gamma
-    rewards = _reward_values(agent_factory, env_model, params.episodes, cycles, params.seed)
-    return _estimate(rewards @ weights, params.confidence, truncation_bound=gamma ** cycles)
+    values = _weighted_values(agent_factory, env_model, params.episodes, weights, params.seed)
+    return _estimate(values, params.confidence, truncation_bound=gamma ** cycles)
 
 
 def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -251,8 +251,8 @@ def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
                  max(1, math.ceil(1.0 / (params.trunc_epsilon * normalizer))))
     t = np.arange(1, cycles + 1, dtype=np.float64)
     weights = 1.0 / (t * t) / normalizer
-    rewards = _reward_values(agent_factory, env_model, params.episodes, cycles, params.seed)
-    return _estimate(rewards @ weights, params.confidence,
+    values = _weighted_values(agent_factory, env_model, params.episodes, weights, params.seed)
+    return _estimate(values, params.confidence,
                      truncation_bound=(1.0 / cycles) / normalizer)
 
 

@@ -779,8 +779,10 @@ def test_example_study_outputs(tmp_path):
 
 def test_example_study_bytes_are_golden(tmp_path):
     # Exact bytes of the worked study; a faster kernel must not move a digit.
-    # Recorded before batch profiles were reduced as they run and before the
-    # discounted matrix was filled by cycle blocks.
+    # profiles.csv was recorded before batch profiles were reduced as they
+    # run.  study.json was re-recorded when discounted values became
+    # Kahan-compensated per-episode sums: the matrix-vector product they
+    # replaced gave bits that depended on the BLAS thread count.
     out = tmp_path / "study"
     assert main(["example-study", "--out", str(out), "--seed", "3",
                  "--episodes", "300", "--cycles", "400",
@@ -788,9 +790,24 @@ def test_example_study_bytes_are_golden(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("study.json", "profiles.csv")}
     assert digests == {
-        "study.json": "d3a6d9cce273483c26ab3134979aaaae5c3d294a74637dcd70d517e8bbc14e3e",
+        "study.json": "6dd620145607dd9b3c679049a7da0a25e1785434e570aba4f0af1891ee6b6ee1",
         "profiles.csv": "2c51144b4957f139a1602ace4c67fa61189177cf92e8756b368dfa159adf5baf",
     }
+
+
+def test_example_study_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # No BLAS kernel sums the discounted values, so its row split cannot
+    # move their last bits.
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"study-{threads}"
+        subprocess.run([sys.executable, "-m", "agentgauge.cli", "example-study",
+                        "--out", str(out), "--seed", "3", "--episodes", "300",
+                        "--cycles", "400", "--discount-episodes", "300"],
+                       env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+                       capture_output=True, check=True, timeout=120)
+        digests.add(hashlib.sha256((out / "study.json").read_bytes()).hexdigest())
+    assert digests == {"6dd620145607dd9b3c679049a7da0a25e1785434e570aba4f0af1891ee6b6ee1"}
 
 
 def test_example_study_shorter_than_a_phase_writes_valid_json(tmp_path):

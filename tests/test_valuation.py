@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from agentgauge import agents, valuation
-from agentgauge.agents import AgentFactory
+from agentgauge.agents import AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
 from agentgauge.interaction import SpaceConfig
@@ -47,7 +47,7 @@ def proven(program, machine=MachineConfig(), space=BINARY):
                               proves_reward_free(program, machine, space))
 
 
-GOLDEN_VALUES_DIGEST = "18fad326aee0333606374ab04fac09e97fd6f3beadd3446b2341f844274ad533"
+GOLDEN_VALUES_DIGEST = "94e3c8c08ef3acf5691499f87510a4fcd18575513301d284b998efa416768b2a"
 GOLDEN_BOUNDS_DIGEST = "869fb63851a2febb217276b93133eba3fb2aa5d13518d75b16969a7640a3ef99"
 
 
@@ -306,6 +306,49 @@ def test_batch_profile_is_reduced_as_it_runs():
     assert batch.tolist() == [0.0] + [1.0] * 299
 
 
+def test_batch_weighted_values_are_reduced_as_they_run():
+    # An (episodes, cycles) float64 matrix here would take 44 MB.
+    pi_1, copy = AgentFactory("pi_1", UNIT), CopyEnvironment(UNIT)
+    params = ValuationParams(gamma=0.99, horizon=2750, episodes=2000,
+                             trunc_epsilon=1e-12, seed=0)
+    tracemalloc.start()
+    try:
+        discounted = discounted_value(pi_1, copy, params)
+        harmonic = harmonic_value(pi_1, copy, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert discounted.truncation_bound == 0.99 ** 2750
+    assert abs(discounted.mean - 0.495) < 3 * discounted.ci_half_width
+    assert 0.0 < harmonic.mean < 1.0 - 6.0 / math.pi ** 2
+
+
+def test_deterministic_weighted_values_are_correctly_rounded_sums():
+    # A deterministic agent plays the same episode every time, so each
+    # episode's value must be the correctly rounded sum of its terms.
+    copy = CopyEnvironment(UNIT)
+    cases = [(gamma, 1e-12) for gamma in (0.5, 0.7, 0.9, 0.95, 0.99)]
+    cases += [(0.9, 1e-18), (0.99, 1e-18)]
+    for name in ("pi_opt", "pi_2"):
+        factory = AgentFactory(name, UNIT)
+        for gamma, epsilon in cases:
+            params = ValuationParams(gamma=gamma, horizon=10 ** 6, episodes=2,
+                                     trunc_epsilon=epsilon, seed=4)
+            cycles = math.ceil(math.log(epsilon) / math.log(gamma))
+            weights = np.power(gamma, np.arange(1, cycles + 1)) * (1.0 - gamma) / gamma
+            # the copy environment pays at cycle k the action taken at k - 1
+            rewards = [0.0] + [scripted_prob_action_one(name, k) for k in range(1, cycles)]
+            exact = math.fsum(float(r * w) for r, w in zip(rewards, weights))
+            for env in (copy, _NoBatch(copy)):
+                assert discounted_value(factory, env, params).mean == exact, (name, gamma)
+        params = ValuationParams(gamma=0.99, horizon=3000, episodes=3,
+                                 trunc_epsilon=1e-12, seed=4)
+        for value in (discounted_value, harmonic_value):
+            assert repr(value(factory, copy, params)) == repr(
+                value(factory, _NoBatch(copy), params))
+
+
 def _valuation_digests(mixture_estimate):
     """Digests of the values and of the truncation bounds of the estimators.
 
@@ -359,8 +402,10 @@ def _valuation_digests(mixture_estimate):
 
 def test_valuation_golden_hash(mixture_estimate):
     # Exact output of the estimators; the statistical tests above cannot see
-    # a reordered draw.  The values digest was recorded before the episode
-    # loops were merged into one kernel and has held since.  The bounds
+    # a reordered draw.  The values digest moved when discounted and
+    # harmonic values became Kahan-compensated per-episode sums in place of
+    # a matrix-vector product whose bits depended on the BLAS thread count;
+    # the draws and every other value held.  The bounds
     # digest moved when the mixture bound began to count unearned reward,
     # when reward-free programs began to stop after cycle 1 with a
     # remaining bound of 0, and when it began to take each environment's
