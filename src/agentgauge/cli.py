@@ -53,7 +53,7 @@ from .valuation import MAX_EPISODES, ValuationParams, discounted_value, per_cycl
 MAX_WORKERS = 64
 # A reward profile holds a float per cycle; ten million of them take 80 MB.
 MAX_STUDY_CYCLES = 10_000_000
-# The study's 15 discounted values take about 9 s at this many episodes.
+# The study's 15 discounted values take about 3 s at this many episodes.
 MAX_DISCOUNT_EPISODES = 100_000
 # The number of distinct opcode tables.
 MAX_PERMUTATIONS = math.factorial(len(INSTRUCTION_NAMES))

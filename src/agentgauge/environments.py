@@ -12,10 +12,10 @@ truncation epsilon, and reports it as the truncated mass.  A program
 environment whose program provably never emits a positive reward spawns its
 episodes with their reward budget spent, so it is 0 from the first cycle on.
 Models whose `supports_batch` is true (only the copy environment, whose long
-reward profiles need it) can also run many episodes in lockstep: `state =
-model.begin_batch(n)` starts n episodes and `model.batch_step(state,
-actions)` advances them all one cycle, taking an int64 action array (None on
-the first cycle) and returning the int64 array of their reward numerators.
+reward profiles need it) can also run many episodes in lockstep:
+`model.batch_step(actions)` advances them all one cycle, taking an int64
+action array (None on the first cycle) and returning their int64 reward
+numerators.  A length-1 array, in or out, stands for every episode.
 A program environment declares `reads_actions` (its program has
 `read_action`) and `deterministic` (it has no `random_bit`); the valuation
 layer plays an episode that reads no action without the agent and, when it
@@ -129,10 +129,7 @@ class CopyEnvironment:
     def spawn(self, rng: random.Random) -> _CopyEpisode:
         return _CopyEpisode(self.space.reward_denominator)
 
-    def begin_batch(self, n_episodes: int) -> int:
-        return n_episodes
-
-    def batch_step(self, n_episodes: int, actions: np.ndarray | None) -> np.ndarray:
+    def batch_step(self, actions: np.ndarray | None) -> np.ndarray:
         if actions is None:
-            return np.zeros(n_episodes, dtype=np.int64)
+            return np.zeros(1, dtype=np.int64)
         return actions * self.space.reward_denominator

@@ -13,11 +13,14 @@ The notions differ only in a per-cycle weight vector and a stop rule.  One
 kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
 and harmonic values and reward profiles of cycle-indexed agents in
 batch-capable environments run vectorized in lockstep instead
-(`_batch_numerators`).  A reward profile keeps only a per-cycle sum over
-episodes while they run.  Discounted and harmonic values keep only each
-episode's weighted sum, a Kahan-compensated running sum over its cycles
-(`_weighted_values`): O(episodes) memory, and bits that do not depend on
-the BLAS build or its thread count.
+(`_batch_numerators`), where episodes that no draw has yet told apart are
+one column, so a deterministic agent costs O(1) per cycle.  A reward
+profile keeps only a per-cycle sum over episodes while they run.
+Discounted and harmonic values keep only each episode's weighted sum, a
+Kahan-compensated running sum over its cycles (`_weighted_values`): at most
+O(episodes) memory, and bits that do not depend on the BLAS build or its
+thread count.  An estimate of equal episode values is that value, with
+half-width 0.
 
 The summable episodes of a built-in agent in an environment with a cycle
 `summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
@@ -103,9 +106,13 @@ class ValueEstimate:
 def _estimate(values: np.ndarray, confidence: float, truncation_bound: float,
               failed: int = 0) -> ValueEstimate:
     n = len(values)
-    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
-    half = z * float(np.std(values, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return ValueEstimate(mean=float(np.mean(values)), ci_half_width=half, episodes_used=n,
+    if values.min() == values.max():
+        # equal values are their own mean; np.mean's rounded sum would not be
+        mean, half = float(values[0]), 0.0
+    else:
+        z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+        mean, half = float(np.mean(values)), z * float(np.std(values, ddof=1)) / math.sqrt(n)
+    return ValueEstimate(mean=mean, ci_half_width=half, episodes_used=n,
                          truncation_bound=truncation_bound, failed_episodes=failed)
 
 
@@ -174,43 +181,47 @@ def _batched(agent_factory, env_model) -> bool:
 
 
 def _batch_numerators(agent_factory, env_model, n_episodes: int, cycles: int, seed: int):
-    """Reward numerators of `n_episodes` lockstep episodes, one array per cycle."""
+    """Reward numerators of `n_episodes` lockstep episodes, one array per cycle.
+
+    The first cycle, and every cycle whose action probability is 0 or 1,
+    yields a length-1 array that stands for every episode: no draw tells
+    them apart there.  A cycle that draws yields one numerator per episode."""
     rng = np.random.default_rng(
         derive_seed(seed, "batch", agent_factory.name, env_model.identifier))
-    state = env_model.begin_batch(n_episodes)
-    yield env_model.batch_step(state, None)
-    zeros = np.zeros(n_episodes, dtype=np.int64)
-    ones = np.ones(n_episodes, dtype=np.int64)
+    yield env_model.batch_step(None)
     for k in range(1, cycles):
         p_one = agent_factory.prob_action_one(k)
-        if p_one <= 0.0:
-            actions = zeros
-        elif p_one >= 1.0:
-            actions = ones
-        else:
+        if 0.0 < p_one < 1.0:
             actions = (rng.random(n_episodes) < p_one).astype(np.int64)
-        yield env_model.batch_step(state, actions)
+        else:
+            actions = np.full(1, p_one >= 1.0, dtype=np.int64)
+        yield env_model.batch_step(actions)
 
 
 def _weighted_values(agent_factory, env_model, episodes: int, weights: np.ndarray,
                      seed: int) -> np.ndarray:
     """Each episode's Kahan-compensated sum, in cycle order, of (n_k / D) * w_k.
 
-    Batch episodes update (episodes,) arrays in place; a scalar `_rollout`
+    Batch episodes update arrays in place, at width 1 until the first
+    numerator array of width `episodes` (before it, no draw has told them
+    apart) and broadcast to it then: a float64 op on one element gives the
+    bits it gives on each of n equal ones.  A scalar `_rollout`
     (epsilon 0), which stops early only at bound 0, is padded with zero terms.
     Both paths do the same IEEE operations in the same order, so a
     deterministic agent gets the same bits on either, whatever the BLAS."""
     denominator = env_model.space.reward_denominator
     if _batched(agent_factory, env_model):
-        total, carry, y, t = (np.zeros(episodes) for _ in range(4))
+        total, carry, y, t = (np.zeros(1) for _ in range(4))
         batch = _batch_numerators(agent_factory, env_model, episodes, len(weights), seed)
         for numerators, w in zip(batch, weights):
+            if numerators.size > total.size:
+                total, carry, y, t = (np.full(episodes, a[0]) for a in (total, carry, y, t))
             np.multiply(np.divide(numerators, denominator, out=y), w, out=y)
             y -= carry
             np.subtract(np.add(total, y, out=t), total, out=carry)
             carry -= y
             total, t = t, total
-        return total
+        return np.broadcast_to(total, episodes)
     values, weights = np.empty(episodes), weights.tolist()
     for index in range(episodes):
         numerators, _ = _rollout(agent_factory, env_model, seed, index, len(weights), 0.0)
@@ -383,7 +394,8 @@ def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: in
     if _batched(agent_factory, env_model):
         batch = _batch_numerators(agent_factory, env_model, episodes, cycles, seed)
         for k, numerators in enumerate(batch):
-            sums[k] = numerators.sum()
+            # a length-1 array stands for every episode
+            sums[k] = numerators.sum() * (episodes // numerators.size)
         return sums / denominator / episodes
     for index in range(episodes):
         numerators, _ = _rollout(agent_factory, env_model, seed, index, cycles, 0.0)

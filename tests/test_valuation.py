@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 from statistics import NormalDist
 
@@ -49,6 +50,7 @@ def proven(program, machine=MachineConfig(), space=BINARY):
 
 GOLDEN_VALUES_DIGEST = "94e3c8c08ef3acf5691499f87510a4fcd18575513301d284b998efa416768b2a"
 GOLDEN_BOUNDS_DIGEST = "869fb63851a2febb217276b93133eba3fb2aa5d13518d75b16969a7640a3ef99"
+PI_2_SWITCH_DIGEST = "83612fe8e80ef813f5d5626226dc6e4734db446f2cc309fa249e9ef0b209649f"
 
 
 class _NoBatch:
@@ -322,6 +324,43 @@ def test_batch_weighted_values_are_reduced_as_they_run():
     assert discounted.truncation_bound == 0.99 ** 2750
     assert abs(discounted.mean - 0.495) < 3 * discounted.ci_half_width
     assert 0.0 < harmonic.mean < 1.0 - 6.0 / math.pi ** 2
+
+
+def test_undrawn_episodes_stay_one_column():
+    # pi_opt never draws and pi_2 draws nothing before cycle 5,001, so their
+    # episodes are one column: (episodes,) float64 arrays here take 800 kB
+    # each, and the four running sums of a column per episode 3.2 MB.
+    copy = CopyEnvironment(UNIT)
+    params = ValuationParams(gamma=0.99, horizon=10 ** 6, episodes=100_000,
+                             trunc_epsilon=1e-12, seed=0)
+    for name in ("pi_opt", "pi_2"):
+        tracemalloc.start()
+        try:
+            estimate = discounted_value(AgentFactory(name, UNIT), copy, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20, name
+        # every episode has the value two give, whose mean is exact
+        two = discounted_value(AgentFactory(name, UNIT), copy, replace(params, episodes=2))
+        assert (estimate.mean, estimate.ci_half_width) == (two.mean, 0.0)
+        assert estimate.episodes_used == 100_000
+
+
+def test_pi_2_switch_to_drawing_is_golden():
+    # pi_2 draws from cycle 5,001 on, where its one column becomes one per
+    # episode; recorded while every cycle still had one column per episode.
+    pi_2, copy = AgentFactory("pi_2", UNIT), CopyEnvironment(UNIT)
+    digest = hashlib.sha256(per_cycle_reward_profile(pi_2, copy, 5050, 40, seed=9).tobytes())
+    for value, params in (
+            (discounted_value, ValuationParams(gamma=0.999, horizon=10 ** 6, episodes=40,
+                                               trunc_epsilon=1e-3, seed=9)),
+            (harmonic_value, ValuationParams(horizon=6000, episodes=40,
+                                             trunc_epsilon=1e-4, seed=9))):
+        estimate = value(pi_2, copy, params)
+        digest.update(np.asarray([estimate.mean, estimate.ci_half_width, estimate.episodes_used,
+                                  estimate.truncation_bound], dtype=np.float64).tobytes())
+    assert digest.hexdigest() == PI_2_SWITCH_DIGEST
 
 
 def test_deterministic_weighted_values_are_correctly_rounded_sums():
