@@ -10,17 +10,15 @@ Three value notions are supported, and the function called is the notion:
   averages.  The intelligence measure uses this one.
 
 The notions differ only in a per-cycle weight vector and a stop rule.  One
-kernel, `_rollout`, plays every scalar episode of every notion.  Discounted
-and harmonic values and reward profiles of cycle-indexed agents in
-batch-capable environments run vectorized in lockstep instead
-(`_batch_numerators`), where episodes that no draw has yet told apart are
-one column, so a deterministic agent costs O(1) per cycle.  A reward
-profile keeps only a per-cycle sum over episodes while they run.
-Discounted and harmonic values keep only each episode's weighted sum, a
-Kahan-compensated running sum over its cycles (`_weighted_values`): at most
-O(episodes) memory, and bits that do not depend on the BLAS build or its
-thread count.  An estimate of equal episode values is that value, with
-half-width 0.
+kernel, `_rollout`, plays every scalar episode of every notion.  A reward
+profile and any discounted and harmonic values of one agent share one pass
+(`_one_pass`) that plays each episode once and reduces it as it runs: to a
+sum per cycle for the profile, and to one Kahan-compensated sum per episode
+for each weighting, so memory is O(episodes) and the bits do not depend on
+the BLAS.  Cycle-indexed agents in batch-capable environments run it
+vectorized in lockstep, where episodes that no draw has told apart are one
+number, so a deterministic agent costs O(1) per cycle.  An estimate of
+equal episode values is that value, with half-width 0.
 
 The summable episodes of a built-in agent in an environment with a cycle
 `summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
@@ -180,59 +178,78 @@ def _batched(agent_factory, env_model) -> bool:
             and getattr(env_model, "supports_batch", False))
 
 
-def _batch_numerators(agent_factory, env_model, n_episodes: int, cycles: int, seed: int):
-    """Reward numerators of `n_episodes` lockstep episodes, one array per cycle.
+def _one_pass(agent_factory, env_model, episodes: int, seed: int, cycles: int,
+              weightings: list) -> tuple[np.ndarray, list[ValueEstimate]]:
+    """Mean reward value of each cycle 1..`cycles` and, for each (weights,
+    confidence, truncation bound) in `weightings`, the estimate of each
+    episode's Kahan-compensated sum, in cycle order, of (n_k / D) * w_k.
 
-    The first cycle, and every cycle whose action probability is 0 or 1,
-    yields a length-1 array that stands for every episode: no draw tells
-    them apart there.  A cycle that draws yields one numerator per episode."""
+    A scalar `_rollout` (epsilon 0) that stops early, at bound 0, is padded
+    with zero terms.  Batch episodes share one NumPy stream, and a weighting
+    keeps one float for them all until a cycle draws, then an array until
+    its last cycle: the same IEEE operations in the same order as a rollout,
+    so a deterministic agent gets the same bits on either path."""
+    denominator = env_model.space.reward_denominator
+    length = max([cycles] + [len(w) for w, *_ in weightings])
+    sums, estimates = np.zeros(cycles), [None] * len(weightings)
+    if not _batched(agent_factory, env_model):
+        lists = [w.tolist() for w, *_ in weightings]
+        values = [np.empty(episodes) for _ in lists]
+        for index in range(episodes):
+            numerators, _ = _rollout(agent_factory, env_model, seed, index, length, 0.0)
+            head = numerators[:cycles]
+            sums[: len(head)] += np.asarray(head, dtype=np.float64) / denominator
+            for weights, row in zip(lists, values):
+                total = carry = 0.0
+                for n, w in zip(numerators + [0] * (len(weights) - len(numerators)), weights):
+                    y = n / denominator * w - carry
+                    t = total + y
+                    carry = (t - total) - y
+                    total = t
+                row[index] = total
+        return sums / episodes, [_estimate(v, *rest) for v, (_, *rest) in zip(values, weightings)]
     rng = np.random.default_rng(
         derive_seed(seed, "batch", agent_factory.name, env_model.identifier))
-    yield env_model.batch_step(None)
-    for k in range(1, cycles):
-        p_one = agent_factory.prob_action_one(k)
-        if 0.0 < p_one < 1.0:
-            actions = (rng.random(n_episodes) < p_one).astype(np.int64)
-        else:
-            actions = np.full(1, p_one >= 1.0, dtype=np.int64)
-        yield env_model.batch_step(actions)
+    live = {i: [0.0, 0.0] for i in range(len(weightings))}  # each one's total and carry
+    actions = y = None
+    for k in range(length):
+        if k:
+            p_one = agent_factory.prob_action_one(k)
+            if 0.0 < p_one < 1.0:
+                actions = (rng.random(episodes) < p_one).astype(np.int64)
+            else:
+                actions = np.full(1, p_one >= 1.0, dtype=np.int64)
+        numerators = env_model.batch_step(actions)
+        if k < cycles:  # a length-1 array stands for every episode
+            sums[k] = numerators.sum() * (episodes // numerators.size)
+        if live and y is None and numerators.size > 1:
+            y, t = np.empty(episodes), np.empty(episodes)
+            live = {i: [np.full(episodes, a) for a in state] for i, state in live.items()}
+        for i, state in live.items():
+            weight, (total, carry) = weightings[i][0][k], state
+            if y is None:
+                term = numerators.item() / denominator * weight - carry
+                state[0] = total + term
+                state[1] = (state[0] - total) - term
+            else:
+                np.multiply(np.divide(numerators, denominator, out=y), weight, out=y)
+                y -= carry
+                np.subtract(np.add(total, y, out=t), total, out=carry)
+                carry -= y
+                state[0], t = t, total
+        for i in [i for i in live if len(weightings[i][0]) == k + 1]:
+            estimates[i] = _estimate(np.broadcast_to(live.pop(i)[0], episodes), *weightings[i][1:])
+    return sums / denominator / episodes, estimates
 
 
-def _weighted_values(agent_factory, env_model, episodes: int, weights: np.ndarray,
-                     seed: int) -> np.ndarray:
-    """Each episode's Kahan-compensated sum, in cycle order, of (n_k / D) * w_k.
-
-    Batch episodes update arrays in place, at width 1 until the first
-    numerator array of width `episodes` (before it, no draw has told them
-    apart) and broadcast to it then: a float64 op on one element gives the
-    bits it gives on each of n equal ones.  A scalar `_rollout`
-    (epsilon 0), which stops early only at bound 0, is padded with zero terms.
-    Both paths do the same IEEE operations in the same order, so a
-    deterministic agent gets the same bits on either, whatever the BLAS."""
-    denominator = env_model.space.reward_denominator
-    if _batched(agent_factory, env_model):
-        total, carry, y, t = (np.zeros(1) for _ in range(4))
-        batch = _batch_numerators(agent_factory, env_model, episodes, len(weights), seed)
-        for numerators, w in zip(batch, weights):
-            if numerators.size > total.size:
-                total, carry, y, t = (np.full(episodes, a[0]) for a in (total, carry, y, t))
-            np.multiply(np.divide(numerators, denominator, out=y), w, out=y)
-            y -= carry
-            np.subtract(np.add(total, y, out=t), total, out=carry)
-            carry -= y
-            total, t = t, total
-        return np.broadcast_to(total, episodes)
-    values, weights = np.empty(episodes), weights.tolist()
-    for index in range(episodes):
-        numerators, _ = _rollout(agent_factory, env_model, seed, index, len(weights), 0.0)
-        total = carry = 0.0
-        for n, w in zip(numerators + [0] * (len(weights) - len(numerators)), weights):
-            y = n / denominator * w - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-        values[index] = total
-    return values
+def _discounting(params: ValuationParams) -> tuple[np.ndarray, float, float]:
+    """The weighting of `discounted_value`: weights, confidence, truncation bound."""
+    gamma = params.gamma
+    cycles = min(params.horizon,
+                 max(1, math.ceil(math.log(params.trunc_epsilon) / math.log(gamma))))
+    # w_i = gamma^i / Gamma for i = 1..cycles
+    weights = np.power(gamma, np.arange(1, cycles + 1)) * (1.0 - gamma) / gamma
+    return weights, params.confidence, gamma ** cycles
 
 
 def discounted_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -242,13 +259,8 @@ def discounted_value(agent_factory, env_model, params: ValuationParams) -> Value
     trunc_epsilon (capped by the horizon); the actual tail fraction is
     reported as the truncation bound.
     """
-    gamma = params.gamma
-    cycles = min(params.horizon,
-                 max(1, math.ceil(math.log(params.trunc_epsilon) / math.log(gamma))))
-    # w_i = gamma^i / Gamma for i = 1..cycles
-    weights = np.power(gamma, np.arange(1, cycles + 1)) * (1.0 - gamma) / gamma
-    values = _weighted_values(agent_factory, env_model, params.episodes, weights, params.seed)
-    return _estimate(values, params.confidence, truncation_bound=gamma ** cycles)
+    return _one_pass(agent_factory, env_model, params.episodes, params.seed, 0,
+                     [_discounting(params)])[1][0]
 
 
 def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEstimate:
@@ -261,10 +273,8 @@ def harmonic_value(agent_factory, env_model, params: ValuationParams) -> ValueEs
     cycles = min(params.horizon,
                  max(1, math.ceil(1.0 / (params.trunc_epsilon * normalizer))))
     t = np.arange(1, cycles + 1, dtype=np.float64)
-    weights = 1.0 / (t * t) / normalizer
-    values = _weighted_values(agent_factory, env_model, params.episodes, weights, params.seed)
-    return _estimate(values, params.confidence,
-                     truncation_bound=(1.0 / cycles) / normalizer)
+    return _one_pass(agent_factory, env_model, params.episodes, params.seed, 0, [(
+        1.0 / (t * t) / normalizer, params.confidence, (1.0 / cycles) / normalizer)])[1][0]
 
 
 def summable_episode_values(agent_factory, env_model,
@@ -377,27 +387,23 @@ def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
     return values, remainders
 
 
-def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int,
-                             seed: int) -> np.ndarray:
-    """Monte Carlo estimate of the mean reward value at each cycle 1..cycles.
+def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int, seed: int,
+                             discounts=()) -> tuple[np.ndarray, list[ValueEstimate]]:
+    """Monte Carlo estimate of the mean reward value at each cycle 1..cycles,
+    and the `discounted_value` of each ValuationParams in `discounts`.
 
-    Episodes are summed per cycle as they run; no (episodes, cycles) matrix
-    is built.  A batch cycle sums its integer numerators exactly; scalar
-    episodes are added row by row in episode order, as a column mean would.
+    No (episodes, cycles) matrix is built.  A batch cycle sums its integer
+    numerators exactly; scalar episodes are added in episode order, as a
+    column mean would.  A discount with this episode count and seed joins
+    the profile's pass, any other is valued on its own: the bits are the same.
     """
     if cycles < 1:
         raise AgentGaugeError("cycles must be >= 1")
     if episodes < 1:
         raise AgentGaugeError("episodes must be >= 1")
-    denominator = env_model.space.reward_denominator
-    sums = np.zeros(cycles, dtype=np.float64)
-    if _batched(agent_factory, env_model):
-        batch = _batch_numerators(agent_factory, env_model, episodes, cycles, seed)
-        for k, numerators in enumerate(batch):
-            # a length-1 array stands for every episode
-            sums[k] = numerators.sum() * (episodes // numerators.size)
-        return sums / denominator / episodes
-    for index in range(episodes):
-        numerators, _ = _rollout(agent_factory, env_model, seed, index, cycles, 0.0)
-        sums[: len(numerators)] += np.asarray(numerators, dtype=np.float64) / denominator
-    return sums / episodes
+    joins = [(p.episodes, p.seed) == (episodes, seed) for p in discounts]
+    profile, estimates = _one_pass(agent_factory, env_model, episodes, seed, cycles, [
+        _discounting(p) for p, joined in zip(discounts, joins) if joined])
+    shared = iter(estimates)
+    return profile, [next(shared) if joined else discounted_value(agent_factory, env_model, p)
+                     for p, joined in zip(discounts, joins)]

@@ -82,8 +82,8 @@ def test_acceptance_1_worked_example_phases():
         env = CopyEnvironment(UNIT)
         pi_1, pi_2 = AgentFactory("pi_1", UNIT), AgentFactory("pi_2", UNIT)
         cycles, episodes, seed = 5200, 10_000, 424243
-        profile_1 = per_cycle_reward_profile(pi_1, env, cycles, episodes, seed)
-        profile_2 = per_cycle_reward_profile(pi_2, env, cycles, episodes, seed)
+        profile_1, _ = per_cycle_reward_profile(pi_1, env, cycles, episodes, seed)
+        profile_2, _ = per_cycle_reward_profile(pi_2, env, cycles, episodes, seed)
         elapsed = time.monotonic() - started
 
         assert np.all(profile_1[1:101] >= 0.48) and np.all(profile_1[1:101] <= 0.52)

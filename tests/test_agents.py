@@ -122,8 +122,8 @@ def test_two_back_matches_basic_on_memoryless_environment():
     # convergence the two learners' late-window mean rewards agree.
     env = CopyEnvironment(BINARY)
     window = slice(200, 300)
-    basic_profile = per_cycle_reward_profile(AgentFactory("basic", BINARY), env, 300, 50, seed=13)
-    deep_profile = per_cycle_reward_profile(AgentFactory("2back", BINARY), env, 300, 50, seed=13)
+    basic_profile, _ = per_cycle_reward_profile(AgentFactory("basic", BINARY), env, 300, 50, 13)
+    deep_profile, _ = per_cycle_reward_profile(AgentFactory("2back", BINARY), env, 300, 50, 13)
     assert abs(float(basic_profile[window].mean()) - float(deep_profile[window].mean())) < 0.05
 
 
@@ -150,7 +150,7 @@ def test_pi_opt_earns_every_cycle_on_copy():
     space = SpaceConfig(2, 1, 1)
     env = CopyEnvironment(space)
     pi_opt = AgentFactory("pi_opt", space)
-    profile = per_cycle_reward_profile(pi_opt, env, 50, 1, seed=0)
+    profile, _ = per_cycle_reward_profile(pi_opt, env, 50, 1, seed=0)
     assert profile[0] == 0.0
     assert all(value == 1.0 for value in profile[1:])
 
@@ -159,8 +159,8 @@ def test_pi_1_half_reward_and_pi_2_zero_in_short_phase():
     space = SpaceConfig(2, 1, 1)
     env = CopyEnvironment(space)
     pi_1, pi_2 = AgentFactory("pi_1", space), AgentFactory("pi_2", space)
-    profile_1 = per_cycle_reward_profile(pi_1, env, 101, 3000, seed=1)
-    profile_2 = per_cycle_reward_profile(pi_2, env, 101, 3, seed=1)
+    profile_1, _ = per_cycle_reward_profile(pi_1, env, 101, 3000, seed=1)
+    profile_2, _ = per_cycle_reward_profile(pi_2, env, 101, 3, seed=1)
     assert float(profile_1[1:].mean()) == pytest.approx(0.5, abs=0.02)
     assert all(value == 0.0 for value in profile_2[1:])
 

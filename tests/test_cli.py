@@ -19,7 +19,7 @@ import jsonschema
 import pytest
 
 import agentgauge
-from agentgauge import cli, machine, measure
+from agentgauge import cli, machine, measure, valuation
 from agentgauge.cli import (MAX_DISCOUNT_EPISODES, MAX_PERMUTATIONS, MAX_STUDY_CYCLES,
                             MAX_WORKERS, build_parser, main)
 from agentgauge.config import (_KNOWN_KEYS, MAX_BOOTSTRAP_DRAWS, MAX_BOOTSTRAP_SAMPLES,
@@ -775,6 +775,35 @@ def test_example_study_outputs(tmp_path):
     assert len(rows) == 130
     assert float(rows[0]["pi_opt"]) == 0.0  # no action precedes the first reward
     assert float(rows[1]["pi_opt"]) == 1.0
+
+
+@pytest.mark.parametrize("discount_episodes, generators", [("300", 3), ("200", 18)],
+                         ids=["shared", "separate"])
+def test_example_study_draws_each_agents_stream_once(tmp_path, monkeypatch, discount_episodes,
+                                                    generators):
+    # Discounts with the profile's episode count join its pass, so each of
+    # the three agents makes one NumPy generator; with another count, each
+    # of the 15 discounted values makes its own.  Every one is made inside
+    # the agent's call of cli.per_cycle_reward_profile, where bench/launch.py
+    # ends set-up.
+    calls, made = [], []
+    profile, default_rng = cli.per_cycle_reward_profile, valuation.np.random.default_rng
+
+    def through_cli(factory, *args, **kwargs):
+        calls.append(factory.name)
+        return profile(factory, *args, **kwargs)
+
+    def counted(*args):
+        made.append(len(calls))
+        return default_rng(*args)
+
+    monkeypatch.setattr(cli, "per_cycle_reward_profile", through_cli)
+    monkeypatch.setattr(valuation.np.random, "default_rng", counted)
+    assert main(["example-study", "--out", str(tmp_path / "study"), "--seed", "3",
+                 "--episodes", "300", "--cycles", "130",
+                 "--discount-episodes", discount_episodes]) == 0
+    assert calls == ["pi_opt", "pi_1", "pi_2"]
+    assert made == [call for call in (1, 2, 3) for _ in range(generators // 3)]
 
 
 def test_example_study_bytes_are_golden(tmp_path):

@@ -295,15 +295,15 @@ def test_batch_profile_is_reduced_as_it_runs():
     copy = CopyEnvironment(UNIT)
     tracemalloc.start()
     try:
-        profile = per_cycle_reward_profile(pi_1, copy, cycles=4000, episodes=2000, seed=0)
+        profile, _ = per_cycle_reward_profile(pi_1, copy, cycles=4000, episodes=2000, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
     assert profile.shape == (4000,) and profile[0] == 0.0
     assert abs(profile[1:].mean() - 0.5) < 0.01
-    batch = per_cycle_reward_profile(pi_opt, copy, cycles=300, episodes=40, seed=2)
-    scalar = per_cycle_reward_profile(pi_opt, _NoBatch(copy), cycles=300, episodes=40, seed=2)
+    batch, _ = per_cycle_reward_profile(pi_opt, copy, cycles=300, episodes=40, seed=2)
+    scalar, _ = per_cycle_reward_profile(pi_opt, _NoBatch(copy), cycles=300, episodes=40, seed=2)
     assert batch.tobytes() == scalar.tobytes()
     assert batch.tolist() == [0.0] + [1.0] * 299
 
@@ -351,7 +351,7 @@ def test_pi_2_switch_to_drawing_is_golden():
     # pi_2 draws from cycle 5,001 on, where its one column becomes one per
     # episode; recorded while every cycle still had one column per episode.
     pi_2, copy = AgentFactory("pi_2", UNIT), CopyEnvironment(UNIT)
-    digest = hashlib.sha256(per_cycle_reward_profile(pi_2, copy, 5050, 40, seed=9).tobytes())
+    digest = hashlib.sha256(per_cycle_reward_profile(pi_2, copy, 5050, 40, seed=9)[0].tobytes())
     for value, params in (
             (discounted_value, ValuationParams(gamma=0.999, horizon=10 ** 6, episodes=40,
                                                trunc_epsilon=1e-3, seed=9)),
@@ -361,6 +361,47 @@ def test_pi_2_switch_to_drawing_is_golden():
         digest.update(np.asarray([estimate.mean, estimate.ci_half_width, estimate.episodes_used,
                                   estimate.truncation_bound], dtype=np.float64).tobytes())
     assert digest.hexdigest() == PI_2_SWITCH_DIGEST
+
+
+@pytest.mark.parametrize("cycles", [400, 5050], ids=["short-of-gamma-0.99", "past-pi_2-switch"])
+@pytest.mark.parametrize("denominator", [1, 3])
+def test_discounts_in_the_profile_pass_keep_the_bits_of_separate_calls(cycles, denominator):
+    # 400 cycles end before gamma = 0.99's 2,750 and 5,050 cross pi_2's
+    # switch to drawing; the last discount has its own episode count, so it
+    # is valued on its own.
+    space = SpaceConfig(action_count=2, observation_count=1, reward_denominator=denominator)
+    copy = CopyEnvironment(space)
+    discounts = [ValuationParams(gamma=gamma, horizon=10 ** 6, episodes=12,
+                                 trunc_epsilon=1e-12, seed=6) for gamma in (0.5, 0.9, 0.99)]
+    discounts.append(replace(discounts[1], episodes=7))
+    for name in ("pi_opt", "pi_1", "pi_2"):
+        factory = AgentFactory(name, space)
+        for env in (copy, _NoBatch(copy)):
+            profile, estimates = per_cycle_reward_profile(factory, env, cycles, 12, 6,
+                                                          discounts=discounts)
+            alone, none = per_cycle_reward_profile(factory, env, cycles, 12, 6)
+            assert (profile.tobytes(), none) == (alone.tobytes(), [])
+            assert [repr(e) for e in estimates] == [
+                repr(discounted_value(factory, env, params)) for params in discounts]
+
+
+def test_study_pass_memory_is_bounded():
+    # One pass keeps a total and a carry per live weighting and two shared
+    # scratch arrays, 80 kB each at 10,000 episodes: it peaks at 1.2 MB,
+    # where the largest of the six separate calls peaks at 0.6 MB.
+    pi_1, copy = AgentFactory("pi_1", UNIT), CopyEnvironment(UNIT)
+    discounts = [ValuationParams(gamma=gamma, horizon=10 ** 6, episodes=10_000,
+                                 trunc_epsilon=1e-12, seed=5)
+                 for gamma in (0.5, 0.7, 0.9, 0.95, 0.99)]
+    np.random.default_rng(0)  # numpy.random imports 0.7 MB of modules at its first generator
+    tracemalloc.start()
+    try:
+        _, estimates = per_cycle_reward_profile(pi_1, copy, 5200, 10_000, 5, discounts=discounts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
+    assert [e.episodes_used for e in estimates] == [10_000] * 5
 
 
 def test_deterministic_weighted_values_are_correctly_rounded_sums():
@@ -424,7 +465,7 @@ def _valuation_digests(mixture_estimate):
 
     basic = AgentFactory("basic", BINARY)
     pattern = PatternEnvironment(2, BINARY)
-    add(values, *per_cycle_reward_profile(basic, pattern, 300, 20, seed=5))
+    add(values, *per_cycle_reward_profile(basic, pattern, 300, 20, seed=5)[0])
     add_estimate(discounted_value(basic, pattern, ValuationParams(
         gamma=0.9, horizon=300, episodes=20, seed=5)))
     add_estimate(harmonic_value(basic, pattern, ValuationParams(
@@ -433,7 +474,7 @@ def _valuation_digests(mixture_estimate):
     pi_1 = AgentFactory("pi_1", UNIT)
     copy = CopyEnvironment(UNIT)
     for env in (copy, _NoBatch(copy)):
-        add(values, *per_cycle_reward_profile(pi_1, env, 40, 50, seed=8))
+        add(values, *per_cycle_reward_profile(pi_1, env, 40, 50, seed=8)[0])
         add_estimate(discounted_value(pi_1, env, ValuationParams(
             gamma=0.9, horizon=200, episodes=50, seed=8)))
     return values.hexdigest(), bounds.hexdigest()
