@@ -34,7 +34,9 @@ action and every outcome of every random bit, stepping `EnvProcess.step`
 itself, and answers no when a step emits reward or a cap is hit.  Its
 verdict depends only on `reward_free_key`: the cycle summary of a loop-free
 program (less its step count), the opcodes of a program with a loop, or one
-shared key for every program without `emit`.  So an ensemble proves once per
+shared key for every program without `emit`.  Programs of one key also run
+the same cycle, so they share a behaviour signature, and their walks differ
+only in the steps each cycle costs.  So an ensemble proves and walks once per
 key; at 24 bits, 3,119 programs have 225 keys.  The owner of a proof starts
 a proven process with its budget spent: no percept changes, and its remaining
 reward bound is 0 from its first cycle on.

@@ -11,11 +11,13 @@ propagated from the per-environment estimates (whose random streams are
 disjoint by construction).  The opcode-table sensitivity experiment is these
 same two calls once per table; the `sensitivity` command runs it.
 
-Signatures and entry values are independent, so `build_ensemble` and
-`estimate_intelligence` map them over a process pool the caller owns, if
-given one, in blocks that workers take as they free up.  Seeds derive from
-labels and results keep input order, so the pool changes no number.
-Reward-freedom is proved in the caller's process, once per
+Programs that share a `reward_free_key` run the same cycle, so
+`build_ensemble` walks one signature per key and gives it to every program
+of the key.  Signatures and entry values are independent, so
+`build_ensemble` and `estimate_intelligence` map them over a process pool
+the caller owns, if given one, in blocks that workers take as they free up.
+Seeds derive from labels and results keep input order, so the pool changes
+no number.  Reward-freedom is proved in the caller's process, once per
 `reward_free_key`, and travels with each entry, so no worker proves
 anything.
 """
@@ -34,6 +36,7 @@ from .environments import ProgramEnvironment
 from .errors import EnsembleError
 from .interaction import SpaceConfig
 from .machine import (
+    EnvProgram,
     MachineConfig,
     enumerate_programs,
     kraft_sum,
@@ -41,6 +44,7 @@ from .machine import (
     proves_reward_free,
     reward_free_key,
     signature_and_steps,
+    summarize_cycle,
 )
 from .seeding import derive_seed
 from .valuation import ValuationParams, ValueEstimate, summable_episode_values
@@ -117,8 +121,12 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
 
     `programs` overrides enumeration with an explicit program list (e.g. a
     fixture file), still weighted and deduplicated the same way.  Each
-    entry's `reward_free` verdict comes from one `proves_reward_free` call
-    per `reward_free_key` among the representatives, made here.
+    program's `reward_free_key` is computed once.  The signature walk, where
+    dedup or `kt` weighting needs one, runs once per key, on the key's first
+    program; every program gets its key's signature, and `kt` its own steps
+    scaled from the key's walk (`_walk_steps`).  Each entry's `reward_free`
+    verdict comes from one `proves_reward_free` call per key among the
+    representatives, made here.
     """
     if programs is None:
         programs = enumerate_programs(spec.max_program_length_bits, machine)
@@ -126,29 +134,35 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
         raise EnsembleError(
             f"no valid program fits in {spec.max_program_length_bits} bits")
     kraft = kraft_sum(programs)
+    keys = [reward_free_key(program, machine) for program in programs]
 
     horizon = spec.signature_horizon
     if horizon is not None:
-        keyed = _map(pool, signature_and_steps, programs, horizon, machine, space)
-    else:
-        keyed = [(program.program_id, 1) for program in programs]
-    groups: dict[object, list] = {}
-    for program, (signature, steps) in zip(programs, keyed):
-        key = signature if spec.dedup_horizon is not None else program.program_id
-        groups.setdefault(key, []).append((program, steps))
+        # Programs that share a key run the same cycle, so they share the walk
+        walked: dict[tuple, EnvProgram] = {}
+        for program, key in zip(programs, keys):
+            walked.setdefault(key, program)
+        walks = dict(zip(walked, _map(pool, signature_and_steps, list(walked.values()),
+                                      horizon, machine, space)))
+    groups: dict[object, list[int]] = {}
+    for index, (program, key) in enumerate(zip(programs, keys)):
+        group = walks[key][0] if spec.dedup_horizon is not None else program.program_id
+        groups.setdefault(group, []).append(index)
 
     if spec.weight_scheme == "length":
         # 2^-|p| as an integer numerator over 2^longest.  An int quotient is
         # correctly rounded, so n / total is float(raw / total) exactly.
         longest = max(p.length_bits for p in programs)
-        numerators = [sum(1 << (longest - p.length_bits) for p, _ in members)
+        numerators = [sum(1 << (longest - programs[i].length_bits) for i in members)
                       for members in groups.values()]
         total = sum(numerators)
         raw_weights = [Fraction(n, 1 << longest) for n in numerators]
         weights = [n / total for n in numerators]
     else:
         # 2^-(|p| + log2 steps) == 2^-|p| / steps, kept exact as a Fraction
-        raw_weights = [sum((prior_weight(p) / max(1, steps) for p, steps in members),
+        steps = [_walk_steps(program, walked[key], walks[key][1], machine)
+                 for program, key in zip(programs, keys)]
+        raw_weights = [sum((prior_weight(programs[i]) / max(1, steps[i]) for i in members),
                            Fraction(0))
                        for members in groups.values()]
         total = sum(raw_weights, Fraction(0))
@@ -156,8 +170,7 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
     verdicts: dict[tuple, bool] = {}
     entries = []
     for members, raw, weight in zip(groups.values(), raw_weights, weights):
-        program = members[0][0]
-        key = reward_free_key(program, machine)
+        program, key = programs[members[0]], keys[members[0]]
         if key not in verdicts:
             verdicts[key] = proves_reward_free(program, machine, space)
         environment = ProgramEnvironment(program, machine, space, verdicts[key])
@@ -165,6 +178,22 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
                                      raw_weight=raw, member_count=len(members)))
     return Ensemble(entries=tuple(entries), kraft_sum=kraft, program_count=len(programs),
                     spec=spec)
+
+
+def _walk_steps(program: EnvProgram, walked: EnvProgram, walked_steps: int,
+                machine: MachineConfig) -> int:
+    """The steps of `signature_and_steps(program, ...)`, from the walk of `walked`.
+
+    `walked` shares `program`'s `reward_free_key`.  The programs of a
+    loop-free key differ only in `CycleSummary.steps`, and the walk charges
+    that many steps for each cycle it does not freeze, at the same nodes for
+    every program of the key, so the steps scale exactly.  A loop key holds
+    one program's opcodes, and a program without `emit` walks to 1 step.
+    """
+    summary = summarize_cycle(program, machine) if program.has_emit else None
+    if summary is None:
+        return walked_steps
+    return walked_steps // summarize_cycle(walked, machine).steps * summary.steps
 
 
 @dataclass

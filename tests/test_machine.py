@@ -25,6 +25,7 @@ from agentgauge.machine import (
     reward_free_key,
     save_program_file,
     signature_and_steps,
+    summarize_cycle,
 )
 from agentgauge.measure import EnsembleSpec, build_ensemble
 from natives import encode_program
@@ -621,13 +622,18 @@ def test_cycle_summaries_change_no_proof_verdict(monkeypatch, machine, space):
     assert verdicts == [proves_reward_free(program, machine, space) for program in programs]
 
 
-@pytest.mark.parametrize("bits, machine, space, keys", [
-    (24, MACHINE, SPACE, 225),
-    # a step budget of 2 cuts the 3-instruction programs short
+KEYED_ENSEMBLES = pytest.mark.parametrize("bits, machine, space, keys, horizon", [
+    (24, MACHINE, SPACE, 225, 8),
+    # a step budget of 2 cuts the 3-instruction programs short; horizon 7 is
+    # the deepest whose three-action tree fits the signature node cap
     (20, MachineConfig(tape_length=4, cell_modulus=3, step_budget_per_cycle=2),
-     SpaceConfig(action_count=3, observation_count=3, reward_denominator=2), 39),
+     SpaceConfig(action_count=3, observation_count=3, reward_denominator=2), 39, 7),
 ], ids=["default-24-bits", "tape4-mod3-three-actions-budget2"])
-def test_programs_sharing_a_reward_free_key_share_the_verdict(bits, machine, space, keys):
+
+
+@KEYED_ENSEMBLES
+def test_programs_sharing_a_reward_free_key_share_the_verdict(bits, machine, space, keys,
+                                                              horizon):
     # build_ensemble proves one program per key and gives every other
     # program of that key the same verdict
     verdicts: dict[tuple, bool] = {}
@@ -637,6 +643,31 @@ def test_programs_sharing_a_reward_free_key_share_the_verdict(bits, machine, spa
         assert verdicts.setdefault(key, verdict) == verdict, program.instructions
     assert True in verdicts.values() and False in verdicts.values()
     assert len(verdicts) == keys
+
+
+@KEYED_ENSEMBLES
+def test_programs_sharing_a_reward_free_key_share_the_signature(bits, machine, space, keys,
+                                                                horizon):
+    # build_ensemble walks one program per key and gives every other program
+    # of that key its signature, and its steps scaled by the cycle's steps
+    walks: dict[tuple, tuple] = {}
+    members: dict[tuple, int] = {}
+    for program in enumerate_programs(bits, machine):
+        signature, steps = signature_and_steps(program, horizon, machine, space)
+        summary = summarize_cycle(program, machine) if program.has_emit else None
+        key = reward_free_key(program, machine)
+        rep_signature, rep_steps, rep_summary = walks.setdefault(
+            key, (signature, steps, summary))
+        members[key] = members.get(key, 0) + 1
+        assert signature == rep_signature, program.instructions
+        if not program.has_emit:
+            assert steps == 1
+        elif summary is None:
+            assert members[key] == 1, program.instructions  # a loop key holds one program
+        else:
+            assert rep_steps % rep_summary.steps == 0, program.instructions
+            assert steps == rep_steps // rep_summary.steps * summary.steps, program.instructions
+    assert len(walks) == keys
 
 
 def test_reward_proof_answers_no_past_the_state_cap(monkeypatch):

@@ -67,30 +67,45 @@ def test_raw_weights_sum_to_kraft_sum():
 
 @pytest.fixture(scope="module")
 def ensembles_24():
-    """The 24-bit ensembles with dedup at 8 and off, each with the programs it proved."""
+    """The 24-bit ensembles with dedup at 8 and off, with the programs each proved and walked."""
     built = {}
     with pytest.MonkeyPatch.context() as patch:
         for horizon in (8, None):
-            proved = []
+            proved, walked = [], []
 
             def counting(program, machine, space, proved=proved):
                 proved.append(program)
                 return proves_reward_free(program, machine, space)
 
+            def walking(program, *args, walked=walked):
+                walked.append(program)
+                return signature_and_steps(program, *args)
+
             patch.setattr(measure, "proves_reward_free", counting)
+            patch.setattr(measure, "signature_and_steps", walking)
             spec = EnsembleSpec(max_program_length_bits=24, dedup_horizon=horizon)
-            built[horizon] = build_ensemble(spec, MACHINE, SPACE), proved
+            built[horizon] = build_ensemble(spec, MACHINE, SPACE), proved, walked
     return built
 
 
-def fraction_weights(programs, horizon):
-    """Kraft sum, raw weights and weights of `length` weighting, in Fraction arithmetic."""
+def fraction_weights(programs, horizon, scheme="length"):
+    """Kraft sum, raw weights and weights, in Fraction arithmetic from a walk of each program.
+
+    `kt` divides each program's 2^-|p| by the steps of its own walk, which
+    goes to horizon 8 when dedup is off.
+    """
     groups = {}
     for program in programs:
-        key = (program.bits if horizon is None
-               else signature_and_steps(program, horizon, MACHINE, SPACE)[0])
-        groups.setdefault(key, []).append(program)
-    raws = [sum((prior_weight(p) for p in members), Fraction(0)) for members in groups.values()]
+        weight = prior_weight(program)
+        key = program.bits
+        if horizon is not None or scheme == "kt":
+            signature, steps = signature_and_steps(program, horizon or 8, MACHINE, SPACE)
+            if horizon is not None:
+                key = signature
+            if scheme == "kt":
+                weight /= max(1, steps)
+        groups.setdefault(key, []).append(weight)
+    raws = [sum(weights, Fraction(0)) for weights in groups.values()]
     total = sum(raws, Fraction(0))
     kraft = sum((prior_weight(p) for p in programs), Fraction(0))
     return kraft, raws, [float(raw / total) for raw in raws]
@@ -98,11 +113,30 @@ def fraction_weights(programs, horizon):
 
 @pytest.mark.parametrize("horizon", [8, None], ids=["dedup-8", "dedup-off"])
 def test_length_weights_equal_the_fraction_computation(ensembles_24, horizon):
-    ensemble, _ = ensembles_24[horizon]
+    ensemble, _, _ = ensembles_24[horizon]
     kraft, raws, weights = fraction_weights(enumerate_programs(24, MACHINE), horizon)
     assert ensemble.kraft_sum == kraft
     assert [entry.raw_weight for entry in ensemble.entries] == raws
     assert [entry.weight for entry in ensemble.entries] == weights
+
+
+@pytest.mark.parametrize("horizon", [8, None], ids=["dedup-8", "dedup-off"])
+def test_kt_weights_equal_the_fraction_computation(horizon):
+    # the build walks one program per key; the weights are those of a walk of each
+    spec = EnsembleSpec(max_program_length_bits=24, dedup_horizon=horizon, weight_scheme="kt")
+    ensemble = build_ensemble(spec, MACHINE, SPACE)
+    kraft, raws, weights = fraction_weights(enumerate_programs(24, MACHINE), horizon, "kt")
+    assert ensemble.kraft_sum == kraft
+    assert [entry.raw_weight for entry in ensemble.entries] == raws
+    assert [entry.weight for entry in ensemble.entries] == weights
+
+
+@pytest.mark.parametrize("horizon, walks", [(8, 225), (None, 0)],
+                         ids=["dedup-8", "dedup-off"])
+def test_build_ensemble_walks_once_per_key(ensembles_24, horizon, walks):
+    # `length` weights without dedup need no walk at all
+    _, _, walked = ensembles_24[horizon]
+    assert len(walked) == len({reward_free_key(p, MACHINE) for p in walked}) == walks
 
 
 def test_length_weights_of_a_programs_file_equal_the_fraction_computation(tmp_path):
@@ -119,7 +153,7 @@ def test_length_weights_of_a_programs_file_equal_the_fraction_computation(tmp_pa
 @pytest.mark.parametrize("horizon, proofs", [(8, 50), (None, 225)],
                          ids=["dedup-8", "dedup-off"])
 def test_build_ensemble_proves_once_per_key(ensembles_24, horizon, proofs):
-    ensemble, proved = ensembles_24[horizon]
+    ensemble, proved, _ = ensembles_24[horizon]
     programs = [entry.environment.program for entry in ensemble.entries]
     assert len(proved) == len({reward_free_key(p, MACHINE) for p in proved}) == proofs
     assert len({reward_free_key(p, MACHINE) for p in programs}) == proofs
