@@ -375,6 +375,11 @@ class _TableBatch:
 # `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
 # and "01back" of 1back, and two roster entries would then share one name.
 _KBACK_NAME = re.compile(r"[1-9][0-9]*back")
+# A `<k>back` batch policy holds 2 + 3k int32 key fields per episode of a
+# lockstep group and keeps each distinct key as their bytes, so its memory
+# grows with k: 776 bytes a key at the cap.  More is almost surely a typo,
+# which would fail in a NumPy allocation after enumeration and the proofs.
+MAX_BACK = 64
 
 
 @dataclass(frozen=True)
@@ -382,9 +387,9 @@ class AgentFactory:
     """Picklable handle of a built-in agent, which is its roster name:
     ``random`` (uniform actions), ``basic`` (greedy on per-observation
     next-reward means, with epsilon exploration), ``<k>back`` such as ``2back``
-    (basic, conditioned on the last k cycles as well), and the worked
-    example's ``pi_opt``, ``pi_1`` and ``pi_2`` (always 1, uniform, and
-    phase-switching; binary actions only).  The name seeds every random
+    (basic, conditioned on the last k <= MAX_BACK cycles as well), and the
+    worked example's ``pi_opt``, ``pi_1`` and ``pi_2`` (always 1, uniform,
+    and phase-switching; binary actions only).  The name seeds every random
     stream of the agent's episodes."""
 
     name: str
@@ -401,8 +406,12 @@ class AgentFactory:
         if self.name in _SCRIPTED_NAMES:
             if self.space.action_count != 2:
                 raise AgentGaugeError(f"{self.name} requires a binary action space")
-        elif self.name not in ("random", "basic") and not _KBACK_NAME.fullmatch(self.name):
-            raise AgentGaugeError(f"unknown agent {self.name!r}")
+        elif self.name not in ("random", "basic"):
+            if not _KBACK_NAME.fullmatch(self.name):
+                raise AgentGaugeError(f"unknown agent {self.name!r}")
+            # digits first: int() refuses a string of more than 4,300
+            if len(self.name) > len(f"{MAX_BACK}back") or self._back > MAX_BACK:
+                raise AgentGaugeError(f"{self.name}: <k>back takes k at most {MAX_BACK}")
 
     @property
     def supports_batch(self) -> bool:

@@ -14,14 +14,15 @@ per-cycle step budget is exhausted (the latter two emit the default percept
 register and the random stream persist across cycles, so short programs can
 express environments whose rewards depend on the agent's actions.
 
-A cycle of a loop-free program is straight-line code.  `summarize_cycle`
-evaluates it once per process, relative to the start pointer
+`EnvProcess.step` runs every cycle of one process through the interpreter.
+With shortcuts on it freezes a process once a cycle leaves its state
+untouched and cuts short a loop pass that changes nothing; with them off it
+is the reference.  A cycle of a loop-free program is straight-line code, and
+`summarize_cycle` evaluates it once, relative to the start pointer
 (symbolic execution, King 1976): the random-bit and action writes, the net
 change of each cell, the net pointer move, the step count and whether it
-emits.  With shortcuts on, `EnvProcess.step` applies that summary instead
-of dispatching instruction by instruction, and `lockstep_step` applies it
-to many processes at once.  The interpreter runs programs with loops, and
-every program when shortcuts are off, which makes it the reference.
+emits.  The interpreter's cycle is a function of that summary, and
+`lockstep_step` applies it to many processes of one program at once.
 
 Reward emission is budget-limited: a process can emit at most D/D = 1 of
 total reward over its lifetime (numerators are clamped to the remaining
@@ -34,12 +35,13 @@ action and every outcome of every random bit, stepping `EnvProcess.step`
 itself, and answers no when a step emits reward or a cap is hit.  Its
 verdict depends only on `reward_free_key`: the cycle summary of a loop-free
 program (less its step count), the opcodes of a program with a loop, or one
-shared key for every program without `emit`.  Programs of one key also run
-the same cycle, so they share a behaviour signature, and their walks differ
-only in the steps each cycle costs.  So an ensemble proves and walks once per
-key; at 24 bits, 3,119 programs have 225 keys.  The owner of a proof starts
-a proven process with its budget spent: no percept changes, and its remaining
-reward bound is 0 from its first cycle on.
+shared key for every program without `emit`.  Programs of one key run the
+same cycle in the interpreter, so they share a behaviour signature, and
+their walks differ only in the steps each cycle costs.  So an ensemble
+proves and walks once per key; at 24 bits, 3,119 programs have 225 keys.
+The owner of a proof starts a proven process with its budget spent: no
+percept changes, and its remaining reward bound is 0 from its first cycle
+on.
 """
 
 from __future__ import annotations
@@ -322,16 +324,15 @@ class EnvProcess:
     included.  The remaining reward bound reads only `budget` and `frozen`;
     the owner of a `proves_reward_free` proof sets `budget` to 0, which
     changes no percept of that program, only the bound.  A program without
-    `random_bit` keeps no bit source: its `rng` is None.
-    With shortcuts on, a loop-free program that can emit keeps its
-    `CycleSummary` in `summary`; otherwise that is None and each cycle runs
-    through the interpreter.
+    `random_bit` keeps no bit source: its `rng` is None.  Every cycle runs
+    through the interpreter; `lockstep_step` is its batch form for a
+    loop-free program.
     """
 
     __slots__ = (
         "program", "machine", "space", "tape", "ptr", "budget", "last_action",
         "cycles", "rng", "shortcuts", "frozen", "steps_last_cycle", "total_steps",
-        "draws", "summary",
+        "draws",
     )
 
     def __init__(self, program: EnvProgram, machine: MachineConfig,
@@ -352,9 +353,6 @@ class EnvProcess:
         self.steps_last_cycle = 0
         self.total_steps = 0
         self.draws = 0  # random bits drawn so far
-        # With shortcuts on, a loop-free program runs each cycle from its summary.
-        self.summary = (summarize_cycle(program, machine)
-                        if enable_shortcuts and self.frozen is None else None)
 
     @property
     def halted(self) -> bool:
@@ -400,7 +398,6 @@ class EnvProcess:
         other.steps_last_cycle = self.steps_last_cycle
         other.total_steps = self.total_steps
         other.draws = self.draws
-        other.summary = self.summary
         return other
 
     def step(self, action: int | None) -> Percept:
@@ -419,38 +416,6 @@ class EnvProcess:
         if self.frozen is not None:
             self.steps_last_cycle = 0
             raw_obs, raw_numerator = self.frozen
-        elif (summary := self.summary) is not None:
-            steps, rands, reads, increments, move, emits, static = summary
-            tape = self.tape
-            ptr = self.ptr
-            if rands:
-                draw = self.rng.getrandbits
-                for cell in rands:
-                    tape[ptr + cell] = draw(1)
-                self.draws += len(rands)
-            if reads:
-                value = self.last_action % machine.cell_modulus
-                for cell in reads:
-                    tape[ptr + cell] = value
-            if increments:
-                modulus = machine.cell_modulus
-                for cell, amount in increments:
-                    cell += ptr
-                    tape[cell] = (tape[cell] + amount) % modulus
-            ptr += move
-            if ptr < 0:
-                ptr += machine.tape_length
-            self.ptr = ptr
-            self.steps_last_cycle = steps
-            self.total_steps += steps
-            if emits:
-                raw_obs = tape[ptr] % self.space.observation_count
-                raw_numerator = (tape[ptr + 1 - machine.tape_length]
-                                 % (self.space.reward_denominator + 1))
-            else:
-                raw_obs = raw_numerator = 0
-            if static:
-                self.frozen = _new_tuple(Percept, (raw_obs, raw_numerator))
         else:
             tape = self.tape
             program = self.program
@@ -546,13 +511,14 @@ class EnvProcess:
 def lockstep_step(summary: CycleSummary, machine: MachineConfig, space: SpaceConfig,
                   tape: np.ndarray, ptr: int, budget: np.ndarray, actions: np.ndarray | None,
                   bits: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """`EnvProcess.step` with shortcuts on, for processes of one loop-free
-    program whose cycle emits, one per column of the int64 `tape` (cells x
-    processes).  They share `ptr`: each cycle moves it by `move`.  Each random
-    bit of the summary takes a row of `bits`, reads take `actions` (None: all
-    0), and rewards are clamped to `budget`, which is spent.  Returns the new
-    pointer, the observations and the reward numerators.  Cells must fit int64
-    with room for one increment: `cell_modulus` at most 2^62."""
+    """The cycle `EnvProcess.step` interprets, applied from its `summary` to
+    processes of one loop-free program whose cycle emits, one per column of
+    the int64 `tape` (cells x processes).  They share `ptr`: each cycle moves
+    it by `move`.  Each random bit of the summary takes a row of `bits`,
+    reads take `actions` (None: all 0), and rewards are clamped to `budget`,
+    which is spent.  Returns the new pointer, the observations and the reward
+    numerators.  Cells must fit int64 with room for one increment:
+    `cell_modulus` at most 2^62."""
     _, rands, reads, increments, move, _, _ = summary
     modulus = machine.cell_modulus
     for cell, row in zip(rands, bits):
@@ -590,11 +556,11 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
     `EnvProcess.state()`: its tape, pointer, reward budget and frozen
     percept.  The proof steps `EnvProcess.step` from each reachable state
     once per action the machine can tell apart (it reads an action modulo
-    `cell_modulus`; only action 0 when no action the program reads can
-    outlast its cycle) and once per script of random bits: a draw past the
-    end of a script yields 0, and every such draw also queues the script
-    whose bit there is 1.  So the closure holds every state any run can
-    reach, with the interpreter's own shortcuts.
+    `cell_modulus`; only action 0 when the cycle summary shows that no
+    action the program reads outlasts its cycle) and once per script of
+    random bits: a draw past the end of a script yields 0, and every such
+    draw also queues the script whose bit there is 1.  So the closure holds
+    every state any run can reach, with the interpreter's own shortcuts.
 
     True once the closure is complete without a positive reward.  False as
     soon as a step emits one, and when the closure would need more than
@@ -604,7 +570,8 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
     proc = EnvProcess(program, machine, space, rng=bits)
     # a loop-free cycle whose reads are all overwritten ends in the same state
     # whatever the action, and actions equal modulo cell_modulus write equal cells
-    reads = _OP_READ in program.ops if proc.summary is None else proc.summary.reads
+    summary = summarize_cycle(program, machine)
+    reads = _OP_READ in program.ops if summary is None else summary.reads
     actions = range(min(space.action_count, machine.cell_modulus)) if reads else (0,)
     initial = proc.state()
     seen: set[tuple] = set()  # post-cycle states
@@ -652,13 +619,14 @@ def reward_free_key(program: EnvProgram, machine: MachineConfig) -> tuple:
 
     The proof only builds an `EnvProcess` with shortcuts on and steps it.
     A program without `emit` is frozen at (0, 0) from its first cycle, so
-    every such program shares the key `()` and the proof holds.  A
-    loop-free program that can emit runs each cycle from its
-    `CycleSummary`, and the proof's choice of actions reads the summary too;
-    of the summary, `steps` only feeds the step counters, which no percept
-    and no state reads, so the key is the rest of the summary.  Any other
-    program runs through the interpreter, and its key is its opcodes.  The
-    key holds for one machine and space, like the proof.
+    every such program shares the key `()` and the proof holds.  The
+    interpreter's cycle of a loop-free program that can emit is a function
+    of its `CycleSummary` (`lockstep_step` applies it, and the tests check
+    the two agree), and the proof's choice of actions reads the summary
+    too; of the summary, `steps` only feeds the step counters, which no
+    percept and no state reads, so the key is the rest of the summary.  Any
+    other program's key is its opcodes.  The key holds for one machine and
+    space, like the proof.
     """
     if not program.has_emit:
         return ()
@@ -685,13 +653,14 @@ def check_signature_horizon(horizon: int, action_count: int) -> None:
 
 def signature_and_steps(program: EnvProgram, horizon: int,
                         machine: MachineConfig = MachineConfig(),
-                        space: SpaceConfig = SpaceConfig(),
-                        seed: int = 0) -> tuple[bytes, int]:
+                        space: SpaceConfig = SpaceConfig()) -> tuple[bytes, int]:
     """Behavior signature plus the VM steps a full action-tree walk consumes.
 
     The signature concatenates the emitted percepts along every action
     sequence of length <= horizon (a complete action tree), with the random
-    bit source seeded identically for every program.  Equal signatures mean
+    bit source seeded with 0 for every program.  Signatures are compared
+    across programs, so every walk must see the same bits: under two seeds a
+    program that draws one would not match itself.  Equal signatures mean
     the programs are behaviorally indistinguishable up to the horizon.
 
     Signature and step count are those of the complete tree, but each
@@ -732,7 +701,7 @@ def signature_and_steps(program: EnvProgram, horizon: int,
         memo[key] = result = (b"".join(parts), steps)
         return result
 
-    proc = EnvProcess(program, machine, space, rng=random.Random(seed))
+    proc = EnvProcess(program, machine, space, rng=random.Random(0))
     first = proc.step(None)
     first_steps = proc.steps_last_cycle
     tail, tail_steps = below(proc, 0)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from agentgauge.agents import AgentFactory, scripted_prob_action_one
+from agentgauge import valuation
+from agentgauge.agents import MAX_BACK, AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import Percept, SpaceConfig
@@ -191,3 +193,21 @@ def test_agent_registry():
     for alias in ("0back", "01back", "٣back"):
         with pytest.raises(AgentGaugeError):
             AgentFactory(alias, BINARY)
+
+
+def test_the_longest_window_builds():
+    # a full lockstep group of the longest window allowed builds, and acts as
+    # its episodes' own policies do once the window has filled
+    factory = AgentFactory(f"{MAX_BACK}back", BINARY)
+    live = np.arange(valuation._LOCKSTEP_EPISODES)
+    batch = factory.batch([random.Random(i) for i in live.tolist()])
+    policies = [factory.make(random.Random(i)) for i in live.tolist()[:4]]
+    percepts = random.Random(3)
+    for _ in range(MAX_BACK + 8):
+        observations = np.array([percepts.randrange(2) for _ in range(live.size)])
+        numerators = np.array([percepts.randrange(256) for _ in range(live.size)])
+        actions = batch.step(live, observations, numerators)
+        for i, policy in enumerate(policies):
+            policy.observe(Percept(int(observations[i]), int(numerators[i])))
+            assert policy.act() == actions[i]
+    assert len(policies[0].current_key) == 1 + 3 * MAX_BACK

@@ -20,6 +20,7 @@ import pytest
 
 import agentgauge
 from agentgauge import cli, machine, measure, valuation
+from agentgauge.agents import MAX_BACK
 from agentgauge.cli import (MAX_DISCOUNT_EPISODES, MAX_PERMUTATIONS, MAX_STUDY_CYCLES,
                             MAX_WORKERS, build_parser, main)
 from agentgauge.config import (_KNOWN_KEYS, MAX_BOOTSTRAP_DRAWS, MAX_BOOTSTRAP_SAMPLES,
@@ -247,6 +248,24 @@ def test_agent_name_aliasing_a_builtin_exits_2(tmp_path, capsys, alias):
     assert main(["run", str(config)]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and alias in err
+
+
+@pytest.mark.parametrize("k", [str(MAX_BACK + 1), "1000000000", "9" * 5000],
+                         ids=["cap-plus-one", "a-billion", "5000-digits"])
+def test_window_above_the_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch, k):
+    # a billion-cycle window once passed the config checks and died in a
+    # NumPy allocation after enumeration and the proofs
+    def work(*args, **kwargs):
+        raise AssertionError("the run started work")
+
+    monkeypatch.setattr(cli, "build_ensemble", work)
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\nagents = basic,{k}back\n",
+                      encoding="utf-8")
+    assert main(["run", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: agents:") and f"at most {MAX_BACK}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

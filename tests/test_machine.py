@@ -7,6 +7,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from agentgauge.machine import (
     decode_program,
     enumerate_programs,
     load_program_file,
+    lockstep_step,
     prior_weight,
     program_length_bits,
     proves_reward_free,
@@ -294,15 +296,17 @@ def test_step_trace_is_golden():
 def test_cycle_summary_matches_the_reference_interpreter(machine, space):
     # Every program of up to 21 bits: the 24-bit ensemble holds no longer
     # instruction sequence.  Small tapes alias offsets, and small budgets cut
-    # a cycle before its emit.  A program without emit is frozen from the
-    # start in shortcut mode, so only its percepts are compared.
+    # a cycle before its emit.  Shortcut mode must match the reference; a
+    # program without emit is frozen from the start in shortcut mode, so
+    # only its percepts are compared.  Where the summary emits, it must give
+    # the reference's cycles through lockstep_step, which applies it.
     for program in enumerate_programs(21, machine):
+        summary = summarize_cycle(program, machine)
+        assert (summary is None) == ("loop_open" in program.instructions)
         script = random.Random(program.bits)
         fast = EnvProcess(program, machine, space, rng=random.Random(5))
         slow = EnvProcess(program, machine, space, rng=random.Random(5),
                           enable_shortcuts=False)
-        if program.has_emit:
-            assert (fast.summary is None) == ("loop_open" in program.instructions)
         action = None
         for _ in range(8):
             was_frozen = fast.frozen
@@ -313,6 +317,33 @@ def test_cycle_summary_matches_the_reference_interpreter(machine, space):
             if not was_frozen:
                 assert fast.steps_last_cycle == slow.steps_last_cycle, program.instructions
             action = script.randrange(space.action_count)
+        if summary is not None and summary.emits:
+            _check_lockstep_against_the_reference(program, summary, machine, space)
+
+
+def _check_lockstep_against_the_reference(program, summary, machine, space):
+    """Three lockstep_step columns, each with its own actions and random bits,
+    against three reference processes, cycle by cycle."""
+    columns = range(3)
+    slow = [EnvProcess(program, machine, space, rng=random.Random(c),
+                       enable_shortcuts=False) for c in columns]
+    streams = [random.Random(c) for c in columns]  # the bits each reference draws
+    scripts = [random.Random(f"{program.bits}/{c}") for c in columns]
+    tape = np.zeros((machine.tape_length, len(columns)), dtype=np.int64)
+    budget = np.full(len(columns), space.reward_denominator)
+    ptr, actions = 0, None
+    for _ in range(8):
+        bits = np.array([[stream.getrandbits(1) for stream in streams] for _ in summary.rands],
+                        dtype=np.int64).reshape(len(summary.rands), len(columns))
+        ptr, observations, numerators = lockstep_step(summary, machine, space, tape, ptr,
+                                                      budget, actions, bits)
+        for c, proc in zip(columns, slow):
+            percept = proc.step(None if actions is None else int(actions[c]))
+            assert percept == (observations[c], numerators[c]), program.instructions
+            assert (proc.ptr, proc.budget, proc.tape) == \
+                (ptr, budget[c], tape[:, c].tolist()), program.instructions
+            assert proc.steps_last_cycle == summary.steps, program.instructions
+        actions = np.array([s.randrange(space.action_count) for s in scripts], dtype=np.int64)
 
 
 _CLONE_FIXTURES = (
@@ -320,8 +351,8 @@ _CLONE_FIXTURES = (
     ("read_action", "move_right", "inc", "emit"),                # loop-free
     ("random_bit", "move_left", "read_action", "emit"),          # random
     ("random_bit", "loop_open", "random_bit", "loop_close", "emit"),  # random loop
-    ("inc", "dec", "emit"),                                      # frozen by its summary
-    ("loop_open", "loop_close", "emit"),                         # frozen by the interpreter
+    ("inc", "dec", "emit"),                                      # frozen: its write undone
+    ("loop_open", "loop_close", "emit"),                         # frozen: its loop skipped
     ("loop_open", "dec", "loop_close", "inc", "emit"),           # frozen on observation 1
     ("inc", "move_left"),                                        # no emit
 )
@@ -432,14 +463,14 @@ def test_signature_steps_are_deterministic():
     assert signature_and_steps(program, 6) == signature_and_steps(program, 6)
 
 
-def _full_tree_walk(program, horizon, machine, space, seed):
+def _full_tree_walk(program, horizon, machine, space):
     """Reference signature: replay every action sequence from a fresh process."""
     out = bytearray()
     steps = 0
 
     def visit(path):
         nonlocal steps
-        proc = EnvProcess(program, machine, space, rng=random.Random(seed))
+        proc = EnvProcess(program, machine, space, rng=random.Random(0))
         percept = proc.step(None)
         for action in path:
             percept = proc.step(action)
@@ -470,18 +501,18 @@ _SIGNATURE_EXTRAS = (
 )
 
 
-@pytest.mark.parametrize("machine, space, seed, horizon", [
-    (MACHINE, SPACE, 0, 5),
-    (MACHINE, SPACE, 7, 5),
-    (MachineConfig(tape_length=4, cell_modulus=3), SPACE, 0, 5),
-    (MACHINE, SpaceConfig(action_count=3, observation_count=3, reward_denominator=2), 7, 4),
-], ids=["default", "seed7", "tape4-mod3", "three-actions-budget2"])
-def test_signature_equals_full_tree_walk(machine, space, seed, horizon):
+@pytest.mark.parametrize("machine, space, horizon", [
+    (MACHINE, SPACE, 5),
+    (MachineConfig(step_budget_per_cycle=2), SPACE, 5),
+    (MachineConfig(tape_length=4, cell_modulus=3), SPACE, 5),
+    (MACHINE, SpaceConfig(action_count=3, observation_count=3, reward_denominator=2), 4),
+], ids=["default", "budget2", "tape4-mod3", "three-actions-budget2"])
+def test_signature_equals_full_tree_walk(machine, space, horizon):
     programs = enumerate_programs(16, machine) + [
         encode_program(list(extra), machine) for extra in _SIGNATURE_EXTRAS]
     for program in programs:
-        expected = _full_tree_walk(program, horizon, machine, space, seed)
-        assert signature_and_steps(program, horizon, machine, space, seed) == expected, \
+        expected = _full_tree_walk(program, horizon, machine, space)
+        assert signature_and_steps(program, horizon, machine, space) == expected, \
             program.instructions
 
 
@@ -493,7 +524,7 @@ def test_signature_golden_hash(bits, digest):
     # Recorded from a walk that expanded every node of the action tree.
     h = hashlib.sha256()
     for program in enumerate_programs(bits, MACHINE):
-        sig, steps = signature_and_steps(program, 8, MACHINE, SPACE, seed=0)
+        sig, steps = signature_and_steps(program, 8, MACHINE, SPACE)
         h.update(len(sig).to_bytes(4, "little") + sig + steps.to_bytes(8, "little"))
     assert h.hexdigest() == digest
 
@@ -613,9 +644,9 @@ def test_reward_reachability_is_sound(machine, space):
      SpaceConfig(action_count=3, observation_count=3, reward_denominator=2)),
 ], ids=["default", "tape4-mod3-three-actions"])
 def test_cycle_summaries_change_no_proof_verdict(monkeypatch, machine, space):
-    # With summaries the proof steps them, and tries only action 0 where every
-    # read is overwritten within the cycle; without, every program runs through
-    # the interpreter under every action.
+    # With summaries the proof tries only action 0 where every read is
+    # overwritten within the cycle; without, it tries every action the machine
+    # can tell apart.  Either way it steps the interpreter.
     programs = enumerate_programs(21, machine)
     verdicts = [proves_reward_free(program, machine, space) for program in programs]
     monkeypatch.setattr("agentgauge.machine.summarize_cycle", lambda program, machine: None)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from agentgauge import measure
+from agentgauge import measure, valuation
 from agentgauge.agents import AgentFactory
 from agentgauge.environments import ProgramEnvironment
 from agentgauge.errors import EnsembleError
@@ -137,6 +137,39 @@ def test_build_ensemble_walks_once_per_key(ensembles_24, horizon, walks):
     # `length` weights without dedup need no walk at all
     _, _, walked = ensembles_24[horizon]
     assert len(walked) == len({reward_free_key(p, MACHINE) for p in walked}) == walks
+
+
+@pytest.mark.parametrize("horizon, lockstepped, replayed, unplayed",
+                         [(8, 23, 13, 14), (None, 166, 78, 2875)],
+                         ids=["dedup-8", "dedup-off"])
+def test_valuation_dispatch_at_24_bits(ensembles_24, monkeypatch, horizon, lockstepped,
+                                       replayed, unplayed):
+    # the scalar rollout gives the lockstep's values, only slower, so a silent
+    # fallback from _lockstep would fail no value test: pin which entries
+    # run in lockstep, which replay one agent-free episode, and which are
+    # proven reward-free and play nothing
+    ensemble, _, _ = ensembles_24[horizon]
+    lockstep, rollout = valuation._lockstep, valuation._rollout
+    locked, rolled = [], []
+
+    def locking(agent_factory, env_model, *args):
+        locked.append(env_model.identifier)
+        return lockstep(agent_factory, env_model, *args)
+
+    def rolling(agent_factory, env_model, seed, index, *args):
+        rolled.append((env_model.identifier, index))
+        return rollout(agent_factory, env_model, seed, index, *args)
+
+    monkeypatch.setattr(valuation, "_lockstep", locking)
+    monkeypatch.setattr(valuation, "_rollout", rolling)
+    params = ValuationParams(horizon=20, episodes=3, seed=5)
+    estimate_intelligence(AgentFactory("basic", SPACE), ensemble, params)
+    identifiers = [entry.environment.identifier for entry in ensemble.entries]
+    assert len(set(locked)) == len(locked) == lockstepped
+    assert len(set(rolled)) == len(rolled) == replayed
+    assert {index for _, index in rolled} <= {0}
+    assert len(set(identifiers) - set(locked) - {i for i, _ in rolled}) == unplayed
+    assert len(identifiers) == lockstepped + replayed + unplayed
 
 
 def test_length_weights_of_a_programs_file_equal_the_fraction_computation(tmp_path):
