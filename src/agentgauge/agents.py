@@ -17,9 +17,12 @@ across episodes.  A batch policy serves one lockstep group: each call takes
 the percepts of the live episodes (`live` holds their indices in the group,
 ascending, and only loses episodes) as int64 arrays and returns their int64
 actions.  It builds no per-episode object; the one Python operation per
-episode is a learner's dict lookup of each key that changed.  It draws each
-episode's random numbers ahead in blocks, which changes no action: an
-episode's stream is its policy's alone and is dropped with it.
+episode is a learner's dict lookup of each key that changed.  A batch
+learner keeps what `_TablePolicy` keeps, a count and a total per key and
+action, as two (keys x actions) arrays, and acts by one running sum over
+each live episode's action distribution.  It draws each episode's random
+numbers ahead in blocks, which changes no action: an episode's stream is
+its policy's alone and is dropped with it.
 
 Scripted agents and the uniform random agent on binary actions only depend
 on the cycle index (`AgentFactory.prob_action_one`), which also lets the
@@ -280,36 +283,30 @@ class _TableBatch:
     Row i of `window` is a live episode's index and then the fields of its
     current key, with -1 in those a short window has yet to fill, so its
     bytes tell keys apart as the tuples do.  A dict maps them to a slot: a
-    row of the (slots x actions) `counts`, `totals` and `means`.  Sums,
-    means, the first greedy maximum and act's walk over the cumulative
-    action distribution use `_TablePolicy`'s float operations in its order,
-    so each episode takes the action its own `_TablePolicy` would.
+    row of the (slots x actions) `counts` and `totals`, the `[count, total]`
+    pairs of `_TablePolicy.table`.  Each cycle adds the reward to the count
+    and total of the last action, then `_act` builds every live episode's
+    action distribution as `action_distribution` does (the first maximum of
+    `totals / counts` is greedy once every action has a count) and walks its
+    running sum in act's order, so each episode takes the action its own
+    `_TablePolicy` would.
     """
 
-    __slots__ = ("space", "base", "episodes", "window", "slots", "counts", "totals", "means",
-                 "unsampled", "current", "actions", "rewards", "draws", "uniform",
-                 "cumulative", "peaks")
+    __slots__ = ("space", "base", "episodes", "window", "slots", "counts", "totals",
+                 "current", "actions", "rewards", "draws")
 
     def __init__(self, space: SpaceConfig, back: int, epsilon: float, rngs: list) -> None:
-        n = space.action_count
         self.space = space
+        self.base = epsilon / space.action_count
         self.episodes = np.arange(len(rngs))  # the live episodes, a row each
         self.window = np.full((len(rngs), 2 + 3 * back), -1, dtype=np.int32)
         self.window[:, 0] = self.episodes
         self.slots: dict[bytes, int] = {}
-        self.counts, self.totals, self.means = (np.zeros((0, n)) for _ in range(3))
-        self.unsampled = np.zeros(0, dtype=np.int64)  # per slot: actions never taken
+        self.counts, self.totals = (np.zeros((0, space.action_count)) for _ in range(2))
         # per episode: the slot of its key, its last action and last reward
         self.current, self.actions, self.rewards = (
             np.zeros(len(rngs), dtype=np.int64) for _ in range(3))
         self.draws = _Ahead(rngs, 2, _random_floats)
-        # thresholds of act's running sum, the last action's infinite: uniform,
-        # and with base epsilon/n before the greedy action, at it, and after it
-        self.uniform = np.cumsum(np.full(n, 1.0 / n))
-        self.uniform[-1] = np.inf
-        self.base = epsilon / n
-        self.cumulative = np.cumsum(np.full(n, self.base))
-        self.peaks = np.concatenate(([0.0], self.cumulative[:-1])) + (1.0 - self.base * (n - 1))
 
     def step(self, live, observations, numerators) -> np.ndarray:
         if live.size < self.episodes.size:  # drop the rows of episodes that stopped
@@ -321,12 +318,9 @@ class _TableBatch:
         before = window.copy()
         if self.slots:  # each episode's last action earned this reward under its key
             at = self.current * n + self.actions
-            counts = self.counts.take(at) + 1.0
-            totals = self.totals.take(at) + numerators / self.space.reward_denominator
-            np.put(self.counts, at, counts)
-            np.put(self.totals, at, totals)
-            np.put(self.means, at, totals / counts)
-            self.unsampled[self.current] -= counts == 1.0
+            np.put(self.counts, at, self.counts.take(at) + 1.0)
+            np.put(self.totals, at,
+                   self.totals.take(at) + numerators / self.space.reward_denominator)
             if window.shape[1] > 2:
                 window[:, 5:] = window[:, 2:-3]
                 window[:, 2], window[:, 3], window[:, 4] = self.actions, window[:, 1], self.rewards
@@ -340,36 +334,25 @@ class _TableBatch:
             found[new] = np.arange(len(self.slots), len(self.slots) + new.size)
             self.slots.update(zip([keys[i] for i in new.tolist()], found[new].tolist()))
             if len(self.slots) > len(self.counts):
-                grow = np.zeros((len(self.slots), n))
-                tables = self.counts, self.totals, self.means
-                self.counts, self.totals, self.means = (np.concatenate((t, grow)) for t in tables)
-                self.unsampled = np.concatenate((self.unsampled, np.full(len(grow), n)))
+                grow = np.zeros((len(self.slots), n))  # one table at a time: a lower peak
+                self.counts = np.concatenate((self.counts, grow))
+                self.totals = np.concatenate((self.totals, grow))
         self.current[moved] = found
         self.actions = self._act(self.current, self.draws.take(live))
         return self.actions
 
     def _act(self, current: np.ndarray, r: np.ndarray) -> np.ndarray:
-        actions = self.uniform.searchsorted(r, side="right")
-        greedy = self.unsampled[current] == 0
-        if np.count_nonzero(greedy):
-            best = self.means.take(current[greedy], axis=0).argmax(axis=1)
-            r = r[greedy]
-            chosen = np.minimum(self.cumulative.searchsorted(r, side="right"), best)
-            after = r >= self.peaks[best]
-            if np.count_nonzero(after):
-                for g in set(best[after].tolist()):
-                    at = after & (best == g)
-                    chosen[at] = g + self._walk(g).searchsorted(r[at], side="right")
-            actions[greedy] = chosen
-        return actions
-
-    def _walk(self, greedy: int) -> np.ndarray:
-        """Thresholds of act's sum from the greedy action's on: it adds the
-        base once per further action, and the last action takes the rest."""
-        sums = np.cumsum(np.concatenate(
-            ([self.peaks[greedy]], np.full(self.space.action_count - 1 - greedy, self.base))))
-        sums[-1] = np.inf
-        return sums
+        n = self.space.action_count
+        counts = self.counts.take(current, axis=0)
+        greedy = counts.all(axis=1).nonzero()[0]
+        dist = np.full(counts.shape, 1.0 / n)
+        if greedy.size:
+            means = self.totals.take(current[greedy], axis=0) / counts[greedy]
+            dist[greedy] = self.base
+            dist[greedy, means.argmax(axis=1)] = 1.0 - self.base * (n - 1)
+        sums = dist.cumsum(axis=1)  # act's running sum, in its order
+        sums[:, -1] = np.inf
+        return (r[:, None] < sums).argmax(axis=1)
 
 
 # `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic

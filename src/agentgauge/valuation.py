@@ -326,9 +326,11 @@ def summable_episode_values(agent_factory, env_model,
 
 
 # At most this many of a lockstep group's tape cells, of its random bits
-# drawn at a time, and of the values in the learner table rows it reads each
-# cycle (|A| per episode); and at most this many episodes, each holding one
-# or two random streams of 2.5 kB and its share of the batch policy
+# drawn at a time, and of the values in each (live episodes x |A|) array a
+# learner makes each cycle: the table rows it reads, its action
+# distributions and their running sums; and at most this many episodes,
+# each holding one or two random streams of 2.5 kB and its share of the
+# batch policy
 _LOCKSTEP_CELLS = 1 << 20
 _LOCKSTEP_EPISODES = 1024
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from agentgauge import valuation
+from agentgauge import agents, valuation
 from agentgauge.agents import MAX_BACK, AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
@@ -211,3 +214,90 @@ def test_the_longest_window_builds():
             policy.observe(Percept(int(observations[i]), int(numerators[i])))
             assert policy.act() == actions[i]
     assert len(policies[0].current_key) == 1 + 3 * MAX_BACK
+
+
+class _FixedRandom:
+    """An rng whose random() returns a chosen value."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def _threshold_actions(monkeypatch, policy, batch, percept):
+    """The actions of `policy` and of `batch`, whose 2n - 1 episodes are all
+    in the policy's state, after the percept, on draws 0.0, each running sum
+    of the policy's distribution over n actions and the float below each sum."""
+    policy.observe(percept)
+    sums = list(accumulate(policy.action_distribution()[:-1]))
+    draws = np.array([0.0] + sums + [math.nextafter(s, 0.0) for s in sums])
+    scalar = []
+    for r in draws.tolist():
+        policy.rng = _FixedRandom(r)
+        scalar.append(policy.act())
+    live = np.arange(draws.size)
+    with monkeypatch.context() as patch:
+        patch.setattr(agents._Ahead, "take", lambda self, live: draws[live])
+        actions = batch.step(live, np.full(live.size, percept.observation),
+                             np.full(live.size, percept.reward_numerator))
+    # act takes the first action whose running sum lies above the draw
+    assert scalar == [sum(s <= r for s in sums) for r in draws.tolist()]
+    return scalar, actions.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 5, 17])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1.0])
+def test_draws_on_a_threshold_take_the_next_action(monkeypatch, n, epsilon):
+    # A draw equal to a running sum takes the next action, one just below it
+    # does not, and at epsilon 0 a draw of 0.0 passes the actions of
+    # probability 0 before the greedy one.  Random draws never land on a sum;
+    # these do, at the first cycle, where the distribution is uniform, and
+    # once every action has a count.  On 17 actions the running sums lie
+    # above the products k/17 and k epsilon/17 at some k.
+    space = SpaceConfig(action_count=n, observation_count=1, reward_denominator=255)
+    factory = AgentFactory("basic", space, epsilon)
+    live = np.arange(2 * n - 1)
+
+    def fresh():  # a policy, and a batch of one episode per draw on its stream
+        return factory.make(random.Random(4)), factory.batch(
+            [random.Random(4) for _ in live.tolist()])
+
+    scalar, batch = _threshold_actions(monkeypatch, *fresh(), Percept(0, 0))
+    assert scalar == batch
+    policy, batch = fresh()
+    action = None
+    for _ in range(200):  # the greedy action, the middle one, earns the most
+        reward = 0 if action is None else 255 - 10 * abs(action - n // 2)
+        policy.observe(Percept(0, reward))
+        actions = batch.step(live, np.zeros(live.size, dtype=np.int64),
+                             np.full(live.size, reward))
+        action = policy.act()
+        assert (actions == action).all()
+    percept = Percept(0, 255 - 10 * abs(action - n // 2))
+    scalar, batch = _threshold_actions(monkeypatch, policy, batch, percept)
+    assert policy._greedy_action(policy.table[(0,)]) == n // 2
+    assert scalar == batch
+    if epsilon == 0.0:
+        assert set(scalar) == {n // 2, n - 1}
+
+
+def test_learner_memory_is_two_tables():
+    # a batch learner keeps a count and a total per key and action: a
+    # 16-episode 2back group on 4,096 actions, whose keys are all new, peaks
+    # below four count tables of memory, the growth of both tables included
+    space = SpaceConfig(action_count=4096, observation_count=2, reward_denominator=255)
+    live = np.arange(16)
+    batch = AgentFactory("2back", space).batch([random.Random(i) for i in live.tolist()])
+    percepts = random.Random(5)
+    tracemalloc.start()
+    try:
+        for _ in range(40):
+            batch.step(live, np.array([percepts.randrange(2) for _ in live]),
+                       np.array([percepts.randrange(256) for _ in live]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch.slots) == 40 * 16
+    assert peak < 4 * batch.counts.nbytes

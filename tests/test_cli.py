@@ -19,7 +19,7 @@ import jsonschema
 import pytest
 
 import agentgauge
-from agentgauge import cli, machine, measure, valuation
+from agentgauge import agents, cli, machine, measure, valuation
 from agentgauge.agents import MAX_BACK
 from agentgauge.cli import (MAX_DISCOUNT_EPISODES, MAX_PERMUTATIONS, MAX_STUDY_CYCLES,
                             MAX_WORKERS, build_parser, main)
@@ -201,6 +201,19 @@ def test_report_out_of_bounds_exits_1_and_writes_nothing(tmp_path, capsys, monke
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and "intelligence" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path, capfd, monkeypatch, workers):
+    # a learner's tables grow with the keys it meets; a run that cannot
+    # allocate them is a runtime failure, in a worker or here, like any other
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 635. MiB")
+
+    monkeypatch.setattr(agents._TableBatch, "step", exhausted)
+    assert main(["run", str(write_config(tmp_path)), "--workers", workers]) == 1
+    assert capfd.readouterr().err == "error: out of memory: Unable to allocate 635. MiB\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_is_byte_identical_across_reruns_and_worker_counts(tmp_path):

@@ -632,11 +632,12 @@ def test_lockstep_episodes_match_the_full_reference(monkeypatch):
 def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
     # Each built-in agent's batch policy must take every action its episode's
     # own policy takes: learners with windows of 0, 1 and 3 cycles at epsilon
-    # 0, 0.1 and 1, random and the learners on 1, 2 and 5 actions, random on
-    # 65,536, and the scripted agents, pi_2 past its random phase's start at
-    # cycle 5,001.  Groups of three episodes, which spend a budget of 63 at
-    # different cycles, and blocks of draws as short as one cycle make each
-    # estimate drop episodes mid-group and refill its draws many times.
+    # 0, 0.1 and 1, random and the learners on 1, 2 and 5 actions, basic on
+    # 17, random on 65,536, and the scripted agents, pi_2 past its random
+    # phase's start at cycle 5,001.  Groups of three episodes, which spend a
+    # budget of 63 at different cycles, and blocks of draws as short as one
+    # cycle make each estimate drop episodes mid-group and refill its draws
+    # many times.
     monkeypatch.setattr(valuation, "_LOCKSTEP_EPISODES", 3)
     machine = MachineConfig(tape_length=5, cell_modulus=7)
     params = ValuationParams(horizon=30, episodes=5, trunc_epsilon=1e-3, seed=12)
@@ -659,6 +660,15 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
     echo = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
                               MachineConfig(), space, False)
     cases.append((echo, AgentFactory("pi_2", space), ValuationParams(horizon=5030, episodes=3)))
+    # on 17 actions act's running sums of 1/17 and epsilon/17 part from the
+    # products k/17 and k epsilon/17 at some k; with one observation, basic's
+    # one key has a count for every action, and so turns greedy, within 200
+    # cycles, and stays greedy in about three quarters of its cycles
+    wide = SpaceConfig(action_count=17, observation_count=1, reward_denominator=65535)
+    reader = ProgramEnvironment(encode_program(programs[0], machine), machine, wide, False)
+    long_params = ValuationParams(horizon=200, episodes=5)
+    cases += [(reader, AgentFactory("basic", wide, epsilon), long_params)
+              for epsilon in (0.0, 0.1, 1.0)]
     lockstepped = 0
     for ahead in (1, agents._AHEAD_DRAWS):
         monkeypatch.setattr(agents, "_AHEAD_DRAWS", ahead)
