@@ -19,10 +19,10 @@ ascending, and only loses episodes) as int64 arrays and returns their int64
 actions.  It builds no per-episode object; the one Python operation per
 episode is a learner's dict lookup of each key that changed.  A batch
 learner keeps what `_TablePolicy` keeps, a count and a total per key and
-action, as two (keys x actions) arrays, and acts by one running sum over
-each live episode's action distribution.  It draws each episode's random
-numbers ahead in blocks, which changes no action: an episode's stream is
-its policy's alone and is dropped with it.
+action, as two (keys x actions) arrays, and acts by the running sum of
+each live episode's action distribution, one sum for all uniform ones.  It
+draws each episode's random numbers ahead in blocks, which changes no
+action: an episode's stream is its policy's alone and is dropped with it.
 
 Scripted agents and the uniform random agent on binary actions only depend
 on the cycle index (`AgentFactory.prob_action_one`), which also lets the
@@ -285,11 +285,12 @@ class _TableBatch:
     bytes tell keys apart as the tuples do.  A dict maps them to a slot: a
     row of the (slots x actions) `counts` and `totals`, the `[count, total]`
     pairs of `_TablePolicy.table`.  Each cycle adds the reward to the count
-    and total of the last action, then `_act` builds every live episode's
-    action distribution as `action_distribution` does (the first maximum of
-    `totals / counts` is greedy once every action has a count) and walks its
-    running sum in act's order, so each episode takes the action its own
-    `_TablePolicy` would.
+    and total of the last action, then `_act` builds the action distributions
+    as `action_distribution` does, the uniform one once and a row for each
+    episode whose key has a count for every action (the first maximum of
+    `totals / counts` is greedy), takes their running sums in act's order and
+    gives each episode the first action whose sum lies above its draw, the
+    action its own `_TablePolicy` would take.
     """
 
     __slots__ = ("space", "base", "episodes", "window", "slots", "counts", "totals",
@@ -345,14 +346,17 @@ class _TableBatch:
         n = self.space.action_count
         counts = self.counts.take(current, axis=0)
         greedy = counts.all(axis=1).nonzero()[0]
-        dist = np.full(counts.shape, 1.0 / n)
+        # row 0 is the uniform distribution, shared; then one row per greedy episode
+        dist = np.full((1 + greedy.size, n), self.base)
+        dist[0] = 1.0 / n
         if greedy.size:
             means = self.totals.take(current[greedy], axis=0) / counts[greedy]
-            dist[greedy] = self.base
-            dist[greedy, means.argmax(axis=1)] = 1.0 - self.base * (n - 1)
+            dist[np.arange(1, 1 + greedy.size), means.argmax(axis=1)] = 1.0 - self.base * (n - 1)
         sums = dist.cumsum(axis=1)  # act's running sum, in its order
         sums[:, -1] = np.inf
-        return (r[:, None] < sums).argmax(axis=1)
+        actions = sums[0].searchsorted(r, side="right")
+        actions[greedy] = (r[greedy, None] < sums[1:]).argmax(axis=1)
+        return actions
 
 
 # `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic

@@ -655,11 +655,6 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
                               ["read_action", "move_right", "emit"])
     cases = [(ProgramEnvironment(encode_program(ops, machine), machine, factory.space, False),
               factory, params) for ops in programs for factory in factories]
-    # the action is the reward, out of a budget that outlasts pi_2's phases
-    space = SpaceConfig(action_count=2, observation_count=2, reward_denominator=65535)
-    echo = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
-                              MachineConfig(), space, False)
-    cases.append((echo, AgentFactory("pi_2", space), ValuationParams(horizon=5030, episodes=3)))
     # on 17 actions act's running sums of 1/17 and epsilon/17 part from the
     # products k/17 and k epsilon/17 at some k; with one observation, basic's
     # one key has a count for every action, and so turns greedy, within 200
@@ -669,6 +664,11 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
     long_params = ValuationParams(horizon=200, episodes=5)
     cases += [(reader, AgentFactory("basic", wide, epsilon), long_params)
               for epsilon in (0.0, 0.1, 1.0)]
+    # the action is the reward, out of a budget that outlasts pi_2's phases
+    space = SpaceConfig(action_count=2, observation_count=2, reward_denominator=65535)
+    echo = ProgramEnvironment(encode_program(["read_action", "move_left", "emit"]),
+                              MachineConfig(), space, False)
+    cases.append((echo, AgentFactory("pi_2", space), ValuationParams(horizon=5030, episodes=3)))
     lockstepped = 0
     for ahead in (1, agents._AHEAD_DRAWS):
         monkeypatch.setattr(agents, "_AHEAD_DRAWS", ahead)
