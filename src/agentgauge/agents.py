@@ -20,9 +20,9 @@ actions.  It builds no per-episode object; the one Python operation per
 episode is a learner's dict lookup of each key that changed.  A batch
 learner keeps what `_TablePolicy` keeps, a count and a total per key and
 action, as two (keys x actions) arrays, and acts by the running sum of
-each live episode's action distribution, one sum for all uniform ones.  It
-draws each episode's random numbers ahead in blocks, which changes no
-action: an episode's stream is its policy's alone and is dropped with it.
+each live episode's action distribution, one sum for all uniform ones.
+Batch policies draw each episode's random numbers ahead (`seeding.Ahead`),
+which changes no action: an episode's stream is its policy's alone.
 
 Scripted agents and the uniform random agent on binary actions only depend
 on the cycle index (`AgentFactory.prob_action_one`), which also lets the
@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import AgentGaugeError
 from .interaction import Percept, SpaceConfig
+from .seeding import Ahead, below, random_floats
 
 _SCRIPTED_NAMES = ("pi_opt", "pi_1", "pi_2")
 
@@ -183,82 +184,13 @@ class _TablePolicy:
         return action
 
 
-# Draws of one group's streams made ahead at a time, at most; a block starts
-# at 8 draws per episode and doubles, so an episode that stops early draws few.
-_AHEAD_DRAWS = 1 << 16
+class _UniformBatch(Ahead):
+    """Uniform actions: each is the next randrange draw of its episode."""
 
-
-def _random_floats(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """random() of each pair of 32-bit outputs a, b, all accepted: CPython
-    makes it ((a >> 5) 2^26 + (b >> 6)) / 2^53."""
-    floats = ((words[..., 0] >> 5) * 67108864.0 + (words[..., 1] >> 6)) / 9007199254740992.0
-    return floats, np.ones(floats.shape, dtype=bool)
-
-
-def _below(n: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """randrange(n) candidates of 32-bit outputs and which are accepted:
-    CPython takes the top n.bit_length() bits and draws again while they are
-    n or more."""
-    bits = (words[..., 0] >> (32 - n.bit_length())).astype(np.int64)
-    return bits, bits < n
-
-
-class _Ahead:
-    """Successive draws of each live episode's own random stream, made ahead.
-
-    `convert` turns rows of `words` 32-bit outputs, one row per draw, into
-    draws and a mask of those accepted.  A block row holds an episode's
-    accepted draws first, in stream order, and each live episode takes its
-    next one per `take`.  When one has none left, a new block of each live
-    episode's untaken draws and then fresh ones, as many as fill its row,
-    follows.
-    """
-
-    __slots__ = ("rngs", "words", "convert", "episodes", "drawn", "count", "least", "used")
-
-    def __init__(self, rngs: list, words: int, convert) -> None:
-        self.rngs, self.words, self.convert = rngs, words, convert
-        self.episodes = np.arange(len(rngs))  # the live episodes, a block row each
-        self.drawn = np.empty((len(rngs), 0), dtype=np.int64)
-        self.count = np.zeros(len(rngs), dtype=np.int64)  # accepted draws per row
-        self.least = 0  # the fewest of them
-        self.used = 0  # draws each row gave
-
-    def take(self, live: np.ndarray) -> np.ndarray:
-        if live.size < self.episodes.size:  # drop the rows of episodes that stopped
-            keep = self.episodes.searchsorted(live)
-            self.rngs = [self.rngs[i] for i in keep.tolist()]
-            self.episodes, self.drawn, self.count = live, self.drawn[keep], self.count[keep]
-            self.least = self.count.min()
-        while self.used == self.least:
-            untaken = self.drawn[:, self.used:]
-            size = min(max(1, _AHEAD_DRAWS // live.size), max(8, 2 * self.drawn.shape[1]))
-            kept = np.arange(size) < (self.count - self.used)[:, None]
-            need = self.words * (size - kept.sum(axis=1))
-            words = np.frombuffer(b"".join(
-                rng.getrandbits(32 * k).to_bytes(4 * k, "little")
-                for rng, k in zip(self.rngs, need.tolist())), dtype="<u4")
-            fresh, accepted = self.convert(words.reshape(-1, self.words))
-            block = np.empty(kept.shape, dtype=fresh.dtype)
-            block[kept], block[~kept] = untaken[kept[:, :untaken.shape[1]]], fresh
-            ok = kept.copy()
-            ok[~kept] = accepted
-            self.drawn = np.take_along_axis(block, np.argsort(~ok, axis=1, kind="stable"), axis=1)
-            self.count = ok.sum(axis=1)
-            self.least = self.count.min()
-            self.used = 0
-        self.used += 1
-        return self.drawn[:, self.used - 1]
-
-
-class _UniformBatch:
-    __slots__ = ("draws",)
-
-    def __init__(self, n_actions: int, rngs: list) -> None:
-        self.draws = _Ahead(rngs, 1, partial(_below, n_actions))
+    __slots__ = ()
 
     def step(self, live, observations, numerators) -> np.ndarray:
-        return self.draws.take(live)
+        return self.take(live)
 
 
 class _ScriptedBatch:
@@ -266,7 +198,7 @@ class _ScriptedBatch:
 
     def __init__(self, name: str, rngs: list) -> None:
         self.name = name
-        self.draws = _Ahead(rngs, 2, _random_floats)
+        self.draws = Ahead(rngs, 2, random_floats)
         self.cycles = 0
 
     def step(self, live, observations, numerators) -> np.ndarray:
@@ -307,7 +239,7 @@ class _TableBatch:
         # per episode: the slot of its key, its last action and last reward
         self.current, self.actions, self.rewards = (
             np.zeros(len(rngs), dtype=np.int64) for _ in range(3))
-        self.draws = _Ahead(rngs, 2, _random_floats)
+        self.draws = Ahead(rngs, 2, random_floats)
 
     def step(self, live, observations, numerators) -> np.ndarray:
         if live.size < self.episodes.size:  # drop the rows of episodes that stopped
@@ -420,7 +352,7 @@ class AgentFactory:
     def batch(self, rngs: list[random.Random]):
         """The policies `make` builds from `rngs`, as one batch policy."""
         if self.name == "random":
-            return _UniformBatch(self.space.action_count, rngs)
+            return _UniformBatch(rngs, 1, partial(below, self.space.action_count))
         if self.name in _SCRIPTED_NAMES:
             return _ScriptedBatch(self.name, rngs)
         return _TableBatch(self.space, self._back, self.epsilon, rngs)

@@ -175,8 +175,8 @@ def _cmd_example_study(args) -> int:
         "discounted_values": discounted,
     }
     (out / "study.json").write_text(dump_json(study), encoding="utf-8")
-    manifest = build_manifest("example-study", args.seed,
-                              {"episodes": str(episodes), "cycles": str(cycles)})
+    manifest = build_manifest("example-study", args.seed, {
+        key: str(getattr(args, key)) for key in ("episodes", "cycles", "discount_episodes")})
     (out / "manifest.json").write_text(dump_json(manifest), encoding="utf-8")
     print(f"example study written to {out}")
     return 0

@@ -23,10 +23,11 @@ equal episode values is that value, with half-width 0.
 The summable episodes of a built-in agent in an environment with a cycle
 `summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
 group of them a cycle at a time by machine `lockstep_step` and one step of
-the agent's batch policy (`AgentFactory.batch`), which observes every live
-episode and returns their actions as int64 arrays.  It is built from the
-episodes' own policy streams and takes the actions their scalar policies
-would, learners included, so every value is the one `_rollout` gives.
+the agent's batch policy (`AgentFactory.batch`), which returns the live
+episodes' actions as int64 arrays, as their scalar policies would act.  The
+policy's draws and the environment's bits are drawn ahead from the episodes'
+own streams (`seeding.Ahead`), and an episode that stops leaves its group,
+so every value is the one `_rollout` gives.
 
 An environment that never reads an action (a program without `read_action`)
 yields the same percepts for every agent.  When the agent is an in-process
@@ -60,7 +61,7 @@ import numpy as np
 
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
 from .machine import lockstep_step
-from .seeding import derive_seed
+from .seeding import Ahead, derive_seed, single_bits
 
 # More is almost surely a typo, which would fail deep inside a rollout.
 MAX_EPISODES = 1_000_000
@@ -325,67 +326,55 @@ def summable_episode_values(agent_factory, env_model,
                             params.trunc_epsilon + float(np.mean(remainders)), failed)
 
 
-# At most this many of a lockstep group's tape cells, of its random bits
-# drawn at a time, and of the values in each (live episodes x |A|) array a
-# learner makes each cycle: the table rows it reads, its action
-# distributions and their running sums; and at most this many episodes,
-# each holding one or two random streams of 2.5 kB and its share of the
-# batch policy
+# At most this many of a lockstep group's tape cells, and of the values in
+# each (live episodes x |A|) array a learner makes each cycle: the table rows
+# it reads, its action distributions and their running sums; and at most this
+# many episodes, each holding one or two random streams of 2.5 kB and its
+# share of the batch policy.  `seeding.AHEAD_DRAWS` bounds their draws ahead.
 _LOCKSTEP_CELLS = 1 << 20
 _LOCKSTEP_EPISODES = 1024
-
-
-def _random_bits(rngs: list, count: int) -> np.ndarray:
-    """The next `count` getrandbits(1) results of each stream, a column each: the
-    top bits of the 32-bit outputs getrandbits(32 * count) joins, first lowest."""
-    words = np.frombuffer(b"".join(rng.getrandbits(32 * count).to_bytes(4 * count, "little")
-                                   for rng in rngs), dtype="<u4")
-    return words.reshape(len(rngs), count).T >> 31
 
 
 def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
     """Values and remaining reward bounds of every episode, played in groups
     of at most `_LOCKSTEP_EPISODES` that take each cycle in one `lockstep_step`
     and, if the environment reads actions, one step of the group's batch
-    policy.  Each episode and its policy keep the random streams and the stop
-    rule of `_rollout`."""
-    machine, space, width = env_model.machine, env_model.space, len(summary.rands)
-    group = max(1, min(_LOCKSTEP_EPISODES, _LOCKSTEP_CELLS // max(
-        machine.tape_length, width, space.action_count)))
-    span = max(1, _LOCKSTEP_CELLS // (group * width)) if width else params.horizon
+    policy.  Each episode keeps the streams and stop rule of `_rollout`; its
+    bits are drawn ahead, one `take` per random bit of a cycle, and once it
+    stops it leaves the group."""
+    machine, space = env_model.machine, env_model.space
+    group = max(1, min(_LOCKSTEP_EPISODES,
+                       _LOCKSTEP_CELLS // max(machine.tape_length, space.action_count)))
     labels = (agent_factory.name, env_model.identifier)
     values, remainders = np.empty(params.episodes), np.empty(params.episodes)
     for first in range(0, params.episodes, group):
         indices = range(first, min(params.episodes, first + group))
-        n = len(indices)
-        rngs = [random.Random(derive_seed(params.seed, "env", *labels, i))
-                for i in indices] if width else []
+        bits = Ahead([random.Random(derive_seed(params.seed, "env", *labels, i))
+                      for i in indices], 1, single_bits) if summary.rands else None
         policy = None if _agent_free(agent_factory, env_model) else agent_factory.batch(
             [random.Random(derive_seed(params.seed, "agent", *labels, i)) for i in indices])
-        tape, ptr, block = np.zeros((machine.tape_length, n), dtype=np.int64), 0, ()
+        tape, ptr = np.zeros((machine.tape_length, len(indices)), dtype=np.int64), 0
         # a static cycle keeps the tape zero: (0, 0), then frozen with bound 0
-        budget = np.full(n, 0 if summary.static else space.reward_denominator)
-        totals, live, actions = np.zeros_like(budget), np.ones(n, bool), np.zeros_like(budget)
-        alive = np.arange(n)
-        for cycle in range(params.horizon):
-            row = width * (cycle % span)
-            if width and not row:
-                block = _random_bits(rngs, width * min(span, params.horizon - cycle))
+        budget = np.full(len(indices), 0 if summary.static else space.reward_denominator)
+        totals, alive, actions = np.zeros_like(budget), np.arange(len(indices)), None
+        for cycle in range(params.horizon):  # cycle 1 reads action 0, as in EnvProcess.step
             ptr, observations, numerators = lockstep_step(
-                summary, machine, space, tape, ptr, budget, actions, block[row:row + width])
+                summary, machine, space, tape, ptr, budget, actions,
+                [bits.take(alive) for _ in summary.rands])
             totals += numerators
             bound = budget / space.reward_denominator
-            stop = live & ((bound < params.trunc_epsilon) | (cycle == params.horizon - 1))
-            if stop.any():
-                values[first:first + n][stop] = totals[stop] / space.reward_denominator
-                remainders[first:first + n][stop] = bound[stop]
-                live &= ~stop
-                alive = np.flatnonzero(live)
+            stop = (bound < params.trunc_epsilon) | (cycle == params.horizon - 1)
+            if stop.any():  # the episodes that stop leave the group
+                values[first + alive[stop]] = totals[stop] / space.reward_denominator
+                remainders[first + alive[stop]] = bound[stop]
+                keep = ~stop
+                alive, budget, totals = alive[keep], budget[keep], totals[keep]
+                tape, observations, numerators = tape[:, keep], observations[keep], numerators[keep]
             if not alive.size:
                 break
             if policy is not None:
-                actions[alive] = policy.step(alive, observations[alive], numerators[alive])
-        del tape, block, policy  # before the next group's
+                actions = policy.step(alive, observations, numerators)
+        del tape, bits, policy  # before the next group's
     return values, remainders
 
 

@@ -10,7 +10,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from agentgauge import agents, valuation
+from agentgauge import seeding, valuation
 from agentgauge.agents import MAX_BACK, AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
@@ -239,7 +239,7 @@ def _threshold_actions(monkeypatch, policy, batch, percept):
         scalar.append(policy.act())
     live = np.arange(draws.size)
     with monkeypatch.context() as patch:
-        patch.setattr(agents._Ahead, "take", lambda self, live: draws[live])
+        patch.setattr(seeding.Ahead, "take", lambda self, live: draws[live])
         actions = batch.step(live, np.full(live.size, percept.observation),
                              np.full(live.size, percept.reward_numerator))
     # act takes the first action whose running sum lies above the draw

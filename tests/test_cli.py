@@ -809,6 +809,19 @@ def test_example_study_outputs(tmp_path):
     assert float(rows[1]["pi_opt"]) == 1.0
 
 
+def test_example_study_manifest_records_the_discount_episodes(tmp_path):
+    # the discounted values in study.json depend on --discount-episodes, so
+    # two studies that differ only there must say so in their manifests
+    manifests = []
+    for discount_episodes in ("20", "30"):
+        out = tmp_path / discount_episodes
+        assert main(["example-study", "--out", str(out), "--seed", "3", "--episodes", "20",
+                     "--cycles", "20", "--discount-episodes", discount_episodes]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert manifests == [{"cycles": "20", "discount_episodes": d, "episodes": "20"}
+                         for d in ("20", "30")]
+
+
 @pytest.mark.parametrize("discount_episodes, generators", [("300", 3), ("200", 18)],
                          ids=["shared", "separate"])
 def test_example_study_draws_each_agents_stream_once(tmp_path, monkeypatch, discount_episodes,

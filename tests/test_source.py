@@ -259,6 +259,14 @@ def test_only_the_cli_names_a_process_pool():
     assert found == ["cli.py"]
 
 
+def test_only_seeding_decodes_bulk_random_outputs():
+    # the lockstep's environment bits and the batch policies' draws share one
+    # bulk decode of CPython's 32-bit outputs, seeding.Ahead
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "getrandbits(32" in path.read_text(encoding="utf-8")]
+    assert found == ["seeding.py"]
+
+
 def test_no_module_imports_jsonschema():
     # reports are checked by validate_report; the schema file is the tests' oracle
     found = []

@@ -13,7 +13,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from agentgauge import agents, valuation
+from agentgauge import seeding, valuation
 from agentgauge.agents import AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
@@ -604,27 +604,33 @@ def test_lockstep_episodes_match_the_full_reference(monkeypatch):
     # episodes that stop early at trunc_epsilon 0.3, with cells as wide as
     # int64 allows, and on unproven reward-free programs, whose static
     # summaries freeze after cycle 1 with a remaining bound of 0.  Groups
-    # of two episodes make each estimate play three groups.
+    # of two episodes make each estimate play three groups, and blocks of
+    # one draw refill the environment's bits every cycle as episodes leave
+    # their group.
     monkeypatch.setattr(valuation, "_LOCKSTEP_EPISODES", 2)
     space = SpaceConfig(action_count=3, observation_count=3, reward_denominator=7)
     factories = [AgentFactory(name, space) for name in ("random", "basic", "2back")]
     lockstepped = 0
-    for machine, trunc_epsilon in ((MachineConfig(tape_length=5, cell_modulus=3), 0.3),
-                                   (MachineConfig(tape_length=3, cell_modulus=2 ** 62), 1e-9)):
-        params = ValuationParams(horizon=30, episodes=5, trunc_epsilon=trunc_epsilon, seed=8)
-        programs = enumerate_programs(17, machine)
-        programs += [encode_program(ops, machine) for ops in HAND_PICKED]
-        for program in programs:
-            for reward_free in {proves_reward_free(program, machine, space), False}:
-                env = ProgramEnvironment(program, machine, space, reward_free)
-                lockstepped += (env.summary is not None and not reward_free
-                                and (env.reads_actions or not env.deterministic))
-                for factory in factories:
-                    got_values, got = summable_episode_values(factory, env, params)
-                    want_values, want = _reference_episode_values(factory, env, params)
-                    assert np.array_equal(got_values, want_values), program.instructions
-                    assert got == want, program.instructions
-    assert lockstepped > 100
+    for ahead in (1, seeding.AHEAD_DRAWS):
+        monkeypatch.setattr(seeding, "AHEAD_DRAWS", ahead)
+        for machine, trunc_epsilon in ((MachineConfig(tape_length=5, cell_modulus=3), 0.3),
+                                       (MachineConfig(tape_length=3, cell_modulus=2 ** 62),
+                                        1e-9)):
+            params = ValuationParams(horizon=30, episodes=5, trunc_epsilon=trunc_epsilon,
+                                     seed=8)
+            programs = enumerate_programs(17, machine)
+            programs += [encode_program(ops, machine) for ops in HAND_PICKED]
+            for program in programs:
+                for reward_free in {proves_reward_free(program, machine, space), False}:
+                    env = ProgramEnvironment(program, machine, space, reward_free)
+                    lockstepped += (env.summary is not None and not reward_free
+                                    and (env.reads_actions or not env.deterministic))
+                    for factory in factories:
+                        got_values, got = summable_episode_values(factory, env, params)
+                        want_values, want = _reference_episode_values(factory, env, params)
+                        assert np.array_equal(got_values, want_values), program.instructions
+                        assert got == want, program.instructions
+    assert lockstepped > 200
     assert ProgramEnvironment(program, MachineConfig(cell_modulus=2 ** 62 + 1), space,
                               False).summary is None
 
@@ -670,8 +676,8 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
                               MachineConfig(), space, False)
     cases.append((echo, AgentFactory("pi_2", space), ValuationParams(horizon=5030, episodes=3)))
     lockstepped = 0
-    for ahead in (1, agents._AHEAD_DRAWS):
-        monkeypatch.setattr(agents, "_AHEAD_DRAWS", ahead)
+    for ahead in (1, seeding.AHEAD_DRAWS):
+        monkeypatch.setattr(seeding, "AHEAD_DRAWS", ahead)
         for env, factory, params in cases:
             lockstepped += env.summary is not None and env.reads_actions
             got_values, got = summable_episode_values(factory, env, params)
@@ -683,38 +689,27 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
     assert 0.0 < np.std(got_values) and max(got_values) < 1.0
 
 
-def test_bulk_bits_are_successive_single_bit_draws():
-    # The lockstep draws an episode's random bits as the top bits of one
-    # getrandbits(32 * n) call; each must be the getrandbits(1) that
-    # EnvProcess.step would have drawn, block after block of one stream.
-    for seed in (0, 7, 2 ** 64 - 1):
-        for counts in ((1,), (3, 1, 64), (33, 500)):
-            bulk = [random.Random(seed + k) for k in range(3)]
-            single = [random.Random(seed + k) for k in range(3)]
-            for count in counts:
-                want = [[rng.getrandbits(1) for _ in range(count)] for rng in single]
-                assert valuation._random_bits(bulk, count).T.tolist() == want
-
-
 def test_bulk_draws_are_successive_randrange_and_random_draws(monkeypatch):
-    # A batch policy draws ahead: randrange(n) as the top n.bit_length() bits
-    # of 32-bit outputs, drawing again above n, and random() from two outputs.
-    # Each must be the call its episode's own policy would have made, block
-    # after block of one stream, as episodes stop and the blocks refill, so a
-    # change to either function in CPython fails here.
+    # A batch policy and the lockstep's environment draw ahead: randrange(n)
+    # as the top n.bit_length() bits of 32-bit outputs, drawing again above
+    # n, random() from two outputs, and getrandbits(1) as an output's top
+    # bit.  Each must be the call its episode's own policy or EnvProcess.step
+    # would have made, block after block of one stream, as episodes stop and
+    # the blocks refill, so a change to any of them in CPython fails here.
     def check(convert, words, call):
-        ahead = agents._Ahead([random.Random(seed + k) for k in range(3)], words, convert)
+        ahead = seeding.Ahead([random.Random(seed + k) for k in range(3)], words, convert)
         single = [random.Random(seed + k) for k in range(3)]
         for live in [[0, 1, 2]] * 40 + [[0, 2]] * 100 + [[2]] * 300:
             want = [call(single[i]) for i in live]
             assert ahead.take(np.array(live)).tolist() == want
 
-    for cap in (1, 7, agents._AHEAD_DRAWS):
-        monkeypatch.setattr(agents, "_AHEAD_DRAWS", cap)
+    for cap in (1, 7, seeding.AHEAD_DRAWS):
+        monkeypatch.setattr(seeding, "AHEAD_DRAWS", cap)
         for seed in (0, 7, 2 ** 64 - 1):
             for n in (1, 2, 3, 5, 65_536):
-                check(partial(agents._below, n), 1, lambda rng: rng.randrange(n))
-            check(agents._random_floats, 2, random.Random.random)
+                check(partial(seeding.below, n), 1, lambda rng: rng.randrange(n))
+            check(seeding.random_floats, 2, random.Random.random)
+            check(seeding.single_bits, 1, lambda rng: rng.getrandbits(1))
 
 
 def test_lockstep_memory_is_bounded_whatever_the_horizon_and_episodes():
@@ -723,8 +718,8 @@ def test_lockstep_memory_is_bounded_whatever_the_horizon_and_episodes():
     # the first run's tapes would take 32 MB, the second's random bits 32 MB
     # as 32-bit words, and the policy draws of the last two, which read an
     # action in place of a bit, 64 MB as 64-bit actions or random() floats;
-    # in groups, one tape array and one block of bits hold at most 2^20
-    # values each, and one block of policy draws at most 2^16.
+    # in groups, one tape array holds at most 2^20 values, and one block of
+    # random bits or policy draws, each drawn ahead alike, at most 2^16.
     drawn = encode_program(["random_bit", "move_right", "move_right", "inc", "emit"])
     read = encode_program(["read_action", "move_right", "move_right", "inc", "emit"])
     for program, agent, tape_length, episodes, horizon in (
