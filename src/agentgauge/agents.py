@@ -2,14 +2,14 @@
 three scripted policies from the worked copy-environment example.
 
 An agent is its roster name: `AgentFactory("2back", space)` is the handle a
-run holds.  It builds policies in two forms, which take the same actions
+run holds.  Its policies come in two forms, which take the same actions
 from the same random streams:
 
     policy = factory.make(rng)          # one episode's policy
     policy.observe(percept)             # update hook, called after every percept
     policy.act()                        # the action for the current cycle
 
-    batch = factory.batch(rngs)         # one policy per stream, stepped together
+    batch = batch_policy([(factory, rngs)])  # one policy per stream, stepped together
     actions = batch.step(live, observations, numerators)
 
 A fresh policy serves each rollout, so learner tables are never shared
@@ -22,7 +22,10 @@ learner keeps what `_TablePolicy` keeps, a count and a total per key and
 action, as two (keys x actions) arrays, and acts by the running sum of
 each live episode's action distribution, one sum for all uniform ones.
 Batch policies draw each episode's random numbers ahead (`seeding.Ahead`),
-which changes no action: an episode's stream is its policy's alone.
+which changes no action: an episode's stream is its policy's alone.  A
+group may hold the episodes of several agents: `batch_policy` sets their
+batch forms side by side, and the table learners of one epsilon share one
+batch learner, each row with its own window.
 
 Scripted agents and the uniform random agent on binary actions only depend
 on the cycle index (`AgentFactory.prob_action_one`), which also lets the
@@ -36,7 +39,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -214,7 +217,9 @@ class _TableBatch:
 
     Row i of `window` is a live episode's index and then the fields of its
     current key, with -1 in those a short window has yet to fill, so its
-    bytes tell keys apart as the tuples do.  A dict maps them to a slot: a
+    bytes tell keys apart as the tuples do.  Rows may hold learners of
+    different windows: `pad` marks the fields past a row's own window, which
+    stay -1 after every shift.  A dict maps the rows' bytes to a slot: a
     row of the (slots x actions) `counts` and `totals`, the `[count, total]`
     pairs of `_TablePolicy.table`.  Each cycle adds the reward to the count
     and total of the last action, then `_act` builds the action distributions
@@ -225,15 +230,18 @@ class _TableBatch:
     action its own `_TablePolicy` would take.
     """
 
-    __slots__ = ("space", "base", "episodes", "window", "slots", "counts", "totals",
+    __slots__ = ("space", "base", "episodes", "window", "pad", "slots", "counts", "totals",
                  "current", "actions", "rewards", "draws")
 
-    def __init__(self, space: SpaceConfig, back: int, epsilon: float, rngs: list) -> None:
+    def __init__(self, space: SpaceConfig, backs: list[int], epsilon: float, rngs: list) -> None:
         self.space = space
         self.base = epsilon / space.action_count
         self.episodes = np.arange(len(rngs))  # the live episodes, a row each
-        self.window = np.full((len(rngs), 2 + 3 * back), -1, dtype=np.int32)
+        widths = 2 + 3 * np.array(backs)
+        self.window = np.full((len(rngs), widths.max()), -1, dtype=np.int32)
         self.window[:, 0] = self.episodes
+        pad = np.arange(widths.max()) >= widths[:, None]
+        self.pad = pad if pad.any() else None
         self.slots: dict[bytes, int] = {}
         self.counts, self.totals = (np.zeros((0, space.action_count)) for _ in range(2))
         # per episode: the slot of its key, its last action and last reward
@@ -247,6 +255,8 @@ class _TableBatch:
             self.episodes = live
             self.window, self.current, self.actions, self.rewards = (
                 self.window[keep], self.current[keep], self.actions[keep], self.rewards[keep])
+            if self.pad is not None:
+                self.pad = self.pad[keep]
         window, n = self.window, self.space.action_count
         before = window.copy()
         if self.slots:  # each episode's last action earned this reward under its key
@@ -257,6 +267,8 @@ class _TableBatch:
             if window.shape[1] > 2:
                 window[:, 5:] = window[:, 2:-3]
                 window[:, 2], window[:, 3], window[:, 4] = self.actions, window[:, 1], self.rewards
+                if self.pad is not None:
+                    window[self.pad] = -1
         window[:, 1] = observations
         self.rewards = numerators
         moved = (window != before).any(axis=1).nonzero()[0]  # a kept key keeps its slot
@@ -291,13 +303,56 @@ class _TableBatch:
         return actions
 
 
+class _Columns:
+    """Batch policies side by side, each over a run of adjacent columns of one
+    lockstep group: `starts` holds each run's first column, then the end."""
+
+    __slots__ = ("policies", "starts")
+
+    def __init__(self, policies: list, starts: list[int]) -> None:
+        self.policies, self.starts = policies, starts
+
+    def step(self, live, observations, numerators) -> np.ndarray:
+        bounds = live.searchsorted(self.starts).tolist()
+        return np.concatenate([
+            policy.step(live[low:high] - start, observations[low:high], numerators[low:high])
+            for policy, start, low, high in zip(self.policies, self.starts, bounds, bounds[1:])
+            if low < high])
+
+
+def batch_policy(runs: list) -> object:
+    """One batch policy for a lockstep group whose columns are `runs` of
+    (factory, streams) in order: the policies each factory's `make` builds
+    from its streams, but adjacent table learners with one epsilon share one
+    `_TableBatch`, whose rows keep their own windows."""
+    def shares(run: tuple) -> object:
+        factory = run[0]
+        return (factory.space, factory.epsilon) if factory.learner else id(run)
+
+    policies, starts = [], [0]
+    for _, group in groupby(runs, key=shares):
+        group = list(group)
+        factory, rngs = group[0][0], [rng for _, streams in group for rng in streams]
+        if factory.name == "random":
+            policies.append(_UniformBatch(rngs, 1, partial(below, factory.space.action_count)))
+        elif factory.name in _SCRIPTED_NAMES:
+            policies.append(_ScriptedBatch(factory.name, rngs))
+        else:
+            policies.append(_TableBatch(factory.space, [f._back for f, streams in group
+                                                        for _ in streams], factory.epsilon, rngs))
+        starts.append(starts[-1] + len(rngs))
+    return policies[0] if len(policies) == 1 else _Columns(policies, starts)
+
+
 # `<k>back` for k >= 1 in canonical form: "0back" would be an alias of basic
 # and "01back" of 1back, and two roster entries would then share one name.
 _KBACK_NAME = re.compile(r"[1-9][0-9]*back")
 # A `<k>back` batch policy holds 2 + 3k int32 key fields per episode of a
 # lockstep group and keeps each distinct key as their bytes, so its memory
-# grows with k: 776 bytes a key at the cap.  More is almost surely a typo,
-# which would fail in a NumPy allocation after enumeration and the proofs.
+# grows with k: 776 bytes a key at the cap.  Learners that share a batch
+# policy take the longest window's width, so in a roster with 64back a basic
+# row holds 194 key fields too.  More is almost surely a typo, which would
+# fail in a NumPy allocation after enumeration and the proofs.
 MAX_BACK = 64
 
 
@@ -349,13 +404,10 @@ class AgentFactory:
             return _ScriptedPolicy(self.name, rng)
         return _TablePolicy(self.space, self._back, self.epsilon, rng)
 
-    def batch(self, rngs: list[random.Random]):
-        """The policies `make` builds from `rngs`, as one batch policy."""
-        if self.name == "random":
-            return _UniformBatch(rngs, 1, partial(below, self.space.action_count))
-        if self.name in _SCRIPTED_NAMES:
-            return _ScriptedBatch(self.name, rngs)
-        return _TableBatch(self.space, self._back, self.epsilon, rngs)
+    @property
+    def learner(self) -> bool:
+        """A table learner: `basic` or `<k>back`."""
+        return self.name not in ("random",) + _SCRIPTED_NAMES
 
     @property
     def _back(self) -> int:

@@ -44,6 +44,7 @@ from .measure import (
     build_ensemble,
     compare_agents,
     estimate_intelligence,
+    estimate_roster,
 )
 from .reports import build_manifest, build_report, dump_json, write_run_outputs
 from .seeding import derive_seed
@@ -88,14 +89,19 @@ def _cmd_run(args) -> int:
         with _worker_pool(workers) as pool:
             ensemble = build_ensemble(config.ensemble_spec, config.machine,
                                       config.space, programs=programs, pool=pool)
+            # the in-process agents are valued together; each external one alone
+            roster = [f for f in config.agents if f not in externals]
+            valued = {m.agent_name: m for m in (
+                estimate_roster(roster, ensemble, config.valuation, pool=pool) if roster else ())}
             measurements = [
-                estimate_intelligence(factory, ensemble, config.valuation, pool=pool)
-                for factory in config.agents
+                valued[f.name] if f.name in valued else
+                estimate_intelligence(f, ensemble, config.valuation, pool=pool)
+                for f in config.agents
             ]
-        comparisons = compare_agents(
-            measurements, ensemble, seed=config.seed,
-            bootstrap_samples=config.bootstrap_samples,
-            confidence=config.valuation.confidence)
+            comparisons = compare_agents(
+                measurements, ensemble, seed=config.seed,
+                bootstrap_samples=config.bootstrap_samples,
+                confidence=config.valuation.confidence, pool=pool)
         warnings = {f.name: f.timeout_warnings for f in externals}
         report = build_report(config.seed, ensemble, measurements, comparisons,
                               config.valuation, external_warnings=warnings)
@@ -221,9 +227,8 @@ def _cmd_sensitivity(args) -> int:
                 machine = dataclasses.replace(config.machine, opcode_table=tuple(table))
                 drawn.add(machine.opcode_table)
             ensemble = build_ensemble(config.ensemble_spec, machine, config.space, pool=pool)
-            scores = {f.name: estimate_intelligence(f, ensemble, config.valuation,
-                                                    pool=pool).score
-                      for f in factories}
+            scores = {m.agent_name: m.score for m in estimate_roster(
+                factories, ensemble, config.valuation, pool=pool)}
             ordering = sorted(scores, key=lambda name: (-scores[name], name))
             preserved = not rows or ordering == rows[0]["ordering"]
             label = f"machine-{index}"

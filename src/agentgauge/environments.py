@@ -16,10 +16,11 @@ reward profiles need it) can also run many episodes in lockstep:
 `model.batch_step(actions)` advances them all one cycle, taking an int64
 action array (None on the first cycle) and returning their int64 reward
 numerators.  A length-1 array, in or out, stands for every episode.
-A program environment declares `reads_actions` (its program has
-`read_action`) and `deterministic` (it has no `random_bit`); the valuation
-layer plays an episode that reads no action without the agent and, when it
-is deterministic too, only once per estimate.  A model that declares
+A program environment declares `reads_actions` (some action its cycle reads
+outlasts the cycle) and `deterministic` (no random bit does), from its cycle
+summary, or from its opcodes where it has none; the valuation layer
+plays an episode that reads no action without the agent and, when it is
+deterministic too, only once per estimate.  A model that declares
 neither, like the copy environment, is assumed to read actions and draw
 randomness.  A program environment also declares its loop-free `summary`,
 which `lockstep_step` applies to an in-process agent's episodes together,
@@ -29,6 +30,7 @@ agent's estimate values a proven reward-free environment at 0, unplayed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -66,13 +68,22 @@ class ProgramEnvironment:
 
     @property
     def reads_actions(self) -> bool:
-        return "read_action" in self.program.instructions
+        # a read past the cycle's emit never runs, and a later random bit
+        # to its cell hides one before it
+        summary = self.summary
+        if summary is None:
+            return "read_action" in self.program.instructions
+        return bool(summary.reads)
 
     @property
     def deterministic(self) -> bool:
-        return "random_bit" not in self.program.instructions
+        # likewise a random bit, which a later read to its cell hides
+        summary = self.summary
+        if summary is None:
+            return "random_bit" not in self.program.instructions
+        return set(summary.rands) <= set(summary.reads)
 
-    @property
+    @functools.cached_property
     def summary(self) -> CycleSummary | None:
         """The summary `lockstep_step` applies each cycle, or None: for a program
         with a loop, a cycle that does not reach emit, or cells past int64."""

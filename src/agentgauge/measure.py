@@ -13,11 +13,13 @@ same two calls once per table; the `sensitivity` command runs it.
 
 Programs that share a `reward_free_key` run the same cycle, so
 `build_ensemble` walks one signature per key and gives it to every program
-of the key.  Signatures and entry values are independent, so
-`build_ensemble` and `estimate_intelligence` map them over a process pool
-the caller owns, if given one, in blocks that workers take as they free up.
-Seeds derive from labels and results keep input order, so the pool changes
-no number.  Reward-freedom is proved in the caller's process, once per
+of the key.  `estimate_roster` values the built-in agents of a run together,
+one pass per entry, and `estimate_intelligence` one agent.  Signatures,
+entry values and the bootstrap of each pair of agents are independent, so
+`build_ensemble`, the estimates and `compare_agents` map them over a
+process pool the caller owns, if given one, in blocks that workers take as
+they free up.  Seeds derive from labels and results keep input order, so
+the pool changes no number.  Reward-freedom is proved in the caller's process, once per
 `reward_free_key`, and travels with each entry, so no worker proves
 anything.
 """
@@ -47,7 +49,12 @@ from .machine import (
     summarize_cycle,
 )
 from .seeding import derive_seed
-from .valuation import ValuationParams, ValueEstimate, summable_episode_values
+from .valuation import (
+    ValuationParams,
+    ValueEstimate,
+    roster_episode_values,
+    summable_episode_values,
+)
 
 WEIGHT_SCHEMES = ("length", "kt")
 # Enumeration and valuation grow about 2^n with the length cutoff n; at 29
@@ -229,17 +236,33 @@ def _map(pool, fn, items, *constants):
 def estimate_intelligence(agent_factory, ensemble: Ensemble,
                           params: ValuationParams, pool=None) -> AgentMeasurement:
     """Weight-averaged expected total reward of one agent over the ensemble."""
-    entries = ensemble.entries
     results = _map(pool, partial(summable_episode_values, agent_factory),
-                   [entry.environment for entry in entries], params)
+                   [entry.environment for entry in ensemble.entries], params)
+    return _measured(agent_factory.name, ensemble, results)
 
+
+def estimate_roster(factories: list, ensemble: Ensemble, params: ValuationParams,
+                    pool=None) -> list[AgentMeasurement]:
+    """`estimate_intelligence` of each agent, valued together in one map of
+    the entries (`roster_episode_values`).  A roster of one takes
+    `estimate_intelligence`, the name `bench/tracing.py` wraps."""
+    if len(factories) == 1:
+        return [estimate_intelligence(factories[0], ensemble, params, pool)]
+    results = list(_map(pool, partial(roster_episode_values, factories),
+                        [entry.environment for entry in ensemble.entries], params))
+    return [_measured(factory.name, ensemble, [row[k] for row in results])
+            for k, factory in enumerate(factories)]
+
+
+def _measured(name: str, ensemble: Ensemble, results) -> AgentMeasurement:
+    """The measurement of an agent from its (values, estimate) of each entry."""
     estimates: dict[str, ValueEstimate] = {}
     episode_values: dict[str, np.ndarray] = {}
     score = 0.0
     variance = 0.0
     truncation = 0.0
     failures = 0
-    for entry, (values, estimate) in zip(entries, results):
+    for entry, (values, estimate) in zip(ensemble.entries, results):
         estimates[entry.identifier] = estimate
         episode_values[entry.identifier] = values
         score += entry.weight * estimate.mean
@@ -247,7 +270,7 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
         truncation += entry.weight * estimate.truncation_bound
         failures += estimate.failed_episodes
     return AgentMeasurement(
-        agent_name=agent_factory.name,
+        agent_name=name,
         score=score,
         ci_half_width=math.sqrt(variance),
         estimates=estimates,
@@ -271,36 +294,40 @@ class AgentComparison:
 
 def compare_agents(measurements: list[AgentMeasurement], ensemble: Ensemble,
                    seed: int = 0, bootstrap_samples: int = 2000,
-                   confidence: float = 0.95) -> list[AgentComparison]:
+                   confidence: float = 0.95, pool=None) -> list[AgentComparison]:
     """Pairwise paired-by-environment comparisons with bootstrap intervals.
 
     The per-environment difference of means is weighted by ensemble weight;
     episode values are resampled per environment and agent to produce a
     percentile bootstrap interval for the weighted mean difference.  An
-    ordering is significant when that interval excludes zero.
+    ordering is significant when that interval excludes zero.  Each pair
+    draws from its own seeded stream, so the pairs map over the pool.
     """
-    comparisons: list[AgentComparison] = []
+    pairs = [(a.agent_name, b.agent_name,
+              [(a.episode_values[entry.identifier], b.episode_values[entry.identifier])
+               for entry in ensemble.entries])
+             for i, a in enumerate(measurements) for b in measurements[i + 1:]]
+    return list(_map(pool, _compared, pairs, [entry.weight for entry in ensemble.entries],
+                     seed, bootstrap_samples, confidence))
+
+
+def _compared(pair: tuple, weights: list[float], seed: int, bootstrap_samples: int,
+              confidence: float) -> AgentComparison:
+    """The comparison of agents a and b from their episode values on each entry."""
+    name_a, name_b, columns = pair
     alpha = (1.0 - confidence) / 2.0
-    for i in range(len(measurements)):
-        for j in range(i + 1, len(measurements)):
-            a, b = measurements[i], measurements[j]
-            rng = np.random.default_rng(
-                derive_seed(seed, "bootstrap", a.agent_name, b.agent_name))
-            point = 0.0
-            boot = np.zeros(bootstrap_samples)
-            for entry in ensemble.entries:
-                va = a.episode_values[entry.identifier]
-                vb = b.episode_values[entry.identifier]
-                point += entry.weight * (va.mean() - vb.mean())
-                if np.array_equal(va, vb):
-                    continue  # identical samples contribute exactly zero spread
-                idx_a = rng.integers(0, len(va), size=(bootstrap_samples, len(va)))
-                idx_b = rng.integers(0, len(vb), size=(bootstrap_samples, len(vb)))
-                boot += entry.weight * (va[idx_a].mean(axis=1) - vb[idx_b].mean(axis=1))
-            low, high = np.quantile(boot, [alpha, 1.0 - alpha])
-            significant = bool(low > 0.0 or high < 0.0)
-            comparisons.append(AgentComparison(
-                agent_a=a.agent_name, agent_b=b.agent_name,
-                mean_difference=point, ci_low=float(low), ci_high=float(high),
-                significant=significant))
-    return comparisons
+    rng = np.random.default_rng(derive_seed(seed, "bootstrap", name_a, name_b))
+    point = 0.0
+    boot = np.zeros(bootstrap_samples)
+    for weight, (va, vb) in zip(weights, columns):
+        point += weight * (va.mean() - vb.mean())
+        if np.array_equal(va, vb):
+            continue  # identical samples contribute exactly zero spread
+        idx_a = rng.integers(0, len(va), size=(bootstrap_samples, len(va)))
+        idx_b = rng.integers(0, len(vb), size=(bootstrap_samples, len(vb)))
+        boot += weight * (va[idx_a].mean(axis=1) - vb[idx_b].mean(axis=1))
+    low, high = np.quantile(boot, [alpha, 1.0 - alpha])
+    return AgentComparison(
+        agent_a=name_a, agent_b=name_b,
+        mean_difference=point, ci_low=float(low), ci_high=float(high),
+        significant=bool(low > 0.0 or high < 0.0))

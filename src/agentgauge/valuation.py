@@ -20,27 +20,28 @@ vectorized in lockstep, where episodes that no draw has told apart are one
 number, so a deterministic agent costs O(1) per cycle.  An estimate of
 equal episode values is that value, with half-width 0.
 
-The summable episodes of a built-in agent in an environment with a cycle
-`summary` (a loop-free program) run in lockstep too: `_lockstep` advances a
-group of them a cycle at a time by machine `lockstep_step` and one step of
-the agent's batch policy (`AgentFactory.batch`), which returns the live
-episodes' actions as int64 arrays, as their scalar policies would act.  The
-policy's draws and the environment's bits are drawn ahead from the episodes'
-own streams (`seeding.Ahead`), and an episode that stops leaves its group,
-so every value is the one `_rollout` gives.
+`roster_episode_values` values a roster of agents in one environment in one
+call, and `summable_episode_values` is its roster of one.  The summable
+episodes of the built-in agents in an environment with a cycle `summary` (a
+loop-free program) run in lockstep too: `_lockstep` advances a group of
+(agent, episode) columns a cycle at a time by one machine `lockstep_step`
+and one step of the group's batch policy (`agents.batch_policy`), which
+returns the live columns' actions as int64 arrays, as their scalar policies
+would act.  The policies' draws and the environment's bits are drawn ahead
+from each column's own streams (`seeding.Ahead`), and a column that stops
+leaves its group, so every value is the one the agent's `_rollout` gives.
 
-An environment that never reads an action (a program without `read_action`)
-yields the same percepts for every agent.  When the agent is an in-process
-factory, whose policy is built fresh for each episode and observed by
-nothing else, no policy is built and every action is 0.  For such a factory,
-`summable_episode_values` values an environment proven reward-free at 0 with
-no episode at all, which is what each episode would give: one cycle with
-reward 0 and bound 0.  It plays one episode and repeats it where the
-environment reads no action and is deterministic (no `random_bit`).  Every
-episode keeps the seeds and stop rule of `_rollout`, and the policy's stream
-was never read by the environment, so every value is what the full loop
-gives.  External agents always see every percept: their replies and
-warnings are part of the report.
+An environment that never reads an action yields the same percepts for
+every agent.  When the agent is an in-process factory, whose policy is built
+fresh for each episode and observed by nothing else, no policy is built and
+every action is 0.  For such factories, `roster_episode_values` values an
+environment proven reward-free at 0 with no episode at all, which is what
+each episode would give: one cycle with reward 0 and bound 0.  It plays one
+episode for the whole roster and repeats it where the environment reads no
+action and is deterministic.  Every episode keeps the seeds and stop rule of
+`_rollout`, and the policy's stream was never read by the environment, so
+every value is what the full loop gives.  External agents always see every
+percept: their replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
 the estimate, never silently dropped.  The one fact an episode reports about
@@ -55,10 +56,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from statistics import NormalDist
 
 import numpy as np
 
+from .agents import batch_policy
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
 from .machine import lockstep_step
 from .seeding import Ahead, derive_seed, single_bits
@@ -285,78 +289,125 @@ def summable_episode_values(agent_factory, env_model,
     Each episode plays as one `_rollout` with epsilon = trunc_epsilon; failed
     rollouts (external agents only) are excluded, not scored as zero.  The
     estimate's truncation bound is trunc_epsilon plus the mean reward the
-    episodes could still have earned when they stopped.  For a factory with
-    private policies, an environment proven reward-free is worth 0 in every
-    episode with bound 0, so none is played; one that reads no action and is
-    deterministic gives the same episode whatever its index, so it is played
-    once; any other with a cycle `summary` is played in `_lockstep`.
+    episodes could still have earned when they stopped.  This is the roster
+    of one of `roster_episode_values`.
+    """
+    return roster_episode_values([agent_factory], env_model, params)[0]
+
+
+def roster_episode_values(factories, env_model,
+                          params: ValuationParams) -> list[tuple[np.ndarray, ValueEstimate]]:
+    """`summable_episode_values` of each agent of a roster, in one pass.
+
+    The factories with private policies are valued together.  An environment
+    proven reward-free is worth 0 in every episode with bound 0, so none is
+    played.  One that reads no action and is deterministic gives the same
+    episode whatever the agent and index, so it is played once for them all.
+    Any other with a cycle `summary` is played in `_lockstep`, one group of
+    (agent, episode) columns at a time.  Every other agent plays its own
+    rollouts.
     """
     if not getattr(env_model, "summable", False):
         raise SummabilityError(
             f"environment {env_model.identifier} is not reward-summable")
-    private = getattr(agent_factory, "private_policies", False)
+    private = [k for k, f in enumerate(factories) if getattr(f, "private_policies", False)]
+    results: list = [None] * len(factories)
     if private and getattr(env_model, "reward_free", False):
-        return (np.zeros(params.episodes),
+        zero = (np.zeros(params.episodes),
                 ValueEstimate(0.0, 0.0, params.episodes, params.trunc_epsilon))
-    replay = _agent_free(agent_factory, env_model) and getattr(env_model, "deterministic", False)
-    summary = getattr(env_model, "summary", None) if private and not replay else None
-    failed = 0
-    if summary is not None:
-        values, remainders = _lockstep(agent_factory, env_model, summary, params)
-    else:
-        values, remainders = [], []
-        for index in range(1 if replay else params.episodes):
-            try:
-                numerators, episode = _rollout(agent_factory, env_model, params.seed, index,
-                                               params.horizon, params.trunc_epsilon)
-            except RolloutFailed:
-                failed += 1
-                continue
-            values.append(sum(numerators) / env_model.space.reward_denominator)
-            remainders.append(min(1.0, episode.remaining_reward_bound))
-        if replay:
-            values *= params.episodes
-            remainders *= params.episodes
-        if not values:
-            raise RolloutFailed(
-                f"all {params.episodes} rollouts failed for agent {agent_factory.name} "
-                f"on {env_model.identifier}")
+        for k in private:
+            results[k] = zero
+    elif private and (_agent_free(factories[private[0]], env_model)
+                      and getattr(env_model, "deterministic", False)):
+        replayed = _played(factories[private[0]], env_model, params, 1)
+        for k in private:
+            results[k] = replayed
+    elif private and getattr(env_model, "summary", None) is not None:
+        values, remainders = _lockstep([factories[k] for k in private], env_model,
+                                       env_model.summary, params)
+        for row, k in enumerate(private):
+            results[k] = values[row], _estimate(
+                values[row], params.confidence,
+                params.trunc_epsilon + float(np.mean(remainders[row])))
+    for k, factory in enumerate(factories):
+        if results[k] is None:
+            results[k] = _played(factory, env_model, params, params.episodes)
+    return results
+
+
+def _played(agent_factory, env_model, params: ValuationParams,
+            count: int) -> tuple[np.ndarray, ValueEstimate]:
+    """The values and estimate of `_rollout`s of the first `count` episodes,
+    the first repeated for every episode if only one is played."""
+    values, remainders, failed = [], [], 0
+    for index in range(count):
+        try:
+            numerators, episode = _rollout(agent_factory, env_model, params.seed, index,
+                                           params.horizon, params.trunc_epsilon)
+        except RolloutFailed:
+            failed += 1
+            continue
+        values.append(sum(numerators) / env_model.space.reward_denominator)
+        remainders.append(min(1.0, episode.remaining_reward_bound))
+    if not values:
+        raise RolloutFailed(
+            f"all {params.episodes} rollouts failed for agent {agent_factory.name} "
+            f"on {env_model.identifier}")
+    if count == 1:
+        values *= params.episodes
+        remainders *= params.episodes
     array = np.asarray(values)
     return array, _estimate(array, params.confidence,
                             params.trunc_epsilon + float(np.mean(remainders)), failed)
 
 
 # At most this many of a lockstep group's tape cells, and of the values in
-# each (live episodes x |A|) array a learner makes each cycle: the table rows
+# each (live columns x |A|) array a learner makes each cycle: the table rows
 # it reads, its action distributions and their running sums; and at most this
-# many episodes, each holding one or two random streams of 2.5 kB and its
+# many columns, each holding one or two random streams of 2.5 kB and its
 # share of the batch policy.  `seeding.AHEAD_DRAWS` bounds their draws ahead.
 _LOCKSTEP_CELLS = 1 << 20
 _LOCKSTEP_EPISODES = 1024
 
 
-def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
-    """Values and remaining reward bounds of every episode, played in groups
+def _lockstep(factories, env_model, summary, params: ValuationParams):
+    """Values and remaining reward bounds of every episode of every agent, as
+    (agents x episodes) arrays.  The (agent, episode) columns play in groups
     of at most `_LOCKSTEP_EPISODES` that take each cycle in one `lockstep_step`
     and, if the environment reads actions, one step of the group's batch
-    policy.  Each episode keeps the streams and stop rule of `_rollout`; its
-    bits are drawn ahead, one `take` per random bit of a cycle, and once it
-    stops it leaves the group."""
+    policy (`batch_policy`).  Each column keeps the streams and stop rule of
+    its agent's `_rollout`; its bits are drawn ahead, one `take` per random
+    bit of a cycle, and once it stops it leaves the group."""
     machine, space = env_model.machine, env_model.space
     group = max(1, min(_LOCKSTEP_EPISODES,
                        _LOCKSTEP_CELLS // max(machine.tape_length, space.action_count)))
-    labels = (agent_factory.name, env_model.identifier)
-    values, remainders = np.empty(params.episodes), np.empty(params.episodes)
-    for first in range(0, params.episodes, group):
-        indices = range(first, min(params.episodes, first + group))
-        bits = Ahead([random.Random(derive_seed(params.seed, "env", *labels, i))
-                      for i in indices], 1, single_bits) if summary.rands else None
-        policy = None if _agent_free(agent_factory, env_model) else agent_factory.batch(
-            [random.Random(derive_seed(params.seed, "agent", *labels, i)) for i in indices])
-        tape, ptr = np.zeros((machine.tape_length, len(indices)), dtype=np.int64), 0
+    episodes = params.episodes
+    # table learners of one epsilon take adjacent columns, and so share one table
+    order = np.array(sorted(range(len(factories)),
+                            key=lambda a: (factories[a].learner, factories[a].epsilon)))
+    agent_free = _agent_free(factories[0], env_model)
+    values, remainders = (np.empty((len(factories), episodes)) for _ in range(2))
+    flat_values, flat_remainders = values.reshape(-1), remainders.reshape(-1)
+    columns = len(factories) * episodes
+
+    def stream(role: str, agent: int, index: int) -> random.Random:
+        return random.Random(derive_seed(params.seed, role, factories[agent].name,
+                                         env_model.identifier, index))
+
+    for first in range(0, columns, group):
+        agents, indices = divmod(np.arange(first, min(columns, first + group)), episodes)
+        agents = order[agents]
+        targets = agents * episodes + indices
+        pairs = list(zip(agents.tolist(), indices.tolist()))
+        bits = Ahead([stream("env", *pair) for pair in pairs],
+                     1, single_bits) if summary.rands else None
+        policy = None if agent_free else batch_policy([
+            (factories[agent], [stream("agent", *pair) for pair in run])
+            for agent, run in groupby(pairs, key=itemgetter(0))])
+        tape, ptr = np.zeros((machine.tape_length, targets.size), dtype=np.int64), 0
         # a static cycle keeps the tape zero: (0, 0), then frozen with bound 0
-        budget = np.full(len(indices), 0 if summary.static else space.reward_denominator)
-        totals, alive, actions = np.zeros_like(budget), np.arange(len(indices)), None
+        budget = np.full(targets.size, 0 if summary.static else space.reward_denominator)
+        totals, alive, actions = np.zeros_like(budget), np.arange(targets.size), None
         for cycle in range(params.horizon):  # cycle 1 reads action 0, as in EnvProcess.step
             ptr, observations, numerators = lockstep_step(
                 summary, machine, space, tape, ptr, budget, actions,
@@ -364,9 +415,9 @@ def _lockstep(agent_factory, env_model, summary, params: ValuationParams):
             totals += numerators
             bound = budget / space.reward_denominator
             stop = (bound < params.trunc_epsilon) | (cycle == params.horizon - 1)
-            if stop.any():  # the episodes that stop leave the group
-                values[first + alive[stop]] = totals[stop] / space.reward_denominator
-                remainders[first + alive[stop]] = bound[stop]
+            if stop.any():  # the columns that stop leave the group
+                flat_values[targets[alive[stop]]] = totals[stop] / space.reward_denominator
+                flat_remainders[targets[alive[stop]]] = bound[stop]
                 keep = ~stop
                 alive, budget, totals = alive[keep], budget[keep], totals[keep]
                 tape, observations, numerators = tape[:, keep], observations[keep], numerators[keep]

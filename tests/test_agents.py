@@ -10,8 +10,8 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from agentgauge import seeding, valuation
-from agentgauge.agents import MAX_BACK, AgentFactory, scripted_prob_action_one
+from agentgauge import agents, seeding, valuation
+from agentgauge.agents import MAX_BACK, AgentFactory, batch_policy, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError
 from agentgauge.interaction import Percept, SpaceConfig
@@ -203,7 +203,7 @@ def test_the_longest_window_builds():
     # its episodes' own policies do once the window has filled
     factory = AgentFactory(f"{MAX_BACK}back", BINARY)
     live = np.arange(valuation._LOCKSTEP_EPISODES)
-    batch = factory.batch([random.Random(i) for i in live.tolist()])
+    batch = batch_policy([(factory, [random.Random(i) for i in live.tolist()])])
     policies = [factory.make(random.Random(i)) for i in live.tolist()[:4]]
     percepts = random.Random(3)
     for _ in range(MAX_BACK + 8):
@@ -226,24 +226,31 @@ class _FixedRandom:
         return self.value
 
 
-def _threshold_actions(monkeypatch, policy, batch, percept):
-    """The actions of `policy` and of `batch`, whose 2n - 1 episodes are all
-    in the policy's state, after the percept, on draws 0.0, each running sum
-    of the policy's distribution over n actions and the float below each sum."""
-    policy.observe(percept)
-    sums = list(accumulate(policy.action_distribution()[:-1]))
-    draws = np.array([0.0] + sums + [math.nextafter(s, 0.0) for s in sums])
-    scalar = []
-    for r in draws.tolist():
-        policy.rng = _FixedRandom(r)
-        scalar.append(policy.act())
+def _threshold_actions(monkeypatch, policies, batch, percepts):
+    """The actions of `policies` and of `batch`, whose episodes are 2n - 1 in
+    the state of each policy in turn, after its percept, on draws 0.0, each
+    running sum of the policy's distribution over n actions and the float
+    below each sum."""
+    scalar, draws = [], []
+    for policy, percept in zip(policies, percepts):
+        policy.observe(percept)
+        sums = list(accumulate(policy.action_distribution()[:-1]))
+        block = [0.0] + sums + [math.nextafter(s, 0.0) for s in sums]
+        acts = []
+        for r in block:
+            policy.rng = _FixedRandom(r)
+            acts.append(policy.act())
+        # act takes the first action whose running sum lies above the draw
+        assert acts == [sum(s <= r for s in sums) for r in block]
+        scalar += acts
+        draws += block
+    draws = np.array(draws)
     live = np.arange(draws.size)
+    rows = draws.size // len(policies)
     with monkeypatch.context() as patch:
         patch.setattr(seeding.Ahead, "take", lambda self, live: draws[live])
-        actions = batch.step(live, np.full(live.size, percept.observation),
-                             np.full(live.size, percept.reward_numerator))
-    # act takes the first action whose running sum lies above the draw
-    assert scalar == [sum(s <= r for s in sums) for r in draws.tolist()]
+        actions = batch.step(live, np.repeat([p.observation for p in percepts], rows),
+                             np.repeat([p.reward_numerator for p in percepts], rows))
     return scalar, actions.tolist()
 
 
@@ -255,32 +262,41 @@ def test_draws_on_a_threshold_take_the_next_action(monkeypatch, n, epsilon):
     # probability 0 before the greedy one.  Random draws never land on a sum;
     # these do, at the first cycle, where the distribution is uniform, and
     # once every action has a count.  On 17 actions the running sums lie
-    # above the products k/17 and k epsilon/17 at some k.
+    # above the products k/17 and k epsilon/17 at some k.  Learners of
+    # different windows in one group share one table, and each row takes
+    # its own learner's action.
     space = SpaceConfig(action_count=n, observation_count=1, reward_denominator=255)
-    factory = AgentFactory("basic", space, epsilon)
-    live = np.arange(2 * n - 1)
+    rows = 2 * n - 1
+    for names in (("basic",), ("basic", "2back", f"{MAX_BACK}back")):
+        factories = [AgentFactory(name, space, epsilon) for name in names]
+        live = np.arange(rows * len(factories))
 
-    def fresh():  # a policy, and a batch of one episode per draw on its stream
-        return factory.make(random.Random(4)), factory.batch(
-            [random.Random(4) for _ in live.tolist()])
+        def fresh():  # each learner's policy, and a batch of one episode per draw on its stream
+            return ([factory.make(random.Random(4)) for factory in factories],
+                    batch_policy([(factory, [random.Random(4) for _ in range(rows)])
+                                  for factory in factories]))
 
-    scalar, batch = _threshold_actions(monkeypatch, *fresh(), Percept(0, 0))
-    assert scalar == batch
-    policy, batch = fresh()
-    action = None
-    for _ in range(200):  # the greedy action, the middle one, earns the most
-        reward = 0 if action is None else 255 - 10 * abs(action - n // 2)
-        policy.observe(Percept(0, reward))
-        actions = batch.step(live, np.zeros(live.size, dtype=np.int64),
-                             np.full(live.size, reward))
-        action = policy.act()
-        assert (actions == action).all()
-    percept = Percept(0, 255 - 10 * abs(action - n // 2))
-    scalar, batch = _threshold_actions(monkeypatch, policy, batch, percept)
-    assert policy._greedy_action(policy.table[(0,)]) == n // 2
-    assert scalar == batch
-    if epsilon == 0.0:
-        assert set(scalar) == {n // 2, n - 1}
+        policies, batch = fresh()
+        assert isinstance(batch, agents._TableBatch)
+        scalar, batch_actions = _threshold_actions(monkeypatch, policies, batch,
+                                                   [Percept(0, 0)] * len(factories))
+        assert scalar == batch_actions
+        policies, batch = fresh()
+        acted = [None] * len(factories)
+        for _ in range(200):  # the greedy action, the middle one, earns the most
+            rewards = [0 if a is None else 255 - 10 * abs(a - n // 2) for a in acted]
+            for policy, reward in zip(policies, rewards):
+                policy.observe(Percept(0, reward))
+            actions = batch.step(live, np.zeros(live.size, dtype=np.int64),
+                                 np.repeat(rewards, rows))
+            acted = [policy.act() for policy in policies]
+            assert actions.tolist() == np.repeat(acted, rows).tolist()
+        percepts = [Percept(0, 255 - 10 * abs(a - n // 2)) for a in acted]
+        scalar, batch_actions = _threshold_actions(monkeypatch, policies, batch, percepts)
+        assert policies[0]._greedy_action(policies[0].table[(0,)]) == n // 2
+        assert scalar == batch_actions
+        if epsilon == 0.0:
+            assert set(scalar[:rows]) == {n // 2, n - 1}
 
 
 def test_learner_memory_is_two_tables():
@@ -289,7 +305,7 @@ def test_learner_memory_is_two_tables():
     # below four count tables of memory, the growth of both tables included
     space = SpaceConfig(action_count=4096, observation_count=2, reward_denominator=255)
     live = np.arange(16)
-    batch = AgentFactory("2back", space).batch([random.Random(i) for i in live.tolist()])
+    batch = batch_policy([(AgentFactory("2back", space), [random.Random(i) for i in live.tolist()])])
     percepts = random.Random(5)
     tracemalloc.start()
     try:

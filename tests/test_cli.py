@@ -731,6 +731,37 @@ def test_run_with_external_agent(tmp_path, capsys, pools_made):
     assert (tmp_path / "out" / "report.json").read_bytes() == report_bytes
 
 
+def test_an_external_agent_amid_the_roster_keeps_the_config_order(tmp_path, capsys):
+    # random and basic are valued together and the external agent alone, yet
+    # the printed scores and the comparisons follow the config's agents, and
+    # the in-process agents' numbers are those of a run without the external one
+    child = tmp_path / "uniform.py"
+    child.write_text(textwrap.dedent("""
+        import json, random, sys
+        rng = random.Random(4)
+        for line in sys.stdin:
+            msg = json.loads(line)
+            if msg["type"] == "hello":
+                print(json.dumps({"type": "ready"}), flush=True)
+            elif msg["type"] == "percept":
+                print(json.dumps({"type": "action", "a": rng.randrange(2)}), flush=True)
+            elif msg["type"] == "bye":
+                break
+    """), encoding="utf-8")
+    config = write_config(
+        tmp_path, agents="random,probe,basic",
+        extra=f"external.probe = {sys.executable} {child}\nexternal_timeout_ms = 4000")
+    assert main(["run", str(config)]) == 0
+    printed = [line.partition(":")[0] for line in capsys.readouterr().out.splitlines()[:3]]
+    assert printed == ["random", "probe", "basic"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(c["agent_a"], c["agent_b"]) for c in report["comparisons"]] == [
+        ("random", "probe"), ("random", "basic"), ("probe", "basic")]
+    assert main(["run", str(write_config(tmp_path, out_name="alone"))]) == 0
+    alone = json.loads((tmp_path / "alone" / "report.json").read_text())
+    assert {name: report["agents"][name] for name in ("random", "basic")} == alone["agents"]
+
+
 def test_agent_that_exits_mid_run_fails_the_run(tmp_path, capsys):
     child = tmp_path / "quitter.py"
     child.write_text(textwrap.dedent("""

@@ -28,6 +28,7 @@ from agentgauge.measure import (
     build_ensemble,
     compare_agents,
     estimate_intelligence,
+    estimate_roster,
 )
 from agentgauge.valuation import ValuationParams, summable_episode_values
 from natives import encode_program
@@ -140,14 +141,16 @@ def test_build_ensemble_walks_once_per_key(ensembles_24, horizon, walks):
 
 
 @pytest.mark.parametrize("horizon, lockstepped, replayed, unplayed",
-                         [(8, 23, 13, 14), (None, 166, 78, 2875)],
+                         [(8, 23, 13, 14), (None, 150, 94, 2875)],
                          ids=["dedup-8", "dedup-off"])
 def test_valuation_dispatch_at_24_bits(ensembles_24, monkeypatch, horizon, lockstepped,
                                        replayed, unplayed):
     # the scalar rollout gives the lockstep's values, only slower, so a silent
     # fallback from _lockstep would fail no value test: pin which entries
     # run in lockstep, which replay one agent-free episode, and which are
-    # proven reward-free and play nothing
+    # proven reward-free and play nothing.  Without dedup, 16 entries whose
+    # reads or random bits all lie past the cycle's emit, or are overwritten
+    # within it, replay one episode
     ensemble, _, _ = ensembles_24[horizon]
     lockstep, rollout = valuation._lockstep, valuation._rollout
     locked, rolled = [], []
@@ -303,6 +306,8 @@ def test_pooled_ensemble_matches_the_serial_one(pool, dedup, scheme):
 
 
 def test_estimation_is_deterministic_and_worker_independent(pool):
+    # one agent, a roster valued together, and their comparisons, with and
+    # without the pool: the same bits
     ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
     one = estimate_intelligence(AgentFactory("basic", SPACE), ensemble, PARAMS)
     two = estimate_intelligence(AgentFactory("basic", SPACE), ensemble, PARAMS, pool=pool)
@@ -311,3 +316,16 @@ def test_estimation_is_deterministic_and_worker_independent(pool):
     assert one.ci_half_width == two.ci_half_width
     for key, values in one.episode_values.items():
         assert np.array_equal(values, two.episode_values[key])
+    roster = [AgentFactory(name, SPACE) for name in ("random", "basic", "2back")]
+    serial = estimate_roster(roster, ensemble, PARAMS)
+    pooled = estimate_roster(roster, ensemble, PARAMS, pool=pool)
+    for alone, together, in_pool in zip(
+            [estimate_intelligence(f, ensemble, PARAMS) for f in roster], serial, pooled):
+        assert alone.estimates == together.estimates == in_pool.estimates
+        for key, values in alone.episode_values.items():
+            assert np.array_equal(values, together.episode_values[key])
+            assert np.array_equal(values, in_pool.episode_values[key])
+    comparisons = compare_agents(serial, ensemble, seed=3, bootstrap_samples=500)
+    assert compare_agents(serial, ensemble, seed=3, bootstrap_samples=500,
+                          pool=pool) == comparisons
+    assert len(comparisons) == 3 and any(c.ci_low != c.ci_high for c in comparisons)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from agentgauge import seeding, valuation
-from agentgauge.agents import AgentFactory, scripted_prob_action_one
+from agentgauge.agents import MAX_BACK, AgentFactory, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
 from agentgauge.interaction import SpaceConfig
@@ -33,6 +33,7 @@ from agentgauge.valuation import (
     discounted_value,
     harmonic_value,
     per_cycle_reward_profile,
+    roster_episode_values,
     summable_episode_values,
 )
 from natives import (ConstantEnvironment, PatternEnvironment, encode_program, pattern_reward_cap,
@@ -502,8 +503,9 @@ def _reference_episode_values(agent_factory, env_model, params):
     """Every episode played in full with its policy, whatever the environment.
 
     Returns the episode values and their estimate, built here from the
-    definition: the mean, its normal-approximation half-width, and a
-    truncation bound of trunc_epsilon plus the mean reward still to earn.
+    definition: the mean and its normal-approximation half-width (of equal
+    values, that value and 0), and a truncation bound of trunc_epsilon plus
+    the mean reward still to earn.
     """
     values, remainders, failed = [], [], 0
     for index in range(params.episodes):
@@ -528,10 +530,11 @@ def _reference_episode_values(agent_factory, env_model, params):
         values.append(total / env_model.space.reward_denominator)
         remainders.append(min(1.0, episode.remaining_reward_bound))
     values = np.asarray(values)
+    equal = len(set(values.tolist())) == 1
     z = NormalDist().inv_cdf((1.0 + params.confidence) / 2.0)
     return values, ValueEstimate(
-        mean=float(np.mean(values)),
-        ci_half_width=z * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
+        mean=float(values[0] if equal else np.mean(values)),
+        ci_half_width=0.0 if equal else z * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
         episodes_used=len(values),
         truncation_bound=params.trunc_epsilon + float(np.mean(remainders)),
         failed_episodes=failed)
@@ -603,12 +606,14 @@ def test_lockstep_episodes_match_the_full_reference(monkeypatch):
     # gives: on a small machine with three actions and observations, with
     # episodes that stop early at trunc_epsilon 0.3, with cells as wide as
     # int64 allows, and on unproven reward-free programs, whose static
-    # summaries freeze after cycle 1 with a remaining bound of 0.  Groups
-    # of two episodes make each estimate play three groups, and blocks of
-    # one draw refill the environment's bits every cycle as episodes leave
-    # their group.
+    # summaries freeze after cycle 1 with a remaining bound of 0.  A budget
+    # of 31, which many episodes do not spend within the horizon, makes the
+    # values depend on the environment's bits.  The roster plays its
+    # (agent, episode) columns in groups of two, so some group holds the last
+    # episode of one agent and the first of the next, and blocks of one draw
+    # refill the environment's bits every cycle as episodes leave their group.
     monkeypatch.setattr(valuation, "_LOCKSTEP_EPISODES", 2)
-    space = SpaceConfig(action_count=3, observation_count=3, reward_denominator=7)
+    space = SpaceConfig(action_count=3, observation_count=3, reward_denominator=31)
     factories = [AgentFactory(name, space) for name in ("random", "basic", "2back")]
     lockstepped = 0
     for ahead in (1, seeding.AHEAD_DRAWS):
@@ -625,14 +630,41 @@ def test_lockstep_episodes_match_the_full_reference(monkeypatch):
                     env = ProgramEnvironment(program, machine, space, reward_free)
                     lockstepped += (env.summary is not None and not reward_free
                                     and (env.reads_actions or not env.deterministic))
-                    for factory in factories:
-                        got_values, got = summable_episode_values(factory, env, params)
+                    got = roster_episode_values(factories, env, params)
+                    for factory, (got_values, got_estimate) in zip(factories, got):
                         want_values, want = _reference_episode_values(factory, env, params)
                         assert np.array_equal(got_values, want_values), program.instructions
-                        assert got == want, program.instructions
-    assert lockstepped > 200
+                        assert got_estimate == want, program.instructions
+    assert lockstepped > 150
     assert ProgramEnvironment(program, MachineConfig(cell_modulus=2 ** 62 + 1), space,
                               False).summary is None
+
+
+def test_a_binary_roster_plays_in_one_group_as_each_agent_alone(monkeypatch):
+    # Every binary agent kind in one lockstep group of 35 columns, whose
+    # batch policy sets the uniform, scripted and learner forms side by side
+    # and gives basic, 2back and 3back one table: each agent's episodes are
+    # the ones its own rollouts play.
+    factories = [AgentFactory(name, BINARY)
+                 for name in ("random", "basic", "2back", "3back", "pi_opt", "pi_1", "pi_2")]
+    params = ValuationParams(horizon=30, episodes=5, seed=4)
+    groups = []
+    lockstep = valuation._lockstep
+
+    def counting(factories, env_model, summary, params):
+        groups.append(len(factories))
+        return lockstep(factories, env_model, summary, params)
+
+    monkeypatch.setattr(valuation, "_lockstep", counting)
+    programs = enumerate_programs(21) + [encode_program(ops) for ops in HAND_PICKED]
+    for program in programs:
+        env = proven(program)
+        got = roster_episode_values(factories, env, params)
+        for factory, (got_values, got_estimate) in zip(factories, got):
+            want_values, want = _reference_episode_values(factory, env, params)
+            assert np.array_equal(got_values, want_values), (factory.name, program.instructions)
+            assert got_estimate == want, (factory.name, program.instructions)
+    assert len(groups) > 150 and set(groups) == {len(factories)}
 
 
 def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
@@ -678,15 +710,29 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
     lockstepped = 0
     for ahead in (1, seeding.AHEAD_DRAWS):
         monkeypatch.setattr(seeding, "AHEAD_DRAWS", ahead)
-        for env, factory, params in cases:
+        for env, factory, case_params in cases:
             lockstepped += env.summary is not None and env.reads_actions
-            got_values, got = summable_episode_values(factory, env, params)
-            want_values, want = _reference_episode_values(factory, env, params)
+            got_values, got = summable_episode_values(factory, env, case_params)
+            want_values, want = _reference_episode_values(factory, env, case_params)
             assert np.array_equal(got_values, want_values), (factory, env.identifier)
             assert got == want, (factory, env.identifier)
+        pi_2_values = got_values
+        # basic, 2back and the longest window in one group share one table,
+        # each row with its own window
+        for space in spaces:
+            for epsilon in (0.0, 0.1, 1.0):
+                roster = [AgentFactory(name, space, epsilon)
+                          for name in ("basic", "2back", f"{MAX_BACK}back")]
+                for ops in programs:
+                    env = ProgramEnvironment(encode_program(ops, machine), machine, space, False)
+                    for factory, (got_values, got) in zip(
+                            roster, roster_episode_values(roster, env, params)):
+                        want_values, want = _reference_episode_values(factory, env, params)
+                        assert np.array_equal(got_values, want_values), (factory, ops)
+                        assert got == want, (factory, ops)
     assert lockstepped > 200
     # pi_2's episodes, the last case, part only in the random phase they reached
-    assert 0.0 < np.std(got_values) and max(got_values) < 1.0
+    assert 0.0 < np.std(pi_2_values) and max(pi_2_values) < 1.0
 
 
 def test_bulk_draws_are_successive_randrange_and_random_draws(monkeypatch):
@@ -746,6 +792,9 @@ def test_agent_free_paths_follow_the_declared_facts():
         (proven(encode_program(["inc", "move_left", "emit"])), 0, 1),
         (proven(encode_program(["random_bit", "move_left", "emit"])), 0, 5),
         (proven(encode_program(["read_action", "move_left", "emit"])), 5, 5),
+        # a read past the cycle's emit never runs, and a random bit hides one
+        (proven(encode_program(["inc", "move_left", "emit", "read_action"])), 0, 1),
+        (proven(encode_program(["read_action", "random_bit", "move_left", "emit"])), 0, 5),
         (ConstantEnvironment([1] * 40, BINARY), 0, 1),
         # proven reward-free: worth 0 in every episode, so none is played
         (proven(encode_program(["read_action", "emit"])), 0, 0),
