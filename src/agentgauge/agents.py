@@ -9,7 +9,7 @@ from the same random streams:
     policy.observe(percept)             # update hook, called after every percept
     policy.act()                        # the action for the current cycle
 
-    batch = batch_policy([(factory, rngs)])  # one policy per stream, stepped together
+    batch = batch_policy([(factory, rng) for rng in rngs])  # one pair per column
     actions = batch.step(live, observations, numerators)
 
 A fresh policy serves each rollout, so learner tables are never shared
@@ -23,9 +23,9 @@ action, as two (keys x actions) arrays, and acts by the running sum of
 each live episode's action distribution, one sum for all uniform ones.
 Batch policies draw each episode's random numbers ahead (`seeding.Ahead`),
 which changes no action: an episode's stream is its policy's alone.  A
-group may hold the episodes of several agents: `batch_policy` sets their
-batch forms side by side, and the table learners of one epsilon share one
-batch learner, each row with its own window.
+group may hold the episodes of several agents: `batch_policy` alone decides
+which adjacent columns share a batch form, and table learners of one
+epsilon share one batch learner, each row with its own window.
 
 Scripted agents and the uniform random agent on binary actions only depend
 on the cycle index (`AgentFactory.prob_action_one`), which also lets the
@@ -320,26 +320,27 @@ class _Columns:
             if low < high])
 
 
-def batch_policy(runs: list) -> object:
-    """One batch policy for a lockstep group whose columns are `runs` of
-    (factory, streams) in order: the policies each factory's `make` builds
-    from its streams, but adjacent table learners with one epsilon share one
+def batch_policy(columns: list) -> object:
+    """One batch policy for a lockstep group whose columns are (factory,
+    stream) pairs in order: the policies each factory's `make` builds from
+    its streams, one batch form for each run of adjacent columns of one
+    agent, but adjacent table learners with one epsilon share one
     `_TableBatch`, whose rows keep their own windows."""
-    def shares(run: tuple) -> object:
-        factory = run[0]
-        return (factory.space, factory.epsilon) if factory.learner else id(run)
+    def form(column: tuple) -> object:
+        factory = column[0]
+        return (factory.space, factory.epsilon) if factory.learner else factory
 
     policies, starts = [], [0]
-    for _, group in groupby(runs, key=shares):
-        group = list(group)
-        factory, rngs = group[0][0], [rng for _, streams in group for rng in streams]
+    for _, run in groupby(columns, key=form):
+        factories, rngs = zip(*run)
+        factory = factories[0]
         if factory.name == "random":
             policies.append(_UniformBatch(rngs, 1, partial(below, factory.space.action_count)))
         elif factory.name in _SCRIPTED_NAMES:
             policies.append(_ScriptedBatch(factory.name, rngs))
         else:
-            policies.append(_TableBatch(factory.space, [f._back for f, streams in group
-                                                        for _ in streams], factory.epsilon, rngs))
+            policies.append(_TableBatch(factory.space, [f._back for f in factories],
+                                        factory.epsilon, rngs))
         starts.append(starts[-1] + len(rngs))
     return policies[0] if len(policies) == 1 else _Columns(policies, starts)
 

@@ -43,7 +43,6 @@ from .measure import (
     MAX_PROGRAM_LENGTH_BITS,
     build_ensemble,
     compare_agents,
-    estimate_intelligence,
     estimate_roster,
 )
 from .reports import build_manifest, build_report, dump_json, write_run_outputs
@@ -89,15 +88,7 @@ def _cmd_run(args) -> int:
         with _worker_pool(workers) as pool:
             ensemble = build_ensemble(config.ensemble_spec, config.machine,
                                       config.space, programs=programs, pool=pool)
-            # the in-process agents are valued together; each external one alone
-            roster = [f for f in config.agents if f not in externals]
-            valued = {m.agent_name: m for m in (
-                estimate_roster(roster, ensemble, config.valuation, pool=pool) if roster else ())}
-            measurements = [
-                valued[f.name] if f.name in valued else
-                estimate_intelligence(f, ensemble, config.valuation, pool=pool)
-                for f in config.agents
-            ]
+            measurements = estimate_roster(config.agents, ensemble, config.valuation, pool=pool)
             comparisons = compare_agents(
                 measurements, ensemble, seed=config.seed,
                 bootstrap_samples=config.bootstrap_samples,

@@ -25,7 +25,8 @@ from .valuation import ValuationParams
 
 # More is almost surely a typo, which would fail only after every rollout.
 MAX_BOOTSTRAP_SAMPLES = 100_000
-# compare_agents holds 24 bytes per draw of each entry: 2.4 GB at the cap.
+# compare_agents draws this many resamples of each agent of a pair on each
+# entry, about 0.7 s at the cap (2-vCPU VM), a bounded block at a time.
 MAX_BOOTSTRAP_DRAWS = 100_000_000
 # A one-hour reply is almost surely a typo; poll() rejects more than 2^31 - 1 ms.
 MAX_EXTERNAL_TIMEOUT_MS = 3_600_000

@@ -13,8 +13,9 @@ same two calls once per table; the `sensitivity` command runs it.
 
 Programs that share a `reward_free_key` run the same cycle, so
 `build_ensemble` walks one signature per key and gives it to every program
-of the key.  `estimate_roster` values the built-in agents of a run together,
-one pass per entry, and `estimate_intelligence` one agent.  Signatures,
+of the key.  `estimate_roster` values a run's agents: two or more with
+private policies together, one pass per entry, and every other one by
+`estimate_intelligence`.  Signatures,
 entry values and the bootstrap of each pair of agents are independent, so
 `build_ensemble`, the estimates and `compare_agents` map them over a
 process pool the caller owns, if given one, in blocks that workers take as
@@ -60,6 +61,8 @@ WEIGHT_SCHEMES = ("length", "kt")
 # Enumeration and valuation grow about 2^n with the length cutoff n; at 29
 # bits 178,565 programs enumerate.  A larger cutoff is almost surely a typo.
 MAX_PROGRAM_LENGTH_BITS = 32
+# A bootstrap resample block holds 24 bytes per draw: 24 MB at this size.
+_BOOTSTRAP_BLOCK_DRAWS = 1 << 20
 # Blocks of work per pool worker: enough that no worker waits long on
 # another's last block, few enough that sending them costs little.
 _BLOCKS_PER_WORKER = 8
@@ -243,15 +246,19 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
 
 def estimate_roster(factories: list, ensemble: Ensemble, params: ValuationParams,
                     pool=None) -> list[AgentMeasurement]:
-    """`estimate_intelligence` of each agent, valued together in one map of
-    the entries (`roster_episode_values`).  A roster of one takes
-    `estimate_intelligence`, the name `bench/tracing.py` wraps."""
-    if len(factories) == 1:
-        return [estimate_intelligence(factories[0], ensemble, params, pool)]
-    results = list(_map(pool, partial(roster_episode_values, factories),
-                        [entry.environment for entry in ensemble.entries], params))
-    return [_measured(factory.name, ensemble, [row[k] for row in results])
-            for k, factory in enumerate(factories)]
+    """The measurement of each agent, in the given order.  Two or more agents
+    with private policies are valued together, in one map of the entries
+    (`roster_episode_values`); every other one, external or alone, goes
+    through `estimate_intelligence`."""
+    private = [f for f in factories if getattr(f, "private_policies", False)]
+    together = {}
+    if len(private) > 1:
+        results = list(_map(pool, partial(roster_episode_values, private),
+                            [entry.environment for entry in ensemble.entries], params))
+        together = {id(f): _measured(f.name, ensemble, [row[k] for row in results])
+                    for k, f in enumerate(private)}
+    return [together.get(id(f)) or estimate_intelligence(f, ensemble, params, pool)
+            for f in factories]
 
 
 def _measured(name: str, ensemble: Ensemble, results) -> AgentMeasurement:
@@ -323,11 +330,19 @@ def _compared(pair: tuple, weights: list[float], seed: int, bootstrap_samples: i
         point += weight * (va.mean() - vb.mean())
         if np.array_equal(va, vb):
             continue  # identical samples contribute exactly zero spread
-        idx_a = rng.integers(0, len(va), size=(bootstrap_samples, len(va)))
-        idx_b = rng.integers(0, len(vb), size=(bootstrap_samples, len(vb)))
-        boot += weight * (va[idx_a].mean(axis=1) - vb[idx_b].mean(axis=1))
+        means_a = _resampled_means(rng, va, bootstrap_samples)  # all of va's draws first
+        boot += weight * (means_a - _resampled_means(rng, vb, bootstrap_samples))
     low, high = np.quantile(boot, [alpha, 1.0 - alpha])
     return AgentComparison(
         agent_a=name_a, agent_b=name_b,
         mean_difference=point, ci_low=float(low), ci_high=float(high),
         significant=bool(low > 0.0 or high < 0.0))
+
+
+def _resampled_means(rng, values: np.ndarray, samples: int) -> np.ndarray:
+    """The means of `samples` resamples of `values`, drawn in blocks of rows of
+    at most `_BOOTSTRAP_BLOCK_DRAWS` draws: the bits of one (samples x n) draw."""
+    n = len(values)
+    rows = max(1, _BOOTSTRAP_BLOCK_DRAWS // n)
+    return np.concatenate([values[rng.integers(0, n, size=(min(rows, samples - first), n))]
+                           .mean(axis=1) for first in range(0, samples, rows)])

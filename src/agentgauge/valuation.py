@@ -23,13 +23,15 @@ equal episode values is that value, with half-width 0.
 `roster_episode_values` values a roster of agents in one environment in one
 call, and `summable_episode_values` is its roster of one.  The summable
 episodes of the built-in agents in an environment with a cycle `summary` (a
-loop-free program) run in lockstep too: `_lockstep` advances a group of
-(agent, episode) columns a cycle at a time by one machine `lockstep_step`
-and one step of the group's batch policy (`agents.batch_policy`), which
-returns the live columns' actions as int64 arrays, as their scalar policies
-would act.  The policies' draws and the environment's bits are drawn ahead
-from each column's own streams (`seeding.Ahead`), and a column that stops
-leaves its group, so every value is the one the agent's `_rollout` gives.
+loop-free program) run in lockstep too: `_lockstep` advances groups of
+(agent, episode) columns, in the order given, a cycle at a time by one
+machine `lockstep_step` and one step of the group's batch policy
+(`agents.batch_policy`, one (factory, stream) pair per column), which
+returns the live columns' actions as int64 arrays, as their scalar
+policies would act.  `_stream` names every episode stream.  The policies'
+draws and the environment's bits are drawn ahead from each column's own
+streams (`seeding.Ahead`), and a column that stops leaves its group, so
+every value is the one the agent's `_rollout` gives.
 
 An environment that never reads an action yields the same percepts for
 every agent.  When the agent is an in-process factory, whose policy is built
@@ -56,8 +58,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
 from statistics import NormalDist
 
 import numpy as np
@@ -142,26 +142,27 @@ def _agent_free(agent_factory, env_model) -> bool:
             and not getattr(env_model, "reads_actions", True))
 
 
+def _stream(seed: int, role: str, agent_factory, env_model, index: int) -> random.Random:
+    """Episode `index`'s `role` ("agent" or "env") stream: the one place that
+    names a stream by (seed, role, agent name, environment, index)."""
+    return random.Random(derive_seed(seed, role, agent_factory.name, env_model.identifier, index))
+
+
 def _rollout(agent_factory, env_model, seed: int, index: int, horizon: int,
              epsilon: float) -> tuple[list[int], object]:
     """Episode `index` of one seeded interaction: reward numerators per cycle.
 
     Returns the numerators and the finished episode.  The episode stops once
     its remaining reward bound is 0 or below epsilon, or after `horizon`
-    cycles.  Policy and episode streams are derived from (seed, agent name,
-    environment, index), so any caller that passes the same arguments
-    replays the same episode.  An agent-free episode builds no policy and
-    steps with action 0, which the environment never reads.
+    cycles.  Its streams come from `_stream`, so any caller that passes the
+    same arguments replays the same episode.  An agent-free episode builds
+    no policy and steps with action 0, which the environment never reads.
     """
     if _agent_free(agent_factory, env_model):
         policy = _UNREAD
     else:
-        policy = agent_factory.make(
-            random.Random(derive_seed(seed, "agent", agent_factory.name,
-                                      env_model.identifier, index)))
-    episode = env_model.spawn(
-        random.Random(derive_seed(seed, "env", agent_factory.name,
-                                  env_model.identifier, index)))
+        policy = agent_factory.make(_stream(seed, "agent", agent_factory, env_model, index))
+    episode = env_model.spawn(_stream(seed, "env", agent_factory, env_model, index))
     step, act, observe = episode.step, policy.act, policy.observe
     percept = step(None)
     observe(percept)
@@ -323,8 +324,9 @@ def roster_episode_values(factories, env_model,
         for k in private:
             results[k] = replayed
     elif private and getattr(env_model, "summary", None) is not None:
-        values, remainders = _lockstep([factories[k] for k in private], env_model,
-                                       env_model.summary, params)
+        # table learners of one epsilon take adjacent columns, and so share one table
+        private.sort(key=lambda k: (factories[k].learner, factories[k].epsilon))
+        values, remainders = _lockstep([factories[k] for k in private], env_model, params)
         for row, k in enumerate(private):
             results[k] = values[row], _estimate(
                 values[row], params.confidence,
@@ -370,44 +372,32 @@ _LOCKSTEP_CELLS = 1 << 20
 _LOCKSTEP_EPISODES = 1024
 
 
-def _lockstep(factories, env_model, summary, params: ValuationParams):
+def _lockstep(factories, env_model, params: ValuationParams):
     """Values and remaining reward bounds of every episode of every agent, as
-    (agents x episodes) arrays.  The (agent, episode) columns play in groups
-    of at most `_LOCKSTEP_EPISODES` that take each cycle in one `lockstep_step`
-    and, if the environment reads actions, one step of the group's batch
-    policy (`batch_policy`).  Each column keeps the streams and stop rule of
-    its agent's `_rollout`; its bits are drawn ahead, one `take` per random
-    bit of a cycle, and once it stops it leaves the group."""
-    machine, space = env_model.machine, env_model.space
+    (agents x episodes) arrays.  The (agent, episode) columns, in the given
+    order, play in groups of at most `_LOCKSTEP_EPISODES` that take each
+    cycle in one `lockstep_step` and, if the environment reads actions, one
+    step of the group's batch policy.  Each column keeps the streams and stop
+    rule of its agent's `_rollout`; its bits are drawn ahead, one `take` per
+    random bit of a cycle, and once it stops it leaves the group."""
+    summary, machine, space = env_model.summary, env_model.machine, env_model.space
     group = max(1, min(_LOCKSTEP_EPISODES,
                        _LOCKSTEP_CELLS // max(machine.tape_length, space.action_count)))
-    episodes = params.episodes
-    # table learners of one epsilon take adjacent columns, and so share one table
-    order = np.array(sorted(range(len(factories)),
-                            key=lambda a: (factories[a].learner, factories[a].epsilon)))
+    episodes, columns = params.episodes, len(factories) * params.episodes
     agent_free = _agent_free(factories[0], env_model)
-    values, remainders = (np.empty((len(factories), episodes)) for _ in range(2))
-    flat_values, flat_remainders = values.reshape(-1), remainders.reshape(-1)
-    columns = len(factories) * episodes
-
-    def stream(role: str, agent: int, index: int) -> random.Random:
-        return random.Random(derive_seed(params.seed, role, factories[agent].name,
-                                         env_model.identifier, index))
-
+    values, remainders = np.empty(columns), np.empty(columns)
     for first in range(0, columns, group):
-        agents, indices = divmod(np.arange(first, min(columns, first + group)), episodes)
-        agents = order[agents]
-        targets = agents * episodes + indices
-        pairs = list(zip(agents.tolist(), indices.tolist()))
-        bits = Ahead([stream("env", *pair) for pair in pairs],
-                     1, single_bits) if summary.rands else None
+        members = [(factories[c // episodes], c % episodes)
+                   for c in range(first, min(columns, first + group))]
+        bits = Ahead([_stream(params.seed, "env", factory, env_model, index)
+                      for factory, index in members], 1, single_bits) if summary.rands else None
         policy = None if agent_free else batch_policy([
-            (factories[agent], [stream("agent", *pair) for pair in run])
-            for agent, run in groupby(pairs, key=itemgetter(0))])
-        tape, ptr = np.zeros((machine.tape_length, targets.size), dtype=np.int64), 0
+            (factory, _stream(params.seed, "agent", factory, env_model, index))
+            for factory, index in members])
+        tape, ptr = np.zeros((machine.tape_length, len(members)), dtype=np.int64), 0
         # a static cycle keeps the tape zero: (0, 0), then frozen with bound 0
-        budget = np.full(targets.size, 0 if summary.static else space.reward_denominator)
-        totals, alive, actions = np.zeros_like(budget), np.arange(targets.size), None
+        budget = np.full(len(members), 0 if summary.static else space.reward_denominator)
+        totals, alive, actions = np.zeros_like(budget), np.arange(len(members)), None
         for cycle in range(params.horizon):  # cycle 1 reads action 0, as in EnvProcess.step
             ptr, observations, numerators = lockstep_step(
                 summary, machine, space, tape, ptr, budget, actions,
@@ -416,8 +406,8 @@ def _lockstep(factories, env_model, summary, params: ValuationParams):
             bound = budget / space.reward_denominator
             stop = (bound < params.trunc_epsilon) | (cycle == params.horizon - 1)
             if stop.any():  # the columns that stop leave the group
-                flat_values[targets[alive[stop]]] = totals[stop] / space.reward_denominator
-                flat_remainders[targets[alive[stop]]] = bound[stop]
+                values[first + alive[stop]] = totals[stop] / space.reward_denominator
+                remainders[first + alive[stop]] = bound[stop]
                 keep = ~stop
                 alive, budget, totals = alive[keep], budget[keep], totals[keep]
                 tape, observations, numerators = tape[:, keep], observations[keep], numerators[keep]
@@ -426,7 +416,7 @@ def _lockstep(factories, env_model, summary, params: ValuationParams):
             if policy is not None:
                 actions = policy.step(alive, observations, numerators)
         del tape, bits, policy  # before the next group's
-    return values, remainders
+    return values.reshape(len(factories), episodes), remainders.reshape(len(factories), episodes)
 
 
 def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int, seed: int,

@@ -203,7 +203,7 @@ def test_the_longest_window_builds():
     # its episodes' own policies do once the window has filled
     factory = AgentFactory(f"{MAX_BACK}back", BINARY)
     live = np.arange(valuation._LOCKSTEP_EPISODES)
-    batch = batch_policy([(factory, [random.Random(i) for i in live.tolist()])])
+    batch = batch_policy([(factory, random.Random(i)) for i in live.tolist()])
     policies = [factory.make(random.Random(i)) for i in live.tolist()[:4]]
     percepts = random.Random(3)
     for _ in range(MAX_BACK + 8):
@@ -273,8 +273,8 @@ def test_draws_on_a_threshold_take_the_next_action(monkeypatch, n, epsilon):
 
         def fresh():  # each learner's policy, and a batch of one episode per draw on its stream
             return ([factory.make(random.Random(4)) for factory in factories],
-                    batch_policy([(factory, [random.Random(4) for _ in range(rows)])
-                                  for factory in factories]))
+                    batch_policy([(factory, random.Random(4))
+                                  for factory in factories for _ in range(rows)]))
 
         policies, batch = fresh()
         assert isinstance(batch, agents._TableBatch)
@@ -305,7 +305,7 @@ def test_learner_memory_is_two_tables():
     # below four count tables of memory, the growth of both tables included
     space = SpaceConfig(action_count=4096, observation_count=2, reward_denominator=255)
     live = np.arange(16)
-    batch = batch_policy([(AgentFactory("2back", space), [random.Random(i) for i in live.tolist()])])
+    batch = batch_policy([(AgentFactory("2back", space), random.Random(i)) for i in live.tolist()])
     percepts = random.Random(5)
     tracemalloc.start()
     try:

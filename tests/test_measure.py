@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from agentgauge.measure import (
     estimate_intelligence,
     estimate_roster,
 )
+from agentgauge.seeding import derive_seed
 from agentgauge.valuation import ValuationParams, summable_episode_values
 from natives import encode_program
 
@@ -329,3 +331,72 @@ def test_estimation_is_deterministic_and_worker_independent(pool):
     assert compare_agents(serial, ensemble, seed=3, bootstrap_samples=500,
                           pool=pool) == comparisons
     assert len(comparisons) == 3 and any(c.ci_low != c.ci_high for c in comparisons)
+
+
+class _PublicFactory(AgentFactory):
+    """A built-in agent whose policies are not declared private."""
+
+    private_policies = False
+
+
+@pytest.mark.parametrize("names, alone", [
+    (("random", "basic", "2back"), []),
+    (("random",), ["random"]),
+    (("random", "public"), ["random", "basic"]),
+    (("public", "random", "2back"), ["basic"]),
+])
+def test_a_roster_values_alone_only_what_cannot_play_together(monkeypatch, names, alone):
+    # The agents with private policies are valued together when there are
+    # two or more; every other agent goes through estimate_intelligence, the
+    # name the bench's tracer wraps, in the given order, and the
+    # measurements keep the roster's order.
+    ensemble = build_ensemble(small_spec(), MACHINE, SPACE)
+    params = ValuationParams(horizon=20, episodes=3, seed=2)
+    roster = [_PublicFactory("basic", SPACE) if name == "public" else AgentFactory(name, SPACE)
+              for name in names]
+    called = []
+    estimate = measure.estimate_intelligence
+
+    def counting(agent_factory, *args):
+        called.append(agent_factory.name)
+        return estimate(agent_factory, *args)
+
+    monkeypatch.setattr(measure, "estimate_intelligence", counting)
+    measurements = estimate_roster(roster, ensemble, params)
+    assert called == alone
+    assert [m.agent_name for m in measurements] == [f.name for f in roster]
+    for factory, measurement in zip(roster, measurements):
+        assert measurement.estimates == estimate(factory, ensemble, params).estimates
+
+
+def test_bootstrap_resamples_in_blocks_with_the_bits_of_one_draw(monkeypatch):
+    # A comparison resamples each entry's episode values a block of rows at
+    # a time, all of a's before b's: the bits of one (samples x episodes)
+    # draw of each, with a peak memory of a few blocks, not of the draws
+    block = 1 << 12
+    monkeypatch.setattr(measure, "_BOOTSTRAP_BLOCK_DRAWS", block)
+    values = np.random.default_rng(0)
+    columns = [(values.random(n), values.random(m)) for n, m in ((7, 7), (100, 3), (1000, 999))]
+    columns.insert(1, (columns[0][0],) * 2)  # equal samples draw nothing
+    weights = [0.4, 0.1, 0.3, 0.2]
+    samples = 500  # 500,000 draws of the last entry's a, 122 blocks
+    got = measure._compared(("a", "b", columns), weights, 9, samples, 0.9)
+    tracemalloc.start()  # after the first call's lazy imports
+    try:
+        assert measure._compared(("a", "b", columns), weights, 9, samples, 0.9) == got
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rng = np.random.default_rng(derive_seed(9, "bootstrap", "a", "b"))
+    point, boot = 0.0, np.zeros(samples)
+    for weight, (va, vb) in zip(weights, columns):
+        point += weight * (va.mean() - vb.mean())
+        if np.array_equal(va, vb):
+            continue
+        idx_a = rng.integers(0, len(va), size=(samples, len(va)))
+        idx_b = rng.integers(0, len(vb), size=(samples, len(vb)))
+        boot += weight * (va[idx_a].mean(axis=1) - vb[idx_b].mean(axis=1))
+    alpha = (1.0 - 0.9) / 2.0
+    low, high = np.quantile(boot, [alpha, 1.0 - alpha])
+    assert (got.mean_difference, got.ci_low, got.ci_high) == (point, low, high)
+    assert peak < 3 * 24 * block + 4 * 8 * samples

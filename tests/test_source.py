@@ -267,6 +267,40 @@ def test_only_seeding_decodes_bulk_random_outputs():
     assert found == ["seeding.py"]
 
 
+def stream_namers(sources: dict[str, str]) -> list[str]:
+    """`module.function` of each `derive_seed` call that can name an episode
+    stream: its first label is "agent", "env" or not a constant."""
+    found = []
+
+    def visit(module: str, node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and len(child.args) > 1
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == "derive_seed"
+                    and getattr(child.args[1], "value", "agent") in ("agent", "env")):
+                found.append(f"{module}.{where}")
+            visit(module, child, getattr(child, "name", where))
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return found
+
+
+def test_stream_namers_are_found():
+    source = ("def stream(role):\n    return derive_seed(0, role, 'a')\n"
+              "class Policy:\n    def make(self):\n        seeding.derive_seed(0, 'env', 1)\n"
+              "def batch():\n    return derive_seed(0, 'batch', 'a')\n"
+              "seed = derive_seed(1, 'agent')\n")
+    assert stream_namers({"m": source}) == ["m.stream", "m.make", "m.<module>"]
+
+
+def test_only_one_helper_names_the_episode_streams():
+    # every per-episode agent and environment stream comes from
+    # valuation._stream, so a change of their seeds changes one function
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert stream_namers(sources) == ["valuation._stream"]
+
+
 def test_no_module_imports_jsonschema():
     # reports are checked by validate_report; the schema file is the tests' oracle
     found = []

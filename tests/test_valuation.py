@@ -13,8 +13,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from agentgauge import seeding, valuation
-from agentgauge.agents import MAX_BACK, AgentFactory, scripted_prob_action_one
+from agentgauge import agents, seeding, valuation
+from agentgauge.agents import MAX_BACK, AgentFactory, batch_policy, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
 from agentgauge.interaction import SpaceConfig
@@ -651,9 +651,9 @@ def test_a_binary_roster_plays_in_one_group_as_each_agent_alone(monkeypatch):
     groups = []
     lockstep = valuation._lockstep
 
-    def counting(factories, env_model, summary, params):
+    def counting(factories, env_model, params):
         groups.append(len(factories))
-        return lockstep(factories, env_model, summary, params)
+        return lockstep(factories, env_model, params)
 
     monkeypatch.setattr(valuation, "_lockstep", counting)
     programs = enumerate_programs(21) + [encode_program(ops) for ops in HAND_PICKED]
@@ -665,6 +665,32 @@ def test_a_binary_roster_plays_in_one_group_as_each_agent_alone(monkeypatch):
             assert np.array_equal(got_values, want_values), (factory.name, program.instructions)
             assert got_estimate == want, (factory.name, program.instructions)
     assert len(groups) > 150 and set(groups) == {len(factories)}
+
+
+def test_the_learners_of_a_roster_share_one_table(monkeypatch):
+    # A roster whose learners are not adjacent still gives them one
+    # `_TableBatch`, holding both learners' rows, in its one lockstep group.
+    # Only the speed would show a roster that stopped sharing it.
+    factories = [AgentFactory(name, BINARY) for name in ("basic", "pi_opt", "2back")]
+    params = ValuationParams(horizon=30, episodes=5, seed=6)
+    built = []
+
+    def building(columns):
+        policy = batch_policy(columns)
+        built.append(([factory.name for factory, _ in columns],
+                      [p.window.shape[0] for p in getattr(policy, "policies", [policy])
+                       if isinstance(p, agents._TableBatch)]))
+        return policy
+
+    monkeypatch.setattr(valuation, "batch_policy", building)
+    env = proven(encode_program(["read_action", "move_left", "emit"]))
+    assert env.summary is not None and env.reads_actions
+    got = roster_episode_values(factories, env, params)
+    assert built == [(["pi_opt"] * 5 + ["basic"] * 5 + ["2back"] * 5, [10])]
+    for factory, (got_values, got_estimate) in zip(factories, got):
+        want_values, want = _reference_episode_values(factory, env, params)
+        assert np.array_equal(got_values, want_values), factory.name
+        assert got_estimate == want, factory.name
 
 
 def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
