@@ -221,17 +221,18 @@ class _TableBatch:
     different windows: `pad` marks the fields past a row's own window, which
     stay -1 after every shift.  A dict maps the rows' bytes to a slot: a
     row of the (slots x actions) `counts` and `totals`, the `[count, total]`
-    pairs of `_TablePolicy.table`.  Each cycle adds the reward to the count
-    and total of the last action, then `_act` builds the action distributions
-    as `action_distribution` does, the uniform one once and a row for each
-    episode whose key has a count for every action (the first maximum of
-    `totals / counts` is greedy), takes their running sums in act's order and
+    pairs of `_TablePolicy.table`, and an entry of `unsampled`, the number of
+    its actions still counted 0 times.  Each cycle adds the reward to the
+    count and total of the last action, then `_act` builds the action
+    distributions as `action_distribution` does, the uniform one once and a
+    row for each episode whose key has no unsampled action (the first maximum
+    of `totals / counts` is greedy), takes their running sums in act's order and
     gives each episode the first action whose sum lies above its draw, the
     action its own `_TablePolicy` would take.
     """
 
     __slots__ = ("space", "base", "episodes", "window", "pad", "slots", "counts", "totals",
-                 "current", "actions", "rewards", "draws")
+                 "unsampled", "current", "actions", "rewards", "draws")
 
     def __init__(self, space: SpaceConfig, backs: list[int], epsilon: float, rngs: list) -> None:
         self.space = space
@@ -244,6 +245,7 @@ class _TableBatch:
         self.pad = pad if pad.any() else None
         self.slots: dict[bytes, int] = {}
         self.counts, self.totals = (np.zeros((0, space.action_count)) for _ in range(2))
+        self.unsampled = np.zeros(0, dtype=np.int64)  # per slot: the actions counted 0 times
         # per episode: the slot of its key, its last action and last reward
         self.current, self.actions, self.rewards = (
             np.zeros(len(rngs), dtype=np.int64) for _ in range(3))
@@ -261,7 +263,9 @@ class _TableBatch:
         before = window.copy()
         if self.slots:  # each episode's last action earned this reward under its key
             at = self.current * n + self.actions
-            np.put(self.counts, at, self.counts.take(at) + 1.0)
+            counted = self.counts.take(at)
+            np.put(self.counts, at, counted + 1.0)
+            self.unsampled[self.current[counted == 0.0]] -= 1  # one slot per episode
             np.put(self.totals, at,
                    self.totals.take(at) + numerators / self.space.reward_denominator)
             if window.shape[1] > 2:
@@ -282,19 +286,20 @@ class _TableBatch:
                 grow = np.zeros((len(self.slots), n))  # one table at a time: a lower peak
                 self.counts = np.concatenate((self.counts, grow))
                 self.totals = np.concatenate((self.totals, grow))
+                self.unsampled = np.concatenate((self.unsampled, np.full(len(grow), n)))
         self.current[moved] = found
         self.actions = self._act(self.current, self.draws.take(live))
         return self.actions
 
     def _act(self, current: np.ndarray, r: np.ndarray) -> np.ndarray:
         n = self.space.action_count
-        counts = self.counts.take(current, axis=0)
-        greedy = counts.all(axis=1).nonzero()[0]
+        greedy = (self.unsampled.take(current) == 0).nonzero()[0]
         # row 0 is the uniform distribution, shared; then one row per greedy episode
         dist = np.full((1 + greedy.size, n), self.base)
         dist[0] = 1.0 / n
         if greedy.size:
-            means = self.totals.take(current[greedy], axis=0) / counts[greedy]
+            keys = current[greedy]
+            means = self.totals.take(keys, axis=0) / self.counts.take(keys, axis=0)
             dist[np.arange(1, 1 + greedy.size), means.argmax(axis=1)] = 1.0 - self.base * (n - 1)
         sums = dist.cumsum(axis=1)  # act's running sum, in its order
         sums[:, -1] = np.inf

@@ -13,14 +13,16 @@ same two calls once per table; the `sensitivity` command runs it.
 
 Programs that share a `reward_free_key` run the same cycle, so
 `build_ensemble` walks one signature per key and gives it to every program
-of the key.  `estimate_roster` values a run's agents: two or more with
-private policies together, one pass per entry, and every other one by
-`estimate_intelligence`.  Signatures,
-entry values and the bootstrap of each pair of agents are independent, so
-`build_ensemble`, the estimates and `compare_agents` map them over a
-process pool the caller owns, if given one, in blocks that workers take as
-they free up.  Seeds derive from labels and results keep input order, so
-the pool changes no number.  Reward-freedom is proved in the caller's process, once per
+of the key, and the agents with private policies value the entries of one
+key in one `roster_episode_values` call.  `estimate_roster` values a run's
+agents: two or more with private policies together, and every other one by
+`estimate_intelligence`, which values an external agent's entries one at a
+time and in order.  Signatures, the values of each key and the bootstrap of
+each pair of agents are independent, so `build_ensemble`, the estimates and
+`compare_agents` map them over a process pool the caller owns, if given
+one, in blocks that workers take as they free up.  Seeds derive from labels
+and results keep input order, so the pool changes no number.
+Reward-freedom is proved in the caller's process, once per
 `reward_free_key`, and travels with each entry, so no worker proves
 anything.
 """
@@ -238,27 +240,51 @@ def _map(pool, fn, items, *constants):
 
 def estimate_intelligence(agent_factory, ensemble: Ensemble,
                           params: ValuationParams, pool=None) -> AgentMeasurement:
-    """Weight-averaged expected total reward of one agent over the ensemble."""
-    results = _map(pool, partial(summable_episode_values, agent_factory),
-                   [entry.environment for entry in ensemble.entries], params)
+    """Weight-averaged expected total reward of one agent over the ensemble.
+
+    An agent with private policies is valued a `reward_free_key` at a time
+    (`_key_values`); any other, an external one included, sees the entries
+    one at a time and in order."""
+    if getattr(agent_factory, "private_policies", False):
+        results = [row[0] for row in _key_values([agent_factory], ensemble, params, pool)]
+    else:
+        results = _map(pool, partial(summable_episode_values, agent_factory),
+                       [entry.environment for entry in ensemble.entries], params)
     return _measured(agent_factory.name, ensemble, results)
 
 
 def estimate_roster(factories: list, ensemble: Ensemble, params: ValuationParams,
                     pool=None) -> list[AgentMeasurement]:
     """The measurement of each agent, in the given order.  Two or more agents
-    with private policies are valued together, in one map of the entries
-    (`roster_episode_values`); every other one, external or alone, goes
-    through `estimate_intelligence`."""
+    with private policies are valued together, a `reward_free_key` at a time
+    (`_key_values`); every other one, external or alone, goes through
+    `estimate_intelligence`."""
     private = [f for f in factories if getattr(f, "private_policies", False)]
     together = {}
     if len(private) > 1:
-        results = list(_map(pool, partial(roster_episode_values, private),
-                            [entry.environment for entry in ensemble.entries], params))
+        results = _key_values(private, ensemble, params, pool)
         together = {id(f): _measured(f.name, ensemble, [row[k] for row in results])
                     for k, f in enumerate(private)}
     return [together.get(id(f)) or estimate_intelligence(f, ensemble, params, pool)
             for f in factories]
+
+
+def _key_values(factories: list, ensemble: Ensemble, params: ValuationParams, pool) -> list:
+    """Each entry's row of `roster_episode_values`, in entry order, for
+    factories with private policies.  The entries of one `reward_free_key`
+    run one cycle, so each key's are valued in one call, and the calls map
+    over the pool."""
+    environments = [entry.environment for entry in ensemble.entries]
+    keys: dict[tuple, list[int]] = {}
+    for index, env in enumerate(environments):
+        keys.setdefault(reward_free_key(env.program, env.machine), []).append(index)
+    rows = _map(pool, partial(roster_episode_values, factories),
+                [[environments[i] for i in members] for members in keys.values()], params)
+    results: list = [None] * len(environments)
+    for members, group in zip(keys.values(), rows):
+        for index, row in zip(members, group):
+            results[index] = row
+    return results
 
 
 def _measured(name: str, ensemble: Ensemble, results) -> AgentMeasurement:

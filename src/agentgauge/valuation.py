@@ -20,18 +20,23 @@ vectorized in lockstep, where episodes that no draw has told apart are one
 number, so a deterministic agent costs O(1) per cycle.  An estimate of
 equal episode values is that value, with half-width 0.
 
-`roster_episode_values` values a roster of agents in one environment in one
-call, and `summable_episode_values` is its roster of one.  The summable
-episodes of the built-in agents in an environment with a cycle `summary` (a
-loop-free program) run in lockstep too: `_lockstep` advances groups of
-(agent, episode) columns, in the order given, a cycle at a time by one
+`roster_episode_values` values a roster of agents in one call, in every
+environment of one cycle: programs whose summaries are equal but for
+`steps`, as those of one `reward_free_key` are, run the same cycle and
+differ only in the names of their streams.  `summable_episode_values` is
+its roster of one in one environment.  The summable episodes of the
+built-in agents in environments with a cycle `summary` (loop-free
+programs) run in lockstep too: `_lockstep` advances groups of (agent,
+environment, episode) columns, in that order, a cycle at a time by one
 machine `lockstep_step` and one step of the group's batch policy
 (`agents.batch_policy`, one (factory, stream) pair per column), which
 returns the live columns' actions as int64 arrays, as their scalar
-policies would act.  `_stream` names every episode stream.  The policies'
-draws and the environment's bits are drawn ahead from each column's own
-streams (`seeding.Ahead`), and a column that stops leaves its group, so
-every value is the one the agent's `_rollout` gives.
+policies would act.  So a cycle's fixed cost is paid once for every
+program of the cycle.  `_stream` names every episode stream.  The
+policies' draws and the environment's bits are drawn ahead from each
+column's own streams (`seeding.Ahead`), and a column that stops leaves its
+group, so every value is the one the agent's `_rollout` gives in its own
+environment.
 
 An environment that never reads an action yields the same percepts for
 every agent.  When the agent is an in-process factory, whose policy is built
@@ -39,10 +44,11 @@ fresh for each episode and observed by nothing else, no policy is built and
 every action is 0.  For such factories, `roster_episode_values` values an
 environment proven reward-free at 0 with no episode at all, which is what
 each episode would give: one cycle with reward 0 and bound 0.  It plays one
-episode for the whole roster and repeats it where the environment reads no
-action and is deterministic.  Every episode keeps the seeds and stop rule of
-`_rollout`, and the policy's stream was never read by the environment, so
-every value is what the full loop gives.  External agents always see every
+episode for the whole roster and every program of the cycle, and repeats
+it, where the environment reads no action and is deterministic.  Every
+episode keeps the seeds and stop rule of `_rollout`, and the policy's
+stream was never read by the environment, so every value is what the full
+loop gives.  External agents always see every
 percept: their replies and warnings are part of the report.
 
 Infinite sums are truncated explicitly and the ignored mass is reported in
@@ -64,7 +70,7 @@ import numpy as np
 
 from .agents import batch_policy
 from .errors import AgentGaugeError, RolloutFailed, SummabilityError
-from .machine import lockstep_step
+from .machine import lockstep_step, reward_free_key
 from .seeding import Ahead, derive_seed, single_bits
 
 # More is almost surely a typo, which would fail deep inside a rollout.
@@ -291,49 +297,75 @@ def summable_episode_values(agent_factory, env_model,
     rollouts (external agents only) are excluded, not scored as zero.  The
     estimate's truncation bound is trunc_epsilon plus the mean reward the
     episodes could still have earned when they stopped.  This is the roster
-    of one of `roster_episode_values`.
+    of one in one environment of `roster_episode_values`.
     """
-    return roster_episode_values([agent_factory], env_model, params)[0]
+    return roster_episode_values([agent_factory], [env_model], params)[0][0]
 
 
-def roster_episode_values(factories, env_model,
-                          params: ValuationParams) -> list[tuple[np.ndarray, ValueEstimate]]:
-    """`summable_episode_values` of each agent of a roster, in one pass.
+def _cycle(env_model) -> tuple:
+    """What a program environment's episodes depend on besides the names of
+    their streams: its `reward_free_key` (for a loop-free program, its cycle
+    summary less `steps`), machine, space and verdict."""
+    return (reward_free_key(env_model.program, env_model.machine), env_model.machine,
+            env_model.space, env_model.reward_free)
 
-    The factories with private policies are valued together.  An environment
+
+def roster_episode_values(factories, environments, params: ValuationParams
+                          ) -> list[list[tuple[np.ndarray, ValueEstimate]]]:
+    """`summable_episode_values` of each agent of a roster in each of a list
+    of environments that run one cycle, in one pass: row e holds environment
+    e's, in the roster's order.
+
+    Program environments run one cycle when they share a `reward_free_key`,
+    machine, space and verdict, and differ only in the names of their
+    streams; environments of different cycles raise `AgentGaugeError`.  The
+    factories with private policies are valued together.  An environment
     proven reward-free is worth 0 in every episode with bound 0, so none is
     played.  One that reads no action and is deterministic gives the same
-    episode whatever the agent and index, so it is played once for them all.
-    Any other with a cycle `summary` is played in `_lockstep`, one group of
-    (agent, episode) columns at a time.  Every other agent plays its own
-    rollouts.
+    episode whatever the agent, index and member of the cycle, so it is
+    played once for them all.  Any other with a cycle `summary` is played in
+    one `_lockstep` over its (agent, environment, episode) columns.  Every
+    other agent, and every agent where there is no summary, plays its own
+    rollouts in each environment.
     """
-    if not getattr(env_model, "summable", False):
-        raise SummabilityError(
-            f"environment {env_model.identifier} is not reward-summable")
+    first = environments[0]
+    for env_model in environments:
+        if not getattr(env_model, "summable", False):
+            raise SummabilityError(
+                f"environment {env_model.identifier} is not reward-summable")
+    if len(environments) > 1:
+        cycle = _cycle(first)
+        for env_model in environments[1:]:
+            if _cycle(env_model) != cycle:
+                raise AgentGaugeError(
+                    f"environments {first.identifier} and {env_model.identifier} run "
+                    f"different cycles, so they cannot be valued together")
     private = [k for k, f in enumerate(factories) if getattr(f, "private_policies", False)]
-    results: list = [None] * len(factories)
-    if private and getattr(env_model, "reward_free", False):
-        zero = (np.zeros(params.episodes),
-                ValueEstimate(0.0, 0.0, params.episodes, params.trunc_epsilon))
-        for k in private:
-            results[k] = zero
-    elif private and (_agent_free(factories[private[0]], env_model)
-                      and getattr(env_model, "deterministic", False)):
-        replayed = _played(factories[private[0]], env_model, params, 1)
-        for k in private:
-            results[k] = replayed
-    elif private and getattr(env_model, "summary", None) is not None:
+    results: list = [[None] * len(factories) for _ in environments]
+    shared = None
+    if private and getattr(first, "reward_free", False):
+        shared = (np.zeros(params.episodes),
+                  ValueEstimate(0.0, 0.0, params.episodes, params.trunc_epsilon))
+    elif private and (_agent_free(factories[private[0]], first)
+                      and getattr(first, "deterministic", False)):
+        shared = _played(factories[private[0]], first, params, 1)
+    elif private and getattr(first, "summary", None) is not None:
         # table learners of one epsilon take adjacent columns, and so share one table
         private.sort(key=lambda k: (factories[k].learner, factories[k].epsilon))
-        values, remainders = _lockstep([factories[k] for k in private], env_model, params)
+        values, remainders = _lockstep([factories[k] for k in private], environments, params)
         for row, k in enumerate(private):
-            results[k] = values[row], _estimate(
-                values[row], params.confidence,
-                params.trunc_epsilon + float(np.mean(remainders[row])))
-    for k, factory in enumerate(factories):
-        if results[k] is None:
-            results[k] = _played(factory, env_model, params, params.episodes)
+            for e, result in enumerate(results):
+                result[k] = values[row, e], _estimate(
+                    values[row, e], params.confidence,
+                    params.trunc_epsilon + float(np.mean(remainders[row, e])))
+    if shared is not None:
+        for result in results:
+            for k in private:
+                result[k] = shared
+    for env_model, result in zip(environments, results):
+        for k, factory in enumerate(factories):
+            if result[k] is None:
+                result[k] = _played(factory, env_model, params, params.episodes)
     return results
 
 
@@ -372,28 +404,31 @@ _LOCKSTEP_CELLS = 1 << 20
 _LOCKSTEP_EPISODES = 1024
 
 
-def _lockstep(factories, env_model, params: ValuationParams):
-    """Values and remaining reward bounds of every episode of every agent, as
-    (agents x episodes) arrays.  The (agent, episode) columns, in the given
-    order, play in groups of at most `_LOCKSTEP_EPISODES` that take each
-    cycle in one `lockstep_step` and, if the environment reads actions, one
-    step of the group's batch policy.  Each column keeps the streams and stop
-    rule of its agent's `_rollout`; its bits are drawn ahead, one `take` per
-    random bit of a cycle, and once it stops it leaves the group."""
-    summary, machine, space = env_model.summary, env_model.machine, env_model.space
+def _lockstep(factories, environments, params: ValuationParams):
+    """Values and remaining reward bounds of every episode of every agent in
+    every environment of one cycle, as (agents x environments x episodes)
+    arrays.  The (agent, environment, episode) columns, in that order, play
+    in groups of at most `_LOCKSTEP_EPISODES` that take each cycle in one
+    `lockstep_step` and, if the environment reads actions, one step of the
+    group's batch policy.  Each column keeps the streams and stop rule of
+    its agent's `_rollout` in its environment; its bits are drawn ahead, one
+    `take` per random bit of a cycle, and once it stops it leaves the group."""
+    first = environments[0]
+    summary, machine, space = first.summary, first.machine, first.space
     group = max(1, min(_LOCKSTEP_EPISODES,
                        _LOCKSTEP_CELLS // max(machine.tape_length, space.action_count)))
-    episodes, columns = params.episodes, len(factories) * params.episodes
-    agent_free = _agent_free(factories[0], env_model)
-    values, remainders = np.empty(columns), np.empty(columns)
-    for first in range(0, columns, group):
-        members = [(factories[c // episodes], c % episodes)
-                   for c in range(first, min(columns, first + group))]
+    columns = [(factory, env_model, index) for factory in factories
+               for env_model in environments for index in range(params.episodes)]
+    agent_free = _agent_free(factories[0], first)
+    values, remainders = np.empty(len(columns)), np.empty(len(columns))
+    for start in range(0, len(columns), group):
+        members = columns[start:start + group]
         bits = Ahead([_stream(params.seed, "env", factory, env_model, index)
-                      for factory, index in members], 1, single_bits) if summary.rands else None
+                      for factory, env_model, index in members],
+                     1, single_bits) if summary.rands else None
         policy = None if agent_free else batch_policy([
             (factory, _stream(params.seed, "agent", factory, env_model, index))
-            for factory, index in members])
+            for factory, env_model, index in members])
         tape, ptr = np.zeros((machine.tape_length, len(members)), dtype=np.int64), 0
         # a static cycle keeps the tape zero: (0, 0), then frozen with bound 0
         budget = np.full(len(members), 0 if summary.static else space.reward_denominator)
@@ -406,8 +441,8 @@ def _lockstep(factories, env_model, params: ValuationParams):
             bound = budget / space.reward_denominator
             stop = (bound < params.trunc_epsilon) | (cycle == params.horizon - 1)
             if stop.any():  # the columns that stop leave the group
-                values[first + alive[stop]] = totals[stop] / space.reward_denominator
-                remainders[first + alive[stop]] = bound[stop]
+                values[start + alive[stop]] = totals[stop] / space.reward_denominator
+                remainders[start + alive[stop]] = bound[stop]
                 keep = ~stop
                 alive, budget, totals = alive[keep], budget[keep], totals[keep]
                 tape, observations, numerators = tape[:, keep], observations[keep], numerators[keep]
@@ -416,7 +451,8 @@ def _lockstep(factories, env_model, params: ValuationParams):
             if policy is not None:
                 actions = policy.step(alive, observations, numerators)
         del tape, bits, policy  # before the next group's
-    return values.reshape(len(factories), episodes), remainders.reshape(len(factories), episodes)
+    shape = len(factories), len(environments), params.episodes
+    return values.reshape(shape), remainders.reshape(shape)
 
 
 def per_cycle_reward_profile(agent_factory, env_model, cycles: int, episodes: int, seed: int,

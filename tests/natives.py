@@ -1,4 +1,5 @@
-"""Test-only helpers: program assembly, native models with known values, VM fixtures.
+"""Test-only helpers: program assembly, the full-loop episode reference, native
+models with known values, VM fixtures.
 
 Each fixture pairs a hand-assembled machine program with the native
 environment it mirrors percept for percept.
@@ -6,20 +7,67 @@ environment it mirrors percept for percept.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from statistics import NormalDist
+
+import numpy as np
 
 from agentgauge.coding import elias_gamma_encode
 from agentgauge.environments import CopyEnvironment
-from agentgauge.errors import AgentGaugeError
+from agentgauge.errors import AgentGaugeError, RolloutFailed
 from agentgauge.interaction import Percept, SpaceConfig
 from agentgauge.machine import OPCODE_BITS, EnvProgram, MachineConfig, decode_program
+from agentgauge.seeding import derive_seed
+from agentgauge.valuation import ValueEstimate
 
 
 def encode_program(instructions, machine: MachineConfig = MachineConfig()) -> EnvProgram:
     """The program of an instruction list, in its canonical bit string."""
     body = "".join(f"{machine.opcode_table.index(name):0{OPCODE_BITS}b}" for name in instructions)
     return decode_program(elias_gamma_encode(len(instructions) + 1) + body, machine)
+
+
+def reference_episode_values(agent_factory, env_model, params):
+    """Every episode played in full with its policy, whatever the environment.
+
+    Returns the episode values and their estimate, built here from the
+    definition: the mean and its normal-approximation half-width (of equal
+    values, that value and 0), and a truncation bound of trunc_epsilon plus
+    the mean reward still to earn.
+    """
+    values, remainders, failed = [], [], 0
+    for index in range(params.episodes):
+        policy = agent_factory.make(random.Random(derive_seed(
+            params.seed, "agent", agent_factory.name, env_model.identifier, index)))
+        episode = env_model.spawn(random.Random(derive_seed(
+            params.seed, "env", agent_factory.name, env_model.identifier, index)))
+        try:
+            percept = episode.step(None)
+            policy.observe(percept)
+            total = percept.reward_numerator
+            for _ in range(1, params.horizon):
+                bound = episode.remaining_reward_bound
+                if bound == 0.0 or bound < params.trunc_epsilon:
+                    break
+                percept = episode.step(policy.act())
+                policy.observe(percept)
+                total += percept.reward_numerator
+        except RolloutFailed:
+            failed += 1
+            continue
+        values.append(total / env_model.space.reward_denominator)
+        remainders.append(min(1.0, episode.remaining_reward_bound))
+    values = np.asarray(values)
+    equal = len(set(values.tolist())) == 1
+    z = NormalDist().inv_cdf((1.0 + params.confidence) / 2.0)
+    return values, ValueEstimate(
+        mean=float(values[0] if equal else np.mean(values)),
+        ci_half_width=0.0 if equal else z * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
+        episodes_used=len(values),
+        truncation_bound=params.trunc_epsilon + float(np.mean(remainders)),
+        failed_episodes=failed)
 
 
 class _ConstantEpisode:

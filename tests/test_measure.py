@@ -33,7 +33,7 @@ from agentgauge.measure import (
 )
 from agentgauge.seeding import derive_seed
 from agentgauge.valuation import ValuationParams, summable_episode_values
-from natives import encode_program
+from natives import encode_program, reference_episode_values
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
@@ -142,24 +142,26 @@ def test_build_ensemble_walks_once_per_key(ensembles_24, horizon, walks):
     assert len(walked) == len({reward_free_key(p, MACHINE) for p in walked}) == walks
 
 
-@pytest.mark.parametrize("horizon, lockstepped, replayed, unplayed",
-                         [(8, 23, 13, 14), (None, 150, 94, 2875)],
+@pytest.mark.parametrize("horizon, lockstepped, calls, replayed, rollouts, unplayed",
+                         [(8, 23, 23, 13, 13, 14), (None, 150, 70, 94, 38, 2875)],
                          ids=["dedup-8", "dedup-off"])
-def test_valuation_dispatch_at_24_bits(ensembles_24, monkeypatch, horizon, lockstepped,
-                                       replayed, unplayed):
+def test_valuation_dispatch_at_24_bits(ensembles_24, monkeypatch, horizon, lockstepped, calls,
+                                       replayed, rollouts, unplayed):
     # the scalar rollout gives the lockstep's values, only slower, so a silent
     # fallback from _lockstep would fail no value test: pin which entries
     # run in lockstep, which replay one agent-free episode, and which are
-    # proven reward-free and play nothing.  Without dedup, 16 entries whose
-    # reads or random bits all lie past the cycle's emit, or are overwritten
-    # within it, replay one episode
+    # proven reward-free and play nothing, and how many calls each takes.
+    # Without dedup, 16 entries whose reads or random bits all lie past the
+    # cycle's emit, or are overwritten within it, replay one episode, and the
+    # entries of one reward_free_key share one lockstep call or one replay;
+    # with dedup each key lies in one entry
     ensemble, _, _ = ensembles_24[horizon]
     lockstep, rollout = valuation._lockstep, valuation._rollout
     locked, rolled = [], []
 
-    def locking(agent_factory, env_model, *args):
-        locked.append(env_model.identifier)
-        return lockstep(agent_factory, env_model, *args)
+    def locking(factories, environments, *args):
+        locked.append([env_model.identifier for env_model in environments])
+        return lockstep(factories, environments, *args)
 
     def rolling(agent_factory, env_model, seed, index, *args):
         rolled.append((env_model.identifier, index))
@@ -168,13 +170,56 @@ def test_valuation_dispatch_at_24_bits(ensembles_24, monkeypatch, horizon, locks
     monkeypatch.setattr(valuation, "_lockstep", locking)
     monkeypatch.setattr(valuation, "_rollout", rolling)
     params = ValuationParams(horizon=20, episodes=3, seed=5)
-    estimate_intelligence(AgentFactory("basic", SPACE), ensemble, params)
-    identifiers = [entry.environment.identifier for entry in ensemble.entries]
-    assert len(set(locked)) == len(locked) == lockstepped
-    assert len(set(rolled)) == len(rolled) == replayed
+    factory = AgentFactory("basic", SPACE)
+    measurement = estimate_intelligence(factory, ensemble, params)
+    environments = {entry.identifier: entry.environment for entry in ensemble.entries}
+    keys = {identifier: reward_free_key(env_model.program, MACHINE)
+            for identifier, env_model in environments.items()}
+    in_lockstep = [identifier for call in locked for identifier in call]
+    assert len(set(in_lockstep)) == len(in_lockstep) == lockstepped
+    assert len(locked) == len({keys[call[0]] for call in locked}) == calls
+    assert all({keys[identifier] for identifier in call} == {keys[call[0]]} for call in locked)
+    assert len(set(rolled)) == len(rolled) == rollouts
     assert {index for _, index in rolled} <= {0}
-    assert len(set(identifiers) - set(locked) - {i for i, _ in rolled}) == unplayed
-    assert len(identifiers) == lockstepped + replayed + unplayed
+    replays = {identifier for identifier in environments
+               if keys[identifier] in {keys[rolled_id] for rolled_id, _ in rolled}}
+    assert len(replays) == replayed and not replays & set(in_lockstep)
+    assert len(set(environments) - set(in_lockstep) - replays) == unplayed
+    assert len(environments) == lockstepped + replayed + unplayed
+    # a replayed entry valued alone gives the values and bound its key shared
+    for identifier in replays:
+        values, estimate = summable_episode_values(factory, environments[identifier], params)
+        assert np.array_equal(values, measurement.episode_values[identifier])
+        assert estimate == measurement.estimates[identifier]
+
+
+def test_key_groups_change_no_bit(ensembles_24, pool, monkeypatch):
+    # Without dedup the entries of one reward_free_key share one lockstep
+    # call, whose columns run agent by agent, entry by entry, yet every
+    # episode keeps the value its own agent, entry and index give alone: on
+    # the pool, serially, and in groups of 7 columns, which end inside and
+    # between entries
+    ensemble, _, _ = ensembles_24[None]
+    params = ValuationParams(horizon=20, episodes=3, seed=13)
+    names = ("random", "basic", "2back")
+    want = {(name, entry.identifier): reference_episode_values(
+                AgentFactory(name, SPACE), entry.environment, params)
+            for name in names for entry in ensemble.entries}
+
+    def check(measurements):
+        for measurement in measurements:
+            for entry in ensemble.entries:
+                want_values, want_estimate = want[measurement.agent_name, entry.identifier]
+                assert np.array_equal(measurement.episode_values[entry.identifier], want_values)
+                assert measurement.estimates[entry.identifier] == want_estimate
+
+    rosters = ([AgentFactory(name, SPACE) for name in names], [AgentFactory("random", SPACE)])
+    for roster in rosters:
+        check(estimate_roster(roster, ensemble, params, pool=pool))
+    for group in (valuation._LOCKSTEP_EPISODES, 7):
+        monkeypatch.setattr(valuation, "_LOCKSTEP_EPISODES", group)
+        for roster in rosters:
+            check(estimate_roster(roster, ensemble, params))
 
 
 def test_length_weights_of_a_programs_file_equal_the_fraction_computation(tmp_path):

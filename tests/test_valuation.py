@@ -5,10 +5,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ import pytest
 from agentgauge import agents, seeding, valuation
 from agentgauge.agents import MAX_BACK, AgentFactory, batch_policy, scripted_prob_action_one
 from agentgauge.environments import CopyEnvironment, ProgramEnvironment
-from agentgauge.errors import AgentGaugeError, RolloutFailed, SummabilityError
+from agentgauge.errors import AgentGaugeError, SummabilityError
 from agentgauge.interaction import SpaceConfig
 from agentgauge.machine import (
     MachineConfig,
@@ -25,7 +25,6 @@ from agentgauge.machine import (
     proves_reward_free,
 )
 from agentgauge.measure import EnsembleSpec, build_ensemble
-from agentgauge.seeding import derive_seed
 from agentgauge.valuation import (
     MAX_EPISODES,
     ValuationParams,
@@ -37,7 +36,7 @@ from agentgauge.valuation import (
     summable_episode_values,
 )
 from natives import (ConstantEnvironment, PatternEnvironment, encode_program, pattern_reward_cap,
-                     pattern_target_bit)
+                     pattern_target_bit, reference_episode_values)
 
 UNIT = SpaceConfig(action_count=2, observation_count=1, reward_denominator=1)
 BINARY = SpaceConfig(action_count=2, observation_count=2, reward_denominator=255)
@@ -499,47 +498,6 @@ def test_valuation_golden_hash(mixture_estimate):
 
 # ------------------------------------------------- agent-free rollouts
 
-def _reference_episode_values(agent_factory, env_model, params):
-    """Every episode played in full with its policy, whatever the environment.
-
-    Returns the episode values and their estimate, built here from the
-    definition: the mean and its normal-approximation half-width (of equal
-    values, that value and 0), and a truncation bound of trunc_epsilon plus
-    the mean reward still to earn.
-    """
-    values, remainders, failed = [], [], 0
-    for index in range(params.episodes):
-        policy = agent_factory.make(random.Random(derive_seed(
-            params.seed, "agent", agent_factory.name, env_model.identifier, index)))
-        episode = env_model.spawn(random.Random(derive_seed(
-            params.seed, "env", agent_factory.name, env_model.identifier, index)))
-        try:
-            percept = episode.step(None)
-            policy.observe(percept)
-            total = percept.reward_numerator
-            for _ in range(1, params.horizon):
-                bound = episode.remaining_reward_bound
-                if bound == 0.0 or bound < params.trunc_epsilon:
-                    break
-                percept = episode.step(policy.act())
-                policy.observe(percept)
-                total += percept.reward_numerator
-        except RolloutFailed:
-            failed += 1
-            continue
-        values.append(total / env_model.space.reward_denominator)
-        remainders.append(min(1.0, episode.remaining_reward_bound))
-    values = np.asarray(values)
-    equal = len(set(values.tolist())) == 1
-    z = NormalDist().inv_cdf((1.0 + params.confidence) / 2.0)
-    return values, ValueEstimate(
-        mean=float(values[0] if equal else np.mean(values)),
-        ci_half_width=0.0 if equal else z * float(np.std(values, ddof=1)) / math.sqrt(len(values)),
-        episodes_used=len(values),
-        truncation_bound=params.trunc_epsilon + float(np.mean(remainders)),
-        failed_episodes=failed)
-
-
 class _Counting:
     """Agent-factory wrapper that counts the policies it builds."""
 
@@ -596,7 +554,7 @@ def test_agent_free_rollouts_match_the_full_reference():
         env = proven(program)
         for factory in factories:
             got_values, got = summable_episode_values(factory, env, params)
-            want_values, want = _reference_episode_values(factory, env, params)
+            want_values, want = reference_episode_values(factory, env, params)
             assert np.array_equal(got_values, want_values), program.instructions
             assert got == want, program.instructions
 
@@ -630,9 +588,9 @@ def test_lockstep_episodes_match_the_full_reference(monkeypatch):
                     env = ProgramEnvironment(program, machine, space, reward_free)
                     lockstepped += (env.summary is not None and not reward_free
                                     and (env.reads_actions or not env.deterministic))
-                    got = roster_episode_values(factories, env, params)
+                    got = roster_episode_values(factories, [env], params)[0]
                     for factory, (got_values, got_estimate) in zip(factories, got):
-                        want_values, want = _reference_episode_values(factory, env, params)
+                        want_values, want = reference_episode_values(factory, env, params)
                         assert np.array_equal(got_values, want_values), program.instructions
                         assert got_estimate == want, program.instructions
     assert lockstepped > 150
@@ -651,17 +609,17 @@ def test_a_binary_roster_plays_in_one_group_as_each_agent_alone(monkeypatch):
     groups = []
     lockstep = valuation._lockstep
 
-    def counting(factories, env_model, params):
+    def counting(factories, environments, params):
         groups.append(len(factories))
-        return lockstep(factories, env_model, params)
+        return lockstep(factories, environments, params)
 
     monkeypatch.setattr(valuation, "_lockstep", counting)
     programs = enumerate_programs(21) + [encode_program(ops) for ops in HAND_PICKED]
     for program in programs:
         env = proven(program)
-        got = roster_episode_values(factories, env, params)
+        got = roster_episode_values(factories, [env], params)[0]
         for factory, (got_values, got_estimate) in zip(factories, got):
-            want_values, want = _reference_episode_values(factory, env, params)
+            want_values, want = reference_episode_values(factory, env, params)
             assert np.array_equal(got_values, want_values), (factory.name, program.instructions)
             assert got_estimate == want, (factory.name, program.instructions)
     assert len(groups) > 150 and set(groups) == {len(factories)}
@@ -685,12 +643,30 @@ def test_the_learners_of_a_roster_share_one_table(monkeypatch):
     monkeypatch.setattr(valuation, "batch_policy", building)
     env = proven(encode_program(["read_action", "move_left", "emit"]))
     assert env.summary is not None and env.reads_actions
-    got = roster_episode_values(factories, env, params)
+    got = roster_episode_values(factories, [env], params)[0]
     assert built == [(["pi_opt"] * 5 + ["basic"] * 5 + ["2back"] * 5, [10])]
     for factory, (got_values, got_estimate) in zip(factories, got):
-        want_values, want = _reference_episode_values(factory, env, params)
+        want_values, want = reference_episode_values(factory, env, params)
         assert np.array_equal(got_values, want_values), factory.name
         assert got_estimate == want, factory.name
+
+
+def test_environments_of_two_cycles_are_not_valued_together():
+    # One call values environments that run one cycle, with the first one's
+    # summary: programs of two reward_free_keys are refused, naming both,
+    # and programs of one key give each the values it gets alone
+    params = ValuationParams(horizon=20, episodes=3, seed=9)
+    roster = [AgentFactory(name, BINARY) for name in ("random", "basic")]
+    now, before, padded = (proven(encode_program(ops)) for ops in (
+        ["read_action", "move_left", "emit"], ["move_left", "read_action", "emit"],
+        ["inc", "read_action", "move_left", "emit"]))
+    with pytest.raises(AgentGaugeError, match=re.escape(f"{now.identifier} and {before.identifier}")):
+        roster_episode_values(roster, [now, before], params)
+    assert now.summary[1:] == padded.summary[1:] and now.summary.steps != padded.summary.steps
+    for env, row in zip((now, padded), roster_episode_values(roster, [now, padded], params)):
+        for factory, (values, estimate) in zip(roster, row):
+            want_values, want = reference_episode_values(factory, env, params)
+            assert np.array_equal(values, want_values) and estimate == want
 
 
 def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
@@ -739,7 +715,7 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
         for env, factory, case_params in cases:
             lockstepped += env.summary is not None and env.reads_actions
             got_values, got = summable_episode_values(factory, env, case_params)
-            want_values, want = _reference_episode_values(factory, env, case_params)
+            want_values, want = reference_episode_values(factory, env, case_params)
             assert np.array_equal(got_values, want_values), (factory, env.identifier)
             assert got == want, (factory, env.identifier)
         pi_2_values = got_values
@@ -752,8 +728,8 @@ def test_lockstep_batch_policies_match_the_full_reference(monkeypatch):
                 for ops in programs:
                     env = ProgramEnvironment(encode_program(ops, machine), machine, space, False)
                     for factory, (got_values, got) in zip(
-                            roster, roster_episode_values(roster, env, params)):
-                        want_values, want = _reference_episode_values(factory, env, params)
+                            roster, roster_episode_values(roster, [env], params)[0]):
+                        want_values, want = reference_episode_values(factory, env, params)
                         assert np.array_equal(got_values, want_values), (factory, ops)
                         assert got == want, (factory, ops)
     assert lockstepped > 200
