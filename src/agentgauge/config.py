@@ -54,13 +54,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         spec = self.ensemble_spec
-        if spec.signature_horizon is not None:
+        if spec.dedup_horizon is not None:
             try:
-                check_signature_horizon(spec.signature_horizon, self.space.action_count)
+                check_signature_horizon(spec.dedup_horizon, self.space.action_count)
             except ValueError as exc:
-                # without dedup, only kt weighting walks a signature
-                key = "dedup_horizon" if spec.dedup_horizon is not None else "weight_scheme"
-                raise ConfigError(f"ensemble.{key} and spaces.actions: {exc}") from None
+                raise ConfigError(f"ensemble.dedup_horizon and spaces.actions: {exc}") from None
         if self.bootstrap_samples > MAX_BOOTSTRAP_SAMPLES:
             raise ConfigError(f"bootstrap_samples must be at most {MAX_BOOTSTRAP_SAMPLES}, "
                               f"got {self.bootstrap_samples}")

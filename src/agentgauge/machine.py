@@ -36,12 +36,15 @@ itself, and answers no when a step emits reward or a cap is hit.  Its
 verdict depends only on `reward_free_key`: the cycle summary of a loop-free
 program (less its step count), the opcodes of a program with a loop, or one
 shared key for every program without `emit`.  Programs of one key run the
-same cycle in the interpreter, so they share a behaviour signature, and
-their walks differ only in the steps each cycle costs.  So an ensemble
-proves and walks once per key; at 24 bits, 3,119 programs have 225 keys.
-The owner of a proof starts a proven process with its budget spent: no
-percept changes, and its remaining reward bound is 0 from its first cycle
-on.
+same cycle in the interpreter, so they share a behaviour signature.  So an
+ensemble proves once per key, and walks a signature once per key when it
+deduplicates; at 24 bits, 3,119 programs have 225 keys.  The owner of a
+proof starts a proven process with its budget spent: no percept changes,
+and its remaining reward bound is 0 from its first cycle on.
+
+`first_cycle_steps` is the time t that `kt` weighting charges a program,
+2^-(|p| + log2 t): the steps the reference interpreter runs in cycle 1 with
+zero random bits, its summary's `steps` for a loop-free program.
 """
 
 from __future__ import annotations
@@ -612,6 +615,22 @@ def proves_reward_free(program: EnvProgram, machine: MachineConfig = MachineConf
         if not all(expand(state, action) for action in actions):
             return False
     return True
+
+
+def first_cycle_steps(program: EnvProgram, machine: MachineConfig) -> int:
+    """The steps the reference interpreter runs in cycle 1, at least 1.
+
+    Cycle 1 reads action 0 from the last-action register, and here every
+    random bit is 0.  A loop-free program's count is its summary's `steps`;
+    any other program runs the cycle.  No space setting changes the count.
+    """
+    summary = summarize_cycle(program, machine)
+    if summary is not None:
+        return max(1, summary.steps)
+    proc = EnvProcess(program, machine, SpaceConfig(), rng=_ScriptedBits(),
+                      enable_shortcuts=False)
+    proc.step(None)
+    return max(1, proc.steps_last_cycle)
 
 
 def reward_free_key(program: EnvProgram, machine: MachineConfig) -> tuple:

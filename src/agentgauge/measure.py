@@ -1,8 +1,9 @@
 """Ensemble construction and the aggregate intelligence score.
 
 The ensemble is the set of valid machine programs up to a length cutoff,
-weighted by 2^-length (or a time-penalized variant), optionally deduplicated
-by behavior signature so that programs indistinguishable up to a horizon are
+weighted by 2^-length, or by Levin's time-penalized 2^-length / t (`kt`, with
+t the steps of the program's first cycle), optionally deduplicated by
+behavior signature so that programs indistinguishable up to a horizon are
 valued once with their weights pooled.  Weights are normalized to sum to 1;
 each entry also keeps its exact raw weight (under `length` weighting the raw
 weights sum to the Kraft sum).  An agent's score is the weight-averaged
@@ -11,16 +12,17 @@ propagated from the per-environment estimates (whose random streams are
 disjoint by construction).  The opcode-table sensitivity experiment is these
 same two calls once per table; the `sensitivity` command runs it.
 
-Programs that share a `reward_free_key` run the same cycle, so
-`build_ensemble` walks one signature per key and gives it to every program
-of the key, and the agents with private policies value the entries of one
-key in one `roster_episode_values` call.  `estimate_roster` values a run's
-agents: two or more with private policies together, and every other one by
-`estimate_intelligence`, which values an external agent's entries one at a
-time and in order.  Signatures, the values of each key and the bootstrap of
-each pair of agents are independent, so `build_ensemble`, the estimates and
-`compare_agents` map them over a process pool the caller owns, if given
-one, in blocks that workers take as they free up.  Seeds derive from labels
+Programs that share a `reward_free_key` run the same cycle, so a
+deduplicating `build_ensemble` walks one signature per key and gives it to
+every program of the key, and the agents with private policies value the
+entries of one key in one `roster_episode_values` call.  `estimate_roster`
+values a run's agents: two or more with private policies together, and
+every other one by `estimate_intelligence`, which values an external
+agent's entries one at a time, in order and in the caller's process.
+Signatures, the values of each key and the bootstrap of each pair of agents
+are independent, so `build_ensemble`, the estimates and `compare_agents`
+map them over a process pool the caller owns, if given one, in blocks that
+workers take as they free up.  Seeds derive from labels
 and results keep input order, so the pool changes no number.
 Reward-freedom is proved in the caller's process, once per
 `reward_free_key`, and travels with each entry, so no worker proves
@@ -44,12 +46,12 @@ from .machine import (
     EnvProgram,
     MachineConfig,
     enumerate_programs,
+    first_cycle_steps,
     kraft_sum,
     prior_weight,
     proves_reward_free,
     reward_free_key,
     signature_and_steps,
-    summarize_cycle,
 )
 from .seeding import derive_seed
 from .valuation import (
@@ -72,7 +74,9 @@ _BLOCKS_PER_WORKER = 8
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """How to build the weighted environment ensemble."""
+    """How to build the weighted environment ensemble: `dedup_horizon` is the
+    depth of the signature walk that pools programs (None: no walk), and no
+    weight reads the walk; `kt` divides 2^-|p| by `first_cycle_steps`."""
 
     max_program_length_bits: int = 24
     dedup_horizon: int | None = 8
@@ -88,17 +92,6 @@ class EnsembleSpec:
                                 f"got {self.weight_scheme!r}")
         if self.dedup_horizon is not None and self.dedup_horizon < 1:
             raise EnsembleError("dedup_horizon must be >= 1 or None")
-
-    @property
-    def signature_horizon(self) -> int | None:
-        """Horizon of the signature walk `build_ensemble` makes, None for none.
-
-        Dedup walks to its own horizon; without dedup, `kt` weighting still
-        walks to horizon 8 for the step counts it charges.
-        """
-        if self.dedup_horizon is not None:
-            return self.dedup_horizon
-        return 8 if self.weight_scheme == "kt" else None
 
 
 @dataclass(frozen=True)
@@ -133,11 +126,12 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
 
     `programs` overrides enumeration with an explicit program list (e.g. a
     fixture file), still weighted and deduplicated the same way.  Each
-    program's `reward_free_key` is computed once.  The signature walk, where
-    dedup or `kt` weighting needs one, runs once per key, on the key's first
-    program; every program gets its key's signature, and `kt` its own steps
-    scaled from the key's walk (`_walk_steps`).  Each entry's `reward_free`
-    verdict comes from one `proves_reward_free` call per key among the
+    program's `reward_free_key` is computed once.  With dedup, the signature
+    walk runs once per key, on the key's first program, and every program
+    gets its key's signature; without dedup no walk runs.  `kt` charges each
+    program its own `first_cycle_steps`, so an entry's raw weight is the sum
+    of its members' at every horizon.  Each entry's `reward_free` verdict
+    comes from one `proves_reward_free` call per key among the
     representatives, made here.
     """
     if programs is None:
@@ -148,14 +142,13 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
     kraft = kraft_sum(programs)
     keys = [reward_free_key(program, machine) for program in programs]
 
-    horizon = spec.signature_horizon
-    if horizon is not None:
+    if spec.dedup_horizon is not None:
         # Programs that share a key run the same cycle, so they share the walk
         walked: dict[tuple, EnvProgram] = {}
         for program, key in zip(programs, keys):
             walked.setdefault(key, program)
         walks = dict(zip(walked, _map(pool, signature_and_steps, list(walked.values()),
-                                      horizon, machine, space)))
+                                      spec.dedup_horizon, machine, space)))
     groups: dict[object, list[int]] = {}
     for index, (program, key) in enumerate(zip(programs, keys)):
         group = walks[key][0] if spec.dedup_horizon is not None else program.program_id
@@ -171,11 +164,9 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
         raw_weights = [Fraction(n, 1 << longest) for n in numerators]
         weights = [n / total for n in numerators]
     else:
-        # 2^-(|p| + log2 steps) == 2^-|p| / steps, kept exact as a Fraction
-        steps = [_walk_steps(program, walked[key], walks[key][1], machine)
-                 for program, key in zip(programs, keys)]
-        raw_weights = [sum((prior_weight(programs[i]) / max(1, steps[i]) for i in members),
-                           Fraction(0))
+        # 2^-(|p| + log2 t) == 2^-|p| / t, kept exact as a Fraction
+        raw_weights = [sum((prior_weight(programs[i]) / first_cycle_steps(programs[i], machine)
+                            for i in members), Fraction(0))
                        for members in groups.values()]
         total = sum(raw_weights, Fraction(0))
         weights = [float(raw / total) for raw in raw_weights]
@@ -190,22 +181,6 @@ def build_ensemble(spec: EnsembleSpec, machine: MachineConfig,
                                      raw_weight=raw, member_count=len(members)))
     return Ensemble(entries=tuple(entries), kraft_sum=kraft, program_count=len(programs),
                     spec=spec)
-
-
-def _walk_steps(program: EnvProgram, walked: EnvProgram, walked_steps: int,
-                machine: MachineConfig) -> int:
-    """The steps of `signature_and_steps(program, ...)`, from the walk of `walked`.
-
-    `walked` shares `program`'s `reward_free_key`.  The programs of a
-    loop-free key differ only in `CycleSummary.steps`, and the walk charges
-    that many steps for each cycle it does not freeze, at the same nodes for
-    every program of the key, so the steps scale exactly.  A loop key holds
-    one program's opcodes, and a program without `emit` walks to 1 step.
-    """
-    summary = summarize_cycle(program, machine) if program.has_emit else None
-    if summary is None:
-        return walked_steps
-    return walked_steps // summarize_cycle(walked, machine).steps * summary.steps
 
 
 @dataclass
@@ -243,13 +218,15 @@ def estimate_intelligence(agent_factory, ensemble: Ensemble,
     """Weight-averaged expected total reward of one agent over the ensemble.
 
     An agent with private policies is valued a `reward_free_key` at a time
-    (`_key_values`); any other, an external one included, sees the entries
-    one at a time and in order."""
+    (`_key_values`), over the pool if given one.  Any other, an external one
+    included, sees the entries one at a time and in order, in this process
+    whatever `pool` is: a worker would play a copy of the agent, and its
+    episodes and warnings would stay there."""
     if getattr(agent_factory, "private_policies", False):
         results = [row[0] for row in _key_values([agent_factory], ensemble, params, pool)]
     else:
-        results = _map(pool, partial(summable_episode_values, agent_factory),
-                       [entry.environment for entry in ensemble.entries], params)
+        results = [summable_episode_values(agent_factory, entry.environment, params)
+                   for entry in ensemble.entries]
     return _measured(agent_factory.name, ensemble, results)
 
 

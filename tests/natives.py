@@ -18,7 +18,8 @@ from agentgauge.coding import elias_gamma_encode
 from agentgauge.environments import CopyEnvironment
 from agentgauge.errors import AgentGaugeError, RolloutFailed
 from agentgauge.interaction import Percept, SpaceConfig
-from agentgauge.machine import OPCODE_BITS, EnvProgram, MachineConfig, decode_program
+from agentgauge.machine import (
+    OPCODE_BITS, EnvProcess, EnvProgram, MachineConfig, decode_program)
 from agentgauge.seeding import derive_seed
 from agentgauge.valuation import ValueEstimate
 
@@ -27,6 +28,22 @@ def encode_program(instructions, machine: MachineConfig = MachineConfig()) -> En
     """The program of an instruction list, in its canonical bit string."""
     body = "".join(f"{machine.opcode_table.index(name):0{OPCODE_BITS}b}" for name in instructions)
     return decode_program(elias_gamma_encode(len(instructions) + 1) + body, machine)
+
+
+class ZeroBits:
+    """A random-bit source that draws only zeros."""
+
+    def getrandbits(self, k):
+        return 0
+
+
+def reference_first_cycle_steps(program: EnvProgram, machine: MachineConfig,
+                                space: SpaceConfig = SpaceConfig()) -> int:
+    """The time `kt` weighting charges, from its definition: the steps the
+    reference interpreter runs in cycle 1 with zero random bits, at least 1."""
+    proc = EnvProcess(program, machine, space, rng=ZeroBits(), enable_shortcuts=False)
+    proc.step(None)
+    return max(1, proc.steps_last_cycle)
 
 
 def reference_episode_values(agent_factory, env_model, params):

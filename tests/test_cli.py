@@ -519,14 +519,11 @@ def test_opcode_table_key_parses_a_permutation_and_rejects_a_repeat(tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["run", "sensitivity"])
-@pytest.mark.parametrize("lines, key", [
-    ("spaces.actions = 3\nensemble.dedup_horizon = 8", "ensemble.dedup_horizon"),
-    ("ensemble.dedup_horizon = 20", "ensemble.dedup_horizon"),
-    # with dedup off the walk is kt weighting's, so the message names that key
-    ("spaces.actions = 4\nensemble.dedup_horizon = none\nensemble.weight_scheme = kt",
-     "ensemble.weight_scheme"),
-], ids=["three-actions", "horizon-20", "kt-four-actions"])
-def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines, key):
+@pytest.mark.parametrize("lines", [
+    "spaces.actions = 3\nensemble.dedup_horizon = 8",
+    "ensemble.dedup_horizon = 20",
+], ids=["three-actions", "horizon-20"])
+def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines):
     config = tmp_path / "config.txt"
     config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\n{lines}\n",
                       encoding="utf-8")
@@ -535,9 +532,23 @@ def test_signature_beyond_the_node_cap_exits_2(tmp_path, capsys, command, lines,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
-    assert key in err and "spaces.actions" in err
-    assert ("ensemble.dedup_horizon" in err) == (key == "ensemble.dedup_horizon")
+    assert "ensemble.dedup_horizon" in err and "spaces.actions" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sensitivity"])
+def test_kt_without_dedup_takes_any_action_count(tmp_path, command):
+    # kt weights read each program's first cycle, not a signature walk, so
+    # the walk's node cap does not apply without dedup
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed = 1\noutput_dir = {tmp_path / 'out'}\nagents = random\n"
+                      "spaces.actions = 4\nensemble.dedup_horizon = none\n"
+                      "ensemble.weight_scheme = kt\nensemble.max_length_bits = 12\n"
+                      "valuation.horizon = 10\nvaluation.episodes = 2\n", encoding="utf-8")
+    argv = ["run", str(config)] if command == "run" else [
+        "sensitivity", "--config", str(config), "--permutations", "1"]
+    assert main(argv) == 0
+    assert (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sensitivity"])

@@ -12,6 +12,7 @@ import textwrap
 import threading
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -436,3 +437,25 @@ def test_wire_bytes_are_sorted_key_json_lines(tmp_path):
     ]
     expected = "".join(json.dumps(m, sort_keys=True) + "\n" for m in messages)
     assert record.read_bytes() == expected.encode()
+
+
+def test_an_external_agent_plays_in_the_callers_process_whatever_the_pool(tmp_path):
+    # a pool worker would start its own copy of the agent, whose episodes and
+    # warnings the caller's host never sees; the caller's agent must see
+    # every percept, in entry order, with or without a pool
+    ensemble = reward_bearing_ensemble()
+    params = ValuationParams(horizon=20, episodes=3, seed=5)
+    seen = []
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for name, given in (("serial", None), ("pooled", pool)):
+            record = tmp_path / f"{name}.bin"
+            host = ExternalAgentHost(
+                "ext", child(tmp_path, RECORDING_CHILD, "record") + [str(record)],
+                SPACE, timeout_ms=4000)
+            try:
+                measurement = estimate_intelligence(host, ensemble, params, pool=given)
+            finally:
+                host.close()
+            seen.append((host.episodes_started, measurement.estimates, record.read_bytes()))
+    assert seen[0][0] == len(ensemble.entries) * params.episodes
+    assert seen[1] == seen[0]

@@ -19,6 +19,7 @@ from agentgauge.machine import (
     MachineConfig,
     decode_program,
     enumerate_programs,
+    first_cycle_steps,
     load_program_file,
     lockstep_step,
     prior_weight,
@@ -30,7 +31,7 @@ from agentgauge.machine import (
     summarize_cycle,
 )
 from agentgauge.measure import EnsembleSpec, build_ensemble
-from natives import encode_program
+from natives import ZeroBits, encode_program, reference_first_cycle_steps
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
@@ -282,7 +283,7 @@ def test_step_trace_is_golden():
     assert digest.hexdigest() == STEP_TRACE_DIGEST
 
 
-@pytest.mark.parametrize("machine, space", [
+SUMMARY_MACHINES = pytest.mark.parametrize("machine, space", [
     (MACHINE, SPACE),
     (MachineConfig(tape_length=2), SPACE),
     (MachineConfig(tape_length=3), SPACE),
@@ -293,6 +294,9 @@ def test_step_trace_is_golden():
     (MACHINE, SpaceConfig(action_count=3)),
 ], ids=["default", "tape2", "tape3", "mod2", "budget1", "budget2", "budget3",
         "three-actions"])
+
+
+@SUMMARY_MACHINES
 def test_cycle_summary_matches_the_reference_interpreter(machine, space):
     # Every program of up to 21 bits: the 24-bit ensemble holds no longer
     # instruction sequence.  Small tapes alias offsets, and small budgets cut
@@ -408,20 +412,46 @@ def test_prior_weight_is_exact_dyadic():
 
 
 def test_kt_cost_values_and_doubling_law():
-    # build_ensemble's kt weighting charges |p| + log2(steps) bits, i.e. the
-    # weight 2^-|p| / steps, so doubling the steps halves the weight.
+    # build_ensemble's kt weighting charges |p| + log2(t) bits, i.e. the
+    # weight 2^-|p| / t, with t the steps of the program's first cycle, so
+    # doubling the steps halves the weight.
     spec = EnsembleSpec(max_program_length_bits=17, weight_scheme="kt",
                         dedup_horizon=None)
-    emit = make("emit")  # 7 bits, 1 step
-    (entry,) = build_ensemble(spec, MACHINE, SPACE, programs=[emit]).entries
-    assert entry.raw_weight == Fraction(1, 128)
+    programs = [make("emit"),                   # 7 bits, 1 step
+                make("emit", "inc"),            # 11 bits, 1 step: emit ends the cycle
+                make("inc", "emit"),            # 11 bits, 2 steps
+                make("inc", "inc", "emit")]     # 17 bits, 3 steps
+    entries = build_ensemble(spec, MACHINE, SPACE, programs=programs).entries
+    assert [entry.raw_weight for entry in entries] == [
+        Fraction(1, 2 ** 7), Fraction(1, 2 ** 11), Fraction(1, 2 ** 11 * 2),
+        Fraction(1, 2 ** 17 * 3)]
     # Without dedup every entry is one program weighted exactly.
     undeduped = build_ensemble(spec, MACHINE, SPACE)
     assert len(undeduped.entries) == undeduped.program_count
     for entry in undeduped.entries:
         program = entry.environment.program
-        steps = signature_and_steps(program, 8, MACHINE, SPACE)[1]
+        steps = reference_first_cycle_steps(program, MACHINE)
         assert entry.raw_weight * steps == prior_weight(program)
+
+
+@SUMMARY_MACHINES
+def test_first_cycle_steps_are_the_interpreters(machine, space):
+    # kt's time: a loop-free program's summary steps, and the first cycle of
+    # the interpreter with zero random bits for a loop program, at least 1
+    for program in enumerate_programs(21, machine):
+        summary = summarize_cycle(program, machine)
+        steps = first_cycle_steps(program, machine)
+        if summary is not None:
+            assert steps == max(1, summary.steps), program.instructions
+        assert steps == reference_first_cycle_steps(program, machine, space), \
+            program.instructions
+    for instructions in LOOP_FIXTURES:
+        program = make(*instructions)
+        if program.has_emit:   # the shortcut interpreter freezes a program without emit
+            proc = EnvProcess(program, machine, space, rng=ZeroBits())
+            proc.step(None)
+            assert first_cycle_steps(program, machine) == max(1, proc.steps_last_cycle), \
+                instructions
 
 
 # -------------------------------------------------------------- signatures
@@ -679,8 +709,9 @@ def test_programs_sharing_a_reward_free_key_share_the_verdict(bits, machine, spa
 @KEYED_ENSEMBLES
 def test_programs_sharing_a_reward_free_key_share_the_signature(bits, machine, space, keys,
                                                                 horizon):
-    # build_ensemble walks one program per key and gives every other program
-    # of that key its signature, and its steps scaled by the cycle's steps
+    # a deduplicating build_ensemble walks one program per key and gives
+    # every other program of that key its signature; the walks' steps scale
+    # by the cycle's steps
     walks: dict[tuple, tuple] = {}
     members: dict[tuple, int] = {}
     for program in enumerate_programs(bits, machine):

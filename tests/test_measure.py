@@ -33,7 +33,7 @@ from agentgauge.measure import (
 )
 from agentgauge.seeding import derive_seed
 from agentgauge.valuation import ValuationParams, summable_episode_values
-from natives import encode_program, reference_episode_values
+from natives import encode_program, reference_episode_values, reference_first_cycle_steps
 
 MACHINE = MachineConfig()
 SPACE = SpaceConfig()
@@ -92,21 +92,20 @@ def ensembles_24():
 
 
 def fraction_weights(programs, horizon, scheme="length"):
-    """Kraft sum, raw weights and weights, in Fraction arithmetic from a walk of each program.
+    """Kraft sum, raw weights and weights, in Fraction arithmetic, pooled by
+    a walk of each program to `horizon` (None: one entry per program).
 
-    `kt` divides each program's 2^-|p| by the steps of its own walk, which
-    goes to horizon 8 when dedup is off.
+    `kt` divides each program's 2^-|p| by the steps of its first cycle in the
+    reference interpreter, at every horizon.
     """
     groups = {}
     for program in programs:
         weight = prior_weight(program)
         key = program.bits
-        if horizon is not None or scheme == "kt":
-            signature, steps = signature_and_steps(program, horizon or 8, MACHINE, SPACE)
-            if horizon is not None:
-                key = signature
-            if scheme == "kt":
-                weight /= max(1, steps)
+        if horizon is not None:
+            key = signature_and_steps(program, horizon, MACHINE, SPACE)[0]
+        if scheme == "kt":
+            weight /= reference_first_cycle_steps(program, MACHINE)
         groups.setdefault(key, []).append(weight)
     raws = [sum(weights, Fraction(0)) for weights in groups.values()]
     total = sum(raws, Fraction(0))
@@ -125,7 +124,8 @@ def test_length_weights_equal_the_fraction_computation(ensembles_24, horizon):
 
 @pytest.mark.parametrize("horizon", [8, None], ids=["dedup-8", "dedup-off"])
 def test_kt_weights_equal_the_fraction_computation(horizon):
-    # the build walks one program per key; the weights are those of a walk of each
+    # the build walks one program per key and counts each program's first
+    # cycle from its summary; the weights are those of a walk and a cycle of each
     spec = EnsembleSpec(max_program_length_bits=24, dedup_horizon=horizon, weight_scheme="kt")
     ensemble = build_ensemble(spec, MACHINE, SPACE)
     kraft, raws, weights = fraction_weights(enumerate_programs(24, MACHINE), horizon, "kt")
@@ -140,6 +140,41 @@ def test_build_ensemble_walks_once_per_key(ensembles_24, horizon, walks):
     # `length` weights without dedup need no walk at all
     _, _, walked = ensembles_24[horizon]
     assert len(walked) == len({reward_free_key(p, MACHINE) for p in walked}) == walks
+
+
+def test_kt_without_dedup_walks_nothing(monkeypatch):
+    # kt takes each program's time from its own first cycle, not from a walk
+    walked = []
+
+    def walking(program, *args):
+        walked.append(program)
+        return signature_and_steps(program, *args)
+
+    monkeypatch.setattr(measure, "signature_and_steps", walking)
+    spec = EnsembleSpec(max_program_length_bits=24, dedup_horizon=None, weight_scheme="kt")
+    assert len(build_ensemble(spec, MACHINE, SPACE).entries) == 3119
+    assert walked == []
+
+
+@pytest.mark.parametrize("horizon", [4, 8])
+def test_kt_weights_do_not_depend_on_the_dedup_horizon(horizon):
+    # a program's kt weight is 2^-|p| / t at every horizon, so each entry's
+    # raw weight is the sum of its members' raw weights without dedup
+    programs = enumerate_programs(21, MACHINE)
+    alone = {entry.identifier: entry.raw_weight for entry in build_ensemble(
+        EnsembleSpec(max_program_length_bits=21, dedup_horizon=None, weight_scheme="kt"),
+        MACHINE, SPACE).entries}
+    members = {}
+    for program in programs:
+        signature = signature_and_steps(program, horizon, MACHINE, SPACE)[0]
+        members.setdefault(signature, []).append(program.program_id)
+    pooled = build_ensemble(
+        EnsembleSpec(max_program_length_bits=21, dedup_horizon=horizon, weight_scheme="kt"),
+        MACHINE, SPACE).entries
+    assert len(pooled) < len(alone)
+    assert [(entry.identifier, entry.member_count, entry.raw_weight) for entry in pooled] == [
+        (ids[0], len(ids), sum((alone[i] for i in ids), Fraction(0)))
+        for ids in members.values()]
 
 
 @pytest.mark.parametrize("horizon, lockstepped, calls, replayed, rollouts, unplayed",
